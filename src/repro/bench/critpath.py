@@ -167,17 +167,19 @@ def sharding_gap_notes() -> list[str]:
     Compares an instrumented 1-group run against a 4-group run (same
     seed, clients, and keyspace) and decomposes the per-request latency
     inflation that keeps measured speedup below the ideal 4x: the
-    forwarding hop itself, the fronting Troxy's extra accept work, and
-    everything else (per-group load, queueing).
+    forwarding hop itself, the in-group relay leg a forward pays when it
+    lands on a follower (booked as ordering wait), the fronting Troxy's
+    accept work, and everything else (per-group load, queueing).
     """
     one, _, _, _ = attributed_sharded_run(shards=1)
     four, _, cluster, _ = attributed_sharded_run(shards=4)
     if not one.requests or not four.requests:
         return ["critpath: no completed requests to attribute"]
 
-    def mean_phase(analysis, phase):
+    def mean_phase(analysis, phase, part=None):
         total = sum(
-            s for (p, _part), s in analysis.totals.items() if p == phase
+            s for (p, q), s in analysis.totals.items()
+            if p == phase and part in (None, q)
         )
         return total / len(analysis.requests)
 
@@ -186,6 +188,9 @@ def sharding_gap_notes() -> list[str]:
     inflation = e2e_4 - e2e_1
     hop = mean_phase(four, "forward_hop") - mean_phase(one, "forward_hop")
     accept = mean_phase(four, "troxy_accept") - mean_phase(one, "troxy_accept")
+    relay = (
+        mean_phase(four, "ordering", "wait") - mean_phase(one, "ordering", "wait")
+    )
     fwd = [r for r in four.requests if r.forwarded]
     local = [r for r in four.requests if not r.forwarded]
     stats = cluster.router.stats
@@ -199,8 +204,10 @@ def sharding_gap_notes() -> list[str]:
         f"  forwarding hop (wait+service): {hop * 1e3:+.3f} ms of that "
         f"({hop / inflation:.0%})" if inflation > 0 else
         f"  forwarding hop (wait+service): {hop * 1e3:+.3f} ms per request",
+        f"  in-group relay (ordering wait): {relay * 1e3:+.3f} ms "
+        "(ordered forwards go straight to the leader; at 1 group 2/3 of clients contact a follower)",
         f"  fronting-troxy accept path:    {accept * 1e3:+.3f} ms "
-        "(double envelope handling on forwarded requests)",
+        "(the forward tag is the request's one authentication)",
     ]
     if fwd and local:
         p50_fwd = sorted(r.e2e for r in fwd)[len(fwd) // 2]
@@ -210,12 +217,13 @@ def sharding_gap_notes() -> list[str]:
             f"{p50_local * 1e3:.3f} ms "
             f"({fwd_share:.0%} of router lookups forward)"
         )
-    lines.append(
-        "  -> the gap is the cross-group hop tax on ~3/4 of requests, not"
-    )
-    lines.append(
-        "     agreement contention: see benchmarks/results/critpath_sharding.txt"
-    )
+    lines += [
+        "  -> what is left is the one cross-group hop on ~3/4 of requests,",
+        "     inherent to a fronting Troxy outside the owning group: no relay,",
+        "     no second MAC and no agreement contention; the rest is CPU",
+        "     queueing every request pays at any group count: see",
+        "     benchmarks/results/critpath_sharding.txt",
+    ]
     return lines
 
 

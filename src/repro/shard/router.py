@@ -10,7 +10,12 @@ the router where the key lives:
   the voter state locally (it stays the reply convergence point and
   holds the only copy of the client's TLS session) and hands the host a
   Troxy-authenticated :class:`~repro.troxy.messages.ForwardedRequest`
-  for the same-index replica of the owning group.
+  for a replica of the owning group: its current leader for an
+  operation that will be ordered (so no in-group relay is needed), the
+  same-index replica for a read that can be served from the group's
+  fast-read caches or leases, and for everything while the core has no
+  fresh evidence that the hinted leader is alive
+  (:meth:`TroxyCore._forward_target`).
 * ``frozen`` — the key sits in a ring slice currently being migrated
   and the operation is a write: dropped; the legacy client's
   timeout-and-retry loop resubmits it after the cut-over.
@@ -54,8 +59,10 @@ class RouteDecision:
     """Outcome of one routing lookup.
 
     ``kind`` is "local", "forward", or "frozen"; ``group`` is the owning
-    group id; ``target`` is the replica id to forward to (same index in
-    the owning group — empty unless forwarding).
+    group id; ``target`` is the same-index replica of the owning group
+    (empty unless forwarding) — where reads and suspicion fallbacks go;
+    the core redirects ordered operations to
+    :meth:`ShardRouter.leader_of` instead.
     """
 
     kind: str
@@ -76,7 +83,8 @@ class ShardRouter:
 
     def __init__(self, ring: HashRing, members: dict[str, tuple[str, ...]]):
         """``members`` maps group id -> that group's replica ids, index
-        aligned across groups (same-index forwarding)."""
+        aligned across groups (same-index forwarding) and in the group's
+        leader rotation order (``leader_of``)."""
         self.ring = ring
         self.members = {group: tuple(ids) for group, ids in members.items()}
         self._home: dict[str, tuple[str, int]] = {}
@@ -99,6 +107,12 @@ class ShardRouter:
                 raise ValueError(f"key pinned to unknown group: {key!r}")
             return pinned
         return self.ring.owner(key)
+
+    def leader_of(self, group: str, view: int) -> str:
+        """The replica leading ``group`` in ``view`` (Hybster rotates the
+        leader through the member list: ``ClusterConfig.leader_of``)."""
+        ids = self.members[group]
+        return ids[view % len(ids)]
 
     # -- migration freeze ------------------------------------------------------------
 

@@ -102,11 +102,13 @@ class _Pending:
     #: entered the voter; a higher epoch at quorum time means a write
     #: overtook this read and its result must not be installed.
     install_epoch: int = 0
-    #: the key lives in another shard group (docs/SHARDING.md): votes
-    #: still converge here, but the result is never installed into the
-    #: local cache — a key's cache entries and invalidation epochs stay
-    #: confined to its owning group.
-    foreign: bool = False
+    #: non-empty when the key lives in another shard group
+    #: (docs/SHARDING.md), naming that group: votes still converge here,
+    #: but the result is never installed into the local cache — a key's
+    #: cache entries and invalidation epochs stay confined to its owning
+    #: group — and the deciding quorum's view feeds the group's leader
+    #: hint.
+    group: str = ""
 
 
 @dataclass
@@ -209,6 +211,11 @@ class TroxyCore:
         # None means unsharded: every key is local and no routing
         # decision is ever consulted.
         self.router = router
+        # Leader-aware forwarding (docs/SHARDING.md): per foreign group,
+        # the highest view it was seen deciding a forwarded request in
+        # (advisory, monotone) and when it last did — the hint is acted
+        # on only while that evidence of a live leader is fresh.
+        self._leader_hint: dict[str, tuple[int, float]] = {}
         # Hot-path cost scalars: every client request charges several of
         # these, and chasing profile -> OpCost -> cost() per charge is
         # measurable (see docs/PERFORMANCE.md). Inlined expressions keep
@@ -252,6 +259,7 @@ class TroxyCore:
         self._sessions.clear()
         self._pending.clear()
         self._fast_reads.clear()
+        self._leader_hint.clear()
         self._lease_requested.clear()
         if self.lease_table is not None:
             self.lease_table.clear()
@@ -290,6 +298,8 @@ class TroxyCore:
             origin=self.replica_id,
             unordered=False,
         )
+        # One hash + MAC authenticates the translated request — also when
+        # it is forwarded: the forward tag covers the same auth_bytes().
         yield from self.node.charge(
             self._hash_base + self._hash_per_byte * bft_request.wire_size,
             self._mac_cost_digest,
@@ -303,11 +313,7 @@ class TroxyCore:
                 self.stats.frozen_rejects += 1
                 return Action("drop", reason="key frozen for shard migration")
             if decision.kind == "forward":
-                return (
-                    yield from self._forward(
-                        body, bft_request, client_machine, decision.target
-                    )
-                )
+                return self._forward(body, bft_request, client_machine, decision)
         lease_request = None
         if self.leases_enabled and bft_request.op.is_read:
             served = yield from self._try_lease_read(body, bft_request, client_machine)
@@ -331,25 +337,27 @@ class TroxyCore:
         client_request: Request,
         bft_request: Request,
         client_machine: str,
-        target: str,
-    ):
+        decision,
+    ) -> Action:
         """Hand a foreign-key request to its owning group while staying
         the reply convergence point (docs/SHARDING.md). The voter state
         is registered exactly as for a local ordering — replies from the
         owning group's replicas converge on ``origin`` (this replica) —
-        but flagged foreign so the result is never installed locally."""
+        but flagged foreign so the result is never installed locally.
+        The tag is the request authentication the caller already
+        charged, so forwarding adds no simulated cost of its own."""
         self.stats.forwarded_out += 1
         key = (bft_request.client_id, bft_request.request_id)
         self._pending[key] = _Pending(
-            client_request, bft_request, client_machine, foreign=True
+            client_request, bft_request, client_machine, group=decision.group
         )
         while len(self._pending) > self.MAX_PENDING:
             self._pending.pop(next(iter(self._pending)))
             self.stats.pending_evicted += 1
-        yield from self.node.compute(self._mac_cost_digest)
         tag = self._instance_key.sign(
             ForwardedRequest.auth_input(bft_request, self.replica_id)
         )
+        target = self._forward_target(decision, bft_request.op)
         if self.obs is not None:
             self.obs.forward_begin(self, bft_request, target)
         return Action(
@@ -357,6 +365,58 @@ class TroxyCore:
             dst=target,
             forward=ForwardedRequest(bft_request, self.replica_id, tag),
         )
+
+    def _forward_target(self, decision, op: Operation) -> str:
+        """Which replica of the owning group receives a forward.
+
+        An operation the owning group will order goes straight to the
+        group's hinted leader, whose "order" action then needs no
+        in-group relay. A read keeps the same-index replica: its
+        fast-read / lease path needs no leader and stays spread over the
+        group. So does everything for a group that has decided nothing
+        for this core within ``progress_timeout`` (or ever): a dead
+        leader swallows forwards without anyone in its group arming a
+        progress timer, whereas a live same-index follower relays and
+        arms one exactly as a local request would. The next quorum the
+        group decides renews the trust and brings the current view.
+        """
+        if op.is_read and (self.fast_reads or self.leases_enabled):
+            return decision.target
+        hint = self._leader_hint.get(decision.group)
+        if hint is None:
+            return decision.target
+        view, decided_at = hint
+        if self.node.env.now - decided_at > self.config.progress_timeout:
+            return decision.target
+        return self.router.leader_of(decision.group, view)
+
+    def _group_decided(self, group: str, quorum: list) -> None:
+        """The f+1 matching replies in ``quorum`` decided a request this
+        core forwarded to ``group``. If they are fresh executions by
+        ``group``'s own replicas the group has a live leader: renew the
+        trust in the view hint and advance it. Replayed replies come out
+        of duplicate-suppression caches and prove no ordering, and a
+        straggler passed on after a ring cut-over is decided by the
+        key's *new* owner, whose view says nothing about ``group`` (and,
+        the hint being monotone, would stick): both change nothing.
+
+        ``Reply.view`` is not under the reply MAC, hence advisory — a
+        wrong hint lands the next forward on a follower that relays it,
+        never on a different outcome. Taking the *lowest* view of the
+        quorum still keeps one faulty replica from running the hint
+        ahead of every correct one: at most f of f+1 voters are faulty.
+        """
+        members = self.router.members[group]
+        view = quorum[0].view
+        for vote in quorum:
+            if not vote.fresh or vote.replica_id not in members:
+                return
+            if vote.view < view:
+                view = vote.view
+        known = self._leader_hint.get(group)
+        if known is not None and known[0] > view:
+            view = known[0]  # the hint only advances
+        self._leader_hint[group] = (view, self.node.env.now)
 
     #: upper bound on in-flight voter records; abandoned entries (e.g.
     #: clients that failed over elsewhere) are evicted oldest-first.
@@ -792,11 +852,12 @@ class TroxyCore:
                 tag = self._instance_key.sign(
                     ForwardedRequest.auth_input(request, self.replica_id)
                 )
+                target = self._forward_target(decision, request.op)
                 if self.obs is not None:
-                    self.obs.forward_begin(self, request, decision.target)
+                    self.obs.forward_begin(self, request, target)
                 return Action(
                     "forward",
-                    dst=decision.target,
+                    dst=target,
                     forward=ForwardedRequest(request, self.replica_id, tag),
                 )
         lease_request = None
@@ -839,7 +900,7 @@ class TroxyCore:
             return Action("drop", reason="bad shard fast reply tag")
         key = (reply.client_id, reply.request_id)
         pending = self._pending.get(key)
-        if pending is None or pending.done or not pending.foreign:
+        if pending is None or pending.done or not pending.group:
             return Action("wait")  # late, replayed, or fallback already voted
         pending.done = True
         del self._pending[key]
@@ -1028,11 +1089,9 @@ class TroxyCore:
             pending.done = True
             del self._pending[key]
             self.stats.replies_voted += 1
-            if (
-                self.fast_reads
-                and pending.bft_request.op.is_read
-                and not pending.foreign
-            ):
+            if pending.group:
+                self._group_decided(pending.group, matching)
+            elif self.fast_reads and pending.bft_request.op.is_read:
                 # Install the *voted* ordered-read result — unless a
                 # write to any of its keys was invalidated while the
                 # quorum was forming. A late vote completing after such a

@@ -86,10 +86,16 @@ class ForwardedRequest:
     session may not co-locate with the agreement group owning the key.
     The fronting Troxy stays the reply convergence point (``origin`` on
     the embedded request names it), and forwards the authenticated BFT
-    request to the same-index replica of the owning group. The tag is
-    computed under the *forwarder's* Troxy instance key: the receiving
-    enclave thereby knows a genuine Troxy — not the untrusted host —
-    produced the translation from client envelope to BFT request.
+    request to one replica of the owning group — its hinted leader for
+    an operation that will be ordered, the same-index replica otherwise
+    (docs/SHARDING.md, "Forwarding"). The message is target-independent:
+    nothing in it, tag included, names the receiver, so any replica of
+    the owning group handles it alike. The tag is computed under the
+    *forwarder's* Troxy instance key over the request's own
+    ``auth_bytes()``: the receiving enclave thereby knows a genuine
+    Troxy — not the untrusted host — produced the translation from
+    client envelope to BFT request, and producing it is the one request
+    authentication the fronting enclave pays.
     """
 
     request: object  # hybster Request; origin == forwarder

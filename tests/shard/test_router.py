@@ -51,13 +51,21 @@ def test_local_and_forward_decisions_cover_the_keyspace():
     assert router.stats.lookups == 128
 
 
-def test_forwarding_targets_the_same_index_replica():
+def test_decisions_name_the_same_index_replica_and_leaders_rotate():
+    # The router resolves both candidates; which one a forward takes is
+    # the core's call (tests/shard/test_forwarding.py).
     router = _router()
     key = next(k for k in (f"k{i}" for i in range(64))
                if router.ring.owner(k) == "g1")
     for index in range(3):
-        decision = router.route(_write(key), f"replica-{index}")
-        assert decision.target == f"g1-replica-{index}"
+        for op in (_write(key), _read(key)):
+            decision = router.route(op, f"replica-{index}")
+            assert decision.target == f"g1-replica-{index}"
+    assert [router.leader_of("g1", view) for view in range(5)] == [
+        "g1-replica-0", "g1-replica-1", "g1-replica-2",
+        "g1-replica-0", "g1-replica-1",
+    ]
+    assert router.leader_of("g0", 4) == "replica-1"
 
 
 def test_pinned_keys_bypass_the_ring():
