@@ -1,4 +1,4 @@
-"""Event-churn budgets for the simulation hot path.
+"""Event-churn and boundary-crossing budgets for the simulation hot path.
 
 Every cell below is a deterministic miniature of one figure workload:
 same seed, same topology, same client mix as the full run, scaled down
@@ -12,55 +12,100 @@ chatty handoffs) and should be treated like a failing correctness test
 A budget *undershoot* of more than 10 % is also flagged: events were
 eliminated, which changes same-time tiebreak order and will show up in
 the obs byte-diff gate. Re-baseline deliberately or fix the change.
+
+Next to the events, each cell pins two per-operation counts of the
+whole run: boundary crossings (``EnclaveStats.ecalls`` over every
+Troxy enclave and trusted-subsystem boundary) and MAC operations
+(``MacKey.sign`` calls; ``verify`` signs internally). These are what a
+quorum's *losing side* used to cost — a surplus vote is one crossing
+and one MAC check, a surplus commit one MAC check — so a change that
+lets decided requests cross the boundary again fails here on a count:
+the unfiltered etroxy write cell sits at 8.98 crossings and 19.5 MACs
+per operation.
 """
 
 import pytest
 
 from repro.bench.experiments import _run_system, read_source, write_source
+from repro.crypto.primitives import MacKey
 
-#: (cell-id, system, op source, kwargs, scheduled-events budget)
+#: (cell-id, system, op source, kwargs, budgets): scheduled events of
+#: the run, and ecalls / MAC operations per operation.
 CELLS = [
     (
         "fig6-etroxy-128B-8c",
         "etroxy",
         write_source(128),
         dict(reply_size=10, n_clients=8, warmup=0.02, duration=0.05),
-        199_373,
+        dict(events=198_449, ecalls=8.155, macs=18.37),
     ),
     (
         "fig6-ctroxy-128B-8c",
         "ctroxy",
         write_source(128),
         dict(reply_size=10, n_clients=8, warmup=0.02, duration=0.05),
-        206_334,
+        dict(events=204_213, ecalls=8.080, macs=18.27),
     ),
     (
         "fig6-bl-128B-8c",
         "bl",
         write_source(128),
         dict(reply_size=10, n_clients=8, warmup=0.02, duration=0.05),
-        226_230,
+        dict(events=228_768, ecalls=3.003, macs=17.09),
     ),
     (
         "fig8-etroxy-1KiB-8c",
         "etroxy",
         read_source(),
         dict(reply_size=1024, n_clients=8, warmup=0.02, duration=0.05),
-        78_639,
+        dict(events=74_897, ecalls=3.064, macs=8.12),
     ),
 ]
 
 TOLERANCE = 0.10
+#: per-operation counts move only with the in-flight tail of the run; one
+#: surplus crossing or MAC per operation is 6-12 % of any cell.
+COUNT_TOLERANCE = 0.05
 
 
-@pytest.mark.parametrize(
-    "cell_id,system,source,kwargs,budget",
-    CELLS,
-    ids=[cell[0] for cell in CELLS],
-)
-def test_scheduled_events_within_budget(cell_id, system, source, kwargs, budget):
-    cluster, _summary = _run_system(system, source, **kwargs)
-    events = cluster.sim_stats["scheduled_events"]
+@pytest.fixture(scope="module")
+def measured():
+    """Every cell run once: events, crossings and MACs per operation."""
+    sign = MacKey.sign
+    signed = [0]
+
+    def counting_sign(self, data):
+        signed[0] += 1
+        return sign(self, data)
+
+    results = {}
+    MacKey.sign = counting_sign
+    try:
+        for cell_id, system, source, kwargs, _budgets in CELLS:
+            signed[0] = 0
+            cluster, _summary = _run_system(system, source, **kwargs)
+            boundaries = [replica.boundary for replica in cluster.replicas]
+            boundaries += [host.enclave for host in getattr(cluster, "hosts", ())]
+            cores = getattr(cluster, "cores", None)
+            operations = (
+                sum(core.stats.client_requests for core in cores)
+                if cores
+                else cluster.leader.stats.executions
+            )
+            results[cell_id] = {
+                "events": cluster.sim_stats["scheduled_events"],
+                "ecalls": sum(b.stats.ecalls for b in boundaries) / operations,
+                "macs": signed[0] / operations,
+            }
+    finally:
+        MacKey.sign = sign
+    return results
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=[cell[0] for cell in CELLS])
+def test_scheduled_events_within_budget(cell, measured):
+    cell_id, budget = cell[0], cell[4]["events"]
+    events = measured[cell_id]["events"]
     assert events <= budget * (1 + TOLERANCE), (
         f"{cell_id}: {events} scheduled events exceeds the recorded budget "
         f"{budget} by more than {TOLERANCE:.0%} — the hot path regressed"
@@ -69,6 +114,18 @@ def test_scheduled_events_within_budget(cell_id, system, source, kwargs, budget)
         f"{cell_id}: {events} scheduled events undershoots the budget "
         f"{budget} by more than {TOLERANCE:.0%} — events were eliminated; "
         f"re-baseline deliberately (see module docstring)"
+    )
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=[cell[0] for cell in CELLS])
+@pytest.mark.parametrize("count", ["ecalls", "macs"])
+def test_crossings_and_macs_per_operation_within_budget(cell, count, measured):
+    cell_id, budget = cell[0], cell[4][count]
+    value = measured[cell_id][count]
+    assert abs(value - budget) <= budget * COUNT_TOLERANCE, (
+        f"{cell_id}: {value:.3f} {count} per operation against a budget of "
+        f"{budget} (±{COUNT_TOLERANCE:.0%}) — surplus work crossed the boundary "
+        f"again, or was removed: re-baseline deliberately"
     )
 
 

@@ -90,6 +90,9 @@ class ReplicaStats:
     checkpoints_stable: int = 0
     state_transfers: int = 0
     invalid_messages: int = 0
+    #: commits that arrived for a slot already committed or executed and
+    #: were dropped after unmarshalling, unverified.
+    surplus_commits: int = 0
     # Batching (leader side; all zero when batching is disabled).
     batches_sent: int = 0
     batched_requests: int = 0
@@ -692,11 +695,28 @@ class Replica:
         self._maybe_committed(order.seq)
 
     def _handle_commit(self, commit: Commit):
-        yield from self.node.compute(self._rx_cost(commit.wire_size) + self._mac_cost_const)
-        if commit.view != self.view or self._view_change_pending is not None:
+        """Count one COMMIT towards its slot's quorum — if it still can.
+
+        Deserialise first, verify only what can change a decision: of
+        the 2f commits a slot draws per replica, those arriving after
+        ``commit_quorum`` was reached (or after the slot executed) are
+        *surplus*. They pay the unmarshal cost and are counted in
+        ``stats.surplus_commits``; nothing hashes or MAC-checks them, so
+        a forged certificate on a decided slot is dropped unread and is
+        not an ``invalid_messages`` increment — it could not have
+        changed anything. A commit on an undecided slot is verified and
+        rejected exactly as before. View changes reset ``committed``, so
+        commits of re-proposed slots are verified afresh.
+        """
+        yield from self.node.compute(self._tx_cost(commit.wire_size))
+        if self._commit_is_moot(commit):
             return
-        if commit.seq < self.next_exec:
-            return  # slot already executed locally: the commit is stale
+        yield from self.node.charge(
+            self._hash_base + self._hash_per_byte * commit.wire_size,
+            self._mac_cost_const,
+        )
+        if self._commit_is_moot(commit):
+            return  # the view or the slot moved on while the core was held
         expected = Commit.content_digest(
             commit.view, commit.seq, commit.request_digest, commit.sender
         )
@@ -712,6 +732,17 @@ class Replica:
             return
         entry.commit_senders[commit.sender] = commit.cert
         self._maybe_committed(commit.seq)
+
+    def _commit_is_moot(self, commit: Commit) -> bool:
+        """The free checks: a commit for another view is ignored, one
+        for an executed or already committed slot is surplus."""
+        if commit.view != self.view or self._view_change_pending is not None:
+            return True
+        entry = self.log.get(commit.seq)
+        if commit.seq < self.next_exec or (entry is not None and entry.committed):
+            self.stats.surplus_commits += 1
+            return True
+        return False
 
     def _maybe_committed(self, seq: int) -> None:
         entry = self.log.get(seq)

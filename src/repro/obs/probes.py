@@ -589,6 +589,9 @@ class ObsPlane:
         for host in getattr(cluster, "hosts", ()):
             node = host.replica_id
             self._mirror("troxy", host.core.stats, node=node)
+            # Untrusted-side filter counters: votes_total{outcome="stale"}
+            # near zero is explained by troxy_host_surplus_votes rising.
+            self._mirror("troxy_host", host.stats, node=node)
             self._mirror("cache", host.core.cache.stats, node=node)
             self._mirror("monitor", host.core.monitor.stats, node=node)
             self._mirror(

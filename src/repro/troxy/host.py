@@ -9,6 +9,7 @@ alter sealed replies — the fault-injection tests exercise exactly that.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from ..crypto.tls import TlsEndpoint
@@ -50,8 +51,29 @@ TROXY_ECALLS = (
 )
 
 
+@dataclass
+class TroxyHostStats:
+    """Messages the host dropped *before* the enclave crossing because
+    they could no longer change a decision (DESIGN.md D9)."""
+
+    #: replica replies for a request the enclave holds no voter record
+    #: for: the surplus side of an f+1-of-2f+1 reply quorum.
+    surplus_votes: int = 0
+    #: cache-probe answers for a fast read that is already resolved.
+    surplus_probe_replies: int = 0
+
+
 class TroxyHost:
-    """Untrusted message pump around one TroxyCore."""
+    """Untrusted message pump around one TroxyCore.
+
+    The host filters surplus messages itself: it remembers which
+    requests its enclave opened a voter record for and which fast-read
+    probes are outstanding, and spares everything else the crossing.
+    The filter is advisory and untrusted. Dropping messages is a power
+    the host has anyway, so a wrong filter costs liveness (the legacy
+    client times out and fails over) and never a wrong reply: every vote
+    that does cross is still authenticated and counted inside.
+    """
 
     def __init__(
         self,
@@ -84,6 +106,17 @@ class TroxyHost:
             replica.lease_sink = self._lease_sink
             replica.lease_revoke_sink = self._lease_revoke_local
         self._stopped = False
+        self.stats = TroxyHostStats()
+        # client id -> the request id the enclave holds a voter record
+        # for. One entry per client session: a legacy client has one
+        # request outstanding, which the replicas' duplicate suppression
+        # assumes as well.
+        self._open: dict[str, int] = {}
+        # Outstanding fast-read probes, nonce -> deadline. Every probe
+        # waits the same ``query_timeout``, so insertion order is
+        # deadline order and one sweeper process serves them all.
+        self._probes: dict[int, float] = {}
+        self._sweeping = False
         # Process names are precomputed: one handler process is spawned
         # per inbound message, and building the f-string each time shows
         # up on the message-pump hot path.
@@ -105,10 +138,16 @@ class TroxyHost:
 
         The co-located replica rejoins via state transfer; the Troxy
         resumes pumping messages. Client TLS sessions installed in the
-        enclave survive unless the enclave itself was rebooted.
+        enclave survive unless the enclave itself was rebooted. Probe
+        deadlines that fell due while the host was down run now, so
+        their reads still fall back to ordering; the open-request table
+        starts empty (a vote it then drops belonged to a request whose
+        client has long failed over).
         """
         self._stopped = False
+        self._open.clear()
         self.replica.restart()
+        self._arm_sweeper()
 
     def install_client_session(self, client_id: str, endpoint: TlsEndpoint):
         """Process generator: hand a negotiated session key to the core."""
@@ -156,16 +195,34 @@ class TroxyHost:
             )
             yield from self._act(action)
         elif isinstance(payload, CacheEntryReply):
+            if payload.nonce not in self._probes:
+                self.stats.surplus_probe_replies += 1
+                return
             action = yield from self.enclave.ecall(
                 "handle_cache_entry_reply", payload, bytes_in=payload.wire_size
             )
+            if action.kind not in ("wait", "drop"):
+                # Hit, conflict or shard verdict: the probe is resolved.
+                # A rejected answer leaves it outstanding — a forged
+                # CacheEntryReply must not cancel the timeout.
+                self._probes.pop(payload.nonce, None)
             yield from self._act(action)
         elif isinstance(payload, Reply):
+            if self._open.get(payload.client_id) != payload.request_id:
+                self.stats.surplus_votes += 1
+                return
             action = yield from self.enclave.ecall(
                 "handle_replica_reply", payload, bytes_in=payload.wire_size
             )
             yield from self._act(action)
         elif isinstance(payload, BatchedReply):
+            is_open = self._open.get
+            if not any(
+                is_open(reply.client_id) == reply.request_id
+                for reply in payload.replies
+            ):
+                self.stats.surplus_votes += len(payload.replies)
+                return
             actions = yield from self.enclave.ecall(
                 "handle_replica_reply_batch", payload, bytes_in=payload.wire_size
             )
@@ -208,16 +265,26 @@ class TroxyHost:
         if action.kind in ("wait", "drop"):
             return
         if action.kind == "reply":
+            # The client has its answer: whatever was open for it is
+            # decided, later votes are surplus.
+            client_id = action.envelope.body.client_id
+            self._open.pop(client_id, None)
             self.net.send(
-                self.node.name, action.dst, action.envelope,
-                stream=action.envelope.body.client_id,
+                self.node.name, action.dst, action.envelope, stream=client_id
             )
         elif action.kind == "order":
-            yield from self.replica.submit(action.request)
+            request = action.request
+            if request.origin == self.replica_id:
+                # The enclave registered a voter record (also on a client
+                # retransmission, which re-opens a decided request so the
+                # replayed replies reach the voter again).
+                self._open[request.client_id] = request.request_id
+            yield from self.replica.submit(request)
         elif action.kind == "query":
             for replica_id, query in action.queries:
                 self.net.send(self.node.name, replica_id, query)
-            self.env.process(self._query_timer(action.nonce), name=self._qtimer_name)
+            self._probes[action.nonce] = self.env.now + self.query_timeout
+            self._arm_sweeper()
         elif action.kind == "send_cache_reply":
             self.net.send(self.node.name, action.dst, action.queries[0])
         elif action.kind == "send_reply":
@@ -225,6 +292,11 @@ class TroxyHost:
         elif action.kind == "send_reply_batch":
             self.net.send(self.node.name, action.dst, action.batch)
         elif action.kind == "forward":
+            request = action.forward.request
+            if request.origin == self.replica_id:
+                # Votes converge here; a straggler merely passed along
+                # has its voter record at its own fronting Troxy.
+                self._open[request.client_id] = request.request_id
             self.net.send(self.node.name, action.dst, action.forward)
         elif action.kind == "send_shard_reply":
             self.net.send(self.node.name, action.dst, action.shard_reply)
@@ -242,10 +314,31 @@ class TroxyHost:
         else:
             raise ValueError(f"unknown action kind: {action.kind!r}")
 
-    def _query_timer(self, nonce: int):
-        yield self.env.timeout(self.query_timeout)
-        if self._stopped:
-            return
+    def _arm_sweeper(self) -> None:
+        if self._probes and not self._sweeping:
+            self._sweeping = True
+            self.env.process(self._sweep_probes(), name=self._qtimer_name)
+
+    def _sweep_probes(self):
+        """The host's one probe-deadline process: sleep until the oldest
+        outstanding probe falls due, time it out if it is still
+        outstanding then, repeat. Exits when nothing is outstanding, or
+        when the host is stopped — due probes then stay queued and
+        ``restart()`` re-arms the sweeper."""
+        probes = self._probes
+        while probes and not self._stopped:
+            nonce = next(iter(probes))
+            remaining = probes[nonce] - self.env.now
+            if remaining > 0:
+                yield self.env.timeout(remaining)
+                continue
+            del probes[nonce]
+            # Own process per expiry: a fallback ordering may queue on
+            # the replica and must not hold up the deadlines behind it.
+            self.env.process(self._probe_expired(nonce), name=self._qtimer_name)
+        self._sweeping = False
+
+    def _probe_expired(self, nonce: int):
         action = yield from self.enclave.ecall("fast_read_timeout", nonce)
         yield from self._act(action)
 

@@ -10,7 +10,8 @@ from repro.apps.base import Operation, OpKind, Payload
 from repro.apps.kvstore import KvStore
 from repro.bench.clusters import build_baseline
 from repro.crypto import KeyRing
-from repro.hybster.messages import Commit, Order, Request
+from repro.crypto.primitives import digest_of
+from repro.hybster.messages import Commit, NewView, Order, Request, ViewChange
 from repro.sgx.counters import TrustedCounterSubsystem
 
 
@@ -123,3 +124,160 @@ def test_unknown_payload_counted_invalid(cluster):
     replica.dispatch(object())
     run(cluster)
     assert replica.stats.invalid_messages == 1
+
+
+# -- surplus commits: decided means done -----------------------------------------
+
+
+def forged_commit(seq, request, sender, view=0):
+    """A COMMIT whose certificate comes from outside the group."""
+    outsider = TrustedCounterSubsystem(
+        "evil", KeyRing(b"not-the-real-master").troxy_group()
+    )
+    outsider.create(f"commit/{view}")
+    content = Commit.content_digest(view, seq, request.digest(), sender)
+    cert = outsider.certify_at(f"commit/{view}", seq, content)
+    return Commit(view, seq, request.digest(), cert, sender)
+
+
+def valid_commit(cluster, seq, request, sender_index, view=0):
+    sender = cluster.replicas[sender_index]
+    sender._ensure_counter(f"commit/{view}")
+    content = Commit.content_digest(view, seq, request.digest(), sender.replica_id)
+    cert = sender.counters.certify_at(f"commit/{view}", seq, content)
+    return Commit(view, seq, request.digest(), cert, sender.replica_id)
+
+
+def record_cpu(replica):
+    """Every simulated CPU charge ``replica`` makes from now on."""
+    charged = []
+    node = replica.node
+    compute, charge = node.compute, node.charge
+
+    def recording_compute(seconds):
+        charged.append(seconds)
+        return compute(seconds)
+
+    def recording_charge(*costs):
+        charged.append(sum(costs))
+        return charge(*costs)
+
+    node.compute, node.charge = recording_compute, recording_charge
+    return charged
+
+
+def hold_execution(replica, seconds=10.0):
+    """Make every execution take ``seconds``: the first slot then sits
+    in the app while later slots commit behind it, unexecuted."""
+    replica.app.execution_cost = lambda op: seconds
+
+
+def test_surplus_commit_is_unmarshalled_but_never_verified(cluster):
+    follower = cluster.replicas[1]
+    hold_execution(follower)
+    first, second = make_request(1), make_request(2)
+    follower.dispatch(leader_order(cluster, 1, first))
+    follower.dispatch(leader_order(cluster, 2, second))
+    run(cluster, until=0.01)
+    # Leader's ORDER + own COMMIT is the f+1 quorum: slot 2 is decided,
+    # and still waiting behind slot 1 in the app.
+    assert follower.log[2].committed and not follower.log[2].executed
+    senders = dict(follower.log[2].commit_senders)
+    charged = record_cpu(follower)
+    forged = forged_commit(2, second, "replica-2")
+    follower.dispatch(forged)
+    run(cluster, until=0.01)
+    assert charged == [follower._tx_cost(forged.wire_size)]
+    assert follower.stats.surplus_commits == 1
+    assert follower.stats.invalid_messages == 0
+    assert follower.log[2].commit_senders == senders
+
+
+def test_commit_for_an_executed_slot_is_surplus(cluster):
+    follower = cluster.replicas[1]
+    request = make_request()
+    follower.dispatch(leader_order(cluster, 1, request))
+    run(cluster)
+    assert follower.next_exec == 2
+    charged = record_cpu(follower)
+    late = valid_commit(cluster, 1, request, sender_index=2)
+    follower.dispatch(late)
+    run(cluster)
+    assert charged == [follower._tx_cost(late.wire_size)]
+    assert follower.stats.surplus_commits == 1
+    assert 1 not in follower.log or "replica-2" not in follower.log[1].commit_senders
+
+
+def test_forged_commit_on_an_uncommitted_slot_is_still_rejected(cluster):
+    leader = cluster.replicas[0]
+    request = make_request()
+    # Nothing ordered yet: the commit could still count, so it pays the
+    # hash and the MAC check and fails them.
+    charged = record_cpu(leader)
+    forged = forged_commit(1, request, "replica-2")
+    leader.dispatch(forged)
+    run(cluster)
+    assert leader.stats.invalid_messages == 1
+    assert leader.stats.surplus_commits == 0
+    assert len(charged) == 2 and charged[0] == leader._tx_cost(forged.wire_size)
+    assert sum(charged) == pytest.approx(
+        leader._rx_cost(forged.wire_size) + leader._mac_cost()
+    )
+    assert 1 not in leader.log or not leader.log[1].commit_senders
+
+
+def test_commits_of_reproposed_slots_are_verified_again_after_a_view_change():
+    """f=2: a follower needs one commit beyond ORDER + its own, so a
+    slot that was committed in view 0 is open again once view 1
+    re-proposes it — and a forged commit for it is checked, not skipped."""
+    cluster = build_baseline(seed=72, f=2, app_factory=KvStore)
+    follower = cluster.replicas[4]
+    hold_execution(follower)
+    first, second = make_request(1), make_request(2)
+    orders = [leader_order(cluster, 1, first), leader_order(cluster, 2, second)]
+    for order in orders:
+        follower.dispatch(order)
+    run(cluster, until=0.01)
+    follower.dispatch(valid_commit(cluster, 1, first, sender_index=1))
+    follower.dispatch(valid_commit(cluster, 2, second, sender_index=1))
+    run(cluster, until=0.01)
+    assert follower.log[2].committed and not follower.log[2].executed
+
+    # View 1 (leader replica-1) re-proposes both slots.
+    new_leader = cluster.replicas[1]
+    prepared_digest = digest_of(*[order.digest() for order in orders])
+    vcs = []
+    for replica in cluster.replicas[:3]:
+        content = ViewChange.content_digest(1, 0, prepared_digest, replica.replica_id)
+        replica._ensure_counter("viewchange")
+        cert = replica.counters.certify_at("viewchange", 1, content)
+        vcs.append(ViewChange(
+            1, 0, replica.app.snapshot(), tuple(orders), replica.replica_id, cert
+        ))
+    new_leader._ensure_counter("order/1")
+    reproposals = []
+    for seq, request in ((1, first), (2, second)):
+        content = Order.content_digest(1, seq, request.digest())
+        cert = new_leader.counters.certify_at("order/1", seq, content)
+        reproposals.append(Order(1, seq, request, cert, new_leader.replica_id))
+    new_leader._ensure_counter("newview")
+    content = NewView.content_digest(
+        1, digest_of(*[o.digest() for o in reproposals]), new_leader.replica_id
+    )
+    cert = new_leader.counters.certify_at("newview", 1, content)
+    follower.dispatch(
+        NewView(1, tuple(vcs), tuple(reproposals), new_leader.replica_id, cert)
+    )
+    run(cluster, until=0.01)
+    assert follower.view == 1
+    assert not follower.log[2].committed  # ORDER + own commit: 2 of 3
+
+    surplus_before = follower.stats.surplus_commits
+    follower.dispatch(forged_commit(2, second, "replica-0", view=1))
+    run(cluster, until=0.01)
+    assert follower.stats.invalid_messages == 1
+    assert follower.stats.surplus_commits == surplus_before
+    assert not follower.log[2].committed
+    follower.dispatch(valid_commit(cluster, 2, second, sender_index=2, view=1))
+    run(cluster, until=0.01)
+    assert follower.log[2].committed
