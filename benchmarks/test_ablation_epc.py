@@ -12,7 +12,7 @@ outside (hash validation only).
 
 from repro.analysis.metrics import Collector
 from repro.apps.echo import EchoService
-from repro.bench.clusters import build_troxy
+from repro.deploy import build_troxy
 from repro.bench.experiments import _scaled, read_source
 from repro.bench.report import save_and_print
 from repro.workloads.loadgen import ClosedLoop

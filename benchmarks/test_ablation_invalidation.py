@@ -9,7 +9,7 @@ not decorative.
 
 from repro.analysis.linearizability import OpRecord, check_linearizable
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_troxy
+from repro.deploy import build_troxy
 from repro.bench.report import save_and_print
 
 

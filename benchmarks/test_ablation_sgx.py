@@ -9,7 +9,7 @@ from the cost of *trusting* it (SGX transitions/copies).
 
 from repro.analysis.metrics import Collector
 from repro.apps.echo import EchoService
-from repro.bench.clusters import build_baseline, build_troxy
+from repro.deploy import build_baseline, build_troxy
 from repro.bench.experiments import _scaled, write_source
 from repro.bench.report import save_and_print
 from repro.workloads.loadgen import ClosedLoop

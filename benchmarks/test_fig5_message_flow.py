@@ -12,7 +12,7 @@ latency on an otherwise idle LAN).
 """
 
 from repro.apps.kvstore import KvStore, put
-from repro.bench.clusters import build_baseline, build_troxy
+from repro.deploy import build_baseline, build_troxy
 from repro.bench.report import save_and_print
 from repro.obs.audit import LedgerProbes
 

@@ -2,16 +2,12 @@
 
 One fig6-style local-writes cell at a fixed client count, swept over
 agreement-group counts (see ``docs/SHARDING.md``). The assertions pin
-the two acceptance properties of the sharding work:
-
-* with the per-group machinery held fixed, adding groups multiplies
-  aggregate write throughput — at least 2.5x from one group to four
-  under uniform keys, even though most requests take the cross-group
-  forwarding path;
-* the single-group sharded cell is free: the fast-read p50 against
-  ``build_sharded(shards=1)`` matches the unsharded ``build_troxy``
-  deployment (the router short-circuits local keys without charging
-  simulated CPU, so shard=1 is wire-identical).
+the acceptance property of the sharding work: with the per-group
+machinery held fixed, adding groups multiplies aggregate write
+throughput — at least 2.5x from one group to four under uniform keys,
+even though most requests take the cross-group forwarding path. (The
+one-group cell is the plain ``build_troxy`` deployment — no router is
+built — so there is no separate "shards=1 is free" guard to run.)
 """
 
 from repro.bench.experiments import sharding_throughput
@@ -21,10 +17,9 @@ def _by_x(points, figure):
     return {p.x: p for p in points if p.figure == figure}
 
 
-def test_sharding_ladder_and_read_guard(run_once):
+def test_sharding_ladder(run_once):
     points = run_once(sharding_throughput)
     writes = _by_x(points, "sharding-writes")
-    reads = _by_x(points, "sharding-reads")
 
     # Acceptance: >= 2.5x aggregate write throughput at four groups vs
     # one, uniform keys, same client count (docs/SHARDING.md).
@@ -51,11 +46,3 @@ def test_sharding_ladder_and_read_guard(run_once):
         assert len(split) == shards
         assert all(count > 0 for count in split.values()), split
 
-    # Fast-read guard: shards=1 must not move the read-path p50 at all —
-    # the single-group cell is wire-identical to the unsharded build.
-    p50_plain = reads["unsharded"].summary.p50
-    p50_sharded = reads["s=1"].summary.p50
-    assert abs(p50_sharded - p50_plain) <= 0.01 * p50_plain, (
-        f"fast-read p50 moved: unsharded {p50_plain * 1e6:.1f} us vs "
-        f"shards=1 {p50_sharded * 1e6:.1f} us"
-    )

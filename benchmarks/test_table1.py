@@ -14,7 +14,7 @@ this benchmark verifies both sides of it against the running systems:
 from repro.analysis.linearizability import OpRecord, check_linearizable, find_violation
 from repro.apps.base import Payload
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_prophecy, build_troxy
+from repro.deploy import build_prophecy, build_troxy
 from repro.bench.experiments import table1_rows
 from repro.bench.report import save_and_print
 

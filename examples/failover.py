@@ -15,7 +15,7 @@ Run:  python examples/failover.py
 """
 
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_troxy
+from repro.deploy import build_troxy
 from repro.faults import FaultPlane, HostTamper, ReplicaCrash
 
 

@@ -11,7 +11,7 @@ Run:  python examples/http_service.py
 
 from repro.analysis.metrics import Collector
 from repro.apps.httpd import HttpPageService, get_operation, parse_response, post_operation
-from repro.bench.clusters import (
+from repro.deploy import (
     WAN_DELAY,
     build_baseline,
     build_prophecy,

@@ -17,7 +17,7 @@ Client: nothing.
 
 from repro.apps.base import Payload
 from repro.apps.httpd import HttpPageService, get_operation, parse_response, post_operation
-from repro.bench.clusters import build_standalone, build_troxy
+from repro.deploy import build_standalone, build_troxy
 
 
 def browse(cluster, client, label):

@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 
 from repro.apps.base import Payload
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_troxy
+from repro.deploy import build_troxy
 
 
 def main():

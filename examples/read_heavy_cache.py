@@ -12,7 +12,7 @@ Run:  python examples/read_heavy_cache.py
 """
 
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_troxy
+from repro.deploy import build_troxy
 from repro.troxy.monitor import ConflictMonitor
 
 

@@ -27,10 +27,11 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.apps`       echo / KV store / HTTP page service
 - :mod:`repro.workloads`  legacy clients and load generators
 - :mod:`repro.analysis`   metrics and linearizability checking
-- :mod:`repro.bench`      builders and paper-experiment runners
+- :mod:`repro.deploy`     the one deployment builder (four systems)
+- :mod:`repro.bench`      paper-experiment runners and reports
 """
 
-from .bench.clusters import (
+from .deploy import (
     build_baseline,
     build_prophecy,
     build_standalone,

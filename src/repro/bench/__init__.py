@@ -1,16 +1,5 @@
-"""Benchmark harness: cluster builders, experiment runners, reporting."""
+"""Benchmark harness: experiment runners and reporting."""
 
-from .clusters import (
-    WAN_DELAY,
-    BaselineCluster,
-    ProphecyCluster,
-    StandaloneCluster,
-    TroxyCluster,
-    build_baseline,
-    build_prophecy,
-    build_standalone,
-    build_troxy,
-)
 from .experiments import (
     Point,
     TableOneRow,
@@ -25,17 +14,8 @@ from .experiments import (
 from .report import format_latency_series, format_throughput_series, ratio, save_and_print
 
 __all__ = [
-    "BaselineCluster",
     "Point",
-    "ProphecyCluster",
-    "StandaloneCluster",
     "TableOneRow",
-    "TroxyCluster",
-    "WAN_DELAY",
-    "build_baseline",
-    "build_prophecy",
-    "build_standalone",
-    "build_troxy",
     "fig10_write_contention",
     "fig11_http_latency",
     "fig6_ordered_writes_local",

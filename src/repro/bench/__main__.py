@@ -130,7 +130,6 @@ def run_batching():
 def run_sharding():
     points = experiments.sharding_throughput()
     writes = [p for p in points if p.figure == "sharding-writes"]
-    reads = [p for p in points if p.figure == "sharding-reads"]
     lines = ["Sharding — fig6 local writes, 96 clients, uniform keys (etroxy)",
              "=" * 64]
     lines.append(
@@ -150,13 +149,6 @@ def run_sharding():
     lines.append("")
     lines.append("(fwd share counts router lookups, so a request forwarded once")
     lines.append(" is looked up twice: share f/(1+f) for true forward fraction f)")
-    lines.append("")
-    lines.append("fig8-style fast-read guard (shards=1 must be wire-identical):")
-    for point in reads:
-        lines.append(
-            f"  {point.x:>9}: p50 {point.summary.p50 * 1000:7.3f} ms  "
-            f"({point.throughput:.0f} op/s)"
-        )
     lines.extend(critpath.sharding_gap_notes())
     save_and_print("sharding", "\n".join(lines))
     return points

@@ -1,693 +1,10 @@
-"""Deployment builders: wire nodes, replicas, Troxies, and clients.
+"""Re-export of :mod:`repro.deploy`, where deployments are built.
 
-Every evaluated configuration in the paper maps to one builder here:
-
-* :func:`build_baseline` — original Hybster with the client-side library
-  ("BL"), PBFT-like read optimization available.
-* :func:`build_troxy` — Troxy-backed Hybster; ``boundary`` selects
-  *etroxy* (SGX costs), *ctroxy* (JNI costs, no enclave), or free.
-
-The topology mirrors the testbed (Section VI-A): replica machines on a
-LAN (quad 1 Gbps NICs, quad-core + HT), client machines whose links can
-carry an extra 100 +/- 20 ms normally distributed delay for the WAN
-scenarios, plus configurable client access bandwidth.
+Kept only because benchmarks/ledger/onepass.py imports ``build_troxy``
+from here and the ledger directory is frozen; import from
+``repro.deploy`` (or ``repro``) everywhere else.
 """
 
-from __future__ import annotations
+from ..deploy import build_troxy
 
-import os
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Union
-
-from ..apps.base import Application
-from ..crypto.keys import KeyRing
-from ..hybster.client import BftClient, ClientMachine
-from ..hybster.config import BatchConfig, ClusterConfig, LeaseConfig
-from ..hybster.replica import Replica
-from ..troxy.cache import FastReadCache
-from ..troxy.core import TroxyCore
-from ..troxy.host import TroxyHost
-from ..troxy.lease import LeaseDirectory, LeaseManager
-from ..troxy.monitor import ConflictMonitor
-from ..workloads.legacy import LegacyClient
-from ..baselines.prophecy import ProphecyMiddlebox
-from ..baselines.standalone import StandaloneServer
-from ..sgx.attestation import AttestationService, provision_keys
-from ..sgx.counters import TrustedCounterSubsystem
-from ..sgx.enclave import (
-    SGX_ECALL,
-    Enclave,
-    jni_enclave,
-    null_enclave,
-)
-from ..sgx.sealed import SealedStorage
-from ..sim.engine import Environment
-from ..sim.network import (
-    GBPS,
-    ConstantLatency,
-    UniformLatency,
-    LatencyModel,
-    Network,
-    NicConfig,
-    NormalLatency,
-)
-from ..sim.rng import RngTree
-from ..sim.trace import Tracer
-
-# Loaded GbE + kernel scheduling: tens-of-microseconds jitter. The
-# jitter matters: replica execution skew is what makes concurrent
-# reads conflict with in-flight writes (Fig. 10).
-LAN_LATENCY = UniformLatency(30e-6, 90e-6)
-WAN_DELAY = NormalLatency(0.100, 0.020)
-MASTER_SECRET = b"troxy-repro-master-secret-0001"
-
-#: Environment default for agreement batching (docs/BATCHING.md):
-#: "off", an integer batch size, or "adaptive". Only consulted when the
-#: caller passes neither ``batching`` nor an explicit ``config`` — tests
-#: that pin a ClusterConfig stay insensitive to the CI batching matrix.
-BATCHING_ENV = "REPRO_BATCHING"
-
-#: Environment default for lease-based fast reads (docs/READS.md):
-#: "off", "on", or a float lease duration in seconds. Only consulted
-#: when the caller passes neither ``leases`` nor an explicit ``config``.
-LEASES_ENV = "REPRO_LEASES"
-
-
-def resolve_batching(batching: Union[BatchConfig, int, str, None]) -> BatchConfig:
-    """Turn a batching knob into a :class:`BatchConfig`.
-
-    Accepts a BatchConfig (returned as-is), an int batch size, or the
-    strings "off"/"adaptive"/an integer literal as they arrive from
-    CLIs and the environment. "off" (or 0) disables the batch layer
-    entirely — the pre-batching code path. An int n >= 1 means
-    ``BatchConfig.sized(n)``: size 1 still routes requests through the
-    batch loop (the conformance suite pins it wire-equivalent to the
-    pre-batching protocol), which is what "batch size 1" means in the
-    CI matrix and the chaos campaigns.
-    """
-    if batching is None or isinstance(batching, BatchConfig):
-        return batching if batching is not None else BatchConfig()
-    if isinstance(batching, str):
-        text = batching.strip().lower()
-        if text in ("", "off", "none"):
-            return BatchConfig()
-        if text == "adaptive":
-            return BatchConfig.adaptive_default()
-        batching = int(text)
-    if batching < 1:
-        return BatchConfig()
-    return BatchConfig.sized(batching)
-
-
-def _apply_batching(
-    config: Optional[ClusterConfig],
-    f: int,
-    batching: Union[BatchConfig, int, str, None],
-) -> ClusterConfig:
-    """Builder-side batching resolution (explicit arg > config > env)."""
-    if batching is not None:
-        base = config or ClusterConfig(f=f)
-        return replace(base, batching=resolve_batching(batching))
-    if config is not None:
-        return config
-    env_default = os.environ.get(BATCHING_ENV)
-    if env_default:
-        return ClusterConfig(f=f, batching=resolve_batching(env_default))
-    return ClusterConfig(f=f)
-
-
-def resolve_leases(leases: Union[LeaseConfig, bool, float, str, None]) -> LeaseConfig:
-    """Turn a lease knob into a :class:`LeaseConfig`.
-
-    Accepts a LeaseConfig (returned as-is), a bool, a float lease
-    duration in seconds, or the strings "off"/"on"/a float literal as
-    they arrive from CLIs and the environment.
-    """
-    if leases is None:
-        return LeaseConfig()
-    if isinstance(leases, LeaseConfig):
-        return leases
-    if isinstance(leases, bool):
-        return LeaseConfig.on() if leases else LeaseConfig()
-    if isinstance(leases, str):
-        text = leases.strip().lower()
-        if text in ("", "off", "none", "0", "false"):
-            return LeaseConfig()
-        if text in ("on", "1", "true"):
-            return LeaseConfig.on()
-        return LeaseConfig.on(duration=float(text))
-    return LeaseConfig.on(duration=float(leases))
-
-
-def _apply_leases(
-    config: ClusterConfig,
-    leases: Union[LeaseConfig, bool, float, str, None],
-    explicit_config: bool,
-) -> ClusterConfig:
-    """Builder-side lease resolution (explicit arg > config > env).
-
-    Mirrors :func:`_apply_batching`: tests that pin a ClusterConfig stay
-    insensitive to the CI lease matrix.
-    """
-    if leases is not None:
-        return replace(config, leases=resolve_leases(leases))
-    if explicit_config:
-        return config
-    env_default = os.environ.get(LEASES_ENV)
-    if env_default:
-        return replace(config, leases=resolve_leases(env_default))
-    return config
-
-
-@dataclass
-class BaselineCluster:
-    """A running baseline (BL) deployment."""
-
-    env: Environment
-    net: Network
-    config: ClusterConfig
-    keyring: KeyRing
-    replicas: list[Replica]
-    machines: list[ClientMachine]
-    tracer: Tracer
-    attestation: AttestationService
-    _client_counter: int = 0
-
-    @property
-    def leader(self) -> Replica:
-        view = max(replica.view for replica in self.replicas)
-        leader_id = self.config.leader_of(view)
-        return next(r for r in self.replicas if r.replica_id == leader_id)
-
-    def new_client(
-        self,
-        read_optimization: bool = True,
-        request_distribution: str = "leader",
-    ) -> BftClient:
-        machine = self.machines[self._client_counter % len(self.machines)]
-        self._client_counter += 1
-        client = BftClient(
-            machine,
-            client_id=f"client-{self._client_counter}",
-            config=self.config,
-            keyring=self.keyring,
-            read_optimization=read_optimization,
-            request_distribution=request_distribution,
-        )
-        client.connect(self.replicas)
-        return client
-
-
-def _wan_client_links(net: Network, machine_names, replica_ids, wan: LatencyModel) -> None:
-    for machine_name in machine_names:
-        for replica_id in replica_ids:
-            net.set_latency_symmetric(machine_name, replica_id, wan)
-
-
-def make_trusted_subsystem(
-    replica_id: str,
-    keyring: KeyRing,
-    attestation: AttestationService,
-    enclave: Enclave,
-    platform_id: str,
-) -> TrustedCounterSubsystem:
-    """Attest the enclave, then provision it with the group secret.
-
-    Returns the counter subsystem holding the provisioned key, backed by
-    sealed storage (counters survive enclave reboots).
-    """
-    provisioned = provision_keys(
-        attestation, platform_id, enclave, enclave.measurement, keyring
-    )
-    storage = SealedStorage(MASTER_SECRET + platform_id.encode(), enclave.measurement)
-    return TrustedCounterSubsystem(replica_id, provisioned.troxy_group(), storage=storage)
-
-
-def build_baseline(
-    seed: int = 0,
-    f: int = 1,
-    app_factory: Callable[[], Application] = None,
-    client_machines: int = 2,
-    wan: Optional[LatencyModel] = None,
-    client_nic: Optional[NicConfig] = None,
-    replica_cores: int = 8,
-    config: Optional[ClusterConfig] = None,
-    batching: Union[BatchConfig, int, str, None] = None,
-    trace: bool = False,
-) -> BaselineCluster:
-    """Assemble the original Hybster deployment with client-side voting."""
-    if app_factory is None:
-        raise ValueError("app_factory is required")
-    config = _apply_batching(config, f, batching)
-    env = Environment()
-    rng = RngTree(seed)
-    tracer = Tracer(enabled=trace)
-    net = Network(env, rng_tree=rng, default_latency=LAN_LATENCY, tracer=tracer)
-    keyring = KeyRing(MASTER_SECRET)
-    attestation = AttestationService(MASTER_SECRET + b"/ias")
-
-    replicas = []
-    for replica_id in config.replica_ids:
-        node = net.add_node(replica_id, cores=replica_cores)
-        attestation.register_platform(replica_id)
-        # Hybster's own trusted subsystem runs in SGX reached over JNI.
-        boundary = jni_enclave(node, f"tss-{replica_id}", code_identity="hybster-tss-v1")
-        counters = make_trusted_subsystem(
-            replica_id, keyring, attestation, boundary, replica_id
-        )
-        replica = Replica(
-            env=env,
-            net=net,
-            node=node,
-            replica_id=replica_id,
-            config=config,
-            app=app_factory(),
-            keyring=keyring,
-            counters=counters,
-            trusted_boundary=boundary,
-            tracer=tracer,
-        )
-        replicas.append(replica)
-
-    machines = []
-    for i in range(client_machines):
-        name = f"client-machine-{i}"
-        node = net.add_node(name, cores=replica_cores, nic=client_nic)
-        machines.append(ClientMachine(env, net, node))
-    if wan is not None:
-        _wan_client_links(net, [m.node.name for m in machines], config.replica_ids, wan)
-
-    return BaselineCluster(
-        env=env,
-        net=net,
-        config=config,
-        keyring=keyring,
-        replicas=replicas,
-        machines=machines,
-        tracer=tracer,
-        attestation=attestation,
-    )
-
-
-@dataclass
-class TroxyCluster:
-    """A running Troxy-backed deployment."""
-
-    env: Environment
-    net: Network
-    config: ClusterConfig
-    keyring: KeyRing
-    replicas: list[Replica]
-    hosts: list[TroxyHost]
-    cores: list[TroxyCore]
-    machines: list[ClientMachine]
-    tracer: Tracer
-    attestation: AttestationService
-    _client_counter: int = 0
-
-    @property
-    def leader(self) -> Replica:
-        view = max(replica.view for replica in self.replicas)
-        leader_id = self.config.leader_of(view)
-        return next(r for r in self.replicas if r.replica_id == leader_id)
-
-    def host_of(self, replica_id: str) -> TroxyHost:
-        return next(h for h in self.hosts if h.replica_id == replica_id)
-
-    def new_client(
-        self,
-        contact_index: Optional[int] = None,
-        request_timeout: float = 2.0,
-    ) -> LegacyClient:
-        """A pre-connected legacy client; contacts are round-robin unless
-        pinned ("Troxy allows connections to any replica")."""
-        machine = self.machines[self._client_counter % len(self.machines)]
-        if contact_index is None:
-            contact_index = self._client_counter % len(self.hosts)
-        self._client_counter += 1
-        client = LegacyClient(
-            machine,
-            client_id=f"client-{self._client_counter}",
-            keyring=self.keyring,
-            hosts=self.hosts,
-            contact_index=contact_index,
-            request_timeout=request_timeout,
-        )
-        client.connect_instant()
-        return client
-
-
-BOUNDARIES = {
-    "sgx": SGX_ECALL,  # etroxy: Troxy inside an SGX enclave
-    "jni": None,  # ctroxy: C/C++ outside SGX, reached over JNI
-    "none": None,  # free boundary (ablations)
-}
-
-
-def _build_troxy_replica(
-    *,
-    env: Environment,
-    net: Network,
-    rng: RngTree,
-    keyring: KeyRing,
-    attestation: AttestationService,
-    tracer: Tracer,
-    config: ClusterConfig,
-    replica_id: str,
-    app_factory: Callable[[], Application],
-    boundary: str,
-    fast_reads: bool,
-    replica_cores: int,
-    monitor_factory,
-    cache_entries: int,
-    cache_outside: bool,
-    epc_bytes: Optional[int],
-    query_timeout: float,
-    router=None,
-    keys_fn=None,
-):
-    """Assemble one server: node, trusted subsystem, replica, Troxy.
-
-    Shared by :func:`build_troxy` and the sharded builder
-    (:func:`repro.shard.cluster.build_sharded`) so both wire a server
-    identically — the shard-conformance suite pins a one-group sharded
-    deployment wire-identical to this unsharded path.
-    """
-    node = net.add_node(replica_id, cores=replica_cores)
-    attestation.register_platform(replica_id)
-    tss_boundary = jni_enclave(node, f"tss-{replica_id}", code_identity="hybster-tss-v1")
-    counters = make_trusted_subsystem(
-        replica_id, keyring, attestation, tss_boundary, replica_id
-    )
-    replica = Replica(
-        env=env,
-        net=net,
-        node=node,
-        replica_id=replica_id,
-        config=config,
-        app=app_factory(),
-        keyring=keyring,
-        counters=counters,
-        trusted_boundary=tss_boundary,
-        tracer=tracer,
-        owns_inbox=False,
-    )
-    if boundary == "sgx":
-        enclave_kwargs = {} if epc_bytes is None else {"epc_bytes": epc_bytes}
-        troxy_enclave = Enclave(
-            node, f"troxy-{replica_id}", code_identity="troxy-v1",
-            costs=SGX_ECALL, **enclave_kwargs,
-        )
-        runtime = "cpp_sgx"
-    elif boundary == "jni":
-        troxy_enclave = jni_enclave(node, f"troxy-{replica_id}", code_identity="troxy-v1")
-        runtime = "cpp"
-    else:
-        troxy_enclave = null_enclave(node, f"troxy-{replica_id}")
-        runtime = "cpp"
-    # The Troxy enclave is attested before receiving the cluster keys.
-    provisioned = provision_keys(
-        attestation, replica_id, troxy_enclave, troxy_enclave.measurement, keyring
-    )
-    lease_counters = None
-    if config.leases.enabled:
-        # The lease fence lives in the *Troxy* enclave (the tss counters
-        # belong to Hybster's subsystem): its own sealed monotonic
-        # counter survives enclave reboots, which is what stops a
-        # rolled-back Troxy from re-installing an already-revoked lease.
-        lease_counters = TrustedCounterSubsystem(
-            f"troxy-{replica_id}",
-            provisioned.troxy_group(),
-            storage=SealedStorage(
-                MASTER_SECRET + replica_id.encode() + b"/troxy-lease",
-                troxy_enclave.measurement,
-            ),
-        )
-    core = TroxyCore(
-        node=node,
-        enclave=troxy_enclave,
-        replica_id=replica_id,
-        config=config,
-        keyring=provisioned,
-        rng=rng.derive("troxy", replica_id),
-        runtime=runtime,
-        fast_reads=fast_reads,
-        cache=FastReadCache(
-            troxy_enclave, max_entries=cache_entries, store_outside=cache_outside
-        ),
-        monitor=monitor_factory() if monitor_factory else ConflictMonitor(),
-        keys_fn=keys_fn,
-        router=router,
-        counters=lease_counters,
-    )
-    if config.leases.enabled:
-        # Leader-side lease state (any replica may lead after a view
-        # change, so every replica carries a manager + directory mirror).
-        replica.lease_manager = LeaseManager(
-            replica_id, keyring.troxy_instance(replica_id), config.leases
-        )
-        replica.lease_directory = LeaseDirectory()
-        replica.lease_keys_fn = keys_fn or (lambda op: (op.key,))
-    host = TroxyHost(
-        env=env,
-        net=net,
-        node=node,
-        replica=replica,
-        core=core,
-        enclave=troxy_enclave,
-        query_timeout=query_timeout,
-    )
-    return replica, host, core
-
-
-def build_troxy(
-    seed: int = 0,
-    f: int = 1,
-    app_factory: Callable[[], Application] = None,
-    boundary: str = "sgx",
-    fast_reads: bool = True,
-    client_machines: int = 2,
-    wan: Optional[LatencyModel] = None,
-    client_nic: Optional[NicConfig] = None,
-    replica_cores: int = 8,
-    config: Optional[ClusterConfig] = None,
-    batching: Union[BatchConfig, int, str, None] = None,
-    leases: Union[LeaseConfig, bool, float, str, None] = None,
-    monitor_factory: Callable[[], ConflictMonitor] = None,
-    cache_entries: int = 65536,
-    cache_outside: bool = True,
-    epc_bytes: Optional[int] = None,
-    query_timeout: float = 0.1,
-    trace: bool = False,
-) -> TroxyCluster:
-    """Assemble a Troxy-backed Hybster deployment.
-
-    ``boundary`` selects the prototype variant: ``"sgx"`` is *etroxy*
-    (enclave transition costs), ``"jni"`` is *ctroxy* (C/C++ outside
-    SGX), ``"none"`` removes the boundary entirely (ablation).
-    """
-    if app_factory is None:
-        raise ValueError("app_factory is required")
-    if boundary not in BOUNDARIES:
-        raise ValueError(f"boundary must be one of {sorted(BOUNDARIES)}: {boundary!r}")
-    explicit_config = config is not None
-    config = _apply_batching(config, f, batching)
-    config = _apply_leases(config, leases, explicit_config)
-    env = Environment()
-    rng = RngTree(seed)
-    tracer = Tracer(enabled=trace)
-    net = Network(env, rng_tree=rng, default_latency=LAN_LATENCY, tracer=tracer)
-    keyring = KeyRing(MASTER_SECRET)
-    attestation = AttestationService(MASTER_SECRET + b"/ias")
-
-    replicas, hosts, cores = [], [], []
-    for replica_id in config.replica_ids:
-        replica, host, core = _build_troxy_replica(
-            env=env,
-            net=net,
-            rng=rng,
-            keyring=keyring,
-            attestation=attestation,
-            tracer=tracer,
-            config=config,
-            replica_id=replica_id,
-            app_factory=app_factory,
-            boundary=boundary,
-            fast_reads=fast_reads,
-            replica_cores=replica_cores,
-            monitor_factory=monitor_factory,
-            cache_entries=cache_entries,
-            cache_outside=cache_outside,
-            epc_bytes=epc_bytes,
-            query_timeout=query_timeout,
-        )
-        replicas.append(replica)
-        hosts.append(host)
-        cores.append(core)
-
-    machines = []
-    for i in range(client_machines):
-        name = f"client-machine-{i}"
-        node = net.add_node(name, cores=replica_cores, nic=client_nic)
-        machines.append(ClientMachine(env, net, node))
-    if wan is not None:
-        _wan_client_links(net, [m.node.name for m in machines], config.replica_ids, wan)
-
-    return TroxyCluster(
-        env=env,
-        net=net,
-        config=config,
-        keyring=keyring,
-        replicas=replicas,
-        hosts=hosts,
-        cores=cores,
-        machines=machines,
-        tracer=tracer,
-        attestation=attestation,
-    )
-
-
-@dataclass
-class StandaloneCluster:
-    """A running unreplicated deployment (the Jetty stand-in)."""
-
-    env: Environment
-    net: Network
-    keyring: KeyRing
-    server: "StandaloneServer"
-    machines: list[ClientMachine]
-    tracer: Tracer
-    _client_counter: int = 0
-
-    def new_client(self, request_timeout: float = 2.0) -> LegacyClient:
-        machine = self.machines[self._client_counter % len(self.machines)]
-        self._client_counter += 1
-        client = LegacyClient(
-            machine,
-            client_id=f"client-{self._client_counter}",
-            keyring=self.keyring,
-            hosts=[self.server],
-            request_timeout=request_timeout,
-        )
-        client.connect_instant()
-        return client
-
-
-def build_standalone(
-    seed: int = 0,
-    app_factory: Callable[[], Application] = None,
-    client_machines: int = 2,
-    wan: Optional[LatencyModel] = None,
-    client_nic: Optional[NicConfig] = None,
-    server_cores: int = 8,
-    trace: bool = False,
-) -> StandaloneCluster:
-    """Assemble a single non-fault-tolerant server (latency floor)."""
-    if app_factory is None:
-        raise ValueError("app_factory is required")
-    env = Environment()
-    rng = RngTree(seed)
-    tracer = Tracer(enabled=trace)
-    net = Network(env, rng_tree=rng, default_latency=LAN_LATENCY, tracer=tracer)
-    keyring = KeyRing(MASTER_SECRET)
-    node = net.add_node("server-0", cores=server_cores)
-    server = StandaloneServer(env, net, node, app_factory())
-    machines = []
-    for i in range(client_machines):
-        name = f"client-machine-{i}"
-        machines.append(ClientMachine(env, net, net.add_node(name, nic=client_nic)))
-    if wan is not None:
-        _wan_client_links(net, [m.node.name for m in machines], ["server-0"], wan)
-    return StandaloneCluster(
-        env=env, net=net, keyring=keyring, server=server, machines=machines, tracer=tracer
-    )
-
-
-@dataclass
-class ProphecyCluster:
-    """A running Prophecy-middlebox deployment."""
-
-    env: Environment
-    net: Network
-    config: ClusterConfig
-    keyring: KeyRing
-    replicas: list[Replica]
-    middlebox: "ProphecyMiddlebox"
-    machines: list[ClientMachine]
-    tracer: Tracer
-    _client_counter: int = 0
-
-    def new_client(self, request_timeout: float = 2.0) -> LegacyClient:
-        machine = self.machines[self._client_counter % len(self.machines)]
-        self._client_counter += 1
-        client = LegacyClient(
-            machine,
-            client_id=f"client-{self._client_counter}",
-            keyring=self.keyring,
-            hosts=[self.middlebox],
-            request_timeout=request_timeout,
-        )
-        client.connect_instant()
-        return client
-
-
-def build_prophecy(
-    seed: int = 0,
-    f: int = 1,
-    app_factory: Callable[[], Application] = None,
-    client_machines: int = 2,
-    wan: Optional[LatencyModel] = None,
-    client_nic: Optional[NicConfig] = None,
-    replica_cores: int = 8,
-    config: Optional[ClusterConfig] = None,
-    trace: bool = False,
-) -> ProphecyCluster:
-    """Assemble the Prophecy comparator: replicas + middlebox + clients.
-
-    The middlebox lives in the server-side LAN ("their voters are close
-    to the replicas"); WAN delay, when configured, applies between the
-    client machines and the middlebox.
-    """
-    if app_factory is None:
-        raise ValueError("app_factory is required")
-    config = config or ClusterConfig(f=f)
-    env = Environment()
-    rng = RngTree(seed)
-    tracer = Tracer(enabled=trace)
-    net = Network(env, rng_tree=rng, default_latency=LAN_LATENCY, tracer=tracer)
-    keyring = KeyRing(MASTER_SECRET)
-    attestation = AttestationService(MASTER_SECRET + b"/ias")
-
-    replicas = []
-    for replica_id in config.replica_ids:
-        node = net.add_node(replica_id, cores=replica_cores)
-        attestation.register_platform(replica_id)
-        boundary = jni_enclave(node, f"tss-{replica_id}", code_identity="hybster-tss-v1")
-        counters = make_trusted_subsystem(
-            replica_id, keyring, attestation, boundary, replica_id
-        )
-        replicas.append(
-            Replica(
-                env=env, net=net, node=node, replica_id=replica_id, config=config,
-                app=app_factory(), keyring=keyring, counters=counters,
-                trusted_boundary=boundary, tracer=tracer,
-            )
-        )
-
-    mb_node = net.add_node("prophecy-mb", cores=replica_cores)
-    middlebox = ProphecyMiddlebox(
-        env=env, net=net, node=mb_node, config=config, keyring=keyring,
-        replicas=replicas, rng=rng.derive("prophecy"),
-    )
-
-    machines = []
-    for i in range(client_machines):
-        name = f"client-machine-{i}"
-        machines.append(ClientMachine(env, net, net.add_node(name, nic=client_nic)))
-    if wan is not None:
-        _wan_client_links(net, [m.node.name for m in machines], ["prophecy-mb"], wan)
-
-    return ProphecyCluster(
-        env=env, net=net, config=config, keyring=keyring, replicas=replicas,
-        middlebox=middlebox, machines=machines, tracer=tracer,
-    )
+__all__ = ["build_troxy"]

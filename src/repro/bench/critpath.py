@@ -19,17 +19,15 @@ the fronting-Troxy accept path account for.
 
 from __future__ import annotations
 
-from ..analysis.metrics import Collector
+from ..deploy import WAN_DELAY
 from ..obs.critpath import analyze, render_report
 from ..obs.probes import ObsPlane
-from ..workloads.loadgen import ClosedLoop
 from .experiments import (
     WAN_CLIENT_NIC,
     _run_system,
     read_source,
     write_source,
 )
-from .clusters import WAN_DELAY
 
 
 def attributed_system_run(
@@ -79,32 +77,17 @@ def attributed_sharded_run(
     """One instrumented sharded run -> (analysis, summary, cluster, plane).
 
     Mirrors :func:`repro.bench.experiments.sharding_throughput`'s write
-    ladder cell at a reduced client count; the flattened
-    ``replicas``/``hosts`` views of the sharded cluster let the same
-    ObsPlane instrument every group, so cross-group forwarding produces
-    ``shard.forward`` spans inside one connected trace.
+    ladder cell at a reduced client count; the flat ``replicas``/``hosts``
+    lists of the deployment let the same ObsPlane instrument every
+    group, so cross-group forwarding produces ``shard.forward`` spans
+    inside one connected trace.
     """
-    from ..apps.echo import EchoService
-    from ..shard import build_sharded
-
     plane = ObsPlane()
-    cluster = build_sharded(
-        seed=seed, shards=shards,
-        app_factory=lambda: EchoService(reply_size=10),
-        replica_cores=2, batching=batching,
+    cluster, summary = _run_system(
+        "etroxy", write_source(request_size, key_space=key_space),
+        reply_size=10, n_clients=n_clients, warmup=warmup, duration=duration,
+        seed=seed, batching=batching, shards=shards, obs=plane,
     )
-    plane.attach(cluster)
-    clients = plane.wrap_clients(
-        [cluster.new_client() for _ in range(n_clients)]
-    )
-    loadgen = ClosedLoop(
-        cluster.env, clients,
-        write_source(request_size, key_space=key_space), Collector(),
-    )
-    loadgen.start()
-    start = cluster.env.now
-    cluster.env.run(until=start + warmup + duration)
-    summary = loadgen.collector.summarize(start + warmup, start + warmup + duration)
     plane.finalize()
     return analyze(plane.spans), summary, cluster, plane
 

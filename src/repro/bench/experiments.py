@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from ..analysis.metrics import Collector, Summary
@@ -26,7 +27,7 @@ from ..hybster.config import BatchConfig
 from ..sim.network import GBPS, NicConfig
 from ..troxy.monitor import ConflictMonitor
 from ..workloads.loadgen import ClosedLoop, PacedLoop
-from .clusters import (
+from ..deploy import (
     WAN_DELAY,
     build_baseline,
     build_prophecy,
@@ -102,6 +103,59 @@ def mixed_source(
     return source
 
 
+def _drive(
+    build,
+    n_clients: int,
+    op_source,
+    warmup: float,
+    duration: float,
+    obs=None,
+    rate_per_client: Optional[float] = None,
+    **client_kwargs,
+):
+    """Build a deployment, load it, return (deployment, window Summary).
+
+    ``build`` is a zero-argument callable returning the deployment.
+    Clients are closed-loop unless ``rate_per_client`` paces them;
+    ``client_kwargs`` go to ``new_client``.
+
+    ``obs`` accepts a :class:`repro.obs.ObsPlane` (duck-typed, so this
+    module needs no obs import): it is attached right after the
+    deployment is built — before clients connect, so session-installation
+    ecalls are observed too — and the clients are wrapped so every
+    invocation opens a root span.
+
+    The returned deployment carries ``sim_stats`` — wall-clock seconds
+    plus the deterministic ``env.steps`` / ``env.scheduled_events``
+    counters — for the ``--json`` benchmark emitter and the perf-smoke
+    CI budgets.
+    """
+    wall_start = time.perf_counter()
+    cluster = build()
+    if obs is not None:
+        obs.attach(cluster)
+    clients = [cluster.new_client(**client_kwargs) for _ in range(n_clients)]
+    if obs is not None:
+        clients = obs.wrap_clients(clients)
+    if rate_per_client is None:
+        loadgen = ClosedLoop(cluster.env, clients, op_source, Collector())
+    else:
+        loadgen = PacedLoop(
+            cluster.env, clients, op_source, Collector(),
+            rate_per_client=rate_per_client,
+        )
+    loadgen.start()
+    start = cluster.env.now
+    cluster.env.run(until=start + warmup + duration)
+    summary = loadgen.collector.summarize(start + warmup, start + warmup + duration)
+    cluster.sim_stats = {
+        "wall_s": time.perf_counter() - wall_start,
+        "steps": cluster.env.steps,
+        "scheduled_events": cluster.env.scheduled_events,
+    }
+    return cluster, summary
+
+
 def _run_system(
     system: str,
     op_source,
@@ -119,72 +173,49 @@ def _run_system(
     request_distribution: str = "leader",
     batching=None,
     leases=None,
+    shards: int = 1,
     obs=None,
 ):
-    """Build one deployment, drive it closed-loop, return (cluster, Summary).
+    """Drive one echo-service deployment closed-loop (see :func:`_drive`).
+
+    ``system`` is "bl", "ctroxy", "etroxy" or "lease" (etroxy with
+    leases on); ``shards`` applies to the Troxy systems.
 
     ``replica_cores`` defaults to 2 (not the testbed's 8): it scales the
     saturation point down so the simulation reaches it with far fewer
     events. Every compared system is scaled identically, so throughput
     *ratios* — the reproduced quantity — are unaffected.
-
-    ``obs`` accepts a :class:`repro.obs.ObsPlane` (duck-typed, so this
-    module needs no obs import): it is attached right after the cluster
-    is built — before clients connect, so session-installation ecalls
-    are observed too — and the clients are wrapped so every invocation
-    opens a root span.
-
-    The returned cluster carries ``sim_stats`` — wall-clock seconds plus
-    the deterministic ``env.steps`` / ``env.scheduled_events`` counters —
-    for the ``--json`` benchmark emitter and the perf-smoke CI budgets.
     """
-    wall_start = time.perf_counter()
-    app_factory = lambda: EchoService(reply_size=reply_size)  # noqa: E731
+    common = dict(
+        seed=seed,
+        app_factory=lambda: EchoService(reply_size=reply_size),
+        wan=wan,
+        client_nic=client_nic,
+        replica_cores=replica_cores,
+        batching=batching,
+    )
+    client_kwargs = {}
     if system == "bl":
-        cluster = build_baseline(
-            seed=seed, app_factory=app_factory, wan=wan, client_nic=client_nic,
-            replica_cores=replica_cores, batching=batching,
+        build = partial(build_baseline, **common)
+        client_kwargs = dict(
+            read_optimization=read_optimization,
+            request_distribution=request_distribution,
         )
-        if obs is not None:
-            obs.attach(cluster)
-        clients = [
-            cluster.new_client(
-                read_optimization=read_optimization,
-                request_distribution=request_distribution,
-            )
-            for _ in range(n_clients)
-        ]
     elif system in ("ctroxy", "etroxy", "lease"):
-        cluster = build_troxy(
-            seed=seed,
-            app_factory=app_factory,
+        build = partial(
+            build_troxy,
             boundary="jni" if system == "ctroxy" else "sgx",
-            wan=wan,
-            client_nic=client_nic,
             monitor_factory=monitor_factory,
             fast_reads=fast_reads,
-            replica_cores=replica_cores,
-            batching=batching,
             leases=True if system == "lease" else leases,
+            shards=shards,
+            **common,
         )
-        if obs is not None:
-            obs.attach(cluster)
-        clients = [cluster.new_client() for _ in range(n_clients)]
     else:
         raise ValueError(f"unknown system {system!r}")
-    if obs is not None:
-        clients = obs.wrap_clients(clients)
-    loadgen = ClosedLoop(cluster.env, clients, op_source, Collector())
-    loadgen.start()
-    start = cluster.env.now
-    cluster.env.run(until=start + warmup + duration)
-    summary = loadgen.collector.summarize(start + warmup, start + warmup + duration)
-    cluster.sim_stats = {
-        "wall_s": time.perf_counter() - wall_start,
-        "steps": cluster.env.steps,
-        "scheduled_events": cluster.env.scheduled_events,
-    }
-    return cluster, summary
+    return _drive(
+        build, n_clients, op_source, warmup, duration, obs=obs, **client_kwargs
+    )
 
 
 # -- Fig. 6 / Fig. 7: totally ordered requests --------------------------------------
@@ -460,92 +491,45 @@ def sharding_throughput(
     duration: float = 0.25,
     request_size: int = 1024,
     key_space: int = 64,
-    read_reply_size: int = 1024,
 ) -> list[Point]:
     """Write-throughput ladder over agreement-group counts (docs/SHARDING.md).
 
     The fig6-style local write workload, uniform over ``key_space`` keys,
-    driven against :func:`repro.shard.build_sharded` cells at 1/2/4/8
-    groups. Keys are routed by the consistent-hash ring, so at N groups
+    driven against ``build_troxy(shards=N)`` cells at 1/2/4/8 groups.
+    Keys are routed by the consistent-hash ring, so at N groups
     roughly (N-1)/N of requests arrive at a Troxy outside the owning
     group and take the forwarding path; the aggregate still scales
     because each group runs its own leader, sealed counters, and batch
     assembler in parallel.
 
     The client count is held *fixed across the ladder* (saturating the
-    eight-group cell), so shards are the only variable. A fig8-style
-    fast-read guard runs build_troxy against build_sharded(shards=1):
-    the single-group sharded cell is wire-identical to the unsharded
-    build (the router short-circuits local keys), so the read p50 must
-    not move at all.
+    eight-group cell), so shards are the only variable. The one-group
+    cell is the plain Troxy deployment: no router, so nothing is looked
+    up or forwarded and the one group owns every key.
     """
-    from ..shard import build_sharded  # local: repro.shard builds on bench.clusters
-
     n_clients = n_clients if n_clients is not None else 96
-    app_factory = lambda: EchoService(reply_size=10)  # noqa: E731
+    keys = [f"k{i}" for i in range(key_space)]
     points = []
     for shards in shard_counts:
-        wall_start = time.perf_counter()
-        cluster = build_sharded(
-            seed=42, shards=shards, app_factory=app_factory, replica_cores=2,
+        cluster, summary = _run_system(
+            "etroxy", write_source(request_size, key_space=key_space),
+            reply_size=10, n_clients=n_clients, warmup=0.1, duration=duration,
+            shards=shards,
         )
-        clients = [cluster.new_client() for _ in range(n_clients)]
-        loadgen = ClosedLoop(
-            cluster.env, clients, write_source(request_size, key_space=key_space),
-            Collector(),
-        )
-        loadgen.start()
-        start = cluster.env.now
-        cluster.env.run(until=start + 0.1 + duration)
-        summary = loadgen.collector.summarize(start + 0.1, start + 0.1 + duration)
-        stats = cluster.router.stats
+        router = cluster.router
+        lookups = router.stats.lookups if router else 0
+        forwards = router.stats.forwards if router else 0
         points.append(Point(
             "sharding-writes", f"etroxy/s={shards}", shards, summary,
             extra={
-                "sim": {
-                    "wall_s": time.perf_counter() - wall_start,
-                    "steps": cluster.env.steps,
-                    "scheduled_events": cluster.env.scheduled_events,
-                },
-                "lookups": stats.lookups,
-                "forwards": stats.forwards,
-                "forward_share": (
-                    stats.forwards / stats.lookups if stats.lookups else 0.0
-                ),
-                "ring_split": cluster.ring.load_split(
-                    [f"k{i}" for i in range(key_space)]
+                "sim": cluster.sim_stats,
+                "lookups": lookups,
+                "forwards": forwards,
+                "forward_share": forwards / lookups if lookups else 0.0,
+                "ring_split": (
+                    cluster.ring.load_split(keys) if router else {"g0": key_space}
                 ),
             },
-        ))
-    # Fast-read guard: the shards=1 cell must not tax the read path.
-    for system, builder in (("unsharded", None), ("s=1", build_sharded)):
-        if builder is None:
-            cluster, summary = _run_system(
-                "etroxy", read_source(), reply_size=read_reply_size,
-                n_clients=32, warmup=0.1, duration=duration,
-            )
-        else:
-            wall_start = time.perf_counter()
-            cluster = builder(
-                seed=42, shards=1,
-                app_factory=lambda: EchoService(reply_size=read_reply_size),
-                replica_cores=2,
-            )
-            clients = [cluster.new_client() for _ in range(32)]
-            loadgen = ClosedLoop(cluster.env, clients, read_source(), Collector())
-            loadgen.start()
-            start = cluster.env.now
-            cluster.env.run(until=start + 0.1 + duration)
-            summary = loadgen.collector.summarize(
-                start + 0.1, start + 0.1 + duration)
-            cluster.sim_stats = {
-                "wall_s": time.perf_counter() - wall_start,
-                "steps": cluster.env.steps,
-                "scheduled_events": cluster.env.scheduled_events,
-            }
-        points.append(Point(
-            "sharding-reads", f"etroxy/{system}", system, summary,
-            extra={"sim": cluster.sim_stats},
         ))
     return points
 
@@ -580,46 +564,25 @@ def fig11_http_latency(
         return source
 
     scenarios = [("wan", WAN_DELAY)] if wan_only else [("local", None), ("wan", WAN_DELAY)]
+    systems = {
+        "jetty": build_standalone,
+        "bl": build_baseline,
+        "prophecy": build_prophecy,
+        "troxy": build_troxy,
+    }
     for scenario, wan in scenarios:
         nic = WAN_CLIENT_NIC if wan is not None else None
-        for system in ("jetty", "bl", "prophecy", "troxy"):
-            wall_start = time.perf_counter()
-            if system == "jetty":
-                cluster = build_standalone(
-                    seed=42, app_factory=HttpPageService, wan=wan, client_nic=nic
-                )
-                clients = [cluster.new_client() for _ in range(n_clients)]
-            elif system == "bl":
-                cluster = build_baseline(
-                    seed=42, app_factory=HttpPageService, wan=wan, client_nic=nic
-                )
-                clients = [cluster.new_client() for _ in range(n_clients)]
-            elif system == "prophecy":
-                cluster = build_prophecy(
-                    seed=42, app_factory=HttpPageService, wan=wan, client_nic=nic
-                )
-                clients = [cluster.new_client() for _ in range(n_clients)]
-            else:
-                cluster = build_troxy(
-                    seed=42, app_factory=HttpPageService, wan=wan, client_nic=nic
-                )
-                clients = [cluster.new_client() for _ in range(n_clients)]
-            loadgen = PacedLoop(
-                cluster.env, clients, op_source_factory(7), Collector(),
+        for system, builder in systems.items():
+            cluster, summary = _drive(
+                partial(
+                    builder, seed=42, app_factory=HttpPageService, wan=wan,
+                    client_nic=nic,
+                ),
+                n_clients, op_source_factory(7), warmup=1.0, duration=duration,
                 rate_per_client=rate_per_client,
             )
-            loadgen.start()
-            start = cluster.env.now
-            warmup = 1.0
-            cluster.env.run(until=start + warmup + duration)
-            summary = loadgen.collector.summarize(start + warmup, start + warmup + duration)
-            sim_stats = {
-                "wall_s": time.perf_counter() - wall_start,
-                "steps": cluster.env.steps,
-                "scheduled_events": cluster.env.scheduled_events,
-            }
             points.append(Point("fig11", system, scenario, summary,
-                                extra={"sim": sim_stats}))
+                                extra={"sim": cluster.sim_stats}))
     return points
 
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 from ..analysis.history import HistoryRecorder
 from ..apps.kvstore import KvStore, get, put
-from ..bench.clusters import build_troxy
-from ..shard import build_sharded, resolve_shards
+from ..deploy import build_troxy
 from ..sim.rng import RngTree
 from .injector import FaultPlane
 from .model import (
@@ -109,23 +108,21 @@ def fault_ground_truth(fault: Fault, plane: FaultPlane) -> dict | None:
 
 def run_scenario(
     scenario: Scenario, seed: int, registry=None, obs=None, batching=None,
-    shards=None,
+    shards: int = 1,
 ) -> dict:
     """Run one scenario at one seed; returns a JSON-serialisable result.
 
     ``batching`` optionally forces an agreement-batching setting on the
-    cluster (anything :func:`repro.bench.clusters.resolve_batching`
+    cluster (anything :func:`repro.deploy.resolve_batching`
     accepts, e.g. ``"4"`` or ``"adaptive"``); the invariants are
     batching-agnostic, so the same catalogue re-runs at any batch size
     (docs/BATCHING.md).
 
     ``shards`` optionally forces a group count; the cluster gets
     ``max(scenario.shards, shards)`` agreement groups so migration
-    scenarios always have their two groups, and at the effective count
-    of 1 the historical single-group builder is used unchanged. The
-    invariants are shard-agnostic — linearizability is checked over the
-    whole keyspace, counters per replica across all groups
-    (docs/SHARDING.md).
+    scenarios always have their two groups. The invariants are
+    shard-agnostic — linearizability is checked over the whole keyspace,
+    counters per replica across all groups (docs/SHARDING.md).
 
     ``registry`` optionally accepts a :class:`repro.obs.Registry`
     (duck-typed — no obs import here): campaign outcomes are emitted as
@@ -139,17 +136,11 @@ def run_scenario(
     to close spans and snapshot stats.
     """
     rng_tree = RngTree(seed)
-    effective_shards = max(scenario.shards, resolve_shards(shards))
-    if effective_shards > 1:
-        cluster = build_sharded(
-            seed=seed, shards=effective_shards, app_factory=KvStore,
-            batching=batching, **scenario.build_kwargs(),
-        )
-    else:
-        cluster = build_troxy(
-            seed=seed, app_factory=KvStore, batching=batching,
-            **scenario.build_kwargs(),
-        )
+    effective_shards = max(scenario.shards, shards)
+    cluster = build_troxy(
+        seed=seed, shards=effective_shards, app_factory=KvStore,
+        batching=batching, **scenario.build_kwargs(),
+    )
     recorder = HistoryRecorder(cluster.env)
     plane = FaultPlane(
         cluster,
@@ -187,9 +178,7 @@ def run_scenario(
     unfinished += [s.client_id for s in plane.attack_states if not s.done]
     # A scheduled shard handoff that has not cut over by the horizon is
     # a stalled migration — a liveness failure like an unfinished client.
-    migration_reports = [
-        r for r in getattr(getattr(cluster, "migrator", None), "reports", [])
-    ]
+    migration_reports = cluster.migrator.reports if cluster.migrator else []
     unfinished += [
         f"migration-{r.migration_id}" for r in migration_reports if not r.completed
     ]
@@ -247,7 +236,7 @@ def run_scenario(
     stats["tampered_or_dropped"] = (
         wire_hits["tampered"] + wire_hits["dropped"] + wire_hits["corrupted"]
     )
-    router = getattr(cluster, "router", None)
+    router = cluster.router
     if router is not None:
         stats["shard_forwards"] = router.stats.forwards
         stats["shard_frozen_rejects"] = router.stats.frozen_rejects
@@ -323,7 +312,8 @@ def resolve_scenarios(spec: str) -> list[str]:
 
 
 def run_campaign(
-    names: list[str], seeds: list[int], registry=None, batching=None, shards=None
+    names: list[str], seeds: list[int], registry=None, batching=None,
+    shards: int = 1,
 ) -> dict:
     """Run every (scenario, seed) pair and aggregate a report."""
     results = []
@@ -346,7 +336,7 @@ def run_campaign(
         "scenarios": names,
         "seeds": seeds,
         "batching": "off" if batching is None else str(batching),
-        "shards": resolve_shards(shards),
+        "shards": shards,
         "runs": results,
         "summary": {
             "total": len(results),

@@ -1,7 +1,7 @@
 """The fault plane: stages declarative faults against a live cluster.
 
-One :class:`FaultPlane` wraps a running deployment (usually a
-``TroxyCluster`` from :mod:`repro.bench.clusters`) and owns every
+One :class:`FaultPlane` wraps a running deployment (usually from
+:func:`repro.deploy.build_troxy`) and owns every
 interception point the rest of the library exposes for fault injection:
 
 * the network's send-filter chain (:meth:`Network.add_send_filter`) for
@@ -130,7 +130,7 @@ class FaultPlane:
         #: plane (campaign blame scoring needs more than describe()).
         self.fault_timeline: list[tuple[str, float, Fault]] = []
         self._filter_installed = False
-        for host in getattr(cluster, "hosts", ()) or ():
+        for host in cluster.hosts:
             host.enclave.ecall_taps.append(self._ecall_tap(host.replica_id))
 
     # -- cluster access --------------------------------------------------------
@@ -142,7 +142,7 @@ class FaultPlane:
         raise KeyError(f"unknown replica {replica_id!r}")
 
     def _host(self, replica_id: str):
-        for host in getattr(self.cluster, "hosts", ()) or ():
+        for host in self.cluster.hosts:
             if host.replica_id == replica_id:
                 return host
         return None
@@ -364,7 +364,7 @@ class FaultPlane:
         on the cluster whether or not the handoff completes; campaign
         invariants read it from ``cluster.migrator.reports``.
         """
-        migrator = getattr(self.cluster, "migrator", None)
+        migrator = self.cluster.migrator
         if migrator is None:
             raise ValueError("ShardMigration requires a sharded cluster (shards >= 2)")
         self.env.process(

@@ -26,21 +26,8 @@ from .harness import render_table, run_harness
 from .plane import write_audit_report
 
 
-def _parse_matrix(spec: str, kind: str):
-    values = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token in ("off", "none", "1") and kind == "batch":
-            values.append(None)
-        elif token == "1" and kind == "shards":
-            values.append(None)
-        elif kind == "shards":
-            values.append(int(token))
-        else:
-            values.append(token)
-    return values or [None]
+def _tokens(spec: str) -> list[str]:
+    return [token.strip() for token in spec.split(",") if token.strip()]
 
 
 def main(argv=None) -> int:
@@ -91,8 +78,10 @@ def main(argv=None) -> int:
         names,
         seeds=list(range(1, args.seeds + 1)),
         window=args.window,
-        shards_matrix=_parse_matrix(args.shards, "shards"),
-        batching_matrix=_parse_matrix(args.batch, "batch"),
+        shards_matrix=[int(t) for t in _tokens(args.shards)] or [1],
+        batching_matrix=[
+            None if t in ("off", "none", "1") else t for t in _tokens(args.batch)
+        ] or [None],
     )
 
     if args.out:

@@ -111,7 +111,7 @@ def score_blame(verdicts: list, ground_truths: list[dict]) -> dict:
 
 
 def run_localization(
-    name: str, seed: int, window: float = 0.25, shards=None, batching=None,
+    name: str, seed: int, window: float = 0.25, shards: int = 1, batching=None,
 ) -> dict:
     """One scenario × seed × deployment cell with the audit plane.
 
@@ -161,7 +161,7 @@ def run_harness(
     names: list[str] | None = None,
     seeds: list[int] = (1,),
     window: float = 0.25,
-    shards_matrix=(None,),
+    shards_matrix=(1,),
     batching_matrix=(None,),
 ) -> dict:
     """Sweep scenarios × seeds × deployment cells; aggregate blame report."""

@@ -52,11 +52,9 @@ class AuditPlane(HealthPlane):
             return self
         super().attach(cluster)
         self.probes.attach(cluster)
-        keyring = getattr(cluster, "keyring", None)
-        if keyring is not None:
-            self._group_key = keyring.troxy_group()
-            if self.auditor.group_key is None:
-                self.auditor.group_key = self._group_key
+        self._group_key = cluster.keyring.troxy_group()
+        if self.auditor.group_key is None:
+            self.auditor.group_key = self._group_key
         return self
 
     def finalize(self) -> int:
@@ -67,7 +65,7 @@ class AuditPlane(HealthPlane):
             self._reconciled = True
             replica_ids = frozenset(
                 replica.node.name
-                for replica in getattr(self.cluster, "replicas", ()) or ()
+                for replica in self.cluster.replicas
             )
             self.verdicts = self.auditor.reconcile(
                 self.probes.ledgers,

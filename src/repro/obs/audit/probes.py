@@ -113,7 +113,7 @@ class LedgerProbes:
         self.cluster = cluster
         self._env = cluster.env
         self._net = cluster.net
-        for replica in getattr(cluster, "replicas", ()) or ():
+        for replica in cluster.replicas:
             self._replicas[replica.node.name] = replica
         self._net.add_send_filter(self._send_tap)
         self._net.add_delivery_tap(self._delivery_tap)

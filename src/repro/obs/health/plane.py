@@ -118,7 +118,7 @@ class HealthPlane(ObsPlane):
             return self  # idempotent, like ObsPlane: don't re-baseline
         super().attach(cluster)
         self._replica_ids = sorted(
-            replica.replica_id for replica in getattr(cluster, "replicas", ())
+            replica.replica_id for replica in cluster.replicas
         )
         # Baseline: deltas and samples are measured from attach time.
         self._deltas.collect()
@@ -131,12 +131,12 @@ class HealthPlane(ObsPlane):
 
     def _prime_samples(self) -> None:
         cluster = self.cluster
-        for replica in getattr(cluster, "replicas", ()):
+        for replica in cluster.replicas:
             rid = replica.replica_id
             self._sampled[("view", rid)] = replica.view
             self._sampled[("sealed", rid)] = self._sealed_sum(replica)
             self._sampled[("invalid", rid)] = replica.stats.invalid_messages
-        for host in getattr(cluster, "hosts", ()):
+        for host in cluster.hosts:
             rid = host.replica_id
             self._sampled[("reboots", rid)] = host.enclave.stats.reboots
             self._sampled[("clears", rid)] = host.core.cache.stats.clears
@@ -258,7 +258,7 @@ class HealthPlane(ObsPlane):
         cluster = self.cluster
         if cluster is None:
             return
-        for replica in getattr(cluster, "replicas", ()):
+        for replica in cluster.replicas:
             rid = replica.replica_id
             nd = win.node(rid)
             nd.view = replica.view
@@ -269,7 +269,7 @@ class HealthPlane(ObsPlane):
             nd.invalid_messages = int(self._sample(
                 ("invalid", rid), replica.stats.invalid_messages
             ))
-        for host in getattr(cluster, "hosts", ()):
+        for host in cluster.hosts:
             rid = host.replica_id
             nd = win.node(rid)
             nd.reboots_delta = int(self._sample(
@@ -280,10 +280,10 @@ class HealthPlane(ObsPlane):
             ))
         # Shard state (repro.shard): read-only samples off the router
         # and migrator, absent on single-group clusters.
-        router = getattr(cluster, "router", None)
+        router = cluster.router
         if router is not None:
             win.router_frozen = router.frozen
-        migrator = getattr(cluster, "migrator", None)
+        migrator = cluster.migrator
         if migrator is not None:
             reports = migrator.reports
             win.migrations_completed = sum(1 for r in reports if r.completed)

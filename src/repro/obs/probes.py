@@ -127,9 +127,8 @@ class ObsPlane:
     def attach(self, cluster) -> "ObsPlane":
         """Install probes on every layer of a built cluster.
 
-        Works for any cluster shape from :mod:`repro.bench.clusters`;
-        sections that a deployment lacks (no Troxy hosts on the
-        baseline) are simply skipped.
+        Works for any :class:`repro.deploy.Deployment`; parts a system
+        lacks (no Troxy hosts on the baseline) are empty lists there.
 
         Idempotent: re-attaching to the cluster the plane is already on
         is a no-op (probes are installed exactly once); attaching to a
@@ -144,10 +143,10 @@ class ObsPlane:
             )
         self.cluster = cluster
         self._env = cluster.env
-        for replica in getattr(cluster, "replicas", ()):
+        for replica in cluster.replicas:
             replica.obs = self
             replica.boundary.obs = self
-        for host in getattr(cluster, "hosts", ()):
+        for host in cluster.hosts:
             host.obs = self
             host.core.obs = self
             host.enclave.obs = self
@@ -155,9 +154,7 @@ class ObsPlane:
             hook = self._make_monitor_hook(host.replica_id)
             host.core.monitor.switch_hooks.append(hook)
             self._monitor_hooks.append((host.core.monitor, hook))
-        net = getattr(cluster, "net", None)
-        if net is not None:
-            net.add_send_filter(self._net_tap)
+        cluster.net.add_send_filter(self._net_tap)
         return self
 
     def detach(self) -> "ObsPlane":
@@ -173,10 +170,10 @@ class ObsPlane:
         cluster, self.cluster = self.cluster, None
         if cluster is None:
             return self
-        for replica in getattr(cluster, "replicas", ()):
+        for replica in cluster.replicas:
             replica.obs = None
             replica.boundary.obs = None
-        for host in getattr(cluster, "hosts", ()):
+        for host in cluster.hosts:
             host.obs = None
             host.core.obs = None
             host.enclave.obs = None
@@ -184,9 +181,7 @@ class ObsPlane:
             monitor.switch_hooks.remove(hook)
         self._monitor_hooks = []
         self._core_by_enclave = {}
-        net = getattr(cluster, "net", None)
-        if net is not None:
-            net.remove_send_filter(self._net_tap)
+        cluster.net.remove_send_filter(self._net_tap)
         self._env = None
         return self
 
@@ -580,13 +575,13 @@ class ObsPlane:
         cluster = self.cluster
         if cluster is None:
             return
-        for replica in getattr(cluster, "replicas", ()):
+        for replica in cluster.replicas:
             self._mirror("replica", replica.stats, node=replica.replica_id)
             self._mirror(
                 "enclave", replica.boundary.stats,
                 node=replica.replica_id, enclave=replica.boundary.name,
             )
-        for host in getattr(cluster, "hosts", ()):
+        for host in cluster.hosts:
             node = host.replica_id
             self._mirror("troxy", host.core.stats, node=node)
             # Untrusted-side filter counters: votes_total{outcome="stale"}
@@ -600,12 +595,11 @@ class ObsPlane:
             self.registry.gauge("monitor_total_order_mode", node=node).set(
                 int(host.core.monitor.total_order_mode)
             )
-        net = getattr(cluster, "net", None)
-        if net is not None:
-            self.registry.gauge(
-                "net_messages_sent", "Transfers accepted by the network"
-            ).set(net.messages_sent)
-            self.registry.gauge("net_bytes_sent").set(net.bytes_sent)
+        net = cluster.net
+        self.registry.gauge(
+            "net_messages_sent", "Transfers accepted by the network"
+        ).set(net.messages_sent)
+        self.registry.gauge("net_bytes_sent").set(net.bytes_sent)
         env = self._env
         if env is not None:
             self.registry.gauge("sim_now_seconds", "Simulated clock").set(env.now)

@@ -44,6 +44,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from ..apps.kvstore import (
+    decode_key_list,
     decode_kv_records,
     encode_kv_records,
     shard_install,
@@ -55,6 +56,21 @@ from .router import pinned_group
 
 class MigrationError(Exception):
     """The handoff could not complete; the freeze has been lifted."""
+
+
+def shard_keys_fn(op) -> tuple:
+    """Key extraction covering the migration bulk ops.
+
+    ``shard_install``/``shard_retire`` carry their affected keys in the
+    operation body; every one of them must be invalidated in the
+    executing group's fast-read caches, or a cache entry for a migrated
+    key could serve the pre-migration value after the handoff.
+    """
+    if op.name == "shard_install":
+        return tuple(key for key, _value in decode_kv_records(op.body.content))
+    if op.name == "shard_retire":
+        return tuple(decode_key_list(op.body.content))
+    return (op.key,)
 
 
 def filter_kv_snapshot(snapshot: bytes, pred) -> list[tuple[str, bytes]]:
@@ -99,9 +115,9 @@ class MigrationReport:
 
 @dataclass
 class ShardMigrator:
-    """Drives live handoffs on one sharded cluster.
+    """Drives live handoffs on one sharded deployment.
 
-    ``migrate`` is a process generator: spawn it on the cluster's
+    ``migrate`` is a process generator: spawn it on the deployment's
     environment (the ShardMigration fault does) or ``yield from`` it.
     """
 

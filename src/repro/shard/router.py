@@ -24,9 +24,8 @@ The router object is shared by all cores of a deployment; it models the
 attested routing table every enclave holds a verified copy of, and
 sharing it is what makes the migrator's ring cut-over atomic across the
 cell. Routing itself is a hash plus a binary search — nanoseconds,
-below the simulator's cost floor — so it charges no simulated CPU and
-a single-group deployment stays wire-identical to the unsharded path
-(pinned by ``tests/shard/test_conformance.py``).
+below the simulator's cost floor — so it charges no simulated CPU. A
+single-group deployment has no router at all (:mod:`repro.deploy`).
 
 Keys of the form ``__g{N}/...`` bypass the ring and pin to group
 ``g{N}``; the migrator uses such keys for its fence and state-install
@@ -128,7 +127,9 @@ class ShardRouter:
     def unfreeze(self) -> None:
         self._frozen = None
 
-    def _write_frozen(self, key: str) -> bool:
+    def write_frozen(self, key: str) -> bool:
+        """Whether a write to ``key`` is held back by an active migration
+        freeze (pinned keys never move, so they are never frozen)."""
         if self._frozen is None or pinned_group(key) is not None:
             return False
         return self._frozen(key)
@@ -139,7 +140,7 @@ class ShardRouter:
         """Route one operation as seen by ``replica_id``'s core."""
         self.stats.lookups += 1
         key = op.key
-        if not op.is_read and self._write_frozen(key):
+        if not op.is_read and self.write_frozen(key):
             self.stats.frozen_rejects += 1
             return RouteDecision("frozen")
         owner = self.group_of_key(key)

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.history import HistoryRecorder
 from repro.apps.base import Payload
 from repro.apps.kvstore import KvStore, delete, get, put
-from repro.bench.clusters import build_troxy
+from repro.deploy import build_troxy
 
 
 def test_recorder_produces_linearizable_history_for_troxy():

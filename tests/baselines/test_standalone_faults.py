@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_prophecy, build_standalone
+from repro.deploy import build_prophecy, build_standalone
 from repro.crypto import establish_session
 from repro.hybster.messages import Request
 from repro.hybster.secure import seal_body

@@ -5,7 +5,7 @@ import pytest
 from repro.apps.base import Payload
 from repro.apps.httpd import HttpPageService, get_operation, parse_response, post_operation
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_prophecy, build_standalone, build_troxy
+from repro.deploy import build_prophecy, build_standalone, build_troxy
 
 
 def run_ops(cluster, client, ops, until=30.0):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.kvstore import KvStore
-from repro.bench.clusters import (
+from repro.deploy import (
     WAN_DELAY,
     build_baseline,
     build_prophecy,

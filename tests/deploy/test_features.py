@@ -1,0 +1,99 @@
+"""Feature resolution: keyword > ``config=`` > REPRO_* environment default,
+and the two legacy import paths the frozen perf ledger uses."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.apps.kvstore import KvStore
+from repro.deploy import build_baseline, build_troxy, resolve_features
+from repro.hybster.config import BatchConfig, ClusterConfig, LeaseConfig
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+SIZED = BatchConfig.sized(4)
+ADAPTIVE = BatchConfig.adaptive_default()
+LEASED = LeaseConfig.on()
+PINNED = ClusterConfig(f=1, batching=SIZED, leases=LeaseConfig.on(duration=2.0))
+
+# (keyword, config=, env) -> what must win; None means "not given".
+BATCHING_CASES = [
+    (None, None, None, BatchConfig()),
+    (None, None, "adaptive", ADAPTIVE),          # env is the last resort
+    (None, None, "4", SIZED),
+    (None, PINNED, "adaptive", SIZED),           # explicit config ignores env
+    (None, ClusterConfig(f=1), "adaptive", BatchConfig()),
+    ("adaptive", PINNED, "16", ADAPTIVE),        # keyword beats both
+    ("off", None, "adaptive", BatchConfig()),
+    (ADAPTIVE, PINNED, None, ADAPTIVE),          # typed keyword
+]
+LEASE_CASES = [
+    (None, None, None, LeaseConfig()),
+    (None, None, "on", LEASED),
+    (None, None, "2.0", LeaseConfig.on(duration=2.0)),
+    (None, PINNED, "off", PINNED.leases),
+    (None, ClusterConfig(f=1), "on", LeaseConfig()),
+    ("on", PINNED, "off", LEASED),
+    ("off", None, "on", LeaseConfig()),
+    (True, ClusterConfig(f=1), None, LEASED),
+]
+
+
+@pytest.mark.parametrize("keyword,config,env,expected", BATCHING_CASES)
+def test_batching_precedence(monkeypatch, keyword, config, env, expected):
+    monkeypatch.delenv("REPRO_BATCHING", raising=False)
+    if env is not None:
+        monkeypatch.setenv("REPRO_BATCHING", env)
+    for build in (build_troxy, build_baseline):
+        built = build(seed=1, app_factory=KvStore, config=config, batching=keyword)
+        assert built.config.batching == expected
+        assert built.replicas[0].config is built.config
+
+
+@pytest.mark.parametrize("keyword,config,env,expected", LEASE_CASES)
+def test_lease_precedence(monkeypatch, keyword, config, env, expected):
+    monkeypatch.delenv("REPRO_LEASES", raising=False)
+    if env is not None:
+        monkeypatch.setenv("REPRO_LEASES", env)
+    built = build_troxy(seed=1, app_factory=KvStore, config=config, leases=keyword)
+    assert built.config.leases == expected
+    # Off means not built: no lease counters, no leader-side manager.
+    assert all(c.leases_enabled == expected.enabled for c in built.cores)
+    assert all((r.lease_manager is not None) == expected.enabled for r in built.replicas)
+
+
+def test_features_resolve_independently(monkeypatch):
+    monkeypatch.setenv("REPRO_BATCHING", "adaptive")
+    monkeypatch.setenv("REPRO_LEASES", "on")
+    both = resolve_features(1, None, batching=None, leases=None)
+    assert (both.batching, both.leases) == (ADAPTIVE, LEASED)
+    # A keyword for one feature leaves the env default of the other.
+    mixed = resolve_features(1, None, batching="off", leases=None)
+    assert (mixed.batching, mixed.leases) == (BatchConfig(), LEASED)
+    # A system without a feature never reads that feature's default.
+    assert resolve_features(1, None, batching=None).leases == LeaseConfig()
+    assert resolve_features(2, None).f == 2
+
+
+@pytest.mark.parametrize("order", [
+    ("repro.shard:build_sharded", "repro.bench.clusters:build_troxy"),
+    ("repro.bench.clusters:build_troxy", "repro.shard:build_sharded"),
+])
+def test_legacy_import_paths_work_as_first_import(order):
+    """benchmarks/ledger/onepass.py imports these two names in a fresh
+    interpreter; repro.deploy <-> repro.shard must not be a cycle."""
+    imports = "; ".join(
+        "from {} import {}".format(*spec.split(":")) for spec in order
+    )
+    code = (
+        f"{imports}; import repro.deploy; "
+        "assert build_sharded is build_troxy is repro.deploy.build_troxy"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

@@ -1,0 +1,62 @@
+"""Layering: ``repro.deploy`` sits below bench/shard/faults/obs, and the
+environment is read in one place."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+#: Files allowed to read os.environ: the one feature-resolution function
+#: and the bench scale knob; CLI entry points may do what they like.
+ENV_READERS = {"deploy.py", "bench/experiments.py"}
+
+
+def modules():
+    for path in sorted(ROOT.rglob("*.py")):
+        yield path.relative_to(ROOT).as_posix(), ast.parse(path.read_text())
+
+
+def imported_modules(rel: str, tree: ast.Module):
+    """Absolute dotted names of everything ``tree`` imports."""
+    package = ["repro", *rel.split("/")[:-1]]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            yield module
+            for alias in node.names:  # "from .. import bench"
+                yield f"{module}.{alias.name}"
+
+
+def test_nothing_below_bench_imports_bench():
+    offenders = [
+        (rel, name)
+        for rel, tree in modules()
+        if not rel.startswith("bench/") and not rel.endswith("__main__.py")
+        for name in imported_modules(rel, tree)
+        if name == "repro.bench" or name.startswith("repro.bench.")
+    ]
+    assert not offenders, offenders
+
+
+def test_environment_is_read_in_one_place():
+    offenders = []
+    for rel, tree in modules():
+        if rel in ENV_READERS or rel.endswith("__main__.py"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                offenders.append((rel, node.lineno))
+    assert not offenders, offenders
+    # ... and inside deploy.py, by resolve_features alone.
+    tree = ast.parse((ROOT / "deploy.py").read_text())
+    readers = {
+        fn.name
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+    }
+    assert readers == {"resolve_features"}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_troxy
+from repro.deploy import build_troxy
 from repro.faults import (
     EnclaveReboot,
     FaultEvent,

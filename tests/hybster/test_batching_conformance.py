@@ -12,7 +12,7 @@ Pins the compatibility contract of the batching layer:
 """
 
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_troxy
+from repro.deploy import build_troxy
 from repro.hybster.config import BatchConfig, ClusterConfig
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.kvstore import KvStore, put
-from repro.bench.clusters import build_baseline
+from repro.deploy import build_baseline
 from repro.hybster.messages import FetchOrders, StateRequest, StateResponse
 
 

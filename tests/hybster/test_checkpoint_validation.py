@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.kvstore import KvStore, put
-from repro.bench.clusters import build_baseline
+from repro.deploy import build_baseline
 from repro.crypto import sha256
 from repro.hybster.config import ClusterConfig
 from repro.hybster.messages import Checkpoint, Tagged

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.base import Payload
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_baseline
+from repro.deploy import build_baseline
 from repro.hybster.client import ClientMachine
 from repro.hybster.messages import Reply
 from repro.hybster.secure import seal_body

@@ -8,7 +8,7 @@ import pytest
 
 from repro.apps.base import Operation, OpKind, Payload
 from repro.apps.kvstore import KvStore
-from repro.bench.clusters import build_baseline
+from repro.deploy import build_baseline
 from repro.crypto import KeyRing
 from repro.crypto.primitives import digest_of
 from repro.hybster.messages import Commit, NewView, Order, Request, ViewChange

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.base import Operation, OpKind, Payload
 from repro.apps.kvstore import KvStore
-from repro.bench.clusters import build_baseline
+from repro.deploy import build_baseline
 from repro.crypto import sha256
 from repro.hybster.messages import NewView, Order, Request, ViewChange
 from repro.crypto.primitives import digest_of

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.base import Payload
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_baseline
+from repro.deploy import build_baseline
 
 
 def run_ops(cluster, client, ops, until=30.0):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps.base import Payload
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_baseline, build_troxy
+from repro.deploy import build_baseline, build_troxy
 
 
 def run_ops(cluster, client, ops, until=40.0):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.apps.base import Payload
 from repro.apps.kvstore import KvStore, put
-from repro.bench.clusters import build_baseline
+from repro.deploy import build_baseline
 from repro.hybster.config import ClusterConfig
 
 

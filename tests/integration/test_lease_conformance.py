@@ -16,7 +16,7 @@ The compatibility contract:
 """
 
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_troxy
+from repro.deploy import build_troxy
 from repro.hybster.config import LeaseConfig
 
 

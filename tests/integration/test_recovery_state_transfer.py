@@ -9,7 +9,7 @@ f+1 witnesses, then resume normal ordering.
 import pytest
 
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_baseline
+from repro.deploy import build_baseline
 from repro.hybster.config import ClusterConfig
 
 

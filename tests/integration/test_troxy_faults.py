@@ -7,7 +7,7 @@ III-D, IV-B and VI-B prescribe.
 
 from repro.apps.base import Payload
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_troxy
+from repro.deploy import build_troxy
 from repro.faults import (
     EnclaveReboot,
     FaultPlane,

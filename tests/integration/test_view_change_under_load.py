@@ -4,7 +4,7 @@ duplicated, and the surviving replicas must converge."""
 import pytest
 
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_baseline, build_troxy
+from repro.deploy import build_baseline, build_troxy
 from repro.hybster.config import ClusterConfig
 
 

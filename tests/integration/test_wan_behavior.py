@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.metrics import Collector
 from repro.apps.echo import EchoService
-from repro.bench.clusters import WAN_DELAY, build_baseline, build_troxy
+from repro.deploy import WAN_DELAY, build_baseline, build_troxy
 from repro.bench.experiments import WAN_CLIENT_NIC, read_source, write_source
 from repro.workloads.loadgen import ClosedLoop
 

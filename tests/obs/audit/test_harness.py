@@ -2,7 +2,7 @@
 
 import json
 
-from repro.bench.clusters import MASTER_SECRET
+from repro.deploy import MASTER_SECRET
 from repro.crypto.keys import KeyRing
 from repro.obs.audit import verify_bundle
 from repro.obs.audit.__main__ import main as audit_main

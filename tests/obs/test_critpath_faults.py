@@ -10,7 +10,7 @@ must still cover each completed request fully.
 """
 
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_troxy
+from repro.deploy import build_troxy
 from repro.hybster.config import BatchConfig, ClusterConfig
 from repro.obs.critpath import analyze
 from repro.obs.probes import ObsPlane

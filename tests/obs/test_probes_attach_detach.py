@@ -9,7 +9,7 @@ must restore hooks exactly once.
 import pytest
 
 from repro.apps.echo import EchoService
-from repro.bench.clusters import build_troxy
+from repro.deploy import build_troxy
 from repro.obs.health import HealthPlane
 from repro.obs.probes import ObsPlane
 

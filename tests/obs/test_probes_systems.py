@@ -11,7 +11,7 @@ system.
 import pytest
 
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_baseline, build_troxy
+from repro.deploy import build_baseline, build_troxy
 from repro.obs.__main__ import run_workload
 from repro.obs.export import REPORT_FILES, write_report
 from repro.obs.probes import ObsPlane

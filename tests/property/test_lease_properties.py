@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.history import HistoryRecorder
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_troxy
+from repro.deploy import build_troxy
 from repro.crypto.keys import KeyRing
 from repro.hybster.config import LeaseConfig
 from repro.sgx.counters import TrustedCounterSubsystem

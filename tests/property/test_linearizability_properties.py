@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from repro.analysis.history import HistoryRecorder
 from repro.analysis.linearizability import OpRecord, check_key_history
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_troxy
+from repro.deploy import build_troxy
 from repro.hybster.config import BatchConfig
-from repro.shard import build_sharded
 
 
 @st.composite
@@ -150,7 +149,7 @@ def test_sharded_histories_are_linearizable(workload):
     linearizes. Clients contact different groups (round-robin), so the
     cross-group invalidation-epoch machinery is genuinely exercised."""
     shards, seed, schedules = workload
-    cluster = build_sharded(seed=seed, shards=shards, app_factory=KvStore)
+    cluster = build_troxy(seed=seed, shards=shards, app_factory=KvStore)
     recorder = HistoryRecorder(cluster.env)
     done = []
 

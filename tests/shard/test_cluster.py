@@ -10,11 +10,11 @@ read back to the fronting enclave.
 import pytest
 
 from repro.apps.kvstore import KvStore, get, put
-from repro.shard import build_sharded
+from repro.deploy import build_troxy
 
 
 def _run_mixed_workload(shards, seed=7, clients=4, rounds=3):
-    cluster = build_sharded(seed=seed, shards=shards, app_factory=KvStore)
+    cluster = build_troxy(seed=seed, shards=shards, app_factory=KvStore)
     outcomes = {}
 
     def driver(index, client):
@@ -60,7 +60,7 @@ def test_clients_read_their_writes_across_groups(shards):
 def test_remote_fast_reads_are_attested_back_to_the_fronting_troxy():
     # Pins the cross-group probe path; leases off so the CI lease
     # matrix cannot serve repeat reads locally (docs/READS.md).
-    cluster = build_sharded(seed=11, shards=2, app_factory=KvStore, leases="off")
+    cluster = build_troxy(seed=11, shards=2, app_factory=KvStore, leases="off")
     client = cluster.new_client(contact_index=0)  # fronted by g0's replica-0
     remote_keys = [
         f"k{i}" for i in range(64)
@@ -87,7 +87,7 @@ def test_remote_fast_reads_are_attested_back_to_the_fronting_troxy():
 
 
 def test_pinned_keys_land_in_their_group():
-    cluster = build_sharded(seed=3, shards=2, app_factory=KvStore)
+    cluster = build_troxy(seed=3, shards=2, app_factory=KvStore)
     client = cluster.new_client()
     done = []
 
@@ -108,4 +108,4 @@ def test_pinned_keys_land_in_their_group():
 
 def test_single_group_build_rejects_bad_shard_counts():
     with pytest.raises(ValueError):
-        build_sharded(shards=0)
+        build_troxy(shards=0)

@@ -24,7 +24,7 @@ from repro.hybster.config import ClusterConfig
 from repro.hybster.messages import Reply, Request
 from repro.hybster.secure import seal_body
 from repro.sgx import Enclave
-from repro.shard import build_sharded
+from repro.deploy import build_troxy
 from repro.shard.ring import HashRing
 from repro.shard.router import ShardRouter
 from repro.sim import Environment, Network, RngTree
@@ -321,7 +321,7 @@ def test_cross_shard_clients_alone_get_a_dead_owner_leader_replaced():
     """No client ever contacts g1, so only forwarded requests can make
     g1's followers arm a progress timer. Forwards sent to the dead
     leader arm nobody: the fallback to same-index has to."""
-    cluster = build_sharded(seed=3, shards=2, app_factory=KvStore)
+    cluster = build_troxy(seed=3, shards=2, app_factory=KvStore)
     front_hosts = cluster.groups[0].hosts
     clients = []
     for index in range(3):

@@ -10,7 +10,7 @@ moved keys at the source.
 import pytest
 
 from repro.apps.kvstore import KvStore, get, put
-from repro.shard import build_sharded
+from repro.deploy import build_troxy
 from repro.shard.migrate import filter_kv_snapshot, manifest_digest
 
 
@@ -43,7 +43,7 @@ def _seed_and_migrate(cluster, moving, extra_driver=None, until=90.0):
 
 
 def test_migration_moves_state_and_retires_the_source():
-    cluster = build_sharded(seed=21, shards=2, app_factory=KvStore)
+    cluster = build_troxy(seed=21, shards=2, app_factory=KvStore)
     moving = _moving_keys(cluster)
     assert moving, "seed 21 must hash some keys into the moving slice"
 
@@ -81,7 +81,7 @@ def test_migration_moves_state_and_retires_the_source():
 
 
 def test_migration_survives_destination_leader_crash():
-    cluster = build_sharded(seed=33, shards=2, app_factory=KvStore)
+    cluster = build_troxy(seed=33, shards=2, app_factory=KvStore)
     moving = _moving_keys(cluster)
 
     def crash_dst_leader():
@@ -103,7 +103,7 @@ def test_migration_survives_destination_leader_crash():
 
 
 def test_writes_frozen_mid_migration_resolve_by_retry():
-    cluster = build_sharded(seed=21, shards=2, app_factory=KvStore)
+    cluster = build_troxy(seed=21, shards=2, app_factory=KvStore)
     moving = _moving_keys(cluster)
     target = moving[0]
     writer_done = []
@@ -145,7 +145,7 @@ def test_filter_and_digest_helpers():
 
 
 def test_migrating_between_unknown_groups_fails_cleanly():
-    cluster = build_sharded(seed=5, shards=2, app_factory=KvStore)
+    cluster = build_troxy(seed=5, shards=2, app_factory=KvStore)
 
     def bad():
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ it can cause is an omission.
 
 from repro.analysis.history import HistoryRecorder
 from repro.apps.kvstore import KvStore, get, put
-from repro.bench.clusters import build_troxy
+from repro.deploy import build_troxy
 from repro.hybster.messages import Reply
 from repro.hybster.secure import SecureEnvelope
 from repro.troxy.messages import BatchedReply, CacheEntryReply
