@@ -9,7 +9,6 @@ adaptive total-order switch guarantees the lower-bound performance.
 """
 
 from repro.bench.experiments import fig10_write_contention
-from repro.bench.report import save_and_print
 
 
 def by_system(points):
@@ -19,13 +18,6 @@ def by_system(points):
 def test_fig10_write_contention(run_once):
     points = run_once(fig10_write_contention)
     systems = by_system(points)
-    lines = ["Fig. 10 — 1 % writes, contended keys", "=" * 40]
-    for name, point in systems.items():
-        lines.append(
-            f"{name:18s} {point.throughput:>10.0f} op/s   "
-            f"read conflicts {point.extra['conflict_rate'] * 100:5.1f}%"
-        )
-    save_and_print("fig10", "\n".join(lines))
 
     bl_opt = systems["bl-read-opt"]
     bl_ref = systems["bl-ordered"]

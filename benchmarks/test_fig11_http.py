@@ -10,17 +10,10 @@ server closely: BFT at one WAN round trip.
 """
 
 from repro.bench.experiments import fig11_http_latency
-from repro.bench.report import format_latency_series, save_and_print
 
 
 def test_fig11_http_latency(run_once):
     points = run_once(fig11_http_latency)
-    save_and_print(
-        "fig11",
-        format_latency_series(
-            "Fig. 11 — HTTP service mean latency (GET/POST mix, ~500 req/s)", points
-        ),
-    )
     local = {p.system: p.latency_ms for p in points if p.x == "local"}
     wan = {p.system: p.latency_ms for p in points if p.x == "wan"}
 

@@ -8,17 +8,11 @@ C/C++ than in Java, and the NICs saturate).
 """
 
 from repro.bench.experiments import fig6_ordered_writes_local
-from repro.bench.report import format_throughput_series, ratio, save_and_print
+from repro.bench.report import ratio
 
 
 def test_fig6_ordered_writes_local(run_once):
     points = run_once(fig6_ordered_writes_local)
-    save_and_print(
-        "fig6",
-        format_throughput_series(
-            "Fig. 6 — ordered writes, LAN (throughput vs request size)", points
-        ),
-    )
 
     # 256 B: etroxy well below the baseline (paper: ~43 % loss)...
     et_small = ratio(points, "etroxy", "bl", 256)

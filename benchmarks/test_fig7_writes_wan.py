@@ -9,18 +9,11 @@ replicas, f+1 delayed replies) over the constrained WAN access link.
 """
 
 from repro.bench.experiments import fig7_ordered_writes_wan
-from repro.bench.report import format_throughput_series, ratio, save_and_print
+from repro.bench.report import ratio
 
 
 def test_fig7_ordered_writes_wan(run_once):
     points = run_once(fig7_ordered_writes_wan)
-    save_and_print(
-        "fig7",
-        format_throughput_series(
-            "Fig. 7 — ordered writes, 100±20 ms WAN (throughput vs request size)",
-            points,
-        ),
-    )
 
     # Troxy at least matches the baseline at every size...
     for size in (256, 1024, 4096, 8192):

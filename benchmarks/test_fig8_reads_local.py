@@ -9,17 +9,11 @@ at 8 KB.
 """
 
 from repro.bench.experiments import fig8_reads_local
-from repro.bench.report import format_throughput_series, ratio, save_and_print
+from repro.bench.report import ratio
 
 
 def test_fig8_reads_local(run_once):
     points = run_once(fig8_reads_local)
-    save_and_print(
-        "fig8",
-        format_throughput_series(
-            "Fig. 8 — read-only workload, LAN (throughput vs reply size)", points
-        ),
-    )
 
     # 256 B: the baseline read optimization clearly wins (paper: etroxy
     # overhead as high as 115 %, i.e. et/bl around 0.47).

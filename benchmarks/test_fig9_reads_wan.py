@@ -8,18 +8,11 @@ client link while Troxy downloads one.
 """
 
 from repro.bench.experiments import fig9_reads_wan
-from repro.bench.report import format_throughput_series, ratio, save_and_print
+from repro.bench.report import ratio
 
 
 def test_fig9_reads_wan(run_once):
     points = run_once(fig9_reads_wan)
-    save_and_print(
-        "fig9",
-        format_throughput_series(
-            "Fig. 9 — read-only workload, 100±20 ms WAN (throughput vs reply size)",
-            points,
-        ),
-    )
 
     ratios = {
         size: ratio(points, "etroxy", "bl", size) for size in (256, 1024, 4096, 8192)

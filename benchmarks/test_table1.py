@@ -1,7 +1,8 @@
 """Table I: comparison of read optimizations and consistency levels.
 
-The table itself is static, but its consistency column is a *claim*;
-this benchmark verifies both sides of it against the running systems:
+The table itself is static (``python -m repro.bench table1`` writes it),
+but its consistency column is a *claim*; this benchmark verifies both
+sides of it against the running systems:
 
 * Prophecy (weak): a stale-read witness exists — with one lagging
   replica (within f) pinned as the validation probe, a read after a
@@ -11,12 +12,10 @@ this benchmark verifies both sides of it against the running systems:
   linearizability checker.
 """
 
-from repro.analysis.linearizability import OpRecord, check_linearizable, find_violation
+from repro.analysis.linearizability import OpRecord, find_violation
 from repro.apps.base import Payload
 from repro.apps.kvstore import KvStore, get, put
 from repro.deploy import build_prophecy, build_troxy
-from repro.bench.experiments import table1_rows
-from repro.bench.report import save_and_print
 
 
 class LaggingKv(KvStore):
@@ -121,21 +120,6 @@ def run_table1():
 
 def test_table1(run_once):
     prophecy_read, troxy_read, history = run_once(run_table1)
-
-    lines = ["Table I — read optimizations and consistency", "=" * 46]
-    lines.append(f"{'System':>10} | {'Replicas':>8} | {'Read quorum':>22} | Consistency")
-    lines.append("-" * 62)
-    for row in table1_rows():
-        lines.append(
-            f"{row.system:>10} | {row.replicas:>8} | {row.read_quorum:>22} | {row.consistency}"
-        )
-    lines.append("")
-    lines.append(f"witness — stale replica pinned as probe, read after write:")
-    lines.append(f"  Prophecy returned {prophecy_read!r}   (weak: state of the latest READ)")
-    lines.append(f"  Troxy    returned {troxy_read!r}   (strong: state of the latest WRITE)")
-    lines.append(f"linearizability check over {len(history)} concurrent Troxy ops: "
-                 f"{'PASS' if check_linearizable(history) else 'FAIL'}")
-    save_and_print("table1", "\n".join(lines))
 
     assert prophecy_read == b"old"  # the documented weakness, reproduced
     assert troxy_read == b"new"  # Troxy stays strong under the same attack

@@ -81,7 +81,7 @@ def run_fig10():
 def run_fig11():
     points = experiments.fig11_http_latency()
     save_and_print("fig11", format_latency_series(
-        "Fig. 11 — HTTP service mean latency (GET/POST mix)", points))
+        "Fig. 11 — HTTP service mean latency (GET/POST mix, ~500 req/s)", points))
     return points
 
 

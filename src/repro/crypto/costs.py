@@ -56,9 +56,6 @@ class RuntimeProfile:
     def aead_cost(self, nbytes: int) -> float:
         return self.aead.cost(nbytes)
 
-    def serialize_cost(self, nbytes: int) -> float:
-        return self.serialize.cost(nbytes)
-
 
 # Calibrated so that: HMAC over 8 KB costs ~7.4 us in Java vs ~2.1 us in
 # C/C++ (3.5x gap, consistent with JCA vs OpenSSL measurements of the

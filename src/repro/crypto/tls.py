@@ -116,9 +116,4 @@ def establish_session(master_secret: bytes, client_name: str, server_name: str) 
     return TlsSession(session_id, client, server)
 
 
-def record_sizes(payload_size: int) -> int:
-    """Wire size of a payload sealed into one record."""
-    return payload_size + TLS_RECORD_OVERHEAD
-
-
 assert MAC_SIZE == 32  # tags in TlsRecord are full HMAC-SHA256 outputs

@@ -49,7 +49,7 @@ from .sim.trace import Tracer
 from .troxy.cache import FastReadCache
 from .troxy.core import TroxyCore
 from .troxy.host import TroxyHost
-from .troxy.lease import LeaseDirectory, LeaseManager
+from .troxy.lease import LeaseDirectory, LeaseGranter, LeaseManager
 from .troxy.monitor import ConflictMonitor
 from .workloads.legacy import LegacyClient
 
@@ -405,11 +405,14 @@ def _troxy_server(
         )
         # Leader-side lease state (any replica may lead after a view
         # change, so every replica carries a manager + directory mirror).
-        replica.lease_manager = LeaseManager(
-            replica_id, site.keyring.troxy_instance(replica_id), config.leases
+        replica.leasing = LeaseGranter(
+            replica,
+            LeaseManager(
+                replica_id, site.keyring.troxy_instance(replica_id), config.leases
+            ),
+            LeaseDirectory(),
+            keys_fn,
         )
-        replica.lease_directory = LeaseDirectory()
-        replica.lease_keys_fn = keys_fn or (lambda op: (op.key,))
     core = TroxyCore(
         node=node,
         enclave=troxy_enclave,
@@ -543,12 +546,12 @@ def build_troxy(
                 router=router,
                 keys_fn=keys_fn,
             )
-            if router is not None and replica.lease_manager is not None:
+            if router is not None and replica.leasing is not None:
                 # A group leader must only lease keys its group owns and
                 # that are not pinned elsewhere or write-frozen by a
                 # migration; ownership can change under it, so the veto
                 # is evaluated at every grant.
-                replica.lease_manager.set_grantable(
+                replica.leasing.manager.set_grantable(
                     lambda key, _gid=gid: (
                         router.group_of_key(key) == _gid
                         and not router.write_frozen(key)

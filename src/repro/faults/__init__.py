@@ -22,7 +22,6 @@ from .invariants import (
     check_liveness,
 )
 from .model import (
-    ALL_FAULT_TYPES,
     EnclaveReboot,
     Fault,
     HostTamper,
@@ -45,7 +44,6 @@ from .schedule import (
 )
 
 __all__ = [
-    "ALL_FAULT_TYPES",
     "EnclaveReboot",
     "Fault",
     "FaultEvent",

@@ -281,9 +281,6 @@ class FaultPlane:
                 )
         self.rules = [rule for rule in self.rules if rule.origin != fault]
 
-    def remove_rule(self, rule: WireRule) -> None:
-        self.rules.remove(rule)
-
     def rule_hits(self, fault: Fault) -> int:
         """Total matches (incl. healed rules) of ``fault``'s wire rules."""
         active = sum(rule.hits for rule in self.rules if rule.origin == fault)

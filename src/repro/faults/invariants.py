@@ -29,13 +29,6 @@ from typing import Optional, Sequence
 
 from ..analysis.linearizability import OpRecord, check_key_history, split_by_key
 
-INVARIANT_NAMES = (
-    "linearizability",
-    "liveness",
-    "cache_freshness",
-    "counter_monotonicity",
-)
-
 
 @dataclass(frozen=True)
 class InvariantResult:

@@ -221,17 +221,3 @@ class ShardMigration(Fault):
 
     def inject(self, plane) -> None:
         plane.start_migration(self)
-
-
-ALL_FAULT_TYPES = (
-    ReplicaCrash,
-    ReplicaRestart,
-    EnclaveReboot,
-    NetworkPartition,
-    MessageDelay,
-    MessageLoss,
-    MessageCorrupt,
-    HostTamper,
-    WriteContentionAttack,
-    ShardMigration,
-)

@@ -19,8 +19,9 @@ from .messages import (
     Request,
     Tagged,
     ViewChange,
+    noop_request,
 )
-from .replica import LogEntry, Replica, ReplicaStats, noop_request
+from .replica import LogEntry, Replica, ReplicaStats
 from .secure import SecureEnvelope, open_body, seal_body
 
 __all__ = [

@@ -1,4 +1,5 @@
-"""Leader-side batch assembly (pure logic, no simulation dependencies).
+"""Leader-side batching: the pure flush policy and the replica role
+that drives it.
 
 The :class:`BatchAssembler` owns the leader's request buffer and decides
 when a batch should be cut: on size (the cutoff filled), on time (the
@@ -6,10 +7,13 @@ oldest buffered request waited ``batch_wait``), on an idle pipeline
 (nothing in flight to overlap with, so waiting would only add latency),
 or on drain (a pipeline slot freed and the configuration never waits).
 
-Keeping the policy free of :mod:`repro.sim` types makes it directly
-property-testable (``tests/property/test_batching_properties.py``): the
-replica feeds it requests and timestamps, and everything it returns is a
-pure function of that sequence.
+The assembler touches no :mod:`repro.sim` type, which makes it directly
+property-testable (``tests/property/test_batching_properties.py``): it
+is fed requests and timestamps, and everything it returns is a pure
+function of that sequence. :class:`BatchPipeline` is the role that
+feeds it (DESIGN.md D11): it exists only on a replica whose
+``config.batching`` is enabled, and owns the wake-up signal, the
+in-flight slots and the ``<replica>:batcher`` process.
 
 Adaptive cutoff: with ``BatchConfig.adaptive`` the assembler tracks an
 EWMA of request inter-arrival gaps and aims the cutoff at the number of
@@ -23,8 +27,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
+from ..sim.resources import Store
 from .config import BatchConfig
-from .messages import Request
+from .messages import Batch, Request
 
 #: Smoothing factor for the inter-arrival EWMA; small enough to ride out
 #: bursts, large enough to track a load shift within tens of requests.
@@ -39,10 +44,6 @@ class BatchAssembler:
         self._buffer: deque[tuple[Request, float]] = deque()
         self._ewma_gap: Optional[float] = None
         self._last_arrival: Optional[float] = None
-        #: Queue wait of each request in the last :meth:`take`, in take
-        #: order — the wait side of the critical-path wait/service split
-        #: (repro.obs.critpath); empty until the first take.
-        self.last_take_waits: tuple[float, ...] = ()
 
     def __len__(self) -> int:
         return len(self._buffer)
@@ -102,15 +103,10 @@ class BatchAssembler:
             return "timeout"
         return None
 
-    def take(self, now: float = 0.0) -> tuple[Request, ...]:
-        """Pop the next batch (up to ``max_batch`` requests, FIFO).
-
-        ``now`` stamps :attr:`last_take_waits` with how long each taken
-        request sat buffered (enqueue-to-take, the batch-queue wait)."""
+    def take(self) -> tuple[Request, ...]:
+        """Pop the next batch (up to ``max_batch`` requests, FIFO)."""
         count = min(len(self._buffer), self.config.max_batch)
-        taken = [self._buffer.popleft() for _ in range(count)]
-        self.last_take_waits = tuple(now - t for _request, t in taken)
-        return tuple(request for request, _t in taken)
+        return tuple(self._buffer.popleft()[0] for _ in range(count))
 
     def drain(self) -> tuple[Request, ...]:
         """Drop and return everything buffered (view change / restart);
@@ -119,3 +115,123 @@ class BatchAssembler:
         dropped = tuple(request for request, _t in self._buffer)
         self._buffer.clear()
         return dropped
+
+
+class BatchPipeline:
+    """The batching role of one replica; absent unless batching is on.
+
+    The replica core reaches it at one-line seams: ``enqueue`` (an
+    admitted request), ``slot_opened`` / ``slot_committed`` (pipeline
+    occupancy) and ``drop_backlog`` (view change, restart)."""
+
+    def __init__(self, replica):
+        self.replica = replica
+        self.assembler = BatchAssembler(replica.config.batching)
+        self._signal = Store(replica.env)
+        # Slots holding a batch this leader ordered but has not yet seen
+        # committed; its size is the pipeline occupancy.
+        self._inflight_seqs: set[int] = set()
+        self._generation = 0
+
+    def start(self) -> None:
+        """Spawn the batch loop (construction and every restart); a loop
+        of an earlier generation retires itself at its next wake-up."""
+        self._generation += 1
+        self.replica.env.process(
+            self._loop(self._generation), name=f"{self.replica.replica_id}:batcher"
+        )
+
+    def enqueue(self, request: Request) -> None:
+        replica = self.replica
+        self.assembler.enqueue(request, replica.env.now)
+        if replica.obs is not None:
+            replica.obs.queue_enter(replica, request)
+        self._signal.put(True)
+
+    def slot_opened(self, seq: int) -> None:
+        self._inflight_seqs.add(seq)
+
+    def slot_committed(self, seq: int) -> None:
+        if seq in self._inflight_seqs:
+            # A pipeline slot freed up; if backlog is waiting, wake
+            # the batch loop so it can cut the next batch.
+            self._inflight_seqs.discard(seq)
+            if len(self.assembler):
+                self._signal.put(True)
+
+    def drop_backlog(self) -> None:
+        """Discard buffered-but-unordered requests (view change, restart,
+        leadership loss). Un-registering them from ``_inflight`` lets
+        client retransmissions be ordered again later."""
+        replica = self.replica
+        for request in self.assembler.drain():
+            replica._inflight.discard((request.client_id, request.request_id))
+            if replica.obs is not None:
+                replica.obs.queue_drop(replica, request)
+        self._inflight_seqs.clear()
+
+    def _loop(self, generation: int):
+        """The only process that cuts and orders batches on this leader.
+
+        Serializing flushes through one process keeps batch formation
+        deterministic and makes the take-buffer/assign-slot step atomic
+        (no yield between them), so FIFO arrival order maps onto
+        monotonically increasing slot numbers.
+        """
+        replica = self.replica
+        signal = self._signal
+        while True:
+            yield signal.get()
+            if generation != self._generation:
+                if not replica._stopped:
+                    signal.put(True)  # hand the wakeup to the fresh loop
+                return
+            if replica._stopped:
+                return
+            yield from self._drain(generation)
+            if replica._stopped or generation != self._generation:
+                return
+
+    def _drain(self, generation: int):
+        """Cut and order batches while the flush policy allows it."""
+        replica = self.replica
+        env = replica.env
+        stats = replica.stats
+        batcher = self.assembler
+        while generation == self._generation and replica.may_order:
+            inflight = len(self._inflight_seqs)
+            reason = batcher.flush_reason(env.now, inflight)
+            if reason is not None:
+                requests = batcher.take()
+                if not requests:
+                    return
+                if replica.obs is not None:
+                    for request in requests:
+                        replica.obs.queue_leave(replica, request, reason, len(requests))
+                payload = requests[0] if len(requests) == 1 else Batch(requests)
+                stats.batches_sent += 1
+                stats.batched_requests += len(requests)
+                counter = "batch_flush_" + reason
+                setattr(stats, counter, getattr(stats, counter) + 1)
+                depth = inflight + 1
+                if depth > stats.max_pipeline_depth:
+                    stats.max_pipeline_depth = depth
+                if replica.tracer.enabled:
+                    replica._trace(
+                        "proto.batch", f"n={len(requests)} reason={reason} depth={depth}"
+                    )
+                if replica.obs is not None:
+                    replica.obs.batch_flush(replica, len(requests), reason, depth)
+                yield from replica._order(payload)
+                continue
+            deadline = batcher.deadline
+            if deadline is None or inflight >= batcher.config.pipeline_depth:
+                return  # nothing to do until the next enqueue/commit signal
+            # Buffered below the cutoff with the pipeline still moving:
+            # wait for the flush deadline or more arrivals, whichever
+            # comes first, then re-evaluate.
+            get_event = self._signal.get()
+            timeout = env.timeout(deadline - env.now)
+            yield env.any_of((get_event, timeout))
+            if not get_event.triggered:
+                self._signal.cancel(get_event)

@@ -21,13 +21,15 @@ SHA-256 evaluation (see docs/PERFORMANCE.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
-from ..apps.base import Operation, Payload
+from ..apps.base import Operation, OpKind, Payload
 from ..crypto.primitives import DIGEST_SIZE, MAC_SIZE, digest_of, intern_digest
 from ..sgx.counters import CounterCertificate
 
 _HEADER = 16  # type tag, lengths, framing
+
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,15 @@ class Request:
             cached = b"REQ" + self.digest()
             object.__setattr__(self, "_auth", cached)
             return cached
+
+
+NOOP_REQUEST_CLIENT = "__noop__"
+
+
+def noop_request(seq: int, origin: str) -> Request:
+    """Filler request used to close gaps during view changes."""
+    op = Operation(OpKind.WRITE, "noop", key="__noop__")
+    return Request(NOOP_REQUEST_CLIENT, seq, op, origin)
 
 
 @dataclass(frozen=True)
@@ -245,6 +256,13 @@ class Order:
         )
 
     @staticmethod
+    @lru_cache(maxsize=None)
+    def counter(view: int) -> str:
+        """The leader's trusted counter for ``view``'s ORDERs; memoised,
+        both sides of the wire name it for every message."""
+        return f"order/{view}"
+
+    @staticmethod
     def content_digest(
         view: int, seq: int, request_digest: bytes, grants: tuple = ()
     ) -> bytes:
@@ -283,6 +301,12 @@ class Commit:
         object.__setattr__(
             self, "wire_size", _HEADER + 16 + DIGEST_SIZE + self.cert.wire_size
         )
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def counter(view: int) -> str:
+        """Each replica's trusted counter for ``view``'s COMMITs."""
+        return f"commit/{view}"
 
     @staticmethod
     def content_digest(view: int, seq: int, request_digest: bytes, sender: str) -> bytes:
@@ -337,6 +361,8 @@ class ViewChange:
     sender: str
     cert: CounterCertificate
 
+    COUNTER = "viewchange"  # the sender's trusted counter for these votes
+
     @staticmethod
     def content_digest(new_view: int, stable_seq: int, prepared_digest: bytes, sender: str) -> bytes:
         return digest_of(
@@ -371,6 +397,8 @@ class NewView:
     orders: tuple[Order, ...]
     sender: str
     cert: CounterCertificate
+
+    COUNTER = "newview"  # the new leader's trusted counter for installations
 
     @staticmethod
     def content_digest(view: int, orders_digest: bytes, sender: str) -> bytes:

@@ -35,7 +35,7 @@ from .detectors import (
 )
 from .events import Evidence, HealthEvent
 from .harness import EXPECTED, render_table, run_detection, run_harness
-from .plane import HealthPlane, render_health, write_health_report
+from .plane import HealthPlane, write_health_report
 from .recorder import FlightRecorder
 from .slo import SloSpec, SloTracker, default_slos
 from .window import NodeDelta, RegistryDeltas, WindowSnapshot
@@ -66,7 +66,6 @@ __all__ = [
     "WindowSnapshot",
     "default_detectors",
     "default_slos",
-    "render_health",
     "render_table",
     "run_detection",
     "run_harness",

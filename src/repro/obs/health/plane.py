@@ -349,30 +349,6 @@ class HealthPlane(ObsPlane):
         }
 
 
-def render_health(plane: HealthPlane) -> str:
-    """Deterministic terminal summary of one judged run."""
-    report = plane.health_report()
-    lines = [
-        f"windows evaluated: {report['windows_evaluated']} "
-        f"(window = {report['window_seconds']:g}s)",
-        f"health events: {report['event_count']}",
-    ]
-    for event in plane.events:
-        lines.append("  " + event.describe())
-    for slo in report["slos"]:
-        verdict = "OK " if slo["compliant"] else "VIOLATED"
-        lines.append(
-            f"slo {slo['slo']:<22} {verdict} "
-            f"({slo['windows_violated']}/{slo['windows_evaluated']} windows)"
-        )
-    flight = report["flight"]
-    lines.append(
-        f"flight recorder: {flight['bundles']} bundle(s), "
-        f"{flight['dropped_bundles']} dropped"
-    )
-    return "\n".join(lines)
-
-
 def write_health_report(
     out_dir: Union[str, Path], plane: HealthPlane
 ) -> dict[str, Path]:

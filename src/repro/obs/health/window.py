@@ -104,10 +104,6 @@ class WindowSnapshot:
         self.latency_sketch(op_class).observe(value)
         self.latency_sketch("all").observe(value)
 
-    @property
-    def total_executes(self) -> int:
-        return sum(d.executes for d in self.per_node.values())
-
     def replica_nodes(self) -> list[str]:
         """Node names in sorted order (deterministic detector loops)."""
         return sorted(self.per_node)

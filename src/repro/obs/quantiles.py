@@ -64,10 +64,6 @@ class QuantileSketch:
         if len(self._buffer) >= 4 * self.compression:
             self._compress()
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.observe(value)
-
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Fold ``other`` into this sketch (``other`` is left untouched)."""
         for mean, weight in other._centroids:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..crypto.primitives import MAC_SIZE, MacKey
+from ..crypto.primitives import MacKey
 from .sealed import SealedStorage
 
 
@@ -141,8 +141,6 @@ def _decode_counters(blob: bytes) -> dict[str, int]:
         offset += 8
     return out
 
-
-CERTIFICATE_WIRE_OVERHEAD = MAC_SIZE + 8  # tag + counter value
 
 #: Sealed counter backing audit-ledger checkpoints (repro.obs.audit).
 LEDGER_COUNTER = "audit-ledger"

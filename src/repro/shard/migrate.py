@@ -204,16 +204,16 @@ class ShardMigrator:
         acknowledged or to lapse on the shared clock — quiesces them.
         """
         env = self.cluster.env
-        leader = self.cluster.group(src).leader
-        manager = leader.lease_manager
-        if manager is None:
+        leasing = self.cluster.group(src).leader.leasing
+        if leasing is None:
             return
+        manager = leasing.manager
         keys = tuple(key for key in list(manager._active) if moving(key))
         if not keys:
             return
         horizon = max(manager._active[key].expiry for key in keys)
         for key in keys:
-            yield from leader._revoke_lease(key)
+            yield from leasing.revoke(key)
         deadline = max(horizon, env.now) + 60 * self.collect_retry
         while any(manager.is_revoking(key) for key in keys):
             if env.now >= deadline:

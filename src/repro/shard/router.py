@@ -96,9 +96,6 @@ class ShardRouter:
 
     # -- membership ------------------------------------------------------------------
 
-    def group_of_replica(self, replica_id: str) -> str:
-        return self._home[replica_id][0]
-
     def group_of_key(self, key: str) -> str:
         pinned = pinned_group(key)
         if pinned is not None:

@@ -136,9 +136,6 @@ class NicConfig:
     count: int = 4
     bandwidth: float = GBPS  # bytes/second per NIC
 
-    def serialization_delay(self, size: int) -> float:
-        return size / self.bandwidth
-
 
 class Node:
     """A machine in the simulated cluster."""

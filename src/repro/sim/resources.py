@@ -168,16 +168,6 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def try_acquire(self) -> bool:
-        """Non-blocking fast path: grab a unit now or return False.
-
-        No event is scheduled; pair with :meth:`release`.
-        """
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return True
-        return False
-
     def request(self) -> ResourceRequest:
         """Return an event that fires when a unit is granted."""
         event = ResourceRequest(self.env)

@@ -99,12 +99,12 @@ class TroxyHost:
             enclave.register_ecall(name, getattr(core, name))
         replica.reply_sink = self._local_reply_sink
         replica.batch_reply_sink = self._local_batch_reply_sink
-        if core.leases_enabled:
+        if replica.leasing is not None:
             # Executed slots hand their lease grants to the enclave, and
             # a leader revoking its own co-located Troxy's lease calls
             # straight into the ecall instead of sending to itself.
-            replica.lease_sink = self._lease_sink
-            replica.lease_revoke_sink = self._lease_revoke_local
+            replica.leasing.sink = self._lease_sink
+            replica.leasing.revoke_sink = self._lease_revoke_local
         self._stopped = False
         self.stats = TroxyHostStats()
         # client id -> the request id the enclave holds a voter record
@@ -238,15 +238,15 @@ class TroxyHost:
                 "handle_shard_fast_reply", payload, bytes_in=payload.wire_size
             )
             yield from self._act(action)
-        elif isinstance(payload, LeaseRequest):
-            yield from self.replica.handle_lease_request(payload)
+        elif isinstance(payload, LeaseRequest) and self.replica.leasing is not None:
+            yield from self.replica.leasing.handle_request(payload)
         elif isinstance(payload, LeaseRevoke):
             action = yield from self.enclave.ecall(
                 "handle_lease_revoke", payload, bytes_in=payload.wire_size
             )
             yield from self._act(action)
-        elif isinstance(payload, LeaseRevokeAck):
-            yield from self.replica.handle_lease_ack(payload)
+        elif isinstance(payload, LeaseRevokeAck) and self.replica.leasing is not None:
+            yield from self.replica.leasing.handle_ack(payload)
         else:
             self.replica.dispatch(payload)
 
@@ -259,7 +259,7 @@ class TroxyHost:
             # main action: route it to the current group leader.
             leader = self.replica.leader_id
             if leader == self.replica_id:
-                yield from self.replica.handle_lease_request(action.lease)
+                yield from self.replica.leasing.handle_request(action.lease)
             else:
                 self.net.send(self.node.name, leader, action.lease)
         if action.kind in ("wait", "drop"):
@@ -303,7 +303,7 @@ class TroxyHost:
         elif action.kind == "send_lease_ack":
             if action.dst == self.replica_id:
                 # Revoking leader is this very replica: deliver locally.
-                yield from self.replica.handle_lease_ack(action.lease_ack)
+                yield from self.replica.leasing.handle_ack(action.lease_ack)
             else:
                 self.net.send(self.node.name, action.dst, action.lease_ack)
         elif action.kind == "deliver_local":

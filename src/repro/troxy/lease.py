@@ -1,6 +1,7 @@
 """Lease-based linearizable fast reads (docs/READS.md).
 
-Three cooperating state machines implement leader-granted read leases:
+Three cooperating state machines implement leader-granted read leases,
+and one replica role drives the leader side:
 
 * :class:`LeaseTable` — the *holder* side, living inside the Troxy
   enclave. Installs grants behind the sealed ``troxy-lease`` counter
@@ -18,6 +19,11 @@ Three cooperating state machines implement leader-granted read leases:
   never saw revoked), which costs at most one lease duration of write
   parking, but never under-approximates — the grants rode certified
   orders, so a leader cannot have missed one below its commit point.
+* :class:`LeaseGranter` — the role that wires a manager and a directory
+  into one Hybster replica (``replica.leasing``, DESIGN.md D11): request
+  and ack handling, write parking, revocation timers, the grant flush.
+  It lives here, not in :mod:`repro.hybster`, so that package imports
+  nothing from Troxy; a replica built without leases has no granter.
 
 Epochs are ``seq * LEASE_EPOCH_STRIDE + index``: strictly increasing in
 the order a holder executes them (execution is in slot order), strictly
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from ..hybster.messages import NOOP_REQUEST_CLIENT, Request, noop_request
 from ..sgx.counters import (
     CounterError,
     TrustedCounterSubsystem,
@@ -233,9 +240,6 @@ class LeaseManager:
     def park(self, request, keys) -> None:
         self._parked.append([request, set(keys)])
 
-    def parked_count(self) -> int:
-        return len(self._parked)
-
     def is_revoking(self, key: str) -> bool:
         return key in self._revoking
 
@@ -320,3 +324,194 @@ class LeaseManager:
     def reset(self) -> None:
         """Leadership lost: stop granting; pending requests die."""
         self._pending.clear()
+
+
+class LeaseGranter:
+    """The lease-granting role of one replica; absent unless the Troxy
+    build enables leases.
+
+    The replica core reaches it at one-line seams: ``park_write`` (an
+    admitted write), ``grants_for_slot`` (a slot being certified),
+    ``observe`` (an installed order), ``sink`` (an executed slot),
+    ``drop_parked`` and ``view_entered`` (view change, restart). The
+    Troxy host sets the two sinks and feeds it lease requests and acks
+    inline; a migration quiesces leases through ``revoke``.
+    """
+
+    def __init__(self, replica, manager: LeaseManager, directory: LeaseDirectory,
+                 keys_fn: Optional[Callable] = None):
+        self.replica = replica
+        self.manager = manager  # leader-side granting/parking state
+        self.directory = directory  # per-replica mirror of ordered grants
+        self.keys_fn: Callable = keys_fn or (lambda op: (op.key,))
+        self.sink: Optional[Callable] = None  # executed grants -> enclave
+        self.revoke_sink: Optional[Callable] = None  # self-revoke shortcut
+        self._flush_armed = False
+
+    # -- seams called by the replica core ------------------------------------
+
+    def park_write(self, request: Request):
+        """Single writer per key: a write to a leased key waits until
+        every covering lease is revoked-and-acked or has expired on the
+        shared clock (docs/READS.md). Returns whether it was parked."""
+        if request.op.is_read or request.client_id == NOOP_REQUEST_CLIENT:
+            return False
+        parked = yield from self._park(request)
+        if parked:
+            self.replica.stats.lease_writes_parked += 1
+        return parked
+
+    def _park(self, request: Request):
+        blocked = self.manager.blocking_keys(self.keys_fn(request.op), self.replica.env.now)
+        if not blocked:
+            return False
+        self.manager.park(request, blocked)
+        for key in blocked:
+            yield from self.revoke(key)
+        return True
+
+    def grants_for_slot(self, seq: int) -> tuple[LeaseGrant, ...]:
+        grants = self.manager.grants_for_slot(seq, self.replica.env.now)
+        self.replica.stats.lease_grants_attached += len(grants)
+        return grants
+
+    def observe(self, grants) -> None:
+        """Mirror every grant seen in the ordered stream: should this
+        replica lead later, the mirror is its (conservative) view of
+        which leases may still be live (docs/READS.md)."""
+        for grant in grants:
+            self.directory.observe(grant)
+
+    def drop_parked(self) -> None:
+        """View change / restart: abandon parked writes (clients
+        retransmit; a new leader re-parks against its adopted leases)."""
+        replica = self.replica
+        for request in self.manager.drain_parked():
+            replica._inflight.discard((request.client_id, request.request_id))
+            replica.stats.lease_parked_dropped += 1
+
+    def view_entered(self) -> None:
+        """Pending requests of the old leadership die. A replica that now
+        leads takes over granting by adopting its directory mirror as
+        the active lease set: the mirror may over-approximate (a write
+        then parks at most one lease duration) but cannot miss a lease
+        below this replica's commit point — every grant rode a certified
+        order."""
+        self.manager.reset()
+        if self.replica.is_leader:
+            now = self.replica.env.now
+            self.manager.adopt(self.directory.active(now), now)
+
+    # -- requests and the grant flush ------------------------------------------
+
+    def _open(self, msg, auth_input: bytes):
+        """Charge receive + one MAC for a lease message and check its
+        holder's tag; counts a bad one invalid."""
+        replica = self.replica
+        yield from replica.node.compute(replica._rx_cost(msg.wire_size) + replica._mac_cost_const)
+        if replica.keyring.troxy_instance(msg.holder).verify(auth_input, msg.tag):
+            return True
+        replica.stats.invalid_messages += 1
+        return False
+
+    def handle_request(self, msg):
+        """A Troxy asked for (or renewed) a read lease on one key.
+
+        Fire-and-forget from the holder's perspective: the leader queues
+        the request and the grant rides the next ordered slot. Refused
+        silently when this replica is not leading or a view change is in
+        flight — the holder re-requests after its backoff.
+        """
+        replica = self.replica
+        if not (yield from self._open(msg, msg.auth_input(msg.key, msg.holder))):
+            return
+        if not replica.is_leader or replica._view_change_pending is not None:
+            return
+        if self.manager.note_request(msg.key, msg.holder, replica.env.now):
+            self._arm_flush()
+
+    def _arm_flush(self) -> None:
+        """Queued grants must not depend on write traffic for delivery:
+        if no slot is ordered within one backoff window, a noop slot is
+        ordered to carry them. Read-only workloads renew leases through
+        exactly this path."""
+        if self._flush_armed:
+            return
+        self._flush_armed = True
+        replica = self.replica
+        replica.env.process(self._grant_flush(), name=f"{replica.replica_id}:lease-flush")
+
+    def _grant_flush(self):
+        replica = self.replica
+        try:
+            yield replica.env.timeout(self.manager.config.request_backoff)
+            if replica.may_order and self.manager.has_pending():
+                yield from replica._order(noop_request(replica.next_seq, replica.replica_id))
+        finally:
+            self._flush_armed = False
+
+    # -- revocation and release --------------------------------------------------
+
+    def handle_ack(self, ack):
+        """A holder confirmed its lease is dead and fenced; writes parked
+        behind that lease can be ordered."""
+        if not (yield from self._open(ack, ack.auth_input(ack.key, ack.epoch, ack.holder))):
+            return
+        if self.manager.on_ack(ack.key, ack.epoch, ack.holder):
+            yield from self._release_key(ack.key)
+
+    def revoke(self, key: str):
+        """Start revoking the lease covering ``key``: tell the holder to
+        stop serving, and arm the expiry timer as the no-ack fallback
+        (the holder may be partitioned — once the lease expires on the
+        shared clock it cannot serve either way)."""
+        replica = self.replica
+        manager = self.manager
+        grant = manager.begin_revoke(key)
+        if grant is None:
+            if not manager.is_revoking(key):
+                # The lease vanished (expired) between the blocking check
+                # and now: nothing blocks the parked write anymore.
+                yield from self._release_key(key)
+            return
+        replica.stats.lease_revokes_sent += 1
+        revoke = manager.make_revoke(grant)
+        yield from replica.node.compute(replica._tx_cost(revoke.wire_size) + replica._mac_cost_const)
+        if grant.holder == replica.replica_id and self.revoke_sink is not None:
+            # Revoking our own co-located Troxy: straight into the ecall.
+            yield from self.revoke_sink(revoke)
+        else:
+            replica._send(
+                grant.holder, revoke,
+                trace=f"lease key={key}" if replica.tracer.enabled else "",
+            )
+        replica.env.process(
+            self._revoke_timer(key, grant), name=f"{replica.replica_id}:lease-timer"
+        )
+
+    def _revoke_timer(self, key: str, grant: LeaseGrant):
+        replica = self.replica
+        yield replica.env.timeout(max(grant.expiry - replica.env.now, 0.0))
+        if replica._stopped:
+            return
+        if self.manager.on_revoke_expired(key, grant, replica.env.now):
+            yield from self._release_key(key)
+
+    def _release_key(self, key: str):
+        """A lease stopped covering ``key``: re-dispatch every parked
+        write that has no blocking keys left."""
+        released = self.manager.release_key(key)
+        self.replica.stats.lease_parked_released += len(released)
+        for request in released:
+            yield from self._order_released(request)
+
+    def _order_released(self, request: Request):
+        replica = self.replica
+        if not replica.may_order:
+            # The client retransmits to the new leader.
+            replica._inflight.discard((request.client_id, request.request_id))
+            return
+        # A fresh lease that landed while this write was parked parks it
+        # again, behind a new revocation round.
+        if not (yield from self._park(request)):
+            yield from replica._admit(request)

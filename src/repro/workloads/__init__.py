@@ -3,7 +3,6 @@
 from .distributions import (
     HotspotKeys,
     KeyDistribution,
-    ShardedKeys,
     UniformKeys,
     ZipfKeys,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "LegacyClientStats",
     "LoadStats",
     "PacedLoop",
-    "ShardedKeys",
     "UniformKeys",
     "ZipfKeys",
     "measure",

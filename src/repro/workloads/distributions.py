@@ -8,13 +8,6 @@ the access skew. Three standard shapes:
 * :class:`ZipfKeys` — classic power-law skew (precomputed CDF, O(log n)
   sampling; exponent ~0.99 matches common web traces).
 * :class:`HotspotKeys` — a fraction of traffic pinned to a small hot set.
-* :class:`ShardedKeys` — shard-aware composition for sharded clusters
-  (docs/SHARDING.md): an inner distribution picks the *shard*, a
-  per-shard key pool picks the key within it. With a Zipf inner
-  distribution this produces deliberately imbalanced shard load (the
-  signal the shard-imbalance detector and the rebalance scenarios need);
-  with a uniform inner distribution it spreads load evenly for the
-  scaling benchmarks.
 """
 
 from __future__ import annotations
@@ -63,66 +56,6 @@ class ZipfKeys(KeyDistribution):
     def sample(self, rng) -> str:
         index = bisect.bisect_left(self._cdf, rng.random())
         return f"{self.prefix}{min(index, self.key_space - 1)}"
-
-
-class ShardedKeys(KeyDistribution):
-    """Two-level sampling for sharded deployments: shard, then key.
-
-    ``pools`` holds one key pool per shard; a draw first picks the pool
-    with Zipf weight ``1 / rank^skew`` (``skew=0`` → uniform across
-    shards), then a key uniformly within it. Rank order follows pool
-    order, so pool 0 is the hottest shard under skew.
-    """
-
-    def __init__(self, pools, skew: float = 0.0):
-        self.pools = [tuple(pool) for pool in pools]
-        if not self.pools or any(not pool for pool in self.pools):
-            raise ValueError("every shard needs a non-empty key pool")
-        if skew < 0:
-            raise ValueError(f"skew must be >= 0: {skew}")
-        self.skew = skew
-        cumulative = []
-        total = 0.0
-        for rank in range(1, len(self.pools) + 1):
-            total += 1.0 / rank ** skew
-            cumulative.append(total)
-        self._cdf = [value / total for value in cumulative]
-
-    def sample(self, rng) -> str:
-        index = bisect.bisect_left(self._cdf, rng.random())
-        pool = self.pools[min(index, len(self.pools) - 1)]
-        return pool[rng.randrange(len(pool))]
-
-    @classmethod
-    def pinned(cls, shards: int, keys_per_shard: int = 16, skew: float = 0.0,
-               prefix: str = "k") -> "ShardedKeys":
-        """Pools of pinned (``__g{N}/``) keys: ownership is deterministic
-        and survives migrations, so per-shard load is exactly the drawn
-        shard — what the scaling benchmarks need."""
-        if shards < 1 or keys_per_shard < 1:
-            raise ValueError("shards and keys_per_shard must be positive")
-        pools = [
-            tuple(f"__g{g}/{prefix}{i}" for i in range(keys_per_shard))
-            for g in range(shards)
-        ]
-        return cls(pools, skew=skew)
-
-    @classmethod
-    def from_ring(cls, ring, key_space: int, skew: float = 0.0,
-                  prefix: str = "k") -> "ShardedKeys":
-        """Bucket ordinary ``k{i}`` keys by their current ring owner.
-
-        Pools follow the ring's sorted group order; groups owning none
-        of the sampled keys get no pool (small key spaces).
-        """
-        if key_space < 1:
-            raise ValueError(f"key_space must be positive: {key_space}")
-        by_group: dict = {}
-        for i in range(key_space):
-            key = f"{prefix}{i}"
-            by_group.setdefault(ring.owner(key), []).append(key)
-        pools = [by_group[group] for group in sorted(by_group)]
-        return cls(pools, skew=skew)
 
 
 class HotspotKeys(KeyDistribution):

@@ -60,9 +60,42 @@ def test_lease_precedence(monkeypatch, keyword, config, env, expected):
         monkeypatch.setenv("REPRO_LEASES", env)
     built = build_troxy(seed=1, app_factory=KvStore, config=config, leases=keyword)
     assert built.config.leases == expected
-    # Off means not built: no lease counters, no leader-side manager.
+    # Off means not built: no lease counters, no lease-granting role.
     assert all(c.leases_enabled == expected.enabled for c in built.cores)
-    assert all((r.lease_manager is not None) == expected.enabled for r in built.replicas)
+
+
+def test_a_feature_that_is_off_is_not_constructed(monkeypatch):
+    """DESIGN.md D11: an absent role is an absent feature. The keywords
+    are explicit so the CI env legs cannot flip them."""
+    from repro.hybster.batching import BatchAssembler, BatchPipeline
+    from repro.troxy.lease import LeaseDirectory, LeaseGranter, LeaseManager, LeaseTable
+
+    feature_classes = (BatchAssembler, BatchPipeline, LeaseManager, LeaseDirectory,
+                       LeaseGranter, LeaseTable)
+    built = []
+    for cls in feature_classes:
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, _cls=cls, **kwargs):
+            built.append(_cls)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    off = build_troxy(seed=1, app_factory=KvStore, batching="off", leases="off")
+    assert built == []
+    assert all(r.batching is None and r.leasing is None for r in off.replicas)
+    batchy = [name for r in off.replicas for name in vars(r) if "batch" in name]
+    assert batchy == ["batch_reply_sink", "batching"] * len(off.replicas)
+    assert not [name for r in off.replicas for name in vars(r) if "lease" in name]
+
+    on = build_troxy(seed=1, app_factory=KvStore, batching="adaptive", leases="on")
+    n = len(on.replicas)
+    assert {cls: built.count(cls) for cls in set(built)} == dict.fromkeys(feature_classes, n)
+    for replica in on.replicas:
+        assert isinstance(replica.batching, BatchPipeline)
+        assert isinstance(replica.leasing, LeaseGranter)
+        assert replica.leasing.sink is not None and replica.leasing.revoke_sink is not None
 
 
 def test_features_resolve_independently(monkeypatch):

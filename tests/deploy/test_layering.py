@@ -60,3 +60,25 @@ def test_environment_is_read_in_one_place():
         if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
     }
     assert readers == {"resolve_features"}
+
+
+def test_hybster_imports_nothing_above_it():
+    """The consensus layer stands alone: the lease role lives in
+    repro.troxy and is attached by the build (DESIGN.md D11)."""
+    above = ("troxy", "shard", "obs", "faults", "bench", "deploy")
+    offenders = [
+        (rel, name)
+        for rel, tree in modules()
+        if rel.startswith("hybster/")
+        for name in imported_modules(rel, tree)
+        if any(name == f"repro.{pkg}" or name.startswith(f"repro.{pkg}.") for pkg in above)
+    ]
+    assert not offenders, offenders
+
+
+def test_no_hybster_module_outgrows_a_reviewer():
+    sizes = {
+        path.name: len(path.read_text().splitlines())
+        for path in sorted((ROOT / "hybster").glob("*.py"))
+    }
+    assert max(sizes.values()) <= 900, sizes

@@ -221,7 +221,7 @@ def test_forged_commit_on_an_uncommitted_slot_is_still_rejected(cluster):
     assert leader.stats.surplus_commits == 0
     assert len(charged) == 2 and charged[0] == leader._tx_cost(forged.wire_size)
     assert sum(charged) == pytest.approx(
-        leader._rx_cost(forged.wire_size) + leader._mac_cost()
+        leader._rx_cost(forged.wire_size) + leader._mac_cost_const
     )
     assert 1 not in leader.log or not leader.log[1].commit_senders
 
