@@ -19,7 +19,8 @@ Span taxonomy (one tree per request, trace id ``client#request_id``):
 ========================  =============================================
 ``client.invoke``          legacy/BFT client call, root of the tree
 ``troxy.host``             untrusted host handling one inbound message
-``enclave.ecall:<name>``   one enclave boundary crossing
+``enclave.ecall:<name>``   one enclave boundary crossing (recorded once
+                           per request whose replica votes it carries)
 ``troxy.cache``            fast-read cache check (Fig. 4 check_cache)
 ``troxy.fast_read``        instant event: hit / conflict / timeout
 ``hybster.queue``          leader batch-queue wait (enqueue -> take)
@@ -70,6 +71,24 @@ def _maybe_trace(message) -> Optional[str]:
             or getattr(message, "msg", None)
         )
     return None
+
+
+def _vote_traces(args) -> list:
+    """Distinct trace ids, in first-seen order, of the replica votes an
+    ecall carries: a ``Reply``, the members of a ``BatchedReply``, and
+    the same inside a tuple of held vote messages (DESIGN.md D12). The
+    crossing that decides a request is then part of that request's tree
+    however many other requests' votes rode along. Empty for an ecall
+    that carries no votes."""
+    traces: dict[str, None] = {}
+    for arg in args:
+        for message in arg if type(arg) is tuple else (arg,):
+            for vote in getattr(message, "replies", (message,)):
+                if hasattr(vote, "replica_id"):
+                    trace = _maybe_trace(vote)
+                    if trace is not None:
+                        traces[trace] = None
+    return list(traces)
 
 
 class _ObservedClient:
@@ -225,39 +244,47 @@ class ObsPlane:
     # -- enclave boundary ---------------------------------------------------------
 
     def ecall_begin(self, enclave, name: str, args, bytes_in: int, bytes_out: int):
-        trace = None
-        for arg in args:
-            trace = _maybe_trace(arg)
-            if trace is None:
-                nonce = getattr(arg, "nonce", None)  # CacheEntryReply
-                if nonce is not None:
-                    core = self._core_by_enclave.get(id(enclave))
-                    state = core._fast_reads.get(nonce) if core is not None else None
-                    if state is not None:
-                        trace = trace_key(state.client_request)
-            if trace is not None:
-                break
-        if trace is None:
-            # Certify ecalls carry only (counter, value, digest); while
-            # the leader certifies an ORDER we know whose request it is.
-            trace = self._certify_trace.get(enclave.node.name)
+        traces = _vote_traces(args) or [self._ecall_trace(enclave, args)]
         self.registry.counter(
             "ecall_transitions_total", "Enclave boundary crossings",
             node=enclave.node.name, enclave=enclave.name, ecall=name,
         ).inc()
-        return self.spans.begin(
-            f"enclave.ecall:{name}", self.now, trace_id=trace,
-            node=enclave.node.name, enclave=enclave.name,
-            bytes_in=bytes_in, bytes_out=bytes_out,
+        # One span per request the crossing works for: more than one only
+        # when it carries votes for several, all over the same interval.
+        return tuple(
+            self.spans.begin(
+                f"enclave.ecall:{name}", self.now, trace_id=trace,
+                node=enclave.node.name, enclave=enclave.name,
+                bytes_in=bytes_in, bytes_out=bytes_out,
+            )
+            for trace in traces
         )
 
-    def ecall_end(self, span: Span) -> None:
-        if not self._end(span):
+    def _ecall_trace(self, enclave, args) -> Optional[str]:
+        """The one request an ecall that carries no votes works for."""
+        for arg in args:
+            trace = _maybe_trace(arg)
+            if trace is not None:
+                return trace
+            nonce = getattr(arg, "nonce", None)  # CacheEntryReply
+            if nonce is not None:
+                core = self._core_by_enclave.get(id(enclave))
+                state = core._fast_reads.get(nonce) if core is not None else None
+                if state is not None:
+                    return trace_key(state.client_request)
+        # Certify ecalls carry only (counter, value, digest); while
+        # the leader certifies an ORDER we know whose request it is.
+        return self._certify_trace.get(enclave.node.name)
+
+    def ecall_end(self, spans: tuple) -> None:
+        ended = [self._end(span) for span in spans]
+        if not any(ended):
             return
+        first = spans[0]
         self.registry.histogram(
             "ecall_seconds", "Sim-time spent inside one ecall",
-            node=span.node, ecall=span.name.split(":", 1)[1],
-        ).observe(span.duration)
+            node=first.node, ecall=first.name.split(":", 1)[1],
+        ).observe(first.duration)
 
     # -- troxy host -----------------------------------------------------------------
 

@@ -167,7 +167,7 @@ class Enclave:
             if isgen or hasattr(result, "__next__"):
                 result = yield from result
             return result
-        span = self.obs.ecall_begin(self, name, args, bytes_in, bytes_out)
+        spans = self.obs.ecall_begin(self, name, args, bytes_in, bytes_out)
         try:
             if cost > 0:
                 yield from self.node.compute(cost)
@@ -175,7 +175,7 @@ class Enclave:
             if isgen or hasattr(result, "__next__"):
                 result = yield from result
         finally:
-            self.obs.ecall_end(span)
+            self.obs.ecall_end(spans)
         return result
 
     # -- memory / paging ------------------------------------------------------

@@ -59,7 +59,6 @@ class Action:
                  arm a timeout for ``nonce``;
       "send_reply" — send the authenticated ``reply`` to replica ``dst``;
       "send_reply_batch" — send ``batch`` (a BatchedReply) to replica ``dst``;
-      "deliver_local" — feed ``reply`` to the local voter;
       "forward" — send ``forward`` (a ForwardedRequest) to replica ``dst``
                   in the key's owning group (docs/SHARDING.md);
       "send_shard_reply" — send ``shard_reply`` (a ShardFastReply) to the
@@ -916,7 +915,9 @@ class TroxyCore:
 
     # -- ecall: reply path ----------------------------------------------------------------
 
-    def authenticate_local_reply(self, request: Request, reply: Reply, fresh: bool = True):
+    def authenticate_local_reply(
+        self, request: Request, reply: Reply, fresh: bool = True, held=()
+    ):
         """Invalidate-and-authenticate for the local replica's reply
         (ecall #6). The invalidation happening *before* the
         authentication is what entangles cache maintenance with the
@@ -928,7 +929,10 @@ class TroxyCore:
         execution position, so installing them would resurrect cache
         entries that later writes already invalidated — a replayed read
         therefore never (re-)installs. Invalidation stays unconditional:
-        it is idempotent and only ever conservative."""
+        it is idempotent and only ever conservative.
+
+        ``held`` are the remote votes the host kept back for this
+        request (:meth:`_count_held`). Returns a tuple of Actions."""
         if not request.op.is_read:
             keys = self.keys_fn(request.op)
             yield from self.node.compute(self._hash_cost_64 * max(1, len(keys)))
@@ -942,7 +946,6 @@ class TroxyCore:
             self.cache.install(
                 self._cache_key(request.op), reply, self.keys_fn(request.op)
             )
-        yield from self.node.compute(self._mac_base + self._mac_per_byte * reply.wire_size)
         authenticated = Reply(
             replica_id=reply.replica_id,
             client_id=reply.client_id,
@@ -952,18 +955,28 @@ class TroxyCore:
             view=reply.view,
             fresh=fresh,
         )
-        # Sign the fresh-stamped bytes: the untrusted host must not be
-        # able to relabel a replayed reply as a fresh execution.
-        tag = self._instance_key.sign(authenticated.auth_bytes())
-        authenticated = replace(authenticated, troxy_tag=tag)
         if request.origin == self.replica_id:
             # Local reply feeding the local voter: fold the vote into this
             # ecall instead of crossing the boundary a second time
-            # (transition minimization, Section V-A).
-            return (yield from self._vote(authenticated))
-        return Action("send_reply", dst=request.origin, reply=authenticated)
+            # (transition minimization, Section V-A). It never leaves the
+            # enclave, so it needs no tag.
+            action = yield from self._vote(authenticated)
+        else:
+            yield from self.node.compute(
+                self._mac_base + self._mac_per_byte * reply.wire_size
+            )
+            # Sign the fresh-stamped bytes: the untrusted host must not
+            # be able to relabel a replayed reply as a fresh execution.
+            tag = self._instance_key.sign(authenticated.auth_bytes())
+            action = Action(
+                "send_reply", dst=request.origin,
+                reply=replace(authenticated, troxy_tag=tag),
+            )
+        if not held:
+            return (action,)
+        return (action, *(yield from self._count_held(held)))
 
-    def authenticate_batch_replies(self, pairs, fresh: bool = True):
+    def authenticate_batch_replies(self, pairs, fresh: bool = True, held=()):
         """Invalidate-and-authenticate for one executed *batch* of the
         local replica (ecall #8), one enclave crossing for the whole
         batch instead of one per reply.
@@ -984,8 +997,10 @@ class TroxyCore:
         :class:`BatchedReply` authenticated with a single MAC over the
         bundle, instead of one MAC and one message per reply.
 
-        Returns the local voter's Actions (in batch order) followed by
-        one "send_reply_batch" Action per remote origin.
+        Returns the local voter's Actions (in batch order), those of
+        the ``held`` remote votes the host kept back for the batch's
+        requests (:meth:`_count_held`), then one "send_reply_batch"
+        Action per remote origin.
         """
         self.stats.reply_batches += 1
         self.stats.batched_replies += len(pairs)
@@ -1015,6 +1030,8 @@ class TroxyCore:
                 actions.append((yield from self._vote(reply)))
             else:
                 outbound.setdefault(request.origin, []).append(reply)
+        if held:
+            actions += yield from self._count_held(held)
         for origin, replies in outbound.items():
             bundle_bytes = sum(reply.wire_size for reply in replies)
             yield from self.node.compute(self._mac_base + self._mac_per_byte * bundle_bytes)
@@ -1028,10 +1045,13 @@ class TroxyCore:
             )
         return tuple(actions)
 
-    def handle_replica_reply_batch(self, batch: BatchedReply):
+    def handle_replica_reply_batch(self, batch: BatchedReply, held=()):
         """The server-side voter for one reply bundle (ecall #9): verify
         the single bundle MAC, then count every carried vote — one
-        enclave crossing and one MAC check for the whole bundle."""
+        enclave crossing and one MAC check for the whole bundle. The
+        ``held`` votes the host kept back are counted first
+        (:meth:`_count_held`). Returns a tuple of Actions."""
+        actions = (yield from self._count_held(held)) if held else []
         self.stats.vote_batches += 1
         self.stats.batched_votes += len(batch.replies)
         yield from self.node.compute(self._mac_base + self._mac_per_byte * batch.wire_size)
@@ -1040,8 +1060,8 @@ class TroxyCore:
             BatchedReply.auth_input(batch.sender, batch.replies), batch.tag
         ):
             self.stats.invalid_messages += 1
-            return (Action("drop", reason="bad batched reply tag"),)
-        actions = []
+            actions.append(Action("drop", reason="bad batched reply tag"))
+            return tuple(actions)
         for reply in batch.replies:
             if reply.replica_id != batch.sender:
                 # The bundle tag only vouches for the sender's own
@@ -1053,19 +1073,48 @@ class TroxyCore:
             actions.append((yield from self._vote(reply)))
         return tuple(actions)
 
-    def handle_replica_reply(self, reply: Reply):
+    def handle_replica_reply(self, reply: Reply, held=()):
         """The server-side voter (ecall #7): verify the Troxy
         authentication and count the vote; on f+1 matching replies seal
-        the result for the client."""
+        the result for the client. The ``held`` votes the host kept back
+        are counted first (:meth:`_count_held`). Returns a tuple of
+        Actions, the arriving vote's last."""
+        actions = (yield from self._count_held(held)) if held else []
         if reply.troxy_tag is None:
             self.stats.invalid_messages += 1
-            return Action("drop", reason="missing troxy tag")
+            actions.append(Action("drop", reason="missing troxy tag"))
+            return tuple(actions)
         yield from self.node.compute(self._mac_base + self._mac_per_byte * reply.wire_size)
         sender_key = self.keyring.troxy_instance(reply.replica_id)
         if not sender_key.verify(reply.auth_bytes(), reply.troxy_tag):
             self.stats.invalid_messages += 1
-            return Action("drop", reason="bad troxy tag")
-        return (yield from self._vote(reply))
+            actions.append(Action("drop", reason="bad troxy tag"))
+            return tuple(actions)
+        actions.append((yield from self._vote(reply)))
+        return tuple(actions)
+
+    def _count_held(self, held) -> list:
+        """Verify and count the vote messages the untrusted host kept
+        back, in the order given; returns one Action per ``Reply`` and
+        per ``BatchedReply`` member.
+
+        Early means wait (DESIGN.md D12): the host holds a vote while it
+        cannot complete a quorum and hands it in with the crossing that
+        can. Each held message goes through the very ecall body it would
+        have reached alone, so it is checked and charged exactly as
+        before; what the host chose to hold changes when a vote is
+        counted and nothing else.
+        """
+        actions = []
+        for message in held:
+            if type(message) is Reply:
+                actions += yield from self.handle_replica_reply(message)
+            elif type(message) is BatchedReply:
+                actions += yield from self.handle_replica_reply_batch(message)
+            else:
+                self.stats.invalid_messages += 1
+                actions.append(Action("drop", reason="not a vote message"))
+        return actions
 
     def _vote(self, reply: Reply):
         """Count one authenticated vote (trusted-internal)."""

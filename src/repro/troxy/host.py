@@ -9,6 +9,7 @@ alter sealed replies — the fault-injection tests exercise exactly that.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,17 +51,46 @@ TROXY_ECALLS = (
     "handle_lease_revoke",
 )
 
+#: the voter's entry point for each kind of replica vote message.
+_VOTE_ECALL = {Reply: "handle_replica_reply", BatchedReply: "handle_replica_reply_batch"}
+
+
+def _wire_size(held: tuple) -> int:
+    """Bytes the held vote messages add to a crossing's copy-in."""
+    return sum(message.wire_size for message in held) if held else 0
+
 
 @dataclass
 class TroxyHostStats:
-    """Messages the host dropped *before* the enclave crossing because
-    they could no longer change a decision (DESIGN.md D9)."""
+    """Messages the host kept from their own enclave crossing because
+    they could not change a decision: too late (DESIGN.md D9) or too
+    early (D12)."""
 
     #: replica replies for a request the enclave holds no voter record
     #: for: the surplus side of an f+1-of-2f+1 reply quorum.
     surplus_votes: int = 0
     #: cache-probe answers for a fast read that is already resolved.
     surplus_probe_replies: int = 0
+    #: replica votes that waited at the host on arrival because they
+    #: could not complete a quorum. Each crossed later inside the one
+    #: crossing that could decide its request, unless the request closed
+    #: first.
+    held_votes: int = 0
+
+
+class _OpenRequest:
+    """What the host knows about one request its enclave votes on."""
+
+    __slots__ = ("request_id", "inside", "held")
+
+    def __init__(self, request_id: int):
+        self.request_id = request_id
+        #: vote messages handed to the enclave, the local fold included.
+        #: Counts messages, not outcomes, so it is never below the number
+        #: of votes the voter record holds.
+        self.inside = 0
+        #: vote messages waiting at the host, arrival number -> message.
+        self.held: dict[int, object] = {}
 
 
 class TroxyHost:
@@ -69,10 +99,13 @@ class TroxyHost:
     The host filters surplus messages itself: it remembers which
     requests its enclave opened a voter record for and which fast-read
     probes are outstanding, and spares everything else the crossing.
-    The filter is advisory and untrusted. Dropping messages is a power
-    the host has anyway, so a wrong filter costs liveness (the legacy
-    client times out and fails over) and never a wrong reply: every vote
-    that does cross is still authenticated and counted inside.
+    A vote that arrives too early to complete a quorum waits here and
+    crosses inside the one ecall that can decide its request.
+    Both filters are advisory and untrusted. Dropping or delaying
+    messages is a power the host has anyway, so a wrong filter costs
+    liveness (the legacy client times out and fails over) and never a
+    wrong reply: every vote that does cross is still authenticated and
+    counted inside.
     """
 
     def __init__(
@@ -89,6 +122,7 @@ class TroxyHost:
         self.net = net
         self.node = node
         self.replica = replica
+        self.replica_id = replica.replica_id
         self.core = core
         self.enclave = enclave
         self.query_timeout = query_timeout
@@ -107,11 +141,13 @@ class TroxyHost:
             replica.leasing.revoke_sink = self._lease_revoke_local
         self._stopped = False
         self.stats = TroxyHostStats()
-        # client id -> the request id the enclave holds a voter record
-        # for. One entry per client session: a legacy client has one
-        # request outstanding, which the replicas' duplicate suppression
-        # assumes as well.
-        self._open: dict[str, int] = {}
+        # client id -> the request the enclave holds a voter record for.
+        # One entry per client session: a legacy client has one request
+        # outstanding, which the replicas' duplicate suppression assumes
+        # as well. An entry holds fewer than ``reply_quorum`` messages.
+        self._open: dict[str, _OpenRequest] = {}
+        self._reply_quorum = core.config.reply_quorum
+        self._arrivals = itertools.count()
         # Outstanding fast-read probes, nonce -> deadline. Every probe
         # waits the same ``query_timeout``, so insertion order is
         # deadline order and one sweeper process serves them all.
@@ -123,10 +159,6 @@ class TroxyHost:
         self._handle_name = f"{node.name}:troxy-handle"
         self._qtimer_name = f"{node.name}:qtimer"
         env.process(self._loop(), name=f"{node.name}:troxy-host")
-
-    @property
-    def replica_id(self) -> str:
-        return self.replica.replica_id
 
     def stop(self) -> None:
         """Crash the whole server (replica + Troxy)."""
@@ -141,8 +173,8 @@ class TroxyHost:
         enclave survive unless the enclave itself was rebooted. Probe
         deadlines that fell due while the host was down run now, so
         their reads still fall back to ordering; the open-request table
-        starts empty (a vote it then drops belonged to a request whose
-        client has long failed over).
+        starts empty, held votes included (a vote it then drops belonged
+        to a request whose client has long failed over).
         """
         self._stopped = False
         self._open.clear()
@@ -207,27 +239,8 @@ class TroxyHost:
                 # CacheEntryReply must not cancel the timeout.
                 self._probes.pop(payload.nonce, None)
             yield from self._act(action)
-        elif isinstance(payload, Reply):
-            if self._open.get(payload.client_id) != payload.request_id:
-                self.stats.surplus_votes += 1
-                return
-            action = yield from self.enclave.ecall(
-                "handle_replica_reply", payload, bytes_in=payload.wire_size
-            )
-            yield from self._act(action)
-        elif isinstance(payload, BatchedReply):
-            is_open = self._open.get
-            if not any(
-                is_open(reply.client_id) == reply.request_id
-                for reply in payload.replies
-            ):
-                self.stats.surplus_votes += len(payload.replies)
-                return
-            actions = yield from self.enclave.ecall(
-                "handle_replica_reply_batch", payload, bytes_in=payload.wire_size
-            )
-            for action in actions:
-                yield from self._act(action)
+        elif type(payload) in _VOTE_ECALL:
+            yield from self._handle_vote(payload)
         elif isinstance(payload, ForwardedRequest):
             action = yield from self.enclave.ecall(
                 "handle_forwarded_request", payload, bytes_in=payload.wire_size
@@ -254,6 +267,18 @@ class TroxyHost:
         if action is None:
             return
             yield  # pragma: no cover - generator marker
+        kind = action.kind
+        if kind == "order" or kind == "forward":
+            request = action.request if kind == "order" else action.forward.request
+            if request.origin == self.replica_id:
+                # The enclave registered a voter record (also on a client
+                # retransmission, which re-opens a decided request so the
+                # replayed replies reach the voter again) and votes
+                # converge here; a straggler merely passed along has its
+                # record at its own fronting Troxy. The entry is fresh in
+                # the same instant as the record, before anything below
+                # yields, so ``inside`` never misses a vote that crossed.
+                self._open[request.client_id] = _OpenRequest(request.request_id)
         if action.lease is not None:
             # Fire-and-forget lease (renewal) request piggybacked on the
             # main action: route it to the current group leader.
@@ -262,9 +287,9 @@ class TroxyHost:
                 yield from self.replica.leasing.handle_request(action.lease)
             else:
                 self.net.send(self.node.name, leader, action.lease)
-        if action.kind in ("wait", "drop"):
+        if kind in ("wait", "drop"):
             return
-        if action.kind == "reply":
+        if kind == "reply":
             # The client has its answer: whatever was open for it is
             # decided, later votes are surplus.
             client_id = action.envelope.body.client_id
@@ -272,47 +297,96 @@ class TroxyHost:
             self.net.send(
                 self.node.name, action.dst, action.envelope, stream=client_id
             )
-        elif action.kind == "order":
-            request = action.request
-            if request.origin == self.replica_id:
-                # The enclave registered a voter record (also on a client
-                # retransmission, which re-opens a decided request so the
-                # replayed replies reach the voter again).
-                self._open[request.client_id] = request.request_id
-            yield from self.replica.submit(request)
-        elif action.kind == "query":
+        elif kind == "order":
+            yield from self.replica.submit(action.request)
+        elif kind == "query":
             for replica_id, query in action.queries:
                 self.net.send(self.node.name, replica_id, query)
             self._probes[action.nonce] = self.env.now + self.query_timeout
             self._arm_sweeper()
-        elif action.kind == "send_cache_reply":
+        elif kind == "send_cache_reply":
             self.net.send(self.node.name, action.dst, action.queries[0])
-        elif action.kind == "send_reply":
+        elif kind == "send_reply":
             self.net.send(self.node.name, action.dst, action.reply)
-        elif action.kind == "send_reply_batch":
+        elif kind == "send_reply_batch":
             self.net.send(self.node.name, action.dst, action.batch)
-        elif action.kind == "forward":
-            request = action.forward.request
-            if request.origin == self.replica_id:
-                # Votes converge here; a straggler merely passed along
-                # has its voter record at its own fronting Troxy.
-                self._open[request.client_id] = request.request_id
+        elif kind == "forward":
             self.net.send(self.node.name, action.dst, action.forward)
-        elif action.kind == "send_shard_reply":
+        elif kind == "send_shard_reply":
             self.net.send(self.node.name, action.dst, action.shard_reply)
-        elif action.kind == "send_lease_ack":
+        elif kind == "send_lease_ack":
             if action.dst == self.replica_id:
                 # Revoking leader is this very replica: deliver locally.
                 yield from self.replica.leasing.handle_ack(action.lease_ack)
             else:
                 self.net.send(self.node.name, action.dst, action.lease_ack)
-        elif action.kind == "deliver_local":
-            follow_up = yield from self.enclave.ecall(
-                "handle_replica_reply", action.reply, bytes_in=action.reply.wire_size
-            )
-            yield from self._act(follow_up)
         else:
-            raise ValueError(f"unknown action kind: {action.kind!r}")
+            raise ValueError(f"unknown action kind: {kind!r}")
+
+    # -- early means wait (DESIGN.md D12) -----------------------------------------
+
+    @staticmethod
+    def _votes(message) -> tuple:
+        return message.replies if type(message) is BatchedReply else (message,)
+
+    def _open_for(self, items) -> list:
+        """The open requests among ``items`` (votes or requests)."""
+        entries = []
+        for item in items:
+            entry = self._open.get(item.client_id)
+            if entry is not None and entry.request_id == item.request_id:
+                entries.append(entry)
+        return entries
+
+    def _cross_with(self, entries) -> tuple:
+        """One more vote for each of ``entries`` is about to enter the
+        enclave. Returns everything held for them, in arrival order, to
+        go inside in the same crossing. A released bundle crosses whole,
+        so it counts as inside for every open request it carries."""
+        held: dict[int, object] = {}
+        for entry in entries:
+            entry.inside += 1
+            if entry.held:
+                held.update(entry.held)
+        if not held:
+            return ()
+        for number, message in held.items():
+            for entry in self._open_for(self._votes(message)):
+                if entry.held.pop(number, None) is not None:
+                    entry.inside += 1
+        return tuple(held[number] for number in sorted(held))
+
+    def _handle_vote(self, message):
+        """A replica's ``Reply`` or ``BatchedReply`` arrived.
+
+        It waits at the host while it cannot complete a quorum for any
+        open request it carries, even if every vote the host has seen
+        were valid and matching. The host counts messages, not outcomes:
+        a forged, mismatching or duplicate vote makes the next one cross
+        early, never late.
+        """
+        votes = self._votes(message)
+        entries = self._open_for(votes)
+        if not entries:
+            self.stats.surplus_votes += len(votes)
+            return
+        quorum = self._reply_quorum
+        for entry in entries:
+            if entry.inside + len(entry.held) + 1 >= quorum:
+                break
+        else:
+            number = next(self._arrivals)
+            for entry in entries:
+                entry.held[number] = message
+            self.stats.held_votes += len(entries)
+            return
+        held = self._cross_with(entries)
+        actions = yield from self.enclave.ecall(
+            _VOTE_ECALL[type(message)], message, held,
+            bytes_in=message.wire_size + _wire_size(held),
+        )
+        for action in actions:
+            yield from self._act(action)
 
     def _arm_sweeper(self) -> None:
         if self._probes and not self._sweeping:
@@ -342,20 +416,32 @@ class TroxyHost:
         action = yield from self.enclave.ecall("fast_read_timeout", nonce)
         yield from self._act(action)
 
+    def _held_for_local(self, requests) -> tuple:
+        """The co-located replica executed ``requests``. Its own votes
+        for the ones that converge here are folded inside the
+        authenticate crossing, which takes along whatever is held for
+        them."""
+        mine = [r for r in requests if r.origin == self.replica_id]
+        return self._cross_with(self._open_for(mine)) if mine else ()
+
     def _local_reply_sink(self, request: Request, reply: Reply, fresh: bool = True):
         """Installed as the co-located replica's reply sink."""
-        action = yield from self.enclave.ecall(
-            "authenticate_local_reply", request, reply, fresh,
-            bytes_in=reply.wire_size,
+        held = self._held_for_local((request,))
+        actions = yield from self.enclave.ecall(
+            "authenticate_local_reply", request, reply, fresh, held,
+            bytes_in=reply.wire_size + _wire_size(held),
         )
-        yield from self._act(action)
+        for action in actions:
+            yield from self._act(action)
 
     def _local_batch_reply_sink(self, pairs):
         """Installed as the co-located replica's batched reply sink: one
         enclave crossing invalidates and authenticates the whole batch."""
+        held = self._held_for_local([request for request, _reply in pairs])
         actions = yield from self.enclave.ecall(
-            "authenticate_batch_replies", pairs, True,
-            bytes_in=sum(reply.wire_size for _request, reply in pairs),
+            "authenticate_batch_replies", pairs, True, held,
+            bytes_in=sum(reply.wire_size for _request, reply in pairs)
+            + _wire_size(held),
         )
         for action in actions:
             yield from self._act(action)

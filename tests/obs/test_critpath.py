@@ -188,3 +188,86 @@ def test_cli_writes_byte_identical_outputs(tmp_path):
     payload = json.loads((tmp_path / "r1" / "critpath.json").read_text())
     assert payload["tool"] == "repro.obs.critpath"
     assert payload["min_coverage"] >= 0.95
+
+
+# -- early votes wait at the host (DESIGN.md D12) ---------------------------------
+
+
+def _forwarded_cell(batching):
+    from repro.apps.kvstore import KvStore
+    from repro.deploy import build_troxy
+    from repro.obs.probes import ObsPlane
+
+    cluster = build_troxy(
+        seed=301, shards=2, app_factory=KvStore, batching=batching, leases="off"
+    )
+    plane = ObsPlane().attach(cluster)
+    keys = [
+        k for k in (f"k{i}" for i in range(64))
+        if cluster.router.group_of_key(k) == "g1"
+    ]
+    return cluster, plane, cluster.hosts[0], keys
+
+
+def test_a_held_vote_is_voting_wait_and_lies_inside_the_deciding_crossing():
+    from repro.apps.kvstore import put
+    from repro.hybster.messages import Reply
+
+    cluster, plane, host, keys = _forwarded_cell("off")
+    votes = []
+
+    def second_vote_is_late(attempt):
+        if attempt.dst == host.node.name and isinstance(attempt.payload, Reply):
+            votes.append(attempt.payload)
+            if len(votes) > 1:
+                attempt.extra_delay = 0.001 * (len(votes) - 1)
+
+    cluster.net.add_send_filter(second_vote_is_late)
+    (client,) = plane.wrap_clients([cluster.new_client(contact_index=0)])
+    cluster.env.process(client.invoke(put(keys[0], b"v")))
+    cluster.env.run(until=1.0)
+    plane.finalize()
+
+    trace = f"{client.client_id}#1"
+    mine = [s for s in plane.spans.trace(trace) if s.node == host.node.name]
+    arrivals = [s for s in mine if s.name == "troxy.host" and s.attrs["type"] == "Reply"]
+    (crossing,) = [s for s in mine if s.name == "enclave.ecall:handle_replica_reply"]
+    counted = [s for s in mine if s.name == "troxy.vote"]
+    # The first vote's host span opens and closes on arrival; a
+    # millisecond later the second one crosses and both are counted.
+    assert arrivals[0].duration == 0.0
+    assert crossing.start - arrivals[0].start >= 0.001
+    assert [s.attrs["outcome"] for s in counted] == ["wait", "decided"]
+    assert all(crossing.start <= s.start and s.end <= crossing.end for s in counted)
+    # That millisecond is the voter waiting, not the Troxy accepting.
+    attribution = attribute_trace(plane.spans.spans, trace)
+    assert attribution.coverage == pytest.approx(1.0)
+    assert attribution.slices[("voting", "wait")] >= 0.001
+    assert attribution.phase_seconds("troxy_accept") < 0.0002
+    assert plane.registry.value("troxy_host_held_votes", node=host.replica_id) == 1
+
+
+def test_a_bundle_crossing_joins_the_tree_of_every_request_it_votes_on():
+    from repro.apps.kvstore import put
+
+    cluster, plane, host, keys = _forwarded_cell(4)
+    clients = plane.wrap_clients(
+        [cluster.new_client(contact_index=0) for _ in range(4)]
+    )
+    for client, key in zip(clients, keys):
+        cluster.env.process(client.invoke(put(key, b"v")))
+    cluster.env.run(until=1.0)
+    plane.finalize()
+    shared = {}
+    for client in clients:
+        crossings = [
+            s for s in plane.spans.trace(f"{client.client_id}#1")
+            if s.name.startswith("enclave.ecall:handle_replica_reply")
+            and s.node == host.node.name
+        ]
+        assert crossings, "the deciding crossing is missing from the tree"
+        for span in crossings:
+            shared.setdefault((span.start, span.end), set()).add(span.trace_id)
+    # One crossing, several requests: the same interval in each tree.
+    assert any(len(traces) > 1 for traces in shared.values())
+    assert analyze(plane.spans).min_coverage() == pytest.approx(1.0)

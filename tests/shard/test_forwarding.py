@@ -94,17 +94,21 @@ class Cell:
         from ``voters`` (g1's replicas unless told otherwise) for request
         ``rid``, one per entry of ``views``."""
         core = self.core(front)
-        action = None
+        votes = []
         for replica_id, view in zip(voters, views):
             reply = Reply(
                 replica_id, "client-1", rid, Payload(b"ok"), op.digest(),
                 view=view, fresh=fresh,
             )
             tag = self.keyring.troxy_instance(replica_id).sign(reply.auth_bytes())
-            action = self.drive(
-                core.handle_replica_reply(replace(reply, troxy_tag=tag))
-            )
-        assert action.kind == "reply", "quorum did not decide"
+            votes.append(replace(reply, troxy_tag=tag))
+        # As the host hands them in: the early votes held back, all of
+        # them inside the one crossing that can decide.
+        *held, last = votes
+        actions = self.drive(core.handle_replica_reply(last, tuple(held)))
+        assert [action.kind for action in actions] == (
+            ["wait"] * len(held) + ["reply"]
+        ), "quorum did not decide"
 
 
 def _key_of(router, group):

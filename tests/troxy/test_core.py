@@ -185,28 +185,68 @@ def test_vote_requires_quorum_of_distinct_troxies(harness):
         tag = keyring.troxy_instance(replica_id).sign(reply.auth_bytes())
         return Reply(replica_id, "client-1", 1, result, request.digest(), troxy_tag=tag)
 
-    first = drive(env, core.handle_replica_reply(troxy_reply("replica-1")))
+    (first,) = drive(env, core.handle_replica_reply(troxy_reply("replica-1")))
     assert first.kind == "wait"
-    duplicate = drive(env, core.handle_replica_reply(troxy_reply("replica-1")))
+    (duplicate,) = drive(env, core.handle_replica_reply(troxy_reply("replica-1")))
     assert duplicate.kind == "wait"  # same voter twice does not count
-    second = drive(env, core.handle_replica_reply(troxy_reply("replica-2")))
+    (second,) = drive(env, core.handle_replica_reply(troxy_reply("replica-2")))
     assert second.kind == "reply"
     assert core.stats.replies_voted == 1
+
+
+def test_held_votes_are_counted_in_the_crossing_that_brings_them(harness):
+    """f = 2: the host hands in two held votes with the third. The same
+    voter held twice still counts once; three distinct voters decide in
+    the one crossing, and every vote is charged its own MAC check."""
+    env, node, core, keyring = harness
+    core.config = ClusterConfig(f=2)
+    envelope, session = client_envelope(core, keyring, write_op())
+    drive(env, core.handle_client_envelope(envelope, "m"))
+    request = Request("client-1", 1, write_op(), origin="replica-0")
+
+    def troxy_reply(replica_id):
+        reply = Reply(replica_id, "client-1", 1, Payload(b"done"), request.digest())
+        tag = keyring.troxy_instance(replica_id).sign(reply.auth_bytes())
+        return Reply(
+            replica_id, "client-1", 1, Payload(b"done"), request.digest(), troxy_tag=tag
+        )
+
+    one, two, three = (troxy_reply(f"replica-{i}") for i in (1, 2, 3))
+    elapsed = []
+
+    def timed():
+        started = env.now
+        actions = yield from core.handle_replica_reply(one, (one, one))
+        elapsed.append(env.now - started)  # the core is idle: pure CPU
+        return actions
+
+    actions = drive(env, timed())
+    assert [action.kind for action in actions] == ["wait", "wait", "wait"]
+    assert elapsed[0] == pytest.approx(3 * core.profile.mac.cost(one.wire_size))
+    actions = drive(env, core.handle_replica_reply(three, (one, two)))
+    assert [action.kind for action in actions] == ["wait", "wait", "reply"]
+    assert core.stats.replies_voted == 1
+    assert core.stats.invalid_messages == 0
 
 
 def test_vote_rejects_unauthenticated_reply(harness):
     env, node, core, keyring = harness
     request = Request("client-1", 1, write_op(), origin="replica-0")
     bare = Reply("replica-1", "client-1", 1, Payload(b"x"), request.digest())
-    action = drive(env, core.handle_replica_reply(bare))
+    (action,) = drive(env, core.handle_replica_reply(bare))
     assert action.kind == "drop"
     forged = Reply(
         "replica-1", "client-1", 1, Payload(b"x"), request.digest(),
         troxy_tag=b"\x00" * 32,
     )
-    action = drive(env, core.handle_replica_reply(forged))
+    (action,) = drive(env, core.handle_replica_reply(forged))
     assert action.kind == "drop"
     assert core.stats.invalid_messages == 2
+    # Held or arriving makes no difference: each is checked on its own,
+    # and something that is no vote message at all is rejected as well.
+    actions = drive(env, core.handle_replica_reply(forged, (bare, forged, request)))
+    assert [action.kind for action in actions] == ["drop"] * 4
+    assert core.stats.invalid_messages == 6
 
 
 def test_total_order_mode_bypasses_cache(harness):
