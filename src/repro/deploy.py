@@ -49,8 +49,9 @@ from .sim.trace import Tracer
 from .troxy.cache import FastReadCache
 from .troxy.core import TroxyCore
 from .troxy.host import TroxyHost
-from .troxy.lease import LeaseDirectory, LeaseGranter, LeaseManager
+from .troxy.lease import LeaseDirectory, LeaseGranter, LeaseHolder, LeaseManager
 from .troxy.monitor import ConflictMonitor
+from .troxy.prober import FastReadProber
 from .workloads.legacy import LegacyClient
 
 # Loaded GbE + kernel scheduling: tens-of-microseconds jitter. The
@@ -419,17 +420,21 @@ def _troxy_server(
         replica_id=replica_id,
         config=config,
         keyring=provisioned,
-        rng=site.rng.derive("troxy", replica_id),
         runtime=runtime,
-        fast_reads=fast_reads,
         cache=FastReadCache(
             troxy_enclave, max_entries=cache_entries, store_outside=cache_outside
         ),
         monitor=monitor_factory() if monitor_factory else ConflictMonitor(),
-        keys_fn=keys_fn,
-        router=router,
-        counters=lease_counters,
     )
+    # The enclave's roles (DESIGN.md D13): one per feature that is on.
+    if fast_reads:
+        core.prober = FastReadProber(core, site.rng.derive("troxy", replica_id))
+    if lease_counters is not None:
+        core.holder = LeaseHolder(core, lease_counters)
+    if router is not None:
+        from .shard.front import ShardFront
+
+        core.front = ShardFront(core, router)
     host = TroxyHost(
         env=site.env,
         net=site.net,

@@ -269,9 +269,9 @@ class ObsPlane:
             nonce = getattr(arg, "nonce", None)  # CacheEntryReply
             if nonce is not None:
                 core = self._core_by_enclave.get(id(enclave))
-                state = core._fast_reads.get(nonce) if core is not None else None
-                if state is not None:
-                    return trace_key(state.client_request)
+                request = core.probe_request(nonce) if core is not None else None
+                if request is not None:
+                    return trace_key(request)
         # Certify ecalls carry only (counter, value, digest); while
         # the leader certifies an ORDER we know whose request it is.
         return self._certify_trace.get(enclave.node.name)
@@ -293,9 +293,9 @@ class ObsPlane:
         attrs = {"type": type(payload).__name__, "src": src}
         nonce = getattr(payload, "nonce", None)
         if trace is None and nonce is not None:
-            state = host.core._fast_reads.get(nonce)
-            if state is not None:
-                trace = trace_key(state.client_request)
+            request = host.core.probe_request(nonce)
+            if request is not None:
+                trace = trace_key(request)
             else:
                 attrs["nonce"] = nonce
         self.registry.counter(

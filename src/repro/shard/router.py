@@ -1,8 +1,9 @@
 """Enclave-resident shard routing (docs/SHARDING.md).
 
-Every TroxyCore in a sharded deployment holds a reference to the shared
-:class:`ShardRouter`. On each decrypted client request the core asks
-the router where the key lives:
+Every Troxy enclave of a sharded deployment has a shard front
+(:mod:`repro.shard.front`) holding a reference to the shared
+:class:`ShardRouter`. On each authenticated request it asks the router
+where the key lives:
 
 * ``local`` — the key belongs to this core's own group: the request
   takes the unchanged Troxy path (fast read, ordering, voting).
@@ -15,7 +16,7 @@ the router where the key lives:
   same-index replica for a read that can be served from the group's
   fast-read caches or leases, and for everything while the core has no
   fresh evidence that the hinted leader is alive
-  (:meth:`TroxyCore._forward_target`).
+  (:meth:`ShardFront._target`).
 * ``frozen`` — the key sits in a ring slice currently being migrated
   and the operation is a write: dropped; the legacy client's
   timeout-and-retry loop resubmits it after the cut-over.
@@ -103,6 +104,13 @@ class ShardRouter:
                 raise ValueError(f"key pinned to unknown group: {key!r}")
             return pinned
         return self.ring.owner(key)
+
+    def group_of_replica(self, replica_id: str) -> Optional[str]:
+        """The group ``replica_id`` is a replica of; None for a name
+        outside every group (all groups share one key ring, so a valid
+        tag alone does not place its sender)."""
+        home = self._home.get(replica_id)
+        return None if home is None else home[0]
 
     def leader_of(self, group: str, view: int) -> str:
         """The replica leading ``group`` in ``view`` (Hybster rotates the

@@ -79,7 +79,7 @@ class FastReadCache:
         # Per-key invalidation epochs: bumped on every write invalidation
         # (whether or not an entry existed), so the voter can tell that a
         # read result crossed a write and must not be (re-)installed —
-        # see key_epoch() and TroxyCore._vote.
+        # see key_epoch() and FastReadProber.install_voted.
         self._epoch = 0
         self._key_epoch: dict[str, int] = {}
         if enclave is not None:

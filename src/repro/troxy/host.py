@@ -21,38 +21,7 @@ from ..sgx.enclave import Enclave
 from ..sim.engine import Environment, Process
 from ..sim.network import Network, Node
 from .core import Action, TroxyCore
-from .messages import (
-    BatchedReply,
-    CacheEntryReply,
-    CacheQuery,
-    ForwardedRequest,
-    LeaseRequest,
-    LeaseRevoke,
-    LeaseRevokeAck,
-    ShardFastReply,
-)
-
-#: ecalls the host registers on the enclave; together with Hybster's
-#: three trusted-subsystem certify calls this fills the prototype's
-#: 16-entry interface (16 in total).
-TROXY_ECALLS = (
-    "install_session",
-    "handle_client_envelope",
-    "answer_cache_query",
-    "handle_cache_entry_reply",
-    "fast_read_timeout",
-    "authenticate_local_reply",
-    "authenticate_batch_replies",
-    "handle_replica_reply",
-    "handle_replica_reply_batch",
-    "handle_forwarded_request",
-    "handle_shard_fast_reply",
-    "install_leases",
-    "handle_lease_revoke",
-)
-
-#: the voter's entry point for each kind of replica vote message.
-_VOTE_ECALL = {Reply: "handle_replica_reply", BatchedReply: "handle_replica_reply_batch"}
+from .messages import BatchedReply, CacheEntryReply, LeaseRequest, LeaseRevoke, LeaseRevokeAck
 
 
 def _wire_size(held: tuple) -> int:
@@ -129,16 +98,39 @@ class TroxyHost:
         # Optional observability plane (repro.obs): brackets each pumped
         # message with a troxy.host span.
         self.obs = None
-        for name in TROXY_ECALLS:
-            enclave.register_ecall(name, getattr(core, name))
+        # The enclave's interface is exactly the roles it has (DESIGN.md
+        # D13): their ecalls, and the one table that says which ecall a
+        # message class enters by. A message for an absent role finds no
+        # entry and goes the way of any unknown payload.
+        self._ecall_of: dict[type, str] = {}
+        for role in core.roles:
+            for name in role.ecalls:
+                enclave.register_ecall(name, getattr(role, name))
+            self._ecall_of.update(role.handlers)
+        # The arms that do host-side work around their crossing; every
+        # other message class is pumped straight through the table.
+        self._arms = {
+            SecureEnvelope: self._handle_envelope,
+            Reply: self._handle_vote,
+            BatchedReply: self._handle_vote,
+        }
+        if core.prober is not None:
+            self._arms[CacheEntryReply] = self._handle_probe_answer
         replica.reply_sink = self._local_reply_sink
         replica.batch_reply_sink = self._local_batch_reply_sink
-        if replica.leasing is not None:
-            # Executed slots hand their lease grants to the enclave, and
-            # a leader revoking its own co-located Troxy's lease calls
-            # straight into the ecall instead of sending to itself.
-            replica.leasing.sink = self._lease_sink
-            replica.leasing.revoke_sink = self._lease_revoke_local
+        leasing = replica.leasing
+        if leasing is not None:
+            # The leader-side lease role is untrusted replica code: its
+            # two inbound messages never cross.
+            self._arms[LeaseRequest] = lambda msg, _src: leasing.handle_request(msg)
+            self._arms[LeaseRevokeAck] = lambda msg, _src: leasing.handle_ack(msg)
+            if core.holder is not None:
+                # Executed slots hand their lease grants to the enclave,
+                # and a leader revoking its own co-located Troxy's lease
+                # calls straight into the ecall instead of sending to
+                # itself.
+                leasing.sink = self._lease_sink
+                leasing.revoke_sink = self._lease_revoke_local
         self._stopped = False
         self.stats = TroxyHostStats()
         # client id -> the request the enclave holds a voter record for.
@@ -215,53 +207,44 @@ class TroxyHost:
                 self.obs.host_end(span)
 
     def _handle_inner(self, payload, src: str):
-        if isinstance(payload, SecureEnvelope) and isinstance(payload.body, Request):
-            action = yield from self.enclave.ecall(
-                "handle_client_envelope", payload, src,
-                bytes_in=payload.wire_size,
-            )
-            yield from self._act(action)
-        elif isinstance(payload, CacheQuery):
-            action = yield from self.enclave.ecall(
-                "answer_cache_query", payload, bytes_in=payload.wire_size
-            )
-            yield from self._act(action)
-        elif isinstance(payload, CacheEntryReply):
-            if payload.nonce not in self._probes:
-                self.stats.surplus_probe_replies += 1
-                return
-            action = yield from self.enclave.ecall(
-                "handle_cache_entry_reply", payload, bytes_in=payload.wire_size
-            )
-            if action.kind not in ("wait", "drop"):
-                # Hit, conflict or shard verdict: the probe is resolved.
-                # A rejected answer leaves it outstanding — a forged
-                # CacheEntryReply must not cancel the timeout.
-                self._probes.pop(payload.nonce, None)
-            yield from self._act(action)
-        elif type(payload) in _VOTE_ECALL:
-            yield from self._handle_vote(payload)
-        elif isinstance(payload, ForwardedRequest):
-            action = yield from self.enclave.ecall(
-                "handle_forwarded_request", payload, bytes_in=payload.wire_size
-            )
-            yield from self._act(action)
-        elif isinstance(payload, ShardFastReply):
-            action = yield from self.enclave.ecall(
-                "handle_shard_fast_reply", payload, bytes_in=payload.wire_size
-            )
-            yield from self._act(action)
-        elif isinstance(payload, LeaseRequest) and self.replica.leasing is not None:
-            yield from self.replica.leasing.handle_request(payload)
-        elif isinstance(payload, LeaseRevoke):
-            action = yield from self.enclave.ecall(
-                "handle_lease_revoke", payload, bytes_in=payload.wire_size
-            )
-            yield from self._act(action)
-        elif isinstance(payload, LeaseRevokeAck) and self.replica.leasing is not None:
-            yield from self.replica.leasing.handle_ack(payload)
-        else:
+        kind = type(payload)
+        arm = self._arms.get(kind)
+        if arm is not None:
+            yield from arm(payload, src)
+            return
+        ecall = self._ecall_of.get(kind)
+        if ecall is None:
             self.replica.dispatch(payload)
+        else:
+            yield from self._cross(ecall, payload, bytes_in=payload.wire_size)
+
+    def _cross(self, ecall: str, *args, bytes_in: int = 0):
+        """One enclave crossing; act on the Action(s) it returns."""
+        result = yield from self.enclave.ecall(ecall, *args, bytes_in=bytes_in)
+        for action in result if type(result) is tuple else (result,):
+            yield from self._act(action)
+
+    def _handle_envelope(self, envelope: SecureEnvelope, src: str):
+        if isinstance(envelope.body, Request):
+            yield from self._cross(
+                "handle_client_envelope", envelope, src, bytes_in=envelope.wire_size
+            )
+        else:
+            self.replica.dispatch(envelope)
+
+    def _handle_probe_answer(self, answer: CacheEntryReply, _src: str):
+        if answer.nonce not in self._probes:
+            self.stats.surplus_probe_replies += 1
+            return
+        action = yield from self.enclave.ecall(
+            "handle_cache_entry_reply", answer, bytes_in=answer.wire_size
+        )
+        if action.kind not in ("wait", "drop"):
+            # Hit, conflict or shard verdict: the probe is resolved.
+            # A rejected answer leaves it outstanding — a forged
+            # CacheEntryReply must not cancel the timeout.
+            self._probes.pop(answer.nonce, None)
+        yield from self._act(action)
 
     def _act(self, action: Optional[Action]):
         if action is None:
@@ -269,7 +252,7 @@ class TroxyHost:
             yield  # pragma: no cover - generator marker
         kind = action.kind
         if kind == "order" or kind == "forward":
-            request = action.request if kind == "order" else action.forward.request
+            request = action.request if kind == "order" else action.message.request
             if request.origin == self.replica_id:
                 # The enclave registered a voter record (also on a client
                 # retransmission, which re-opens a decided request so the
@@ -292,10 +275,10 @@ class TroxyHost:
         if kind == "reply":
             # The client has its answer: whatever was open for it is
             # decided, later votes are surplus.
-            client_id = action.envelope.body.client_id
+            client_id = action.message.body.client_id
             self._open.pop(client_id, None)
             self.net.send(
-                self.node.name, action.dst, action.envelope, stream=client_id
+                self.node.name, action.dst, action.message, stream=client_id
             )
         elif kind == "order":
             yield from self.replica.submit(action.request)
@@ -304,22 +287,14 @@ class TroxyHost:
                 self.net.send(self.node.name, replica_id, query)
             self._probes[action.nonce] = self.env.now + self.query_timeout
             self._arm_sweeper()
-        elif kind == "send_cache_reply":
-            self.net.send(self.node.name, action.dst, action.queries[0])
-        elif kind == "send_reply":
-            self.net.send(self.node.name, action.dst, action.reply)
-        elif kind == "send_reply_batch":
-            self.net.send(self.node.name, action.dst, action.batch)
-        elif kind == "forward":
-            self.net.send(self.node.name, action.dst, action.forward)
-        elif kind == "send_shard_reply":
-            self.net.send(self.node.name, action.dst, action.shard_reply)
+        elif kind == "send" or kind == "forward":
+            self.net.send(self.node.name, action.dst, action.message)
         elif kind == "send_lease_ack":
             if action.dst == self.replica_id:
                 # Revoking leader is this very replica: deliver locally.
-                yield from self.replica.leasing.handle_ack(action.lease_ack)
+                yield from self.replica.leasing.handle_ack(action.message)
             else:
-                self.net.send(self.node.name, action.dst, action.lease_ack)
+                self.net.send(self.node.name, action.dst, action.message)
         else:
             raise ValueError(f"unknown action kind: {kind!r}")
 
@@ -356,7 +331,7 @@ class TroxyHost:
                     entry.inside += 1
         return tuple(held[number] for number in sorted(held))
 
-    def _handle_vote(self, message):
+    def _handle_vote(self, message, _src: str):
         """A replica's ``Reply`` or ``BatchedReply`` arrived.
 
         It waits at the host while it cannot complete a quorum for any
@@ -381,12 +356,10 @@ class TroxyHost:
             self.stats.held_votes += len(entries)
             return
         held = self._cross_with(entries)
-        actions = yield from self.enclave.ecall(
-            _VOTE_ECALL[type(message)], message, held,
+        yield from self._cross(
+            self._ecall_of[type(message)], message, held,
             bytes_in=message.wire_size + _wire_size(held),
         )
-        for action in actions:
-            yield from self._act(action)
 
     def _arm_sweeper(self) -> None:
         if self._probes and not self._sweeping:
@@ -409,12 +382,10 @@ class TroxyHost:
             del probes[nonce]
             # Own process per expiry: a fallback ordering may queue on
             # the replica and must not hold up the deadlines behind it.
-            self.env.process(self._probe_expired(nonce), name=self._qtimer_name)
+            self.env.process(
+                self._cross("fast_read_timeout", nonce), name=self._qtimer_name
+            )
         self._sweeping = False
-
-    def _probe_expired(self, nonce: int):
-        action = yield from self.enclave.ecall("fast_read_timeout", nonce)
-        yield from self._act(action)
 
     def _held_for_local(self, requests) -> tuple:
         """The co-located replica executed ``requests``. Its own votes
@@ -427,24 +398,20 @@ class TroxyHost:
     def _local_reply_sink(self, request: Request, reply: Reply, fresh: bool = True):
         """Installed as the co-located replica's reply sink."""
         held = self._held_for_local((request,))
-        actions = yield from self.enclave.ecall(
+        yield from self._cross(
             "authenticate_local_reply", request, reply, fresh, held,
             bytes_in=reply.wire_size + _wire_size(held),
         )
-        for action in actions:
-            yield from self._act(action)
 
     def _local_batch_reply_sink(self, pairs):
         """Installed as the co-located replica's batched reply sink: one
         enclave crossing invalidates and authenticates the whole batch."""
         held = self._held_for_local([request for request, _reply in pairs])
-        actions = yield from self.enclave.ecall(
+        yield from self._cross(
             "authenticate_batch_replies", pairs, True, held,
             bytes_in=sum(reply.wire_size for _request, reply in pairs)
             + _wire_size(held),
         )
-        for action in actions:
-            yield from self._act(action)
 
     # -- lease plumbing (docs/READS.md) -----------------------------------------
 
@@ -453,19 +420,12 @@ class TroxyHost:
         carried grants, hand the ones addressed to this Troxy to the
         enclave (one crossing for the whole slot)."""
         mine = tuple(g for g in grants if g.holder == self.replica_id)
-        if not mine:
-            return
-            yield  # pragma: no cover - generator marker
-        action = yield from self.enclave.ecall(
-            "install_leases", mine,
-            bytes_in=sum(grant.wire_size for grant in mine),
-        )
-        yield from self._act(action)
+        if mine:
+            yield from self.enclave.ecall(
+                "install_leases", mine, bytes_in=sum(grant.wire_size for grant in mine)
+            )
 
     def _lease_revoke_local(self, revoke: LeaseRevoke):
         """Installed as the replica's local revoke sink: the leader is
         revoking its own co-located Troxy's lease — no network hop."""
-        action = yield from self.enclave.ecall(
-            "handle_lease_revoke", revoke, bytes_in=revoke.wire_size
-        )
-        yield from self._act(action)
+        yield from self._cross("handle_lease_revoke", revoke, bytes_in=revoke.wire_size)

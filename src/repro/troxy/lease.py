@@ -1,13 +1,18 @@
 """Lease-based linearizable fast reads (docs/READS.md).
 
-Three cooperating state machines implement leader-granted read leases,
-and one replica role drives the leader side:
+Three cooperating state machines implement leader-granted read leases;
+one enclave role drives the holder side and one replica role the leader
+side:
 
 * :class:`LeaseTable` — the *holder* side, living inside the Troxy
   enclave. Installs grants behind the sealed ``troxy-lease`` counter
   (:func:`repro.sgx.counters.certify_lease`), serves validity checks to
   the read path, and fences revocations by burning the grant epoch so a
   rolled-back enclave or a replayed grant can never resurrect a lease.
+* :class:`LeaseHolder` — the role that wires a table into one Troxy
+  core (``core.holder``, DESIGN.md D13): the lease read path, lease
+  requests, and the two lease ecalls. A Troxy built without leases has
+  no holder, no table and neither ecall.
 * :class:`LeaseManager` — the *leader* side, living next to the Hybster
   replica. Queues lease requests, folds grants into ORDER messages
   (``Order.grants``, covered by the order certificate), parks writes to
@@ -43,7 +48,8 @@ from ..sgx.counters import (
     burn_lease_epoch,
     certify_lease,
 )
-from .messages import LeaseGrant, LeaseRevoke
+from .core import Action, TroxyCore, Waiter, single_key, with_lease
+from .messages import LeaseGrant, LeaseRequest, LeaseRevoke, LeaseRevokeAck
 
 #: Epoch slots reserved per agreement sequence number; bounds how many
 #: grants one ORDER may carry while keeping epochs monotone in (seq, i).
@@ -105,13 +111,6 @@ class LeaseTable:
         burn_lease_epoch(self._counters, epoch)
         return dropped
 
-    def drop_expired(self, now: float) -> int:
-        """Garbage-collect expired leases; returns how many lapsed."""
-        dead = [k for k, lease in self._leases.items() if now >= lease.expiry]
-        for key in dead:
-            del self._leases[key]
-        return len(dead)
-
     def clear(self) -> None:
         """Enclave reboot: the volatile table dies, the sealed counter
         survives — which is exactly why rollback cannot resurrect any
@@ -119,14 +118,171 @@ class LeaseTable:
         self._leases.clear()
 
 
+class LeaseHolder:
+    """The lease-holding role of one Troxy enclave; absent unless the
+    build enables leases.
+
+    Mutable state: the lease table (fenced by this enclave's sealed
+    ``troxy-lease`` counter) and the per-key time of the last
+    LeaseRequest. The core reaches it in ``admit`` (``try_read``,
+    ``maybe_request``); the host hands it executed grants and relays
+    revocations.
+    """
+
+    ecalls = ("install_leases", "handle_lease_revoke")
+    handlers = {LeaseRevoke: "handle_lease_revoke"}
+
+    def __init__(self, core: TroxyCore, counters: TrustedCounterSubsystem):
+        self.core = core
+        self.table = LeaseTable(counters)
+        #: per-key timestamp of the last LeaseRequest, for backoff.
+        self._requested: dict[str, float] = {}
+        core.enclave.on_reboot(self._on_reboot)
+
+    def _on_reboot(self) -> None:
+        # The table dies with the enclave while its sealed counter
+        # survives: rollback can never resurrect a lease.
+        self._requested.clear()
+        self.table.clear()
+
+    # -- seams called by the core's admit path -------------------------------------
+
+    def try_read(self, request: Request, waiter: Waiter):
+        """Serve a read locally under a valid lease, with no probe round.
+
+        Returns a final Action when the lease covers the read: either
+        the served result (cache hit on an f+1-corroborated entry) or an
+        ordering action (entry missing or uncorroborated — the ordered
+        read warms the cache to voted status). Returns None when the
+        keys are not all leased; the caller then takes the normal voted
+        path and piggybacks a lease acquisition request.
+
+        Safety: the grant activated at this enclave only when the
+        carrying slot *executed*, after every earlier write to the key
+        had already invalidated the cache; the leader parks any later
+        write until this lease is revoked-and-acked or has expired on
+        the shared clock. A surviving voted entry therefore reflects the
+        last committed write for as long as the lease is valid.
+        """
+        core = self.core
+        op = request.op
+        if not self.table.covers(core.keys_fn(op), core.node.env.now):
+            return None
+        yield from core.node.compute(core.hash_cost(op.size))
+        cached = core.cache.get_voted(op.digest())
+        renewal = yield from self.maybe_request(op)
+        if cached is None:
+            # Leased but nothing trustworthy to serve: order the read.
+            # Never serve a result only the local replica vouches for —
+            # the lease removes the per-read quorum, so the entry itself
+            # must already carry f+1 trust (vote install or promotion).
+            core.stats.lease_read_uncorroborated += 1
+            if core.obs is not None:
+                core.obs.lease_result(core, waiter.client_request, "cold")
+            return with_lease(core.order(request, waiter), renewal)
+        yield from core.load_cached(cached)
+        core.stats.lease_read_hits += 1
+        if core.obs is not None:
+            core.obs.lease_result(core, waiter.client_request, "hit")
+        # The lease carries the f+1 trust of a completed fast-read
+        # quorum, towards a client and a fronting Troxy alike.
+        action = yield from core.deliver(
+            request, waiter, cached.result, cached.request_digest
+        )
+        return with_lease(action, renewal)
+
+    def maybe_request(self, op):
+        """Build one LeaseRequest if any of the op's keys needs a lease
+        (missing, or within the renewal margin of expiry) and its
+        per-key backoff allows it. Fire-and-forget: the host relays it
+        to the current group leader."""
+        core = self.core
+        now = core.node.env.now
+        cfg = core.config.leases
+        for key in core.keys_fn(op):
+            lease = self.table.get(key)
+            if lease is not None and lease.expiry - now > cfg.renew_margin:
+                continue  # comfortably covered
+            last = self._requested.get(key)
+            if last is not None and now - last < cfg.request_backoff:
+                continue
+            self._requested[key] = now
+            tag = yield from core.sign(
+                LeaseRequest.auth_input(key, core.replica_id), core.mac_cost_digest
+            )
+            core.stats.lease_requests_sent += 1
+            return LeaseRequest(key, core.replica_id, tag)
+        return None
+
+    # -- ecalls: lease maintenance ---------------------------------------------------
+
+    def install_leases(self, grants):
+        """Adopt the grants an executed slot carried for this Troxy
+        (ecall #12). Called by the host's lease sink *after* the slot's
+        execution — every earlier write has already invalidated the
+        cache — and each install is fenced by the sealed lease counter,
+        so a rebooted (rolled-back) enclave rejects replayed grants."""
+        core = self.core
+        now = core.node.env.now
+        for grant in grants:
+            if not (yield from core.check_tag(
+                grant.granter,
+                LeaseGrant.auth_input(
+                    grant.key, grant.holder, grant.granter, grant.epoch, grant.expiry
+                ),
+                grant.tag, core.mac_cost_digest,
+            )):
+                continue
+            outcome = self.table.install(grant, now)
+            if outcome == "installed":
+                core.stats.lease_grants_installed += 1
+                self._requested.pop(grant.key, None)
+            elif outcome == "fenced":
+                core.stats.lease_grants_fenced += 1
+            else:
+                core.stats.lease_grants_rejected += 1
+            if core.obs is not None:
+                core.obs.lease_install(core, grant, outcome)
+
+    def handle_lease_revoke(self, revoke: LeaseRevoke):
+        """A leader wants to write under our lease (ecall #13): drop the
+        lease, fence its epoch, bump the key's invalidation epoch, and
+        acknowledge so the parked write can be ordered.
+
+        The invalidation epoch bump is the shared-epoch fix: lease
+        revocation and write invalidation use the *same* per-key epoch
+        source, so a voted read that entered the vote before this revoke
+        can no longer install its result afterwards — otherwise a
+        lagging vote could resurrect the entry the revoke retired just
+        as the parked write commits."""
+        core = self.core
+        if not (yield from core.check_tag(
+            revoke.sender,
+            LeaseRevoke.auth_input(revoke.key, revoke.epoch, revoke.holder, revoke.sender),
+            revoke.tag, core.mac_cost_digest,
+        )):
+            return Action("drop", reason="bad lease revoke tag")
+        if revoke.holder != core.replica_id:
+            core.stats.invalid_messages += 1
+            return Action("drop", reason="lease revoke for another holder")
+        core.stats.lease_revocations += 1
+        self.table.revoke(revoke.key, revoke.epoch)
+        core.cache.invalidate_keys((revoke.key,))
+        if core.obs is not None:
+            core.obs.lease_revoked(core, revoke.key)
+        tag = yield from core.sign(
+            LeaseRevokeAck.auth_input(revoke.key, revoke.epoch, core.replica_id),
+            core.mac_cost_digest,
+        )
+        ack = LeaseRevokeAck(revoke.key, revoke.epoch, core.replica_id, tag)
+        return Action("send_lease_ack", dst=revoke.sender, message=ack)
+
+
 class LeaseDirectory:
     """Conservative per-replica mirror of grants seen in ordered slots."""
 
     def __init__(self):
         self._grants: dict[str, LeaseGrant] = {}
-
-    def __len__(self) -> int:
-        return len(self._grants)
 
     def observe(self, grant: LeaseGrant) -> None:
         held = self._grants.get(grant.key)
@@ -343,7 +499,7 @@ class LeaseGranter:
         self.replica = replica
         self.manager = manager  # leader-side granting/parking state
         self.directory = directory  # per-replica mirror of ordered grants
-        self.keys_fn: Callable = keys_fn or (lambda op: (op.key,))
+        self.keys_fn: Callable = keys_fn or single_key
         self.sink: Optional[Callable] = None  # executed grants -> enclave
         self.revoke_sink: Optional[Callable] = None  # self-revoke shortcut
         self._flush_armed = False

@@ -37,7 +37,6 @@ class CacheQuery:
         return b"CQ|" + request_digest + b"|" + asker.encode() + b"|" + nonce.to_bytes(8, "big")
 
 
-
 @dataclass(frozen=True)
 class BatchedReply:
     """All of one agreement batch's replies bound for one origin Troxy.

@@ -70,9 +70,9 @@ def test_one_group_builds_no_shard_machinery():
     one = build_troxy(seed=71, app_factory=KvStore)
     assert one.ring is None and one.router is None and one.migrator is None
     assert [g.group_id for g in one.groups] == ["g0"]
-    assert all(core.router is None for core in one.cores)
+    assert all(core.front is None for core in one.cores)
     two = build_troxy(seed=71, app_factory=KvStore, shards=2)
     assert two.router is not None and two.migrator is not None
-    assert all(core.router is two.router for core in two.cores)
+    assert all(core.front.router is two.router for core in two.cores)
     assert two.config is two.groups[0].config
     assert [r.replica_id for r in two.replicas[:3]] == list(one.config.replica_ids)

@@ -60,20 +60,28 @@ def test_lease_precedence(monkeypatch, keyword, config, env, expected):
         monkeypatch.setenv("REPRO_LEASES", env)
     built = build_troxy(seed=1, app_factory=KvStore, config=config, leases=keyword)
     assert built.config.leases == expected
-    # Off means not built: no lease counters, no lease-granting role.
-    assert all(c.leases_enabled == expected.enabled for c in built.cores)
+    # Off means not built: no lease counters, no lease-granting role,
+    # no lease holder in the enclave.
+    assert all((c.holder is not None) == expected.enabled for c in built.cores)
+    assert all((r.leasing is not None) == expected.enabled for r in built.replicas)
 
 
 def test_a_feature_that_is_off_is_not_constructed(monkeypatch):
-    """DESIGN.md D11: an absent role is an absent feature. The keywords
-    are explicit so the CI env legs cannot flip them."""
+    """DESIGN.md D11, D13: an absent role is an absent feature, in the
+    replica and in the enclave. The keywords are explicit so the CI env
+    legs cannot flip them."""
     from repro.hybster.batching import BatchAssembler, BatchPipeline
-    from repro.troxy.lease import LeaseDirectory, LeaseGranter, LeaseManager, LeaseTable
+    from repro.shard.front import ShardFront
+    from repro.shard.router import ShardRouter
+    from repro.troxy.lease import (
+        LeaseDirectory, LeaseGranter, LeaseHolder, LeaseManager, LeaseTable,
+    )
+    from repro.troxy.prober import FastReadProber
 
     feature_classes = (BatchAssembler, BatchPipeline, LeaseManager, LeaseDirectory,
-                       LeaseGranter, LeaseTable)
+                       LeaseGranter, LeaseTable, LeaseHolder, FastReadProber)
     built = []
-    for cls in feature_classes:
+    for cls in (*feature_classes, ShardFront, ShardRouter):
         init = cls.__init__
 
         def counting(self, *args, _init=init, _cls=cls, **kwargs):
@@ -82,9 +90,17 @@ def test_a_feature_that_is_off_is_not_constructed(monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", counting)
 
-    off = build_troxy(seed=1, app_factory=KvStore, batching="off", leases="off")
+    off = build_troxy(
+        seed=1, app_factory=KvStore, batching="off", leases="off", fast_reads=False
+    )
     assert built == []
     assert all(r.batching is None and r.leasing is None for r in off.replicas)
+    assert all(c.roles == (c,) and len(h.enclave.ecall_names) == 6
+               for c, h in zip(off.cores, off.hosts))
+    # The core declares its three role slots and no feature's state.
+    shaped = ("lease", "shard", "router", "nonce", "hint", "rng")
+    assert not [name for c in off.cores for name in vars(c) if any(s in name for s in shaped)]
+    assert all(c.prober is c.holder is c.front is None for c in off.cores)
     batchy = [name for r in off.replicas for name in vars(r) if "batch" in name]
     assert batchy == ["batch_reply_sink", "batching"] * len(off.replicas)
     assert not [name for r in off.replicas for name in vars(r) if "lease" in name]
@@ -96,6 +112,12 @@ def test_a_feature_that_is_off_is_not_constructed(monkeypatch):
         assert isinstance(replica.batching, BatchPipeline)
         assert isinstance(replica.leasing, LeaseGranter)
         assert replica.leasing.sink is not None and replica.leasing.revoke_sink is not None
+    assert all(len(h.enclave.ecall_names) == 11 for h in on.hosts)
+
+    del built[:]
+    sharded = build_troxy(seed=1, app_factory=KvStore, batching="off", leases="off", shards=2)
+    assert built.count(ShardFront) == len(sharded.cores) and built.count(ShardRouter) == 1
+    assert all(c.front.router is sharded.router for c in sharded.cores)
 
 
 def test_features_resolve_independently(monkeypatch):

@@ -2,6 +2,9 @@
 environment is read in one place."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -76,9 +79,44 @@ def test_hybster_imports_nothing_above_it():
     assert not offenders, offenders
 
 
-def test_no_hybster_module_outgrows_a_reviewer():
-    sizes = {
+def module_sizes(package):
+    return {
         path.name: len(path.read_text().splitlines())
-        for path in sorted((ROOT / "hybster").glob("*.py"))
+        for path in sorted((ROOT / package).glob("*.py"))
     }
+
+
+def test_no_hybster_module_outgrows_a_reviewer():
+    sizes = module_sizes("hybster")
     assert max(sizes.values()) <= 900, sizes
+
+
+def test_no_troxy_or_shard_module_outgrows_a_reviewer():
+    sizes = {**module_sizes("troxy"), **module_sizes("shard")}
+    assert max(sizes.values()) <= 900, sizes
+
+
+def test_troxy_imports_nothing_shard_shaped():
+    """The enclave's shard front lives in repro.shard and is attached by
+    the build (DESIGN.md D13), so a one-group deployment loads no shard
+    code at all."""
+    offenders = [
+        (rel, name)
+        for rel, tree in modules()
+        if rel.startswith("troxy/")
+        for name in imported_modules(rel, tree)
+        if name == "repro.shard" or name.startswith("repro.shard.")
+    ]
+    assert not offenders, offenders
+    code = (
+        "import sys; from repro.apps.kvstore import KvStore; "
+        "from repro.deploy import build_troxy; "
+        "build_troxy(app_factory=KvStore, shards=1, leases='on', batching='adaptive'); "
+        "loaded = sorted(m for m in sys.modules if m.startswith('repro.shard')); "
+        "assert not loaded, loaded"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

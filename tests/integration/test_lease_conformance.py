@@ -65,8 +65,11 @@ def test_leases_off_is_wire_identical_to_default(monkeypatch):
     off, off_results = run_workload("off", mixed_ops)
     assert off_results == default_results
     assert wire_trace(off) == wire_trace(default)
-    assert all(core.lease_table is None for core in off.cores)
-    assert all(not core.leases_enabled for core in off.cores)
+    assert all(core.holder is None for core in off.cores)
+    assert not any(
+        name in host.enclave.ecall_names
+        for host in off.hosts for name in ("install_leases", "handle_lease_revoke")
+    )
 
 
 def test_write_only_workload_is_wire_identical_with_leases_on():

@@ -25,10 +25,12 @@ from repro.hybster.messages import Reply, Request
 from repro.hybster.secure import seal_body
 from repro.sgx import Enclave
 from repro.deploy import build_troxy
+from repro.shard.front import ShardFront
 from repro.shard.ring import HashRing
 from repro.shard.router import ShardRouter
 from repro.sim import Environment, Network, RngTree
 from repro.troxy.core import TroxyCore
+from repro.troxy.prober import FastReadProber
 from repro.workloads.legacy import LegacyClient
 
 G0 = ("replica-0", "replica-1", "replica-2")
@@ -53,15 +55,15 @@ class Cell:
         if replica_id not in self.cores:
             node = self.net.add_node(replica_id)
             prefix = "" if replica_id in G0 else "g1-"
-            self.cores[replica_id] = TroxyCore(
+            core = self.cores[replica_id] = TroxyCore(
                 node=node,
                 enclave=Enclave(node, f"troxy-{replica_id}", code_identity="troxy-v1"),
                 replica_id=replica_id,
                 config=ClusterConfig(f=1, replica_prefix=prefix),
                 keyring=self.keyring,
-                rng=RngTree(5).derive(replica_id),
-                router=self.router,
             )
+            core.prober = FastReadProber(core, RngTree(5).derive(replica_id))
+            core.front = ShardFront(core, self.router)
         return self.cores[replica_id]
 
     def drive(self, generator):
@@ -155,7 +157,7 @@ def test_ordered_ops_target_the_hinted_leader_reads_keep_the_index(cell):
 def test_reads_that_will_be_ordered_anyway_go_to_the_leader(cell):
     key = _g1_key(cell.router)
     core = cell.core(FRONT)
-    core.fast_reads = False  # leases are off by default as well
+    core.prober = None  # leases are off by default as well
     rid, _action = cell.submit(write(key))
     cell.decide(rid, write(key))
     _rid, action = cell.submit(read(key))
@@ -190,7 +192,7 @@ def test_a_fully_forged_view_costs_one_relay_and_no_more(cell):
     # like any other and hands its replica an ordinary "order": the
     # replica's submit() relays that to the true leader, exactly the
     # hop same-index forwarding always paid. Safety never saw the hint.
-    landed = cell.drive(cell.core(action.dst).handle_forwarded_request(action.forward))
+    landed = cell.drive(cell.core(action.dst).front.handle_forwarded_request(action.message))
     assert landed.kind == "order"
     assert landed.request.origin == FRONT
     # The true (lower) view never pulls the hint back down, so the cost
@@ -246,17 +248,17 @@ def test_straggler_reforward_converges_at_the_original_origin(cell):
     key = _key_of(cell.router, "g0")
     rid, action = cell.submit(write(key), front="g1-replica-1")
     assert (action.kind, action.dst) == ("forward", "replica-1")
-    in_flight = action.forward
+    in_flight = action.message
     cell.router.ring.apply_move([cell.router.ring.token_of_key(key)], "g1")
 
-    passed_on = cell.drive(cell.core("replica-1").handle_forwarded_request(in_flight))
+    passed_on = cell.drive(cell.core("replica-1").front.handle_forwarded_request(in_flight))
     assert passed_on.kind == "forward" and passed_on.dst in G1
-    assert passed_on.forward.forwarder == "replica-1"
-    assert passed_on.forward.request.origin == "g1-replica-1"
+    assert passed_on.message.forwarder == "replica-1"
+    assert passed_on.message.request.origin == "g1-replica-1"
     assert cell.core("replica-1").stats.reforwards == 1
 
     landed = cell.drive(
-        cell.core(passed_on.dst).handle_forwarded_request(passed_on.forward)
+        cell.core(passed_on.dst).front.handle_forwarded_request(passed_on.message)
     )
     assert landed.kind == "order" and landed.request.origin == "g1-replica-1"
     # The replies of g1 (now the owner) decide the entry the fronting
@@ -284,7 +286,7 @@ def test_a_straggler_decided_by_the_new_owner_leaves_the_old_hint_alone(cell):
     ring.apply_move([ring.token_of_key(moving)], "g1")
     # g1, in view 1, orders the passed-on straggler and answers for it.
     cell.decide(straggler, write(moving), views=(1, 1), front=front)
-    assert cell.core(front)._leader_hint["g0"][0] == 0
+    assert cell.core(front).front._leader_hint["g0"][0] == 0
     _rid, action = cell.submit(write(staying), front=front)
     assert action.dst == "replica-0"
 
@@ -368,5 +370,5 @@ def test_cross_shard_clients_alone_get_a_dead_owner_leader_replaced():
     # live same-index replica learned the new view: the last writes
     # went to the new leader directly. (replica-0's same-index peer is
     # the dead server itself; its clients failed over, as they always did.)
-    hints = [core._leader_hint.get("g1") for core in cluster.groups[0].cores]
+    hints = [core.front._leader_hint.get("g1") for core in cluster.groups[0].cores]
     assert [view for view, _decided_at in hints[1:]] == [1, 1]

@@ -11,6 +11,7 @@ from repro.sim import Environment, Network, RngTree
 from repro.sgx import Enclave
 from repro.troxy.core import TroxyCore
 from repro.troxy.messages import CacheEntryReply, CacheQuery
+from repro.troxy.prober import FastReadProber
 
 
 @pytest.fixture
@@ -26,8 +27,8 @@ def harness():
         replica_id="replica-0",
         config=ClusterConfig(f=1),
         keyring=keyring,
-        rng=RngTree(5).derive("t"),
     )
+    core.prober = FastReadProber(core, RngTree(5).derive("t"))
     return env, node, core, keyring
 
 
@@ -121,13 +122,13 @@ def test_matching_cache_reply_completes_fast_read(harness):
     answer = CacheEntryReply(
         query.request_digest, cached.result_digest(), responder, query.nonce, tag
     )
-    final = drive(env, core.handle_cache_entry_reply(answer))
+    final = drive(env, core.prober.handle_cache_entry_reply(answer))
     assert final.kind == "reply"
     assert final.dst == "m"
     # The sealed reply opens on the client's endpoint.
     from repro.hybster.secure import open_body
 
-    reply = open_body(session.client, final.envelope)
+    reply = open_body(session.client, final.message)
     assert reply.result.content == b"cached"
     assert core.stats.fast_read_hits == 1
 
@@ -145,7 +146,7 @@ def test_mismatching_cache_reply_falls_back_to_ordering(harness):
         CacheEntryReply.auth_input(query.request_digest, stale_digest, responder, query.nonce)
     )
     answer = CacheEntryReply(query.request_digest, stale_digest, responder, query.nonce, tag)
-    final = drive(env, core.handle_cache_entry_reply(answer))
+    final = drive(env, core.prober.handle_cache_entry_reply(answer))
     assert final.kind == "order"
     assert core.stats.fast_read_conflicts == 1
     # The possibly-outdated local entry was dropped.
@@ -155,7 +156,7 @@ def test_mismatching_cache_reply_falls_back_to_ordering(harness):
 def test_forged_cache_query_rejected(harness):
     env, node, core, keyring = harness
     bogus = CacheQuery(b"\x00" * 32, "replica-1", 7, b"\x00" * 32)
-    action = drive(env, core.answer_cache_query(bogus))
+    action = drive(env, core.prober.answer_cache_query(bogus))
     assert action.kind == "drop"
     assert core.stats.invalid_messages == 1
 

@@ -4,14 +4,17 @@ import pytest
 
 from repro.apps.kvstore import KvStore, get, put
 from repro.deploy import build_troxy
+from repro.troxy import TROXY_ECALLS, FastReadProber, TroxyCore
 from repro.troxy.core import Action
-from repro.troxy.host import TROXY_ECALLS
 
 
 def test_ecall_table_is_the_declared_interface():
-    cluster = build_troxy(seed=41, app_factory=KvStore)
+    cluster = build_troxy(seed=41, app_factory=KvStore, leases="off")
     host = cluster.hosts[0]
-    assert set(TROXY_ECALLS).issubset(set(host.enclave.ecall_names))
+    # Exactly the roles this deployment has (tests/troxy/test_roles.py
+    # walks the feature sets): the full table holds four names more.
+    assert set(host.enclave.ecall_names) == {*TroxyCore.ecalls, *FastReadProber.ecalls}
+    assert set(host.enclave.ecall_names) < set(TROXY_ECALLS) and len(TROXY_ECALLS) == 13
     # Plus Hybster's trusted-subsystem calls on its own boundary.
     replica_boundary = cluster.replicas[0].boundary
     assert "certify_order" in replica_boundary.ecall_names

@@ -23,7 +23,8 @@ from repro.sgx.sealed import SealedStorage
 from repro.sim import Environment, Network, RngTree
 from repro.sgx import Enclave
 from repro.troxy.core import TroxyCore
-from repro.troxy.lease import LeaseManager
+from repro.troxy.lease import LeaseHolder, LeaseManager
+from repro.troxy.prober import FastReadProber
 from repro.troxy.messages import LeaseRevoke
 
 MASTER = b"master-secret-00"
@@ -48,9 +49,9 @@ def harness():
         replica_id="replica-0",
         config=config,
         keyring=keyring,
-        rng=RngTree(5).derive("t"),
-        counters=counters,
     )
+    core.prober = FastReadProber(core, RngTree(5).derive("t"))
+    core.holder = LeaseHolder(core, counters)
     return env, node, core, keyring
 
 
@@ -101,13 +102,13 @@ def test_vote_after_lease_revoke_cannot_resurrect_entry(harness):
     then the read's f+1 vote completes: the voted result must NOT be
     installed — the revoke's epoch bump outdates the vote."""
     env, node, core, keyring = harness
-    assert core.leases_enabled and core.lease_table is not None
+    assert isinstance(core.holder, LeaseHolder)
 
     # Install a live lease on "k" at this holder.
     manager, grants = leader_grant(core, keyring)
-    drive(env, core.install_leases(grants))
+    drive(env, core.holder.install_leases(grants))
     assert core.stats.lease_grants_installed == 1
-    assert core.lease_table.valid("k", env.now)
+    assert core.holder.table.valid("k", env.now)
 
     # An ordered read enters the vote pipeline (cold cache: the lease
     # path orders it to warm a voted entry). install_epoch snapshots now.
@@ -120,9 +121,9 @@ def test_vote_after_lease_revoke_cannot_resurrect_entry(harness):
     # The lease is revoked before the vote completes (a writer showed
     # up at the leader). Same epoch source: the key epoch moves.
     revoke = signed_revoke(keyring, grants[0])
-    ack_action = drive(env, core.handle_lease_revoke(revoke))
+    ack_action = drive(env, core.holder.handle_lease_revoke(revoke))
     assert ack_action.kind == "send_lease_ack"
-    assert not core.lease_table.valid("k", env.now)
+    assert not core.holder.table.valid("k", env.now)
     assert core.cache.key_epoch(("k",)) > epoch_at_order
 
     # f+1 = 2 matching votes now arrive for the (pre-write) read result.
@@ -163,10 +164,10 @@ def test_revoke_fences_reinstall_of_same_grant(harness):
     the sealed counter — revocation burns the epoch."""
     env, node, core, keyring = harness
     manager, grants = leader_grant(core, keyring)
-    drive(env, core.install_leases(grants))
+    drive(env, core.holder.install_leases(grants))
     revoke = signed_revoke(keyring, grants[0])
-    drive(env, core.handle_lease_revoke(revoke))
+    drive(env, core.holder.handle_lease_revoke(revoke))
 
-    drive(env, core.install_leases(grants))  # replay
+    drive(env, core.holder.install_leases(grants))  # replay
     assert core.stats.lease_grants_fenced == 1
-    assert not core.lease_table.valid("k", env.now)
+    assert not core.holder.table.valid("k", env.now)

@@ -338,13 +338,14 @@ def test_probe_deadline_that_falls_due_while_stopped_runs_after_restart():
 
     cluster.env.process(reader())
     cluster.env.run(until=cluster.env.now + 0.01)
-    assert len(core._fast_reads) == 1 and len(host._probes) == 1
+    (nonce,) = host._probes
+    assert core.probe_request(nonce).op == get("k")
     host.stop()
     cluster.env.run(until=cluster.env.now + 0.2)  # deadline passes, host down
-    assert len(core._fast_reads) == 1
+    assert core.probe_request(nonce) is not None
     host.restart()
     cluster.env.run(until=cluster.env.now + 1.0)
-    assert not core._fast_reads and not host._probes
+    assert core.probe_request(nonce) is None and not host._probes
     assert core.stats.fast_read_timeouts == 1
     # The read fell back to ordering and the client, still waiting on
     # this server, got its answer without a retry.
