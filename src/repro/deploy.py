@@ -44,6 +44,7 @@ from .sgx.enclave import SGX_ECALL, Enclave, jni_enclave, null_enclave
 from .sgx.sealed import SealedStorage
 from .sim.engine import Environment
 from .sim.network import LatencyModel, Network, NicConfig, NormalLatency, UniformLatency
+from .sim.probe import Probe
 from .sim.rng import RngTree
 from .sim.trace import Tracer
 from .troxy.cache import FastReadCache
@@ -189,6 +190,7 @@ class Deployment:
 
     env: Environment
     rng: RngTree
+    probe: Probe
     tracer: Tracer
     net: Network
     keyring: KeyRing
@@ -272,15 +274,20 @@ class Deployment:
 
 
 def _site(seed: int, trace: bool, attested: bool = True) -> Deployment:
-    """The empty testbed: clock, RNG tree, tracer, LAN, key ring and
-    (for systems with enclaves) the attestation service."""
+    """The empty testbed: clock, RNG tree, probe bus, LAN, key ring and
+    (for systems with enclaves) the attestation service. The trace log
+    is the bus's first subscriber when ``trace`` asks for it."""
     env = Environment()
     rng = RngTree(seed)
+    probe = Probe(env)
     tracer = Tracer(enabled=trace)
-    net = Network(env, rng_tree=rng, default_latency=LAN_LATENCY, tracer=tracer)
+    if trace:
+        probe.subscribe(tracer)
+    net = Network(env, rng_tree=rng, default_latency=LAN_LATENCY, probe=probe)
     return Deployment(
         env=env,
         rng=rng,
+        probe=probe,
         tracer=tracer,
         net=net,
         keyring=KeyRing(MASTER_SECRET),
@@ -324,7 +331,9 @@ def _hybster_server(
     # Hybster's own trusted subsystem runs in SGX reached over JNI. The
     # enclave is attested, then provisioned with the group secret; its
     # counters live in sealed storage (they survive enclave reboots).
-    boundary = jni_enclave(node, f"tss-{replica_id}", code_identity="hybster-tss-v1")
+    boundary = jni_enclave(
+        node, f"tss-{replica_id}", code_identity="hybster-tss-v1", probe=site.probe
+    )
     provisioned = provision_keys(
         site.attestation, replica_id, boundary, boundary.measurement, site.keyring
     )
@@ -343,7 +352,7 @@ def _hybster_server(
         keyring=site.keyring,
         counters=counters,
         trusted_boundary=boundary,
-        tracer=site.tracer,
+        probe=site.probe,
         owns_inbox=owns_inbox,
     )
 
@@ -376,14 +385,16 @@ def _troxy_server(
         enclave_kwargs = {} if epc_bytes is None else {"epc_bytes": epc_bytes}
         troxy_enclave = Enclave(
             node, f"troxy-{replica_id}", code_identity="troxy-v1",
-            costs=SGX_ECALL, **enclave_kwargs,
+            costs=SGX_ECALL, probe=site.probe, **enclave_kwargs,
         )
         runtime = "cpp_sgx"
     elif boundary == "jni":
-        troxy_enclave = jni_enclave(node, f"troxy-{replica_id}", code_identity="troxy-v1")
+        troxy_enclave = jni_enclave(
+            node, f"troxy-{replica_id}", code_identity="troxy-v1", probe=site.probe
+        )
         runtime = "cpp"
     else:
-        troxy_enclave = null_enclave(node, f"troxy-{replica_id}")
+        troxy_enclave = null_enclave(node, f"troxy-{replica_id}", probe=site.probe)
         runtime = "cpp"
     # The Troxy enclave is attested before receiving the cluster keys.
     provisioned = provision_keys(
@@ -425,6 +436,7 @@ def _troxy_server(
             troxy_enclave, max_entries=cache_entries, store_outside=cache_outside
         ),
         monitor=monitor_factory() if monitor_factory else ConflictMonitor(),
+        probe=site.probe,
     )
     # The enclave's roles (DESIGN.md D13): one per feature that is on.
     if fast_reads:
@@ -443,6 +455,7 @@ def _troxy_server(
         core=core,
         enclave=troxy_enclave,
         query_timeout=query_timeout,
+        probe=site.probe,
     )
     return replica, host, core
 

@@ -120,8 +120,9 @@ class FaultPlane:
         #: per-replica counter snapshots taken right before each enclave
         #: reboot (input to the counter-monotonicity invariant).
         self.counter_baselines: dict[str, list[dict[str, int]]] = {}
-        #: per-replica ecall counts observed through the enclave taps.
+        #: per-replica Troxy-enclave ecall counts, from the probe bus.
         self.ecall_counts: dict[str, int] = {}
+        self._troxy_enclaves = {h.enclave.name: h.replica_id for h in cluster.hosts}
         self.attacks: dict[Fault, list[AttackState]] = {}
         self._retired_hits: dict[Fault, int] = {}
         self._retired_kind_hits: dict[str, int] = {}
@@ -130,8 +131,7 @@ class FaultPlane:
         #: plane (campaign blame scoring needs more than describe()).
         self.fault_timeline: list[tuple[str, float, Fault]] = []
         self._filter_installed = False
-        for host in cluster.hosts:
-            host.enclave.ecall_taps.append(self._ecall_tap(host.replica_id))
+        cluster.probe.subscribe(self)
 
     # -- cluster access --------------------------------------------------------
 
@@ -147,11 +147,13 @@ class FaultPlane:
                 return host
         return None
 
-    def _ecall_tap(self, replica_id: str):
-        def tap(_name: str) -> None:
-            self.ecall_counts[replica_id] = self.ecall_counts.get(replica_id, 0) + 1
+    # -- probe-bus subscriber: enclave activity per replica -------------------
 
-        return tap
+    def begin(self, _t, kind: str, _node, _subject, attrs: dict) -> None:
+        if kind == "enclave.ecall":
+            replica_id = self._troxy_enclaves.get(attrs["enclave"])
+            if replica_id is not None:
+                self.ecall_counts[replica_id] = self.ecall_counts.get(replica_id, 0) + 1
 
     # -- entry points ----------------------------------------------------------
 

@@ -144,8 +144,8 @@ class BatchPipeline:
     def enqueue(self, request: Request) -> None:
         replica = self.replica
         self.assembler.enqueue(request, replica.env.now)
-        if replica.obs is not None:
-            replica.obs.queue_enter(replica, request)
+        if replica.probe.on:
+            replica.probe.event("hybster.queue", replica.node.name, request)
         self._signal.put(True)
 
     def slot_opened(self, seq: int) -> None:
@@ -164,10 +164,11 @@ class BatchPipeline:
         leadership loss). Un-registering them from ``_inflight`` lets
         client retransmissions be ordered again later."""
         replica = self.replica
-        for request in self.assembler.drain():
+        dropped = self.assembler.drain()
+        for request in dropped:
             replica._inflight.discard((request.client_id, request.request_id))
-            if replica.obs is not None:
-                replica.obs.queue_drop(replica, request)
+        if replica.probe.on:
+            replica.probe.event("hybster.queue_drop", replica.node.name, dropped)
         self._inflight_seqs.clear()
 
     def _loop(self, generation: int):
@@ -205,9 +206,6 @@ class BatchPipeline:
                 requests = batcher.take()
                 if not requests:
                     return
-                if replica.obs is not None:
-                    for request in requests:
-                        replica.obs.queue_leave(replica, request, reason, len(requests))
                 payload = requests[0] if len(requests) == 1 else Batch(requests)
                 stats.batches_sent += 1
                 stats.batched_requests += len(requests)
@@ -216,12 +214,12 @@ class BatchPipeline:
                 depth = inflight + 1
                 if depth > stats.max_pipeline_depth:
                     stats.max_pipeline_depth = depth
-                if replica.tracer.enabled:
-                    replica._trace(
-                        "proto.batch", f"n={len(requests)} reason={reason} depth={depth}"
+                if replica.probe.on:
+                    # One fact: these requests left the queue as one batch.
+                    replica.probe.event(
+                        "hybster.batch", replica.node.name, requests,
+                        reason=reason, depth=depth,
                     )
-                if replica.obs is not None:
-                    replica.obs.batch_flush(replica, len(requests), reason, depth)
                 yield from replica._order(payload)
                 continue
             deadline = batcher.deadline

@@ -104,7 +104,7 @@ class Checkpointer:
             entry = replica.log.get(seq)
             if entry is not None and entry.order is not None:
                 yield from replica.node.compute(replica._tx_cost(entry.order.wire_size))
-                replica._send(tagged.sender, entry.order, trace=f"refetch seq={seq}")
+                replica._send(tagged.sender, entry.order, refetch=seq)
 
     # -- state transfer ------------------------------------------------------------
 
@@ -135,7 +135,7 @@ class Checkpointer:
         yield from replica.send_tagged(
             response, tagged.sender,
             extra=replica.profile.hash_cost(len(response.snapshot)),
-            trace=f"state@{response.seq}",
+            state=response.seq,
         )
 
     def _handle_state_response(self, tagged: Tagged):
@@ -170,7 +170,8 @@ class Checkpointer:
         }
         replica.stats.state_transfers += 1
         self.truncate_log()
-        replica._trace("proto.statetransfer", f"installed state@{response.seq}")
+        if replica.probe.on:
+            replica.probe.event("proto.statetransfer", replica.replica_id, seq=response.seq)
         replica.viewchange.progress_made()
         if response.high_water >= replica.next_exec:
             # Fetch the slots committed after the checkpoint; peers still

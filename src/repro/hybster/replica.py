@@ -45,7 +45,7 @@ from ..sgx.enclave import Enclave
 from ..sim.engine import Environment, Process
 from ..sim.network import Network, Node
 from ..sim.resources import Resource, Store
-from ..sim.trace import Tracer
+from ..sim.probe import Probe
 from .batching import BatchPipeline
 from .checkpoint import Checkpointer
 from .config import ClusterConfig
@@ -125,7 +125,7 @@ class Replica:
         keyring: KeyRing,
         counters: TrustedCounterSubsystem,
         trusted_boundary: Enclave,
-        tracer: Optional[Tracer] = None,
+        probe: Optional[Probe] = None,
         owns_inbox: bool = True,
     ):
         self.env = env
@@ -137,7 +137,8 @@ class Replica:
         self.keyring = keyring
         self.counters = counters
         self.boundary = trusted_boundary
-        self.tracer = tracer or Tracer(enabled=False)
+        # Where this replica and its roles report (repro.sim.probe).
+        self.probe = probe if probe is not None else Probe(env)
         self.profile: RuntimeProfile = cost_profile(config.runtime)
         self.stats = ReplicaStats()
 
@@ -201,9 +202,6 @@ class Replica:
         # offered to the filter first; returning False swallows it
         # (models a mute/selectively-deaf replica without touching links).
         self.dispatch_filter: Optional[Callable[[object], bool]] = None
-        # Optional observability plane (repro.obs): spans around
-        # ordering and execution, commit events, certify attribution.
-        self.obs = None
 
         # Trusted-subsystem entry points (three of Hybster's boundary
         # crossings); each certify pays the crossing plus one MAC.
@@ -334,25 +332,16 @@ class Replica:
 
     # -- outbound -----------------------------------------------------------------
 
-    def _trace(self, kind: str, detail: str) -> None:
-        self.tracer.record(self.env.now, kind, self.replica_id, detail)
-
-    def _send(self, dst: str, msg, trace: str = "") -> None:
-        if self.tracer.enabled:
-            self._trace("proto.send", f"{type(msg).__name__}->{dst} {trace}")
+    def _send(self, dst: str, msg, **what) -> None:
+        """``what`` names what the message carries (``seq=``, ``client=``
+        and ``rid=``, ...) for whoever reads ``proto.send``."""
+        if self.probe.on:
+            self.probe.event("proto.send", self.replica_id, msg, dst=dst, **what)
         self.net.send(self.node.name, dst, msg)
 
-    def _broadcast(self, msg, trace: str = "") -> None:
+    def _broadcast(self, msg, **what) -> None:
         for rid in self._peers:
-            self._send(rid, msg, trace)
-
-    def _request_trace(self, request: Request) -> str:
-        """Per-request trace label for relayed/forwarded requests, so a
-        request stays attributable in the trace once batching aggregates
-        the downstream ordering records."""
-        if not self.tracer.enabled:
-            return ""
-        return f"client={request.client_id} rid={request.request_id}"
+            self._send(rid, msg, **what)
 
     # -- tagged (non-counter) messages: one way out, one way in --------------------
 
@@ -361,7 +350,7 @@ class Replica:
         key = self.keyring.troxy_instance(self.replica_id)
         return Tagged(msg, self.replica_id, key.sign(msg.auth_bytes()))
 
-    def send_tagged(self, msg, dst=None, size=None, extra: float = 0.0, trace: str = ""):
+    def send_tagged(self, msg, dst=None, size=None, extra: float = 0.0, **what):
         """Charge send + one MAC (+ ``extra``) in one core occupancy, tag
         ``msg`` and send it to ``dst``: a node, :attr:`LEADER`, or None
         for every peer. ``size`` overrides the charged size (a Forward
@@ -370,9 +359,9 @@ class Replica:
         yield from self.node.compute(self._tx_cost(size) + self._mac_cost_const + extra)
         tagged = self._tagged(msg)
         if dst is None:
-            self._broadcast(tagged, trace)
+            self._broadcast(tagged, **what)
         else:
-            self._send(self.leader_id if dst is self.LEADER else dst, tagged, trace)
+            self._send(self.leader_id if dst is self.LEADER else dst, tagged, **what)
 
     def open_tagged(self, tagged: Tagged, extra: float = 0.0):
         """The one tagged-message check. Charges receive + one MAC (+
@@ -498,9 +487,11 @@ class Replica:
                 # Retransmission through a (possibly new) contact point:
                 # fan out so every replica re-emits its cached reply to the
                 # request's current origin (needed for Troxy failover).
+                # Named per request: it stays attributable in the trace
+                # once batching aggregates the ordering records.
                 yield from self.send_tagged(
                     Forward(request, self.replica_id), size=request.wire_size,
-                    trace=self._request_trace(request),
+                    client=request.client_id, rid=request.request_id,
                 )
             return
         if self._view_change_pending is not None:
@@ -515,7 +506,7 @@ class Replica:
         elif relay:
             yield from self.send_tagged(
                 Forward(request, self.replica_id), self.LEADER, size=request.wire_size,
-                trace=self._request_trace(request),
+                client=request.client_id, rid=request.request_id,
             )
             self.viewchange.note_progress_needed()
         else:
@@ -556,9 +547,8 @@ class Replica:
         amortization is the point of batching."""
         if not self.is_leader:
             return
-        span = None
-        if self.obs is not None:
-            span = self.obs.order_begin(self, payload)
+        probe = self.probe
+        token = probe.begin("hybster.order", self.node.name, payload) if probe.on else None
         seq = -1
         try:
             # The trusted order counter is a single monotonic resource:
@@ -577,26 +567,28 @@ class Replica:
                 # strip or alter them in a relayed ORDER (docs/READS.md).
                 grants = () if self.leasing is None else self.leasing.grants_for_slot(seq)
                 content = Order.content_digest(self.view, seq, payload_digest, grants)
-                if self.obs is not None:
-                    self.obs.certify_scope(self.node.name, payload)
+                if probe.on:
+                    # The crossing carries (counter, value, digest) only:
+                    # say whose slot this node certifies meanwhile.
+                    probe.event("hybster.certify", self.node.name, payload)
                 cert = yield from self.certify(
                     "certify_order", Order.counter(self.view), seq, content
                 )
             finally:
-                if self.obs is not None:
-                    self.obs.certify_scope_end(self.node.name)
+                if probe.on:
+                    probe.event("hybster.certified", self.node.name)
                 self._order_lock.release()
             order = Order(self.view, seq, payload, cert, self.replica_id, grants)
             entry = self._install_order(order)
             entry.commit_senders[self.replica_id] = cert  # the ORDER is the leader's commit
             yield from self.node.compute(self._tx_cost(order.wire_size))
-            self._broadcast(order, trace=f"seq={seq}" if self.tracer.enabled else "")
+            self._broadcast(order, seq=seq)
             self.stats.orders_sent += 1
             self.viewchange.note_progress_needed()
             self._maybe_committed(seq)
         finally:
-            if span is not None:
-                self.obs.order_end(span, seq)
+            if token is not None:
+                probe.end(token, seq=seq)
 
     def _install_order(self, order: Order) -> LogEntry:
         """Install an order into its log slot, maintaining the backlog count."""
@@ -649,7 +641,7 @@ class Replica:
         commit = Commit(order.view, order.seq, request_digest, cert, self.replica_id)
         entry.commit_senders[self.replica_id] = cert
         yield from self.node.compute(self._tx_cost(commit.wire_size))
-        self._broadcast(commit, trace=f"seq={order.seq}" if self.tracer.enabled else "")
+        self._broadcast(commit, seq=order.seq)
         self.stats.commits_sent += 1
         self.viewchange.note_progress_needed()
         self._maybe_committed(order.seq)
@@ -709,16 +701,8 @@ class Replica:
             return
         if len(entry.commit_senders) >= self.config.commit_quorum:
             entry.committed = True
-            if self.tracer.enabled:
-                self._trace("proto.commit", f"seq={seq}")
-            if self.obs is not None:
-                payload = entry.order.request
-                requests = (
-                    payload.requests if type(payload) is Batch else (payload,)
-                )
-                for request in requests:
-                    if request.client_id != NOOP_REQUEST_CLIENT:
-                        self.obs.order_committed(self, request, seq)
+            if self.probe.on:
+                self.probe.event("hybster.commit", self.node.name, entry.order.request, seq=seq)
             if self.batching is not None:
                 self.batching.slot_committed(seq)
             self._exec_signal.put(seq)
@@ -775,9 +759,10 @@ class Replica:
         suppression; returns the reply. With ``emit`` the reply goes to
         the reply sink inside the execute span (an unbatched slot); a
         batch collects its replies for one sink call instead."""
-        span = None
-        if self.obs is not None:
-            span = self.obs.execute_begin(self, request, seq)
+        probe = self.probe
+        token = None
+        if probe.on:
+            token = probe.begin("hybster.execute", self.node.name, request, seq=seq)
         try:
             yield from self.node.compute(self.app.execution_cost(request.op))
             reply = self._reply_to(request, self.app.execute(request.op))
@@ -785,15 +770,16 @@ class Replica:
             self._last_reply[request.client_id] = reply
             self._inflight.discard((request.client_id, request.request_id))
             self.stats.executions += 1
-            if self.tracer.enabled:
-                self._trace("proto.execute",
-                            f"seq={seq} client={request.client_id} rid={request.request_id}")
+            if probe.on:
+                # Logged when the state machine ran; the span above also
+                # covers handing the reply to its sink.
+                probe.event("proto.execute", self.replica_id, request, seq=seq)
             if emit:
                 yield from self.reply_sink(request, reply, True)
             return reply
         finally:
-            if span is not None:
-                self.obs.execute_end(span)
+            if token is not None:
+                probe.end(token)
 
     def _reply_to(self, request: Request, result: Payload) -> Reply:
         return Reply(
@@ -824,8 +810,8 @@ class Replica:
             return
         yield from self.node.compute(self.profile.aead_cost(reply.wire_size))
         envelope = seal_body(endpoint, reply)
-        if self.tracer.enabled:
-            self._trace("proto.send", f"reply rid={reply.request_id} ->{request.origin}")
+        if self.probe.on:
+            self.probe.event("proto.reply", self.replica_id, reply, dst=request.origin)
         # Baseline replies ride the shared library connection to the
         # client machine (one client-side library process per machine).
         self.net.send(self.node.name, request.origin, envelope)

@@ -76,6 +76,12 @@ class ViewChanger:
 
     # -- ViewChange ------------------------------------------------------------------
 
+    def _note(self, kind: str, **attrs) -> None:
+        """Report a step of the (rare) view-change path."""
+        replica = self.replica
+        if replica.probe.on:
+            replica.probe.event(kind, replica.replica_id, **attrs)
+
     def _certify_next(self, counter: str, content: bytes):
         replica = self.replica
         replica._ensure_counter(counter)
@@ -107,7 +113,7 @@ class ViewChanger:
             new_view, replica.stable_seq, replica.stable_snapshot, prepared,
             replica.replica_id, cert,
         )
-        replica._trace("proto.viewchange", f"view={new_view}")
+        self._note("proto.viewchange", view=new_view)
         self._votes.setdefault(new_view, {})[vc.sender] = vc
         yield from replica.node.compute(replica._tx_cost(vc.wire_size))
         replica._broadcast(vc)
@@ -220,7 +226,7 @@ class ViewChanger:
         )
         yield from replica.node.compute(replica._tx_cost(new_view_msg.wire_size))
         replica._broadcast(new_view_msg)
-        replica._trace("proto.newview", f"view={new_view}")
+        self._note("proto.newview", view=new_view)
         for seq in sorted(union):
             replica._maybe_committed(seq)
         self.progress_made()
@@ -259,7 +265,7 @@ class ViewChanger:
                 entry.order = None
                 entry.committed = False
                 entry.commit_senders = {}
-        replica._trace("proto.newview", f"installed view={nv.view}")
+        self._note("proto.newview", view=nv.view, installed=True)
         yield replica._order_lock.request()
         try:
             for order in sorted(nv.orders, key=lambda o: o.seq):

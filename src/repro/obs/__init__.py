@@ -10,11 +10,10 @@ voting → fast-read cache), and deterministic exporters
 trace-event JSON loadable in Perfetto.
 
 Wiring happens through :class:`~repro.obs.probes.ObsPlane`, which
-attaches to a running cluster using the hooks the layers already expose
-(enclave ecall observation, network send filters, conflict-monitor
-switch hooks, replica/core emission points) — the protocol logic is
-never forked, and an attached plane schedules **no** simulation events,
-so observed and unobserved runs are event-for-event identical.
+subscribes to a deployment's probe bus (:mod:`repro.sim.probe`), the
+one place every layer reports to — the protocol logic is never forked,
+and an attached plane schedules **no** simulation events, so observed
+and unobserved runs are event-for-event identical.
 
 All timestamps are simulated time; two same-seed runs produce
 byte-identical exports. ``python -m repro.obs`` runs a workload and

@@ -42,7 +42,7 @@ def run_workload(
     the occasional write invalidates entries. ``batching`` takes a
     :class:`repro.hybster.config.BatchConfig` (or the string presets
     accepted by the builders) so critical-path attribution can watch
-    the batch-queue phase appear; ``plane`` substitutes a subclass
+    the batch-queue phase appear; ``plane`` substitutes another plane
     (e.g. a :class:`~repro.obs.health.HealthPlane`)."""
     plane = plane if plane is not None else ObsPlane()
     source = mixed_source(write_ratio, random.Random(seed), key_space=key_space)

@@ -1,6 +1,6 @@
 """The audit plane: health detection + ledgers + blame attribution.
 
-:class:`AuditPlane` extends the health plane with ledger probes and an
+:class:`AuditPlane` composes a health plane, ledger probes and an
 :class:`~repro.obs.audit.auditor.Auditor`. The detector→auditor trigger
 is explicit: reconciliation runs at ``finalize()`` only when at least
 one health event fired during the run, so a healthy cluster pays the
@@ -23,8 +23,11 @@ from .bundle import build_bundle
 from .probes import LedgerProbes
 
 
-class AuditPlane(HealthPlane):
-    """Health plane + tamper-evident ledgers + automated blame."""
+class AuditPlane:
+    """A health plane (``.health``) + tamper-evident ledgers (``.probes``)
+    + automated blame. Whatever it does not define itself (``registry``,
+    ``spans``, ``events``, ``flight``, ``health_report``, ``wrap_clients``,
+    ...) is its health plane's."""
 
     def __init__(
         self,
@@ -34,7 +37,7 @@ class AuditPlane(HealthPlane):
         auditor: Optional[Auditor] = None,
         **health_kwargs,
     ):
-        super().__init__(registry=registry, window=window, **health_kwargs)
+        self.health = HealthPlane(registry=registry, window=window, **health_kwargs)
         self.probes = LedgerProbes(
             registry=self.registry, checkpoint_interval=checkpoint_interval
         )
@@ -43,6 +46,9 @@ class AuditPlane(HealthPlane):
         self._group_key = None
         self._reconciled = False
 
+    def __getattr__(self, name):
+        return getattr(self.health, name)
+
     @property
     def ledgers(self) -> dict:
         return self.probes.ledgers
@@ -50,15 +56,20 @@ class AuditPlane(HealthPlane):
     def attach(self, cluster) -> "AuditPlane":
         if self.cluster is cluster:
             return self
-        super().attach(cluster)
+        self.health.attach(cluster)
         self.probes.attach(cluster)
         self._group_key = cluster.keyring.troxy_group()
         if self.auditor.group_key is None:
             self.auditor.group_key = self._group_key
         return self
 
+    def detach(self) -> "AuditPlane":
+        self.health.detach()
+        self.probes.detach()
+        return self
+
     def finalize(self) -> int:
-        unfinished = super().finalize()
+        unfinished = self.health.finalize()
         if self.events and not self._reconciled:
             # Detector→auditor trigger: a health event fired, so
             # reconcile the ledgers and attribute blame.

@@ -1,13 +1,14 @@
-"""Duck-typed ledger probes on the network send and delivery paths.
+"""Ledger probes on the network send and delivery paths.
 
-One send filter plus one delivery tap cover every protocol path —
-hybster ORDER/COMMIT traffic, troxy replies, client requests — because
-all of them go through :meth:`repro.sim.network.Network.send`. The send
-filter is installed at ``attach()`` time, *before* the fault plane's
-lazily-installed filter, so send entries record the digest of what the
-host's protocol stack actually emitted (the certified history); the
-delivery tap records what physically arrived. The difference between
-the two is exactly the tamper evidence the auditor needs.
+One send filter plus the bus's ``net.deliver`` event cover every
+protocol path — hybster ORDER/COMMIT traffic, troxy replies, client
+requests — because all of them go through
+:meth:`repro.sim.network.Network.send`. The send filter is installed at
+``attach()`` time, *before* the fault plane's lazily-installed filter,
+so send entries record the digest of what the host's protocol stack
+actually emitted (the certified history); ``net.deliver`` says what
+physically arrived. The difference between the two is exactly the
+tamper evidence the auditor needs.
 
 Checkpointing is the one place the audit plane deliberately spends
 simulated time: every ``checkpoint_interval`` entries on a replica's
@@ -116,14 +117,14 @@ class LedgerProbes:
         for replica in cluster.replicas:
             self._replicas[replica.node.name] = replica
         self._net.add_send_filter(self._send_tap)
-        self._net.add_delivery_tap(self._delivery_tap)
+        cluster.probe.subscribe(self)
         return self
 
     def detach(self) -> None:
         if self.cluster is None:
             return
         self._net.remove_send_filter(self._send_tap)
-        self._net.remove_delivery_tap(self._delivery_tap)
+        self.cluster.probe.unsubscribe(self)
         self.cluster = None
         self._replicas = {}
 
@@ -154,8 +155,10 @@ class LedgerProbes:
     def _send_tap(self, attempt) -> None:
         self._record(attempt.src, "send", attempt.dst, attempt.payload)
 
-    def _delivery_tap(self, msg) -> None:
-        self._record(msg.dst, "recv", msg.src, msg.payload)
+    def event(self, _t, kind: str, _node, msg, _attrs) -> None:
+        """Bus subscriber: what lands in an inbox is a certified receive."""
+        if kind == "net.deliver":
+            self._record(msg.dst, "recv", msg.src, msg.payload)
 
     # -- checkpointing -------------------------------------------------------
 

@@ -38,7 +38,7 @@ from .harness import EXPECTED, render_table, run_detection, run_harness
 from .plane import HealthPlane, write_health_report
 from .recorder import FlightRecorder
 from .slo import SloSpec, SloTracker, default_slos
-from .window import NodeDelta, RegistryDeltas, WindowSnapshot
+from .window import NodeDelta, WindowSnapshot
 
 __all__ = [
     "CacheStalenessDetector",
@@ -56,7 +56,6 @@ __all__ = [
     "ModeSwitchChurnDetector",
     "NodeDelta",
     "QueueSaturationDetector",
-    "RegistryDeltas",
     "ReplicaDivergenceDetector",
     "SealedCounterStallDetector",
     "ShardImbalanceDetector",

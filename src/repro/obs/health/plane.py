@@ -1,8 +1,8 @@
 """HealthPlane: online diagnosis on top of the obs plane.
 
-A :class:`HealthPlane` *is* an :class:`~repro.obs.probes.ObsPlane` — it
-attaches through the same duck-typed ``obs.*`` hooks and adds no probe
-points — that additionally judges what it records. Evaluation is
+A :class:`HealthPlane` *has* an :class:`~repro.obs.probes.ObsPlane` —
+one bus subscription, no probe points of its own — and judges what that
+plane records by listening to its span recorder. Evaluation is
 piggybacked on probe activity: every span open/close checks whether the
 simulated clock crossed a window boundary, and if so the elapsed
 window(s) are closed and run through the SLO trackers and the detector
@@ -13,11 +13,12 @@ byte-identical health reports and forensic bundles.
 
 Data flow per window::
 
-    registry counter deltas ─┐
-    sampled cluster state ───┼─> WindowSnapshot ─> SLO trackers ─┐
-    client.invoke closures ──┘                     detectors ────┼─> HealthEvents
+    closed spans (tallies, ──┐
+      client progress)       │
+    sampled cluster state ───┴─> WindowSnapshot ─> SLO trackers ─┐
+                                                   detectors ────┼─> HealthEvents
                                                                  │
-    span tap ──> FlightRecorder rings ── capture on any event <──┘
+    closed spans ─> FlightRecorder rings ── capture on any event <┘
 """
 
 from __future__ import annotations
@@ -28,56 +29,33 @@ from typing import Optional, Sequence, Union
 
 from ..probes import ObsPlane
 from ..registry import Registry
-from ..spans import Span, SpanRecorder
+from ..spans import Span
 from .detectors import Detector, Finding, default_detectors
 from .events import Evidence, HealthEvent
 from .recorder import FlightRecorder
 from .slo import SloSpec, SloTracker, default_slos
-from .window import RegistryDeltas, WindowSnapshot
+from .window import WindowSnapshot
 
-#: Registry counter families the window delta-tracker watches.
-WATCHED_FAMILIES = (
-    "executions_total",
-    "orders_total",
-    "commits_total",
-    "fast_read_results_total",
-    "cache_lookups_total",
-    "votes_total",
-    "monitor_mode_switches_total",
-)
-
-
-class _TappedRecorder(SpanRecorder):
-    """SpanRecorder that notifies the health plane on open/close.
-
-    This is the single interception point for every span *and* instant
-    event any probe records, so the flight recorder and the window
-    clock need no per-probe wiring.
-    """
-
-    def __init__(self, on_open, on_closed):
-        super().__init__()
-        self._on_open = on_open
-        self._on_closed = on_closed
-
-    def begin(self, name, t, **kwargs):
-        span = super().begin(name, t, **kwargs)
-        self._on_open(span)
-        return span
-
-    def end(self, span, t, **attrs):
-        span = super().end(span, t, **attrs)
-        self._on_closed(span)
-        return span
-
-    def event(self, name, t, **kwargs):
-        span = super().event(name, t, **kwargs)
-        self._on_closed(span)
-        return span
+#: (kind of a span that really closed, its ``outcome``) -> the per-node
+#: window tally it moves. The same closes move the obs registry's
+#: counters (``repro.obs.probes.RULES``), one instant later.
+TALLIES = {
+    ("hybster.execute", None): "executes",
+    ("hybster.commit", None): "commits",
+    ("monitor.switch", None): "switches",
+    ("troxy.fast_read", "hit"): "fast_hits",
+    ("troxy.fast_read", "conflict"): "fast_conflicts",
+    ("troxy.fast_read", "timeout"): "fast_timeouts",
+    ("troxy.cache", "miss"): "cache_misses",
+    ("troxy.vote", "decided"): "votes_decided",
+}
 
 
-class HealthPlane(ObsPlane):
-    """Obs plane + SLO tracking + anomaly detection + flight recorder."""
+class HealthPlane:
+    """An obs plane (``.obs``) + SLO tracking + anomaly detection + flight
+    recorder. Whatever it does not define itself (``registry``, ``spans``,
+    ``cluster``, ``now``, ``wrap_clients``, ``snapshot``) is its obs
+    plane's."""
 
     def __init__(
         self,
@@ -88,8 +66,9 @@ class HealthPlane(ObsPlane):
         flight_capacity: int = 128,
         max_bundles: int = 12,
     ):
-        recorder = _TappedRecorder(self._span_opened, self._span_closed)
-        super().__init__(registry=registry, spans=recorder)
+        self.obs = ObsPlane(registry=registry)
+        self.obs.spans.opened.append(self._span_opened)
+        self.obs.spans.closed.append(self._span_closed)
         if window <= 0:
             raise ValueError(f"window must be positive: {window}")
         self.window = float(window)
@@ -105,28 +84,34 @@ class HealthPlane(ObsPlane):
         )
         self.events: list[HealthEvent] = []
         self.windows_evaluated = 0
-        self._deltas = RegistryDeltas(self.registry, WATCHED_FAMILIES)
         self._win: Optional[WindowSnapshot] = None
         self._open_invokes = 0
+        self._last_slot = None
         self._sampled: dict[tuple, float] = {}
         self._replica_ids: list[str] = []
 
     # -- attachment -----------------------------------------------------------
 
+    def __getattr__(self, name):
+        return getattr(self.obs, name)
+
     def attach(self, cluster) -> "HealthPlane":
         if self.cluster is cluster:
             return self  # idempotent, like ObsPlane: don't re-baseline
-        super().attach(cluster)
+        self.obs.attach(cluster)
         self._replica_ids = sorted(
             replica.replica_id for replica in cluster.replicas
         )
-        # Baseline: deltas and samples are measured from attach time.
-        self._deltas.collect()
+        # Baseline: tallies and samples are measured from attach time.
         self._prime_samples()
         start = self.now
         self._win = WindowSnapshot(
             start=start, end=start + self.window, index=0
         )
+        return self
+
+    def detach(self) -> "HealthPlane":
+        self.obs.detach()
         return self
 
     def _prime_samples(self) -> None:
@@ -162,31 +147,45 @@ class HealthPlane(ObsPlane):
         self.flight.record(span)
         if self._win is None:
             return
+        # The tick runs before anything is counted: a span that closes
+        # exactly on a boundary belongs to the new window.
         self._maybe_tick()
-        # Batch-queue wait vs ordering service feed the queue_saturation
-        # detector; force-closed (unfinished) spans have no real duration.
-        if span.node is not None and not span.attrs.get("unfinished"):
-            if span.name == "hybster.queue":
-                nd = self._win.node(span.node)
-                nd.queue_waits += 1
-                nd.queue_wait_sum += span.duration
-            elif span.name == "hybster.order":
-                nd = self._win.node(span.node)
-                nd.order_services += 1
-                nd.order_service_sum += span.duration
-        if span.name != "client.invoke":
-            return
-        self._open_invokes -= 1
-        if span.attrs.get("unfinished"):
-            return
+        name = span.name
+        unfinished = span.attrs.get("unfinished")
         win = self._win
-        win.completed += 1
-        win.retries += int(span.attrs.get("retries", 0))
-        op_class = "read" if span.attrs.get("read") else "write"
-        win.observe_latency(op_class, span.duration)
+        if name == "client.invoke":
+            self._open_invokes -= 1
+            if not unfinished:
+                win.completed += 1
+                win.retries += int(span.attrs.get("retries", 0))
+                op_class = "read" if span.attrs.get("read") else "write"
+                win.observe_latency(op_class, span.duration)
+            return
+        if unfinished:
+            return  # force-closed: no real duration, nothing happened
+        tally = TALLIES.get((name, span.attrs.get("outcome")))
+        if tally is not None:
+            nd = win.node(span.node)
+            setattr(nd, tally, getattr(nd, tally) + 1)
+        elif name == "hybster.queue":
+            # Batch-queue wait vs ordering service feed the
+            # queue_saturation detector.
+            nd = win.node(span.node)
+            nd.queue_waits += 1
+            nd.queue_wait_sum += span.duration
+        elif name == "hybster.order":
+            nd = win.node(span.node)
+            nd.order_services += 1
+            nd.order_service_sum += span.duration
+            # One slot per order round, however many member spans (one
+            # per batched request, closed back to back) cover it.
+            slot = (span.node, span.attrs.get("seq"), span.end)
+            if slot != self._last_slot:
+                self._last_slot = slot
+                nd.orders += 1
 
     def _maybe_tick(self) -> None:
-        if self._win is None or self._env is None:
+        if self._win is None or self.cluster is None:
             return
         now = self.now
         while now >= self._win.end:
@@ -222,36 +221,8 @@ class HealthPlane(ObsPlane):
             self._win = None
 
     def _populate(self, win: WindowSnapshot) -> None:
-        """Fill the snapshot: counter deltas + sampled cluster state."""
-        for (name, labels), delta in self._deltas.collect().items():
-            label_map = dict(labels)
-            node = label_map.get("node")
-            if node is None:
-                continue
-            nd = win.node(node)
-            amount = int(delta)
-            if name == "executions_total":
-                nd.executes += amount
-            elif name == "orders_total":
-                nd.orders += amount
-            elif name == "commits_total":
-                nd.commits += amount
-            elif name == "fast_read_results_total":
-                outcome = label_map.get("outcome")
-                if outcome == "hit":
-                    nd.fast_hits += amount
-                elif outcome == "conflict":
-                    nd.fast_conflicts += amount
-                elif outcome == "timeout":
-                    nd.fast_timeouts += amount
-            elif name == "cache_lookups_total":
-                if label_map.get("outcome") == "miss":
-                    nd.cache_misses += amount
-            elif name == "votes_total":
-                if label_map.get("outcome") == "decided":
-                    nd.votes_decided += amount
-            elif name == "monitor_mode_switches_total":
-                nd.switches += amount
+        """Fill the snapshot with the sampled cluster state; the span
+        listener has kept its tallies as the window went."""
         for rid in self._replica_ids:
             win.node(rid)
         win.open_invokes = self._open_invokes
@@ -316,7 +287,7 @@ class HealthPlane(ObsPlane):
 
     def finalize(self) -> int:
         """Close spans, evaluate the final (partial) window, snapshot."""
-        unfinished = super().finalize()
+        unfinished = self.obs.finalize()
         if self._win is not None:
             # The run may end mid-window; evaluate what accumulated.
             self._win.end = max(self.now, self._win.start)

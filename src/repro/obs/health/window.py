@@ -1,13 +1,12 @@
-"""Sliding sim-time windows over registry counters and cluster state.
+"""Sliding sim-time windows over closed spans and cluster state.
 
 The health plane evaluates detectors and SLOs once per window. A
 :class:`WindowSnapshot` is everything one evaluation sees: per-node
-counter *deltas* accumulated since the previous window boundary (from
-the obs registry, via :class:`RegistryDeltas`) plus a few sampled
-absolutes read straight off the cluster objects (views, sealed-counter
-sums, enclave reboot counts). Sampling is read-only — no simulation
-events, no randomness — so the health plane inherits the obs plane's
-non-perturbation guarantee.
+tallies of the spans that closed since the previous window boundary
+plus a few sampled absolutes read straight off the cluster objects
+(views, sealed-counter sums, enclave reboot counts). Sampling is
+read-only — no simulation events, no randomness — so the health plane
+inherits the obs plane's non-perturbation guarantee.
 """
 
 from __future__ import annotations
@@ -107,35 +106,3 @@ class WindowSnapshot:
     def replica_nodes(self) -> list[str]:
         """Node names in sorted order (deterministic detector loops)."""
         return sorted(self.per_node)
-
-
-class RegistryDeltas:
-    """Per-instrument deltas of selected counter families.
-
-    ``collect()`` walks the watched families, diffs each instrument's
-    current value against the last collection, and returns
-    ``{(family, labels): delta}`` for every series that moved. State is
-    one float per live series — O(instruments), churn-free.
-    """
-
-    def __init__(self, registry, families: tuple[str, ...]):
-        self.registry = registry
-        self.families = families
-        self._last: dict[tuple[str, tuple], float] = {}
-
-    def collect(self) -> dict[tuple[str, tuple], float]:
-        moved: dict[tuple[str, tuple], float] = {}
-        reg_families = self.registry._families
-        for name in self.families:
-            family = reg_families.get(name)
-            if family is None:
-                continue
-            for labels in sorted(family.instruments):
-                instrument = family.instruments[labels]
-                value = float(instrument.value)
-                key = (name, labels)
-                delta = value - self._last.get(key, 0.0)
-                if delta:
-                    moved[key] = delta
-                self._last[key] = value
-        return moved

@@ -1,18 +1,17 @@
-"""ObsPlane: attach one registry + span recorder to a running cluster.
+"""ObsPlane: one registry + span recorder subscribed to a deployment's bus.
 
-The plane wires itself in through hooks the layers already expose — the
-optional ``obs`` attribute on :class:`~repro.sgx.enclave.Enclave`,
-:class:`~repro.troxy.host.TroxyHost`, :class:`~repro.troxy.core.TroxyCore`
-and :class:`~repro.hybster.replica.Replica`, the conflict monitor's
-``switch_hooks``, and a network send filter. The instrumented modules
-never import this package; they call duck-typed ``obs.*`` methods only
-when a plane was attached, so the dependency points strictly upward.
+The layers report on their deployment's probe bus
+(:mod:`repro.sim.probe`); they never import this package. The plane is
+one subscriber of that bus: :data:`RULES` lists the event kinds it
+consumes, how each becomes spans and which counter or histogram a span
+of each kind feeds. A probe added at a site is one row here
+(docs/OBSERVABILITY.md, "Probes").
 
 Non-perturbation guarantee: the plane schedules **zero** simulation
-events and consumes no randomness. Every probe runs synchronously
-inside an already-executing process and only appends to plain-Python
-metric/span state, so a run with an ObsPlane attached is event-for-event
-identical to the same run without one.
+events and consumes no randomness. It runs synchronously inside the
+emitting process and only appends to plain-Python metric/span state, so
+a run with an ObsPlane attached is event-for-event identical to the same
+run without one.
 
 Span taxonomy (one tree per request, trace id ``client#request_id``):
 
@@ -45,8 +44,79 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
+from ..hybster.messages import NOOP_REQUEST_CLIENT
 from .registry import Registry
 from .spans import Span, SpanRecorder, trace_key
+
+
+def _counts(metric: str, help_text: str, *labels: str, at: str = "close") -> tuple:
+    """Feed: a counter of the spans of a kind, bumped as one opens/closes."""
+    return (at, "counter", metric, help_text, labels)
+
+
+def _times(metric: str, help_text: str, *labels: str) -> tuple:
+    """Feed: a histogram of the durations of the spans of a kind."""
+    return ("close", "histogram", metric, help_text, labels)
+
+
+#: Every bus kind the plane consumes -> (how, what its spans feed).
+#:
+#: How: ``None`` is the default rule: a ``begin`` opens one span named
+#: after the kind, in the trace of its subject, an ``event`` records one
+#: instant, and the keywords become the span's attrs. The other kinds
+#: need correlation (whose trace, which parent, a span opened on one node
+#: and closed on another) and name the method that does it.
+#:
+#: Feeds, besides ``phase_seconds``: the span's node is always a label,
+#: the named attrs are the others. One crossing or order round may cover
+#: several spans (one per request it works for); it feeds once, through
+#: the first.
+RULES = {
+    "enclave.ecall": (
+        "_open_ecall",
+        _counts("ecall_transitions_total", "Enclave boundary crossings",
+                "enclave", "ecall", at="open"),
+        _times("ecall_seconds", "Sim-time spent inside one ecall", "ecall"),
+    ),
+    "troxy.host": ("_open_host", _counts(
+        "troxy_host_messages_total", "Messages pumped by the untrusted host", "type", at="open")),
+    "troxy.cache": (None, _counts("cache_lookups_total", "Fast-read cache checks", "outcome")),
+    "troxy.fast_read": (None, _counts(
+        "fast_read_results_total", "Fast-read protocol outcomes", "outcome")),
+    "troxy.lease_read": (None, _counts(
+        "lease_read_results_total", "Lease read path outcomes", "outcome")),
+    "troxy.lease_install": (None, _counts(
+        "lease_installs_total", "Lease grant install outcomes", "outcome")),
+    "troxy.lease_revoke": (None, _counts(
+        "lease_revocations_total", "Lease revocations processed")),
+    "troxy.vote": (None, _counts(
+        "votes_total", "Reply votes processed by the server-side voter", "outcome")),
+    "monitor.switch": (None, _counts(
+        "monitor_mode_switches_total", "Adaptive total-order switches", "mode")),
+    "hybster.order": ("_open_order", _counts("orders_total", "Slots assigned by the leader")),
+    "hybster.execute": ("_open_execute", _counts(
+        "executions_total", "Requests executed by the state machine")),
+    "hybster.commit": ("_on_commit", _counts(
+        "commits_total", "Slots that reached commit quorum")),
+    "hybster.queue": (
+        "_on_enqueue",
+        _counts("queue_requests_total", "Requests leaving the leader batch queue", "reason"),
+        _times("queue_wait_seconds", "Sim-time spent in the leader batch queue"),
+    ),
+    "shard.forward": (
+        "_on_forward",
+        _counts("shard_forwards_total", "Requests forwarded to their owning group",
+                "target", at="open"),
+        _times("forward_hop_seconds", "Fronting-to-owning-group hop time"),
+    ),
+    # No span of their own: they scope, close or count something else.
+    "hybster.certify": ("_on_certify",),
+    "hybster.certified": ("_on_certified",),
+    "hybster.batch": ("_on_batch",),
+    "hybster.queue_drop": ("_on_queue_drop",),
+    "shard.received": ("_on_received",),
+    "net.send": ("_on_send",),
+}
 
 
 def _maybe_trace(message) -> Optional[str]:
@@ -91,6 +161,16 @@ def _vote_traces(args) -> list:
     return list(traces)
 
 
+def _members(payload) -> tuple:
+    """The requests of a slot's payload: a Batch's, or the one Request."""
+    return getattr(payload, "requests", None) or (payload,)
+
+
+def _label(span: Span, label: str):
+    # An ecall's name is the suffix of its span's name, not an attr.
+    return span.name.partition(":")[2] if label == "ecall" else span.attrs[label]
+
+
 class _ObservedClient:
     """Transparent client proxy that records one span per invocation.
 
@@ -111,7 +191,8 @@ class _ObservedClient:
 
 
 class ObsPlane:
-    """One observability plane: a registry, a span recorder, probes."""
+    """One observability plane: a registry and a span recorder fed from
+    one deployment's probe bus (and from the clients it wraps)."""
 
     def __init__(self, registry: Optional[Registry] = None,
                  spans: Optional[SpanRecorder] = None):
@@ -120,17 +201,24 @@ class ObsPlane:
         # and a caller-supplied recorder must never be dropped.
         self.spans = spans if spans is not None else SpanRecorder()
         self.cluster = None
-        self._env = None
-        self._core_by_enclave: dict[int, object] = {}
-        # (monitor, hook) pairs installed by attach(), so detach() can
-        # remove exactly what it added.
-        self._monitor_hooks: list[tuple[object, object]] = []
+        self._detached_at = 0.0
+        self._handlers = {
+            kind: getattr(self, rule[0]) for kind, rule in RULES.items() if rule[0] is not None
+        }
+        # (metric, label values) -> instrument. The registry checks names
+        # and sorts labels on every get-or-create; per span that is most
+        # of what observing costs, so each series is looked up there once.
+        self._series: dict[tuple, object] = {}
+        # node name -> TroxyCore: who knows which request a probe nonce
+        # works for (the nonce is all a CacheEntryReply carries).
+        self._cores: dict[str, object] = {}
         # Trace currently being certified per node (set only while the
         # leader holds the order lock, so at most one per node).
         self._certify_trace: dict[str, str] = {}
         # The (leader's) order span per trace: execution on every replica
         # is parented here even though it runs on other nodes after the
-        # order span closed.
+        # order span closed. Never pruned while attached: a lagging
+        # replica may execute arbitrarily later.
         self._order_span: dict[str, Span] = {}
         # The root client.invoke span per in-flight trace: spans recorded
         # on nodes where no ancestor is open (batch-queue waits, batched
@@ -144,15 +232,15 @@ class ObsPlane:
     # -- attachment -----------------------------------------------------------
 
     def attach(self, cluster) -> "ObsPlane":
-        """Install probes on every layer of a built cluster.
+        """Subscribe to the probe bus of a built cluster.
 
         Works for any :class:`repro.deploy.Deployment`; parts a system
         lacks (no Troxy hosts on the baseline) are empty lists there.
 
         Idempotent: re-attaching to the cluster the plane is already on
-        is a no-op (probes are installed exactly once); attaching to a
-        *different* cluster while attached raises — call :meth:`detach`
-        first, double-installed hooks would double-count every metric.
+        is a no-op; attaching to a *different* cluster while attached
+        raises — call :meth:`detach` first, one plane's correlation
+        state describes one deployment.
         """
         if self.cluster is cluster:
             return self
@@ -161,47 +249,29 @@ class ObsPlane:
                 "ObsPlane is already attached to another cluster; detach() first"
             )
         self.cluster = cluster
-        self._env = cluster.env
-        for replica in cluster.replicas:
-            replica.obs = self
-            replica.boundary.obs = self
-        for host in cluster.hosts:
-            host.obs = self
-            host.core.obs = self
-            host.enclave.obs = self
-            self._core_by_enclave[id(host.enclave)] = host.core
-            hook = self._make_monitor_hook(host.replica_id)
-            host.core.monitor.switch_hooks.append(hook)
-            self._monitor_hooks.append((host.core.monitor, hook))
-        cluster.net.add_send_filter(self._net_tap)
+        self._cores = {host.node.name: host.core for host in cluster.hosts}
+        cluster.probe.subscribe(self)
         return self
 
     def detach(self) -> "ObsPlane":
-        """Remove every probe attach() installed.
+        """Unsubscribe; the cluster keeps running untouched afterwards.
 
-        The cluster keeps running untouched afterwards; recorded
-        metrics and spans stay readable on the plane. A detached plane
-        can be re-attached (to the same or another cluster). Idempotent:
-        detaching an unattached plane is a no-op, and hooks installed by
-        one attach() are removed exactly once however often detach()
-        runs.
+        Whatever was in flight is closed at the detach instant and
+        marked ``unfinished``; nothing is recorded after it. Recorded
+        metrics and spans stay readable, and the plane can be attached
+        again (to the same or another cluster): what it knew about
+        requests in flight is forgotten, so a later run that reuses
+        client and request ids starts its own trees. Idempotent.
         """
         cluster, self.cluster = self.cluster, None
         if cluster is None:
             return self
-        for replica in cluster.replicas:
-            replica.obs = None
-            replica.boundary.obs = None
-        for host in cluster.hosts:
-            host.obs = None
-            host.core.obs = None
-            host.enclave.obs = None
-        for monitor, hook in self._monitor_hooks:
-            monitor.switch_hooks.remove(hook)
-        self._monitor_hooks = []
-        self._core_by_enclave = {}
-        cluster.net.remove_send_filter(self._net_tap)
-        self._env = None
+        cluster.probe.unsubscribe(self)
+        self._detached_at = cluster.env.now
+        self.spans.finish(self._detached_at)
+        for table in (self._cores, self._certify_trace, self._order_span,
+                      self._root_span, self._queue_span, self._forward_span):
+            table.clear()
         return self
 
     def wrap_clients(self, clients) -> list:
@@ -210,11 +280,85 @@ class ObsPlane:
 
     @property
     def now(self) -> float:
-        return self._env.now if self._env is not None else 0.0
+        """The deployment's clock; once detached, the detach instant."""
+        return self._detached_at if self.cluster is None else self.cluster.env.now
+
+    # -- bus subscriber: begin / end / event ----------------------------------------
+
+    def begin(self, t: float, kind: str, node: str, subject, attrs: dict):
+        """-> the spans the interval covers (its ``end`` state), or None."""
+        if kind not in RULES:
+            return None
+        handler = self._handlers.get(kind)
+        if handler is not None:
+            spans = handler(t, node, subject, attrs)
+        else:
+            spans = (self.spans.begin(
+                kind, t, trace_id=_maybe_trace(subject), node=node, **attrs
+            ),)
+        self._feed("open", spans[0])
+        return spans
+
+    def end(self, t: float, spans, attrs: dict) -> None:
+        ended = False
+        for span in spans:
+            ended = self._close(span, t, attrs) or ended
+        if ended:
+            self._feed("close", spans[0])
+
+    def event(self, t: float, kind: str, node: str, subject, attrs: dict) -> None:
+        handler = self._handlers.get(kind)
+        if handler is not None:
+            handler(t, node, subject, attrs)
+        elif kind in RULES:
+            self._instant(kind, t, node, subject, attrs)
+
+    def _instant(self, kind: str, t: float, node: str, subject, attrs: dict) -> None:
+        self._feed("close", self.spans.event(
+            kind, t, trace_id=_maybe_trace(subject), node=node, **attrs
+        ))
+
+    def _close(self, span: Span, t: float, attrs: dict) -> bool:
+        """Close a span idempotently.
+
+        Sites end their tokens in ``finally`` blocks, which also run when
+        a half-finished process generator is torn down after the horizon
+        — by then :meth:`finalize` already force-closed the span.
+        """
+        if span.end is not None:
+            return False
+        self.spans.end(span, t, **attrs)
+        self._instrument(
+            "histogram", "phase_seconds", "Sim-time per protocol phase (span name)",
+            phase=span.name,
+        ).observe(span.duration)
+        return True
+
+    def _instrument(self, make: str, metric: str, help_text: str, **labels):
+        key = (metric, *labels.values())
+        series = self._series.get(key)
+        if series is None:
+            series = self._series[key] = getattr(self.registry, make)(
+                metric, help_text, **labels
+            )
+        return series
+
+    def _feed(self, when: str, span: Span) -> None:
+        for at, make, metric, help_text, labels in RULES[span.name.partition(":")[0]][1:]:
+            if at != when:
+                continue
+            values = {label: _label(span, label) for label in labels}
+            series = self._instrument(make, metric, help_text, node=span.node, **values)
+            if make == "counter":
+                series.inc()
+            else:
+                series.observe(span.duration)
 
     # -- client ----------------------------------------------------------------
 
     def _observed_invoke(self, client, op):
+        if self.cluster is None:  # detached: the wrapper is transparent
+            return (yield from client.invoke(op))
         # The delegate assigns request ids sequentially at invoke start.
         request_id = getattr(client, "_request_id", 0) + 1
         trace = f"{client.client_id}#{request_id}"
@@ -229,8 +373,10 @@ class ObsPlane:
             node=node.name,
         ).inc()
         result = yield from client.invoke(op)
-        self._root_span.pop(trace, None)
-        self._end(span, retries=result.retries)
+        if self._root_span.get(trace) is span:
+            del self._root_span[trace]
+        if not self._close(span, self.now, {"retries": result.retries}):
+            return result  # detached meanwhile: closed there, nothing after
         self.registry.histogram(
             "client_latency_seconds", "End-to-end client latency",
             node=node.name,
@@ -241,213 +387,116 @@ class ObsPlane:
         ).observe(result.latency)
         return result
 
-    # -- enclave boundary ---------------------------------------------------------
+    # -- kinds that need correlation: intervals ---------------------------------------
 
-    def ecall_begin(self, enclave, name: str, args, bytes_in: int, bytes_out: int):
-        traces = _vote_traces(args) or [self._ecall_trace(enclave, args)]
-        self.registry.counter(
-            "ecall_transitions_total", "Enclave boundary crossings",
-            node=enclave.node.name, enclave=enclave.name, ecall=name,
-        ).inc()
-        # One span per request the crossing works for: more than one only
-        # when it carries votes for several, all over the same interval.
+    def _open_ecall(self, t, node, args, attrs) -> tuple:
+        """One span per request the crossing works for: more than one only
+        when it carries votes for several, all over the same interval."""
+        traces = _vote_traces(args) or [self._ecall_trace(node, args)]
+        name = f"enclave.ecall:{attrs['ecall']}"
         return tuple(
             self.spans.begin(
-                f"enclave.ecall:{name}", self.now, trace_id=trace,
-                node=enclave.node.name, enclave=enclave.name,
-                bytes_in=bytes_in, bytes_out=bytes_out,
+                name, t, trace_id=trace, node=node, enclave=attrs["enclave"],
+                bytes_in=attrs["bytes_in"], bytes_out=attrs["bytes_out"],
             )
             for trace in traces
         )
 
-    def _ecall_trace(self, enclave, args) -> Optional[str]:
+    def _ecall_trace(self, node: str, args) -> Optional[str]:
         """The one request an ecall that carries no votes works for."""
         for arg in args:
-            trace = _maybe_trace(arg)
+            trace = _maybe_trace(arg) or self._probe_trace(node, arg)
             if trace is not None:
                 return trace
-            nonce = getattr(arg, "nonce", None)  # CacheEntryReply
-            if nonce is not None:
-                core = self._core_by_enclave.get(id(enclave))
-                request = core.probe_request(nonce) if core is not None else None
-                if request is not None:
-                    return trace_key(request)
         # Certify ecalls carry only (counter, value, digest); while
         # the leader certifies an ORDER we know whose request it is.
-        return self._certify_trace.get(enclave.node.name)
+        return self._certify_trace.get(node)
 
-    def ecall_end(self, spans: tuple) -> None:
-        ended = [self._end(span) for span in spans]
-        if not any(ended):
-            return
-        first = spans[0]
-        self.registry.histogram(
-            "ecall_seconds", "Sim-time spent inside one ecall",
-            node=first.node, ecall=first.name.split(":", 1)[1],
-        ).observe(first.duration)
+    def _probe_trace(self, node: str, message) -> Optional[str]:
+        """Trace of the fast read a CacheEntryReply's nonce belongs to."""
+        nonce = getattr(message, "nonce", None)
+        core = self._cores.get(node)
+        if nonce is None or core is None:
+            return None
+        request = core.probe_request(nonce)
+        return None if request is None else trace_key(request)
 
-    # -- troxy host -----------------------------------------------------------------
-
-    def host_begin(self, host, payload, src: str):
-        trace = _maybe_trace(payload)
-        attrs = {"type": type(payload).__name__, "src": src}
+    def _open_host(self, t, node, payload, attrs) -> tuple:
+        trace = _maybe_trace(payload) or self._probe_trace(node, payload)
         nonce = getattr(payload, "nonce", None)
         if trace is None and nonce is not None:
-            request = host.core.probe_request(nonce)
-            if request is not None:
-                trace = trace_key(request)
-            else:
-                attrs["nonce"] = nonce
-        self.registry.counter(
-            "troxy_host_messages_total", "Messages pumped by the untrusted host",
-            node=host.node.name, type=type(payload).__name__,
-        ).inc()
-        return self.spans.begin(
-            "troxy.host", self.now, trace_id=trace, node=host.node.name, **attrs
-        )
+            attrs = {**attrs, "nonce": nonce}
+        return (self.spans.begin("troxy.host", t, trace_id=trace, node=node, **attrs),)
 
-    def host_end(self, span: Span) -> None:
-        self._end(span)
-
-    # -- troxy core: fast reads & voting ------------------------------------------------
-
-    def cache_begin(self, core, client_request):
-        return self.spans.begin(
-            "troxy.cache", self.now, trace_id=trace_key(client_request),
-            node=core.node.name,
-        )
-
-    def cache_end(self, span: Span, outcome: str) -> None:
-        if not self._end(span, outcome=outcome):
-            return
-        self.registry.counter(
-            "cache_lookups_total", "Fast-read cache checks",
-            node=span.node, outcome=outcome,
-        ).inc()
-
-    def fast_read_result(self, core, client_request, outcome: str) -> None:
-        """Terminal fast-read verdict: hit, conflict, or timeout."""
-        self.spans.event(
-            "troxy.fast_read", self.now, trace_id=trace_key(client_request),
-            node=core.node.name, outcome=outcome,
-        )
-        self.registry.counter(
-            "fast_read_results_total", "Fast-read protocol outcomes",
-            node=core.node.name, outcome=outcome,
-        ).inc()
-
-    def lease_result(self, core, client_request, outcome: str) -> None:
-        """Lease read path verdict (docs/READS.md): ``hit`` (served
-        locally under a valid lease) or ``cold`` (leased but no
-        f+1-corroborated entry; ordered instead)."""
-        self.spans.event(
-            "troxy.lease_read", self.now, trace_id=trace_key(client_request),
-            node=core.node.name, outcome=outcome,
-        )
-        self.registry.counter(
-            "lease_read_results_total", "Lease read path outcomes",
-            node=core.node.name, outcome=outcome,
-        ).inc()
-
-    def lease_install(self, core, grant, outcome: str) -> None:
-        """A grant reached the holder's enclave: installed, expired,
-        stale, or fenced by the sealed lease counter."""
-        self.spans.event(
-            "troxy.lease_install", self.now, trace_id=None,
-            node=core.node.name, key=grant.key, outcome=outcome,
-        )
-        self.registry.counter(
-            "lease_installs_total", "Lease grant install outcomes",
-            node=core.node.name, outcome=outcome,
-        ).inc()
-
-    def lease_revoked(self, core, key: str) -> None:
-        """The holder processed a revocation: lease dropped, epoch
-        burned, key's cache entries invalidated."""
-        self.spans.event(
-            "troxy.lease_revoke", self.now, trace_id=None,
-            node=core.node.name, key=key,
-        )
-        self.registry.counter(
-            "lease_revocations_total", "Lease revocations processed",
-            node=core.node.name,
-        ).inc()
-
-    def vote_begin(self, core, reply):
-        return self.spans.begin(
-            "troxy.vote", self.now, trace_id=_maybe_trace(reply),
-            node=core.node.name, voter=reply.replica_id,
-        )
-
-    def vote_end(self, span: Span, outcome: str) -> None:
-        if not self._end(span, outcome=outcome):
-            return
-        self.registry.counter(
-            "votes_total", "Reply votes processed by the server-side voter",
-            node=span.node, outcome=outcome,
-        ).inc()
-
-    # -- hybster ordering & execution ------------------------------------------------------
-
-    def order_begin(self, replica, payload):
+    def _open_order(self, t, node, payload, attrs) -> tuple:
+        """One order span *per member request* of a batched slot (all
+        spanning the same agreement round), so each trace's tree stays
+        connected and per-request ordering time stays attributable after
+        batching aggregated the agreement step. Members are parented to
+        their trace roots — no ancestor is open on the leader at order
+        time. An unbatched slot nests under what is open, as any span."""
         requests = getattr(payload, "requests", None)  # Batch
-        if requests is None:
-            trace = _maybe_trace(payload)
-            span = self.spans.begin(
-                "hybster.order", self.now, trace_id=trace, node=replica.node.name,
-            )
-            if trace is not None:
-                self._order_span[trace] = span
-            return span
-        # Batched slot: one order span *per member request* (all spanning
-        # the same agreement round), so each trace's tree stays connected
-        # and per-request ordering time stays attributable after batching
-        # aggregated the agreement step. Members are parented to their
-        # trace roots — no ancestor is open on the leader at order time.
         spans = []
-        for request in requests:
+        for request in requests or (payload,):
             trace = _maybe_trace(request)
-            span = self.spans.begin(
-                "hybster.order", self.now, trace_id=trace,
-                node=replica.node.name, batch=len(requests),
-                parent=self._root_span.get(trace) if trace is not None else None,
-            )
+            if requests is None:
+                span = self.spans.begin("hybster.order", t, trace_id=trace, node=node)
+            else:
+                span = self.spans.begin(
+                    "hybster.order", t, trace_id=trace, node=node, batch=len(requests),
+                    parent=self._root_span.get(trace),
+                )
             if trace is not None:
                 self._order_span[trace] = span
             spans.append(span)
         return tuple(spans)
 
-    def order_end(self, span, seq: int) -> None:
-        members = span if isinstance(span, tuple) else (span,)
-        ended = False
-        for member in members:
-            ended = self._end(member, seq=seq) or ended
-        if not ended:
-            return
-        # One slot per order round, however many member spans cover it.
-        self.registry.counter(
-            "orders_total", "Slots assigned by the leader",
-            node=members[0].node,
-        ).inc()
+    def _open_execute(self, t, node, request, attrs) -> tuple:
+        trace = _maybe_trace(request)
+        parent = self._order_span.get(trace)
+        extra = {} if parent is None else {"parent": parent}
+        return (self.spans.begin(
+            "hybster.execute", t, trace_id=trace, node=node, **extra, **attrs
+        ),)
 
-    def certify_scope(self, node_name: str, payload) -> None:
-        """Leader is about to certify ``payload``'s slot on this node.
+    # -- kinds that need correlation: instants ----------------------------------------
 
-        For a batched slot the certification is attributed to the first
-        request of the batch (one counter value covers all of them)."""
-        requests = getattr(payload, "requests", None)  # Batch
-        if requests is not None:
-            payload = requests[0] if requests else None
-        trace = _maybe_trace(payload) if payload is not None else None
+    def _on_certify(self, _t, node, payload, _attrs) -> None:
+        """The leader is about to certify ``payload``'s slot on ``node``.
+        A batched slot's certification is attributed to its first request
+        (one counter value covers all of them)."""
+        trace = _maybe_trace(_members(payload)[0])
         if trace is not None:
-            self._certify_trace[node_name] = trace
+            self._certify_trace[node] = trace
 
-    def certify_scope_end(self, node_name: str) -> None:
-        self._certify_trace.pop(node_name, None)
+    def _on_certified(self, _t, node, _subject, _attrs) -> None:
+        self._certify_trace.pop(node, None)
 
-    def batch_flush(self, replica, size: int, reason: str, depth: int) -> None:
-        """Leader cut one batch: occupancy, flush reason, pipeline depth."""
-        node = replica.node.name
+    def _on_commit(self, t, node, payload, attrs) -> None:
+        for request in _members(payload):
+            if request.client_id != NOOP_REQUEST_CLIENT:
+                self._instant("hybster.commit", t, node, request, attrs)
+
+    def _on_enqueue(self, t, node, request, _attrs) -> None:
+        """Leader buffered ``request`` into the batch assembler."""
+        trace = _maybe_trace(request)
+        if trace is not None:
+            self._queue_span[trace] = self.spans.begin(
+                "hybster.queue", t, trace_id=trace, node=node,
+                parent=self._root_span.get(trace),
+            )
+
+    def _leave_queue(self, t, requests, reason: str, size: int) -> None:
+        for request in requests:
+            span = self._queue_span.pop(_maybe_trace(request), None)
+            if span is not None:
+                self.end(t, (span,), {"reason": reason, "batch": size})
+
+    def _on_batch(self, t, node, requests, attrs) -> None:
+        """Leader cut one batch: its requests leave the queue; occupancy,
+        flush reason and pipeline depth are the batch's own metrics."""
+        reason, size = attrs["reason"], len(requests)
+        self._leave_queue(t, requests, reason, size)
         self.registry.counter(
             "batch_flushes_total", "Batches cut by the leader",
             node=node, reason=reason,
@@ -458,130 +507,38 @@ class ObsPlane:
         self.registry.gauge(
             "batch_pipeline_depth", "Batches in flight after this flush",
             node=node,
-        ).set(depth)
+        ).set(attrs["depth"])
 
-    # -- hybster batch queue ---------------------------------------------------------
+    def _on_queue_drop(self, t, _node, requests, _attrs) -> None:
+        """Requests drained unordered (view change / restart)."""
+        self._leave_queue(t, requests, "dropped", 0)
 
-    def queue_enter(self, replica, request) -> Optional[Span]:
-        """Leader buffered ``request`` into the batch assembler."""
-        trace = _maybe_trace(request)
-        if trace is None:
-            return None
-        span = self.spans.begin(
-            "hybster.queue", self.now, trace_id=trace, node=replica.node.name,
-            parent=self._root_span.get(trace),
-        )
-        self._queue_span[trace] = span
-        return span
-
-    def queue_leave(self, replica, request, reason: str, size: int) -> None:
-        """``request`` left the batch queue into a cut batch (``reason``
-        is the flush trigger, ``size`` the batch it joined)."""
-        trace = _maybe_trace(request)
-        span = self._queue_span.pop(trace, None) if trace is not None else None
-        if span is None or not self._end(span, reason=reason, batch=size):
-            return
-        self.registry.counter(
-            "queue_requests_total", "Requests leaving the leader batch queue",
-            node=span.node, reason=reason,
-        ).inc()
-        self.registry.histogram(
-            "queue_wait_seconds", "Sim-time spent in the leader batch queue",
-            node=span.node,
-        ).observe(span.duration)
-
-    def queue_drop(self, replica, request) -> None:
-        """``request`` was drained unordered (view change / restart)."""
-        self.queue_leave(replica, request, "dropped", 0)
-
-    # -- shard forwarding hop -----------------------------------------------------------
-
-    def forward_begin(self, core, request, target: str) -> Optional[Span]:
+    def _on_forward(self, t, node, request, attrs) -> None:
         """Fronting Troxy hands ``request`` to its owning group."""
         trace = _maybe_trace(request)
-        if trace is None:
-            return None
-        span = self.spans.begin(
-            "shard.forward", self.now, trace_id=trace, node=core.node.name,
-            target=target,
-        )
-        self._forward_span[trace] = span
-        self.registry.counter(
-            "shard_forwards_total", "Requests forwarded to their owning group",
-            node=core.node.name, target=target,
-        ).inc()
-        return span
+        if trace is not None:
+            span = self._forward_span[trace] = self.spans.begin(
+                "shard.forward", t, trace_id=trace, node=node, **attrs
+            )
+            self._feed("open", span)
 
-    def forward_received(self, core, request) -> None:
+    def _on_received(self, t, node, request, _attrs) -> None:
         """The owning group accepted a forwarded request: the hop —
         transit plus remote host queueing — ends here; the owning
         group's handling continues inside its own ecall span."""
-        trace = _maybe_trace(request)
-        span = self._forward_span.pop(trace, None) if trace is not None else None
-        if span is None or not self._end(span, received_by=core.node.name):
-            return
-        self.registry.histogram(
-            "forward_hop_seconds", "Fronting-to-owning-group hop time",
-            node=span.node,
-        ).observe(span.duration)
+        span = self._forward_span.pop(_maybe_trace(request), None)
+        if span is not None:
+            self.end(t, (span,), {"received_by": node})
 
-    def order_committed(self, replica, request, seq: int) -> None:
-        self.spans.event(
-            "hybster.commit", self.now, trace_id=_maybe_trace(request),
-            node=replica.node.name, seq=seq,
-        )
-        self.registry.counter(
-            "commits_total", "Slots that reached commit quorum",
-            node=replica.node.name,
+    def _on_send(self, _t, src, payload, attrs) -> None:
+        """Offered traffic: counted before any send filter can drop it."""
+        labels = {"src": src, "dst": attrs["dst"], "type": type(payload).__name__}
+        self._instrument(
+            "counter", "net_messages_total", "Messages offered to the network", **labels
         ).inc()
-
-    def execute_begin(self, replica, request, seq: int):
-        trace = _maybe_trace(request)
-        parent = self._order_span.get(trace) if trace is not None else None
-        if parent is not None:
-            return self.spans.begin(
-                "hybster.execute", self.now, trace_id=trace,
-                node=replica.node.name, parent=parent, seq=seq,
-            )
-        return self.spans.begin(
-            "hybster.execute", self.now, trace_id=trace,
-            node=replica.node.name, seq=seq,
-        )
-
-    def execute_end(self, span: Span) -> None:
-        if not self._end(span):
-            return
-        self.registry.counter(
-            "executions_total", "Requests executed by the state machine",
-            node=span.node,
-        ).inc()
-
-    # -- monitor & network -----------------------------------------------------------------
-
-    def _make_monitor_hook(self, replica_id: str):
-        def hook(mode: str) -> None:
-            self.spans.event(
-                "monitor.switch", self.now, node=replica_id, mode=mode
-            )
-            self.registry.counter(
-                "monitor_mode_switches_total", "Adaptive total-order switches",
-                node=replica_id, mode=mode,
-            ).inc()
-
-        return hook
-
-    def _net_tap(self, attempt) -> None:
-        labels = {
-            "src": attempt.src,
-            "dst": attempt.dst,
-            "type": type(attempt.payload).__name__,
-        }
-        self.registry.counter(
-            "net_messages_total", "Messages offered to the network", **labels
-        ).inc()
-        self.registry.counter(
-            "net_bytes_total", "Payload bytes offered to the network", **labels
-        ).inc(attempt.size)
+        self._instrument(
+            "counter", "net_bytes_total", "Payload bytes offered to the network", **labels
+        ).inc(attrs["size"])
 
     # -- snapshots & lifecycle -----------------------------------------------------------------
 
@@ -627,15 +584,14 @@ class ObsPlane:
             "net_messages_sent", "Transfers accepted by the network"
         ).set(net.messages_sent)
         self.registry.gauge("net_bytes_sent").set(net.bytes_sent)
-        env = self._env
-        if env is not None:
-            self.registry.gauge("sim_now_seconds", "Simulated clock").set(env.now)
-            self.registry.gauge(
-                "sim_events_scheduled", "Events ever pushed on the schedule"
-            ).set(env.scheduled_events)
-            self.registry.gauge(
-                "sim_steps", "Scheduler steps processed"
-            ).set(env.steps)
+        env = cluster.env
+        self.registry.gauge("sim_now_seconds", "Simulated clock").set(env.now)
+        self.registry.gauge(
+            "sim_events_scheduled", "Events ever pushed on the schedule"
+        ).set(env.scheduled_events)
+        self.registry.gauge(
+            "sim_steps", "Scheduler steps processed"
+        ).set(env.steps)
 
     def finalize(self) -> int:
         """End-of-run: close in-flight spans and snapshot all stats.
@@ -649,21 +605,3 @@ class ObsPlane:
         ).set(unfinished)
         self.snapshot()
         return unfinished
-
-    # -- internal ---------------------------------------------------------------------------------
-
-    def _end(self, span: Span, **attrs) -> bool:
-        """Close a span idempotently.
-
-        ``*_end`` probes sit in ``finally`` blocks, which also run when a
-        half-finished process generator is torn down after the horizon —
-        by then :meth:`finalize` already force-closed the span.
-        """
-        if span.end is not None:
-            return False
-        self.spans.end(span, self.now, **attrs)
-        self.registry.histogram(
-            "phase_seconds", "Sim-time per protocol phase (span name)",
-            phase=span.name,
-        ).observe(span.duration)
-        return True

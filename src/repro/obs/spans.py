@@ -66,6 +66,11 @@ class SpanRecorder:
         self._ids = itertools.count(1)
         self._open_by_trace: dict[str, list[Span]] = {}
         self._by_id: dict[int, Span] = {}
+        #: Callables told of every span as it opens / closes (an instant
+        #: event closes as it is recorded): how the health plane follows
+        #: the recorder without wrapping it.
+        self.opened: list = []
+        self.closed: list = []
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -96,6 +101,8 @@ class SpanRecorder:
         self._by_id[span.span_id] = span
         if trace_id is not None:
             self._open_by_trace.setdefault(trace_id, []).append(span)
+        for listener in self.opened:
+            listener(span)
         return span
 
     def end(self, span: Span, t: float, **attrs) -> Span:
@@ -114,6 +121,8 @@ class SpanRecorder:
                     pass
                 if not stack:
                     del self._open_by_trace[span.trace_id]
+        for listener in self.closed:
+            listener(span)
         return span
 
     def event(
@@ -140,6 +149,8 @@ class SpanRecorder:
         )
         self.spans.append(span)
         self._by_id[span.span_id] = span
+        for listener in self.closed:
+            listener(span)
         return span
 
     def finish(self, t: float) -> int:

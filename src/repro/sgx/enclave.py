@@ -28,6 +28,7 @@ from typing import Callable, Optional
 
 from ..crypto.primitives import sha256
 from ..sim.network import Node
+from ..sim.probe import Probe
 
 PAGE_SIZE = 4096
 EPC_USABLE_BYTES = 93 * 1024 * 1024  # usable part of the 128 MB EPC
@@ -89,6 +90,7 @@ class Enclave:
         costs: BoundaryCosts = SGX_ECALL,
         epc_bytes: int = EPC_USABLE_BYTES,
         paging_cost_per_page: float = EPC_PAGING_COST_PER_PAGE,
+        probe: Optional[Probe] = None,
     ):
         self.node = node
         self.name = name
@@ -106,13 +108,10 @@ class Enclave:
         self._ecalls: dict[str, Callable] = {}
         self._resident_bytes = 0
         self._reboot_hooks: list[Callable[[], None]] = []
-        # Observation hooks called with each ecall name before dispatch;
-        # used by the fault-injection plane to attribute enclave activity
-        # per scenario without wrapping the interface table.
-        self.ecall_taps: list[Callable[[str], None]] = []
-        # Optional observability plane (repro.obs); when attached it sees
-        # the full ecall arguments and brackets each crossing with a span.
-        self.obs = None
+        # Every crossing is reported here (``enclave.ecall``, with the
+        # arguments as its subject): spans, metrics and the fault plane's
+        # per-replica ecall count all read this one emission.
+        self.probe = probe if probe is not None else Probe(node.env)
 
     # -- interface table -----------------------------------------------------
 
@@ -146,8 +145,6 @@ class Enclave:
         if entry is None:
             raise EnclaveViolation(f"no such ecall: {name!r}")
         fn, isgen = entry
-        for tap in self.ecall_taps:
-            tap(name)
         stats = self.stats
         stats.ecalls += 1
         stats.bytes_copied_in += bytes_in
@@ -159,15 +156,13 @@ class Enclave:
             + self._copy_in_per_byte * bytes_in
             + self._copy_out_per_byte * bytes_out
         )
-        if self.obs is None:
-            # Hot path: no span bracketing, no try/finally bookkeeping.
-            if cost > 0:
-                yield from self.node.compute(cost)
-            result = fn(*args)
-            if isgen or hasattr(result, "__next__"):
-                result = yield from result
-            return result
-        spans = self.obs.ecall_begin(self, name, args, bytes_in, bytes_out)
+        probe = self.probe
+        token = None
+        if probe.on:
+            token = probe.begin(
+                "enclave.ecall", self.node.name, args, enclave=self.name,
+                ecall=name, bytes_in=bytes_in, bytes_out=bytes_out,
+            )
         try:
             if cost > 0:
                 yield from self.node.compute(cost)
@@ -175,7 +170,8 @@ class Enclave:
             if isgen or hasattr(result, "__next__"):
                 result = yield from result
         finally:
-            self.obs.ecall_end(spans)
+            if token is not None:
+                probe.end(token)
         return result
 
     # -- memory / paging ------------------------------------------------------
@@ -227,11 +223,15 @@ class Enclave:
             hook()
 
 
-def null_enclave(node: Node, name: str) -> Enclave:
+def null_enclave(node: Node, name: str, probe: Optional[Probe] = None) -> Enclave:
     """An 'enclave' with zero-cost boundary: plain in-process library."""
-    return Enclave(node, name, code_identity=f"null:{name}", costs=NO_BOUNDARY)
+    return Enclave(node, name, code_identity=f"null:{name}", costs=NO_BOUNDARY, probe=probe)
 
 
-def jni_enclave(node: Node, name: str, code_identity: str = "") -> Enclave:
+def jni_enclave(
+    node: Node, name: str, code_identity: str = "", probe: Optional[Probe] = None
+) -> Enclave:
     """Trusted code reached over JNI but outside SGX (the ctroxy setup)."""
-    return Enclave(node, name, code_identity=code_identity or f"jni:{name}", costs=JNI_CALL)
+    return Enclave(
+        node, name, code_identity=code_identity or f"jni:{name}", costs=JNI_CALL, probe=probe
+    )

@@ -84,8 +84,8 @@ class ShardFront:
             ForwardedRequest.auth_input(request, core.replica_id), cost
         )
         target = self._target(decision, request.op)
-        if core.obs is not None:
-            core.obs.forward_begin(core, request, target)
+        if core.probe.on:
+            core.probe.event("shard.forward", core.node.name, request, target=target)
         forward = ForwardedRequest(request, core.replica_id, tag)
         return Action("forward", dst=target, message=forward)
 
@@ -181,8 +181,9 @@ class ShardFront:
         )):
             return Action("drop", reason="bad forward tag")
         core.stats.forwarded_in += 1
-        if core.obs is not None:
-            core.obs.forward_received(core, request)
+        if core.probe.on:
+            # The hop (transit plus this host's queueing) ends here.
+            core.probe.event("shard.received", core.node.name, request)
         return (yield from core.admit(request, Waiter(request, front=request.origin)))
 
     def handle_shard_fast_reply(self, sfr: ShardFastReply):

@@ -8,7 +8,8 @@ Public surface:
 * :class:`Network`, :class:`Node`, :class:`NicConfig`, latency models —
   the cluster fabric.
 * :class:`RngTree` — reproducible per-component randomness.
-* :class:`Tracer` — structured event tracing.
+* :class:`Probe` — the bus every layer reports on; :class:`Tracer`, the
+  trace log, is one of its subscribers.
 """
 
 from .engine import (
@@ -32,6 +33,7 @@ from .network import (
     NormalLatency,
     UniformLatency,
 )
+from .probe import Probe
 from .resources import Resource, ResourceRequest, Store, StoreGet
 from .rng import RngTree
 from .trace import TraceRecord, Tracer
@@ -50,6 +52,7 @@ __all__ = [
     "NicConfig",
     "Node",
     "NormalLatency",
+    "Probe",
     "Process",
     "Resource",
     "ResourceRequest",

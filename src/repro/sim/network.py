@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .engine import Environment, Timeout
+from .probe import Probe
 from .resources import Resource, Store
 from .rng import RngTree
-from .trace import Tracer
 
 GBPS = 1e9 / 8  # bytes per second in one gigabit per second
 
@@ -244,13 +244,13 @@ class Network:
         env: Environment,
         rng_tree: Optional[RngTree] = None,
         default_latency: Optional[LatencyModel] = None,
-        tracer: Optional[Tracer] = None,
+        probe: Optional[Probe] = None,
         fifo_delivery: bool = True,
     ):
         self.env = env
         self.rng_tree = rng_tree or RngTree(0)
         self.default_latency = default_latency or ConstantLatency(50e-6)
-        self.tracer = tracer or Tracer(enabled=False)
+        self.probe = probe if probe is not None else Probe(env)
         # In-order delivery per (src, dst) pair, as TCP provides for all
         # client/replica connections in the paper's testbed.
         self.fifo_delivery = fifo_delivery
@@ -332,7 +332,9 @@ class Network:
         Filters run in registration order on every transfer, after the
         sender-crash check and before link fault state. This is the
         single interception point the fault-injection plane
-        (:mod:`repro.faults.injector`) builds on.
+        (:mod:`repro.faults.injector`) builds on. A filter may *change*
+        the attempt; what merely watches subscribes to the probe bus
+        (``net.send`` is emitted before any filter runs).
         """
         self._send_filters.append(fn)
 
@@ -347,23 +349,18 @@ class Network:
         payloads that land in the destination inbox. Unlike send
         filters, taps are read-only: they must not mutate the message.
         The audit ledger (:mod:`repro.obs.audit`) records certified
-        receives here.
+        receives through the ``net.deliver`` event instead, emitted here
+        just before the taps run.
         """
         self._delivery_taps.append(fn)
-
-    def remove_delivery_tap(self, fn) -> None:
-        self._delivery_taps.remove(fn)
 
     # -- transfer ------------------------------------------------------------
 
     def _deliver(self, msg: Message, receiver: Node) -> None:
         if receiver.crashed:
             return
-        if self.tracer.enabled:
-            self.tracer.record(
-                self.env.now, "net.deliver", msg.dst,
-                f"{msg.src}->{msg.dst} {type(msg.payload).__name__} ({msg.size} B)",
-            )
+        if self.probe.on:
+            self.probe.event("net.deliver", msg.dst, msg)
         if self._delivery_taps:
             for fn in tuple(self._delivery_taps):
                 fn(msg)
@@ -449,16 +446,17 @@ class Network:
             route = self._route(key)
         if route.sender.crashed:
             return
+        if self.probe.on:
+            # Offered traffic: what the sender's stack emitted, before a
+            # filter can drop or rewrite it.
+            self.probe.event("net.send", src, payload, dst=dst, size=int(size))
         extra_delay = 0.0
         if self._send_filters:
             attempt = SendAttempt(src, dst, payload, int(size), stream)
             for fn in tuple(self._send_filters):
                 fn(attempt)
                 if attempt.drop:
-                    self.tracer.record(
-                        self.env.now, "net.fault", src,
-                        f"->{dst} dropped by filter ({attempt.size} B)",
-                    )
+                    self._lost("net.fault", src, dst, payload, attempt.size)
                     return
             payload, size = attempt.payload, attempt.size
             extra_delay = attempt.extra_delay
@@ -466,7 +464,7 @@ class Network:
         if state.cut:
             return
         if state.loss_probability and self._loss_rng.random() < state.loss_probability:
-            self.tracer.record(self.env.now, "net.drop", src, f"->{dst} lost ({size} B)")
+            self._lost("net.drop", src, dst, payload, size)
             return
         self.messages_sent += 1
         self.bytes_sent += size
@@ -482,6 +480,11 @@ class Network:
                 src, dst, payload, int(size), self.env._now, next(self._msg_ids)
             )
         self._transfer(msg, route, extra_delay)
+
+    def _lost(self, kind: str, src: str, dst: str, payload: Any, size: int) -> None:
+        """Report a transfer a filter or a lossy link swallowed (rare path)."""
+        if self.probe.on:
+            self.probe.event(kind, src, payload, dst=dst, size=size)
 
     def _transfer(self, msg: Message, route: _Route, extra_delay: float = 0.0) -> None:
         """Callback-chained transfer: tx slot -> serialize -> propagate ->

@@ -1,13 +1,14 @@
-"""Structured event tracing.
+"""The trace log: a human-readable line per protocol and network instant.
 
 A :class:`Tracer` collects (time, category, node, detail) records. It is
-cheap when disabled, filterable when enabled, and is what the Fig. 5
-message-flow benchmark uses to count protocol phases.
+a subscriber of the probe bus (:mod:`repro.sim.probe`): ``trace=True``
+on a builder subscribes it, and :data:`RULES` says which event kinds it
+logs, under which category and with which detail text. The Fig. 5
+message-flow benchmark counts protocol phases in it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
@@ -26,43 +27,60 @@ class TraceRecord:
         return f"[{self.time * 1000:10.3f} ms] {self.category:<12} {self.node:<14} {self.detail}"
 
 
+#: How a ``proto.send`` names what it carries: ``key=value`` unless listed.
+_SEND_LABELS = {"lease": "lease key={}", "refetch": "refetch seq={}", "state": "state@{}"}
+
+
+def _sent(msg, dst, **what) -> str:
+    label = " ".join(_SEND_LABELS.get(k, k + "={}").format(v) for k, v in what.items())
+    return f"{type(msg).__name__}->{dst} {label}"
+
+
+#: event kind -> (category, detail(subject, **attrs)): one rule per line
+#: of the log. Kinds without a rule (span opens, metrics-only facts) are
+#: not logged.
+RULES = {
+    "proto.send": ("proto.send", _sent),
+    "proto.reply": ("proto.send", lambda reply, dst: f"reply rid={reply.request_id} ->{dst}"),
+    "hybster.commit": ("proto.commit", lambda _payload, seq: f"seq={seq}"),
+    "proto.execute": ("proto.execute", lambda request, seq: (
+        f"seq={seq} client={request.client_id} rid={request.request_id}")),
+    "hybster.batch": ("proto.batch", lambda requests, reason, depth: (
+        f"n={len(requests)} reason={reason} depth={depth}")),
+    "proto.viewchange": ("proto.viewchange", lambda _s, view: f"view={view}"),
+    "proto.newview": ("proto.newview", lambda _s, view, installed=False: (
+        f"installed view={view}" if installed else f"view={view}")),
+    "proto.statetransfer": ("proto.statetransfer", lambda _s, seq: f"installed state@{seq}"),
+    "net.deliver": ("net.deliver", lambda msg: (
+        f"{msg.src}->{msg.dst} {type(msg.payload).__name__} ({msg.size} B)")),
+    "net.drop": ("net.drop", lambda _payload, dst, size: f"->{dst} lost ({size} B)"),
+    "net.fault": ("net.fault", lambda _payload, dst, size: (
+        f"->{dst} dropped by filter ({size} B)")),
+}
+
+
 class Tracer:
-    """Collects trace records; disabled tracers drop everything.
+    """Collects trace records; a disabled tracer drops everything."""
 
-    With ``max_records`` set the tracer becomes a ring buffer: once full,
-    each new record evicts the oldest one and ``dropped`` counts the
-    evictions, so a long soak run keeps the trace tail at bounded memory
-    instead of growing without limit.
-    """
-
-    def __init__(
-        self,
-        enabled: bool = False,
-        categories: Optional[set[str]] = None,
-        max_records: Optional[int] = None,
-    ):
-        if max_records is not None and max_records < 1:
-            raise ValueError(f"max_records must be >= 1: {max_records}")
+    def __init__(self, enabled: bool = False):
         self.enabled = enabled
-        self.categories = categories
-        self.max_records = max_records
-        self.dropped = 0
-        # A plain list when unbounded keeps equality with list literals
-        # working for callers; deque(maxlen=...) only when capped.
-        self.records: "list[TraceRecord] | deque[TraceRecord]" = (
-            [] if max_records is None else deque(maxlen=max_records)
-        )
+        self.records: list[TraceRecord] = []
 
     def record(
         self, time: float, category: str, node: str, detail: str, data: Any = None
     ) -> None:
-        if not self.enabled:
-            return
-        if self.categories is not None and category not in self.categories:
-            return
-        if self.max_records is not None and len(self.records) >= self.max_records:
-            self.dropped += 1
-        self.records.append(TraceRecord(time, category, node, detail, data))
+        if self.enabled:
+            self.records.append(TraceRecord(time, category, node, detail, data))
+
+    # -- bus subscriber: instants only, what a span covers is not logged --------
+
+    def event(self, t: float, kind: str, node: str, subject, attrs: dict) -> None:
+        rule = RULES.get(kind)
+        if rule is not None:
+            category, detail = rule
+            self.record(t, category, node, detail(subject, **attrs))
+
+    # -- reading -------------------------------------------------------------
 
     def filter(
         self, category: Optional[str] = None, node: Optional[str] = None

@@ -37,6 +37,7 @@ from ..hybster.messages import Reply, Request
 from ..hybster.secure import SecureEnvelope, open_body, seal_body
 from ..sgx.enclave import Enclave
 from ..sim.network import Node
+from ..sim.probe import Probe
 from .cache import FastReadCache
 from .messages import BatchedReply, LeaseRequest
 from .monitor import ConflictMonitor
@@ -216,6 +217,7 @@ class TroxyCore:
         runtime: str = "cpp_sgx",
         cache: Optional[FastReadCache] = None,
         monitor: Optional[ConflictMonitor] = None,
+        probe: Optional[Probe] = None,
     ):
         self.node = node
         self.enclave = enclave
@@ -225,6 +227,9 @@ class TroxyCore:
         self.profile: RuntimeProfile = cost_profile(runtime)
         self.cache = cache if cache is not None else FastReadCache(enclave)
         self.monitor = monitor or ConflictMonitor()
+        # Where the core, its roles and its monitor report (repro.sim.probe).
+        self.probe = probe if probe is not None else Probe(node.env)
+        self.monitor.report_to(self.probe, replica_id)
         self.keys_fn = single_key
         # Roles. A feature that is off is a role that is absent; the
         # build attaches the ones it has (repro.deploy) before it hands
@@ -246,9 +251,6 @@ class TroxyCore:
         self.mac_cost_digest = prof.mac.cost(DIGEST_SIZE)
         self._hash_cost_64 = prof.hash.cost(64)
         self.stats = TroxyStats()
-        # Optional observability plane (repro.obs): cache/vote spans and
-        # fast-read outcome events.
-        self.obs = None
         self._sessions: dict[str, TlsEndpoint] = {}
         self._pending: dict[tuple[str, int], _Pending] = {}
         self._instance_key = keyring.troxy_instance(replica_id)
@@ -624,9 +626,10 @@ class TroxyCore:
         one by whichever single group answers it — the owner it was sent
         to or, after a ring cut-over, the key's new owner.
         """
-        span = None
-        if self.obs is not None:
-            span = self.obs.vote_begin(self, reply)
+        probe = self.probe
+        token = None
+        if probe.on:
+            token = probe.begin("troxy.vote", self.node.name, reply, voter=reply.replica_id)
         outcome = "stale"
         try:
             key = (reply.client_id, reply.request_id)
@@ -655,8 +658,8 @@ class TroxyCore:
                 pending.request, pending.waiter, reply.result, reply.request_digest
             ))
         finally:
-            if span is not None:
-                self.obs.vote_end(span, outcome)
+            if token is not None:
+                probe.end(token, outcome=outcome)
 
     # -- helpers -------------------------------------------------------------------------------
 

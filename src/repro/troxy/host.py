@@ -20,6 +20,7 @@ from ..hybster.secure import SecureEnvelope
 from ..sgx.enclave import Enclave
 from ..sim.engine import Environment, Process
 from ..sim.network import Network, Node
+from ..sim.probe import Probe
 from .core import Action, TroxyCore
 from .messages import BatchedReply, CacheEntryReply, LeaseRequest, LeaseRevoke, LeaseRevokeAck
 
@@ -86,6 +87,7 @@ class TroxyHost:
         core: TroxyCore,
         enclave: Enclave,
         query_timeout: float = 0.1,
+        probe: Optional[Probe] = None,
     ):
         self.env = env
         self.net = net
@@ -95,9 +97,8 @@ class TroxyHost:
         self.core = core
         self.enclave = enclave
         self.query_timeout = query_timeout
-        # Optional observability plane (repro.obs): brackets each pumped
-        # message with a troxy.host span.
-        self.obs = None
+        # Each pumped message is reported as one ``troxy.host`` interval.
+        self.probe = probe if probe is not None else Probe(env)
         # The enclave's interface is exactly the roles it has (DESIGN.md
         # D13): their ecalls, and the one table that says which ecall a
         # message class enters by. A message for an absent role finds no
@@ -189,34 +190,29 @@ class TroxyHost:
             msg = yield inbox.get()
             if self._stopped:
                 continue
-            # Without an obs plane the span wrapper is a dead generator
-            # frame on every hop; dispatch straight into the handler.
-            if self.obs is None:
-                Process(env, self._handle_inner(msg.payload, msg.src), name=name)
-            else:
-                Process(env, self._handle(msg.payload, msg.src), name=name)
+            Process(env, self._handle(msg.payload, msg.src), name=name)
 
     def _handle(self, payload, src: str):
-        span = None
-        if self.obs is not None:
-            span = self.obs.host_begin(self, payload, src)
+        probe = self.probe
+        token = None
+        if probe.on:
+            token = probe.begin(
+                "troxy.host", self.node.name, payload, type=type(payload).__name__, src=src
+            )
         try:
-            yield from self._handle_inner(payload, src)
+            kind = type(payload)
+            arm = self._arms.get(kind)
+            if arm is not None:
+                yield from arm(payload, src)
+                return
+            ecall = self._ecall_of.get(kind)
+            if ecall is None:
+                self.replica.dispatch(payload)
+            else:
+                yield from self._cross(ecall, payload, bytes_in=payload.wire_size)
         finally:
-            if span is not None:
-                self.obs.host_end(span)
-
-    def _handle_inner(self, payload, src: str):
-        kind = type(payload)
-        arm = self._arms.get(kind)
-        if arm is not None:
-            yield from arm(payload, src)
-            return
-        ecall = self._ecall_of.get(kind)
-        if ecall is None:
-            self.replica.dispatch(payload)
-        else:
-            yield from self._cross(ecall, payload, bytes_in=payload.wire_size)
+            if token is not None:
+                probe.end(token)
 
     def _cross(self, ecall: str, *args, bytes_in: int = 0):
         """One enclave crossing; act on the Action(s) it returns."""

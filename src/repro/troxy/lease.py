@@ -177,13 +177,17 @@ class LeaseHolder:
             # the lease removes the per-read quorum, so the entry itself
             # must already carry f+1 trust (vote install or promotion).
             core.stats.lease_read_uncorroborated += 1
-            if core.obs is not None:
-                core.obs.lease_result(core, waiter.client_request, "cold")
+            if core.probe.on:
+                core.probe.event(
+                    "troxy.lease_read", core.node.name, waiter.client_request, outcome="cold"
+                )
             return with_lease(core.order(request, waiter), renewal)
         yield from core.load_cached(cached)
         core.stats.lease_read_hits += 1
-        if core.obs is not None:
-            core.obs.lease_result(core, waiter.client_request, "hit")
+        if core.probe.on:
+            core.probe.event(
+                "troxy.lease_read", core.node.name, waiter.client_request, outcome="hit"
+            )
         # The lease carries the f+1 trust of a completed fast-read
         # quorum, towards a client and a fronting Troxy alike.
         action = yield from core.deliver(
@@ -241,8 +245,10 @@ class LeaseHolder:
                 core.stats.lease_grants_fenced += 1
             else:
                 core.stats.lease_grants_rejected += 1
-            if core.obs is not None:
-                core.obs.lease_install(core, grant, outcome)
+            if core.probe.on:
+                core.probe.event(
+                    "troxy.lease_install", core.node.name, key=grant.key, outcome=outcome
+                )
 
     def handle_lease_revoke(self, revoke: LeaseRevoke):
         """A leader wants to write under our lease (ecall #13): drop the
@@ -268,8 +274,8 @@ class LeaseHolder:
         core.stats.lease_revocations += 1
         self.table.revoke(revoke.key, revoke.epoch)
         core.cache.invalidate_keys((revoke.key,))
-        if core.obs is not None:
-            core.obs.lease_revoked(core, revoke.key)
+        if core.probe.on:
+            core.probe.event("troxy.lease_revoke", core.node.name, key=revoke.key)
         tag = yield from core.sign(
             LeaseRevokeAck.auth_input(revoke.key, revoke.epoch, core.replica_id),
             core.mac_cost_digest,
@@ -637,10 +643,7 @@ class LeaseGranter:
             # Revoking our own co-located Troxy: straight into the ecall.
             yield from self.revoke_sink(revoke)
         else:
-            replica._send(
-                grant.holder, revoke,
-                trace=f"lease key={key}" if replica.tracer.enabled else "",
-            )
+            replica._send(grant.holder, revoke, lease=key)
         replica.env.process(
             self._revoke_timer(key, grant), name=f"{replica.replica_id}:lease-timer"
         )

@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from ..sim.probe import Probe
+
 
 @dataclass
 class MonitorStats:
@@ -47,17 +49,27 @@ class ConflictMonitor:
         self.min_samples = min_samples
         self.count_misses = count_misses
         self.stats = MonitorStats()
-        # Called with "total_order" / "fast_read" whenever the adaptive
-        # switch flips; observability and tests hook in here.
-        self.switch_hooks: list = []
+        # A flip of the adaptive switch is reported as ``monitor.switch``;
+        # the TroxyCore that owns the monitor says where and as whom.
+        self.probe = Probe()
+        self.node = ""
         self._outcomes: deque[bool] = deque(maxlen=window)  # True = conflict
         self._total_order = False
         self._reads_since_probe = 0
         self._consecutive_probe_successes = 0
 
+    def report_to(self, probe: Probe, node: str) -> None:
+        self.probe, self.node = probe, node
+
     @property
     def total_order_mode(self) -> bool:
         return self._total_order
+
+    def _switch(self, total_order: bool) -> None:
+        self._total_order = total_order
+        if self.probe.on:
+            mode = "total_order" if total_order else "fast_read"
+            self.probe.event("monitor.switch", self.node, mode=mode)
 
     @property
     def conflict_rate(self) -> float:
@@ -83,11 +95,9 @@ class ConflictMonitor:
         if self._total_order:
             self._consecutive_probe_successes += 1
             if self._consecutive_probe_successes >= self.recovery_successes:
-                self._total_order = False
                 self.stats.switches_to_fast_read += 1
                 self._outcomes.clear()
-                for hook in self.switch_hooks:
-                    hook("fast_read")
+                self._switch(False)
 
     def record_conflict(self) -> None:
         """A fast read failed: remote mismatch or invalidated entry."""
@@ -114,9 +124,7 @@ class ConflictMonitor:
             and len(self._outcomes) >= self.min_samples
             and self.conflict_rate >= self.threshold
         ):
-            self._total_order = True
             self.stats.switches_to_total_order += 1
             self._reads_since_probe = 0
             self._consecutive_probe_successes = 0
-            for hook in self.switch_hooks:
-                hook("total_order")
+            self._switch(True)

@@ -95,9 +95,10 @@ class FastReadProber:
         then ordered like any other request)."""
         core = self.core
         core.stats.fast_read_attempts += 1
-        span = None
-        if core.obs is not None:
-            span = core.obs.cache_begin(core, waiter.client_request)
+        probe = core.probe
+        token = None
+        if probe.on:
+            token = probe.begin("troxy.cache", core.node.name, waiter.client_request)
         outcome = "miss"
         try:
             yield from core.node.compute(core.hash_cost(request.op.size))
@@ -124,8 +125,8 @@ class FastReadProber:
             outcome = "probe"
             return Action("query", queries=tuple(queries), nonce=nonce)
         finally:
-            if span is not None:
-                core.obs.cache_end(span, outcome)
+            if token is not None:
+                probe.end(token, outcome=outcome)
 
     # -- ecalls: remote cache protocol ---------------------------------------------------
 
@@ -178,8 +179,11 @@ class FastReadProber:
             del self._outstanding[answer.nonce]
             core.monitor.record_conflict()
             core.stats.fast_read_conflicts += 1
-            if core.obs is not None:
-                core.obs.fast_read_result(core, state.waiter.client_request, "conflict")
+            if core.probe.on:
+                core.probe.event(
+                    "troxy.fast_read", core.node.name, state.waiter.client_request,
+                    outcome="conflict",
+                )
             # Entry may be outdated: drop it and order the read instead.
             core.cache.remove(request_digest)
             return core.order(state.request, state.waiter)
@@ -193,8 +197,11 @@ class FastReadProber:
         # agreement, so the entry now carries enough trust for the lease
         # serve path (docs/READS.md).
         core.cache.promote(request_digest)
-        if core.obs is not None:
-            core.obs.fast_read_result(core, state.waiter.client_request, "hit")
+        if core.probe.on:
+            core.probe.event(
+                "troxy.fast_read", core.node.name, state.waiter.client_request,
+                outcome="hit",
+            )
         local = state.local_reply
         return (yield from core.deliver(
             state.request, state.waiter, local.result, local.request_digest
@@ -208,6 +215,9 @@ class FastReadProber:
             return Action("wait")
         core.monitor.record_conflict()
         core.stats.fast_read_timeouts += 1
-        if core.obs is not None:
-            core.obs.fast_read_result(core, state.waiter.client_request, "timeout")
+        if core.probe.on:
+            core.probe.event(
+                "troxy.fast_read", core.node.name, state.waiter.client_request,
+                outcome="timeout",
+            )
         return core.order(state.request, state.waiter)

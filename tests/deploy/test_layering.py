@@ -1,5 +1,6 @@
-"""Layering: ``repro.deploy`` sits below bench/shard/faults/obs, and the
-environment is read in one place."""
+"""Layering: ``repro.deploy`` sits below bench/shard/faults/obs, the
+environment is read in one place, and the layers report on the probe
+bus alone."""
 
 import ast
 import os
@@ -120,3 +121,37 @@ def test_troxy_imports_nothing_shard_shaped():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+#: The layers that report; what they may not name, besides the bus.
+REPORTING_LAYERS = ("sim/", "sgx/", "hybster/", "troxy/", "shard/")
+OLD_MECHANISMS = {"tracer", "Tracer", "ecall_taps", "switch_hooks", "obs"}
+#: The trace log is a subscriber that happens to live in ``sim``.
+TRACE_LOG = {"sim/trace.py", "sim/__init__.py"}
+
+
+def test_the_layers_report_on_the_bus_and_nothing_else():
+    """One mechanism (DESIGN.md D14): no observer attribute, no tracer,
+    no tap list; who watches is not the layers' business."""
+    offenders = []
+    for rel, tree in modules():
+        if not rel.startswith(REPORTING_LAYERS) or rel in TRACE_LOG:
+            continue
+        offenders += [
+            (rel, name) for name in imported_modules(rel, tree)
+            if name == "repro.obs" or name.startswith("repro.obs.")
+        ]
+        for node in ast.walk(tree):
+            named = (
+                getattr(node, "id", None) if isinstance(node, ast.Name)
+                else getattr(node, "attr", None) if isinstance(node, ast.Attribute)
+                else getattr(node, "arg", None) if isinstance(node, (ast.arg, ast.keyword))
+                else None
+            )
+            if named in OLD_MECHANISMS:
+                offenders.append((rel, node.lineno, named))
+    assert not offenders, offenders
+
+
+def test_the_span_rules_stay_one_readable_module():
+    assert module_sizes("obs")["probes.py"] <= 610

@@ -50,26 +50,25 @@ def test_attach_records_and_exports_deterministically(system, tmp_path):
 @pytest.mark.parametrize("system", ["bl", "ctroxy", "etroxy"])
 def test_detach_restores_hook_state(system):
     cluster = _build(system, seed=5)
+    assert not cluster.probe.on  # nobody watches a freshly built system
     plane = ObsPlane().attach(cluster)
-    for replica in getattr(cluster, "replicas", ()):
-        assert replica.obs is plane
-    for host in getattr(cluster, "hosts", ()):
-        assert host.obs is plane
-        assert host.core.monitor.switch_hooks
+    assert cluster.probe.on and plane.cluster is cluster
 
     plane.detach()
     assert plane.cluster is None
-    for replica in getattr(cluster, "replicas", ()):
-        assert replica.obs is None
-        assert replica.boundary.obs is None
-    for host in getattr(cluster, "hosts", ()):
-        assert host.obs is None
-        assert host.core.obs is None
-        assert host.enclave.obs is None
-        assert not host.core.monitor.switch_hooks
-    net = getattr(cluster, "net", None)
-    if net is not None:
-        assert plane._net_tap not in getattr(net, "_send_filters", ())
+    # The bus is off again: every site is back to its one flag test.
+    assert not cluster.probe.on
+    sent = cluster.net.messages_sent
+    client = cluster.new_client()
+
+    def driver():
+        yield from client.invoke(put("k", b"v"))
+
+    cluster.env.process(driver(), name="obs-test:driver")
+    cluster.env.run(until=0.5)
+    assert cluster.net.messages_sent > sent
+    assert len(plane.spans) == 0
+    assert plane.registry.total("net_messages_total") == 0
 
 
 def test_detached_plane_records_nothing_new():
@@ -102,6 +101,6 @@ def test_reattach_after_detach():
     plane = ObsPlane().attach(cluster)
     plane.detach()
     plane.attach(cluster)
-    for replica in cluster.replicas:
-        assert replica.obs is plane
+    assert cluster.probe.on and plane.cluster is cluster
     plane.detach()
+    assert not cluster.probe.on

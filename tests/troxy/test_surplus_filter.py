@@ -42,9 +42,20 @@ def capture(cluster, kind, dst):
     return seen
 
 
+class EcallSink:
+    """Probe-bus subscriber: ``fn(name)`` for each crossing into one enclave."""
+
+    def __init__(self, enclave, fn):
+        self.enclave, self.fn = enclave.name, fn
+
+    def begin(self, _t, kind, _node, _args, attrs):
+        if kind == "enclave.ecall" and attrs["enclave"] == self.enclave:
+            self.fn(attrs["ecall"])
+
+
 def ecall_log(host):
     names = []
-    host.enclave.ecall_taps.append(names.append)
+    host.enclave.probe.subscribe(EcallSink(host.enclave, names.append))
     return names
 
 

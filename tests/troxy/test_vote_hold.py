@@ -22,7 +22,7 @@ from repro.troxy.host import _OpenRequest
 from repro.troxy.messages import BatchedReply
 from repro.workloads.legacy import LegacyClient
 
-from .test_surplus_filter import contended_run, run_ops
+from .test_surplus_filter import EcallSink, contended_run, run_ops
 
 OFF = dict(app_factory=KvStore, batching="off", leases="off")
 VOTE_ECALLS = (
@@ -52,7 +52,7 @@ def journal(cluster, host):
         if msg.dst == host.node.name and isinstance(msg.payload, (Reply, BatchedReply)):
             events.append(("vote", msg.src))
 
-    host.enclave.ecall_taps.append(on_ecall)
+    host.enclave.probe.subscribe(EcallSink(host.enclave, on_ecall))
     cluster.net.add_delivery_tap(on_delivery)
     return events
 
