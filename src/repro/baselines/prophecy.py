@@ -34,6 +34,9 @@ from ..hybster.secure import SecureEnvelope, open_body, seal_body
 from ..sim.engine import Environment
 from ..sim.network import Network, Node
 
+#: A validation probe unanswered for this long falls back to a full read.
+VALIDATION_TIMEOUT = 1.0
+
 
 @dataclass
 class SketchEntry:
@@ -62,8 +65,6 @@ class ProphecyMiddlebox:
         keyring: KeyRing,
         replicas,
         rng,
-        runtime: str = "java",
-        validation_timeout: float = 1.0,
     ):
         self.env = env
         self.net = net
@@ -71,15 +72,14 @@ class ProphecyMiddlebox:
         self.config = config
         self.keyring = keyring
         self.rng = rng
-        self.profile: RuntimeProfile = cost_profile(runtime)
-        self.validation_timeout = validation_timeout
+        self.profile: RuntimeProfile = cost_profile("java")
         self.stats = ProphecyStats()
         self._sessions: dict[str, TlsEndpoint] = {}
         self._sketch: dict[bytes, SketchEntry] = {}
         self._stopped = False
         # The middlebox embeds the ordinary client-side BFT library for
         # ordered operations and single-replica validations.
-        self._machine = ClientMachine(env, net, node, runtime=runtime, owns_inbox=False)
+        self._machine = ClientMachine(env, net, node, owns_inbox=False)
         self._bft = BftClient(
             self._machine,
             client_id=f"prophecy@{node.name}",
@@ -167,7 +167,7 @@ class ProphecyMiddlebox:
         sketch), a stale result reaches the client.
         """
         reply = yield from self._bft.query_one(
-            op, self.rng.choice(self.config.replica_ids), self.validation_timeout
+            op, self.rng.choice(self.config.replica_ids), VALIDATION_TIMEOUT
         )
         if reply is None:
             return None

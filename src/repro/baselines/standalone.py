@@ -35,13 +35,12 @@ class StandaloneServer:
         net: Network,
         node: Node,
         app: Application,
-        runtime: str = "java",
     ):
         self.env = env
         self.net = net
         self.node = node
         self.app = app
-        self.profile: RuntimeProfile = cost_profile(runtime)
+        self.profile: RuntimeProfile = cost_profile("java")
         self.stats = StandaloneStats()
         self._sessions: dict[str, TlsEndpoint] = {}
         self._stopped = False

@@ -45,6 +45,12 @@ REPLY_SIZES = (256, 1024, 4096, 8192)
 #: constraint (DESIGN.md, substitutions).
 WAN_CLIENT_NIC = NicConfig(count=1, bandwidth=0.25 * GBPS)
 
+#: Cores per server machine in every measured cell: 2, not the testbed's
+#: 8. It scales the saturation point down so the simulation reaches it
+#: with far fewer events. Every compared system is scaled identically,
+#: so throughput *ratios* — the reproduced quantity — are unaffected.
+REPLICA_CORES = 2
+
 
 def _scaled(value: int, minimum: int = 4) -> int:
     return max(minimum, int(value * SCALE))
@@ -169,10 +175,8 @@ def _run_system(
     read_optimization: bool = True,
     monitor_factory=None,
     fast_reads: bool = True,
-    replica_cores: int = 2,
     request_distribution: str = "leader",
     batching=None,
-    leases=None,
     shards: int = 1,
     obs=None,
 ):
@@ -180,18 +184,13 @@ def _run_system(
 
     ``system`` is "bl", "ctroxy", "etroxy" or "lease" (etroxy with
     leases on); ``shards`` applies to the Troxy systems.
-
-    ``replica_cores`` defaults to 2 (not the testbed's 8): it scales the
-    saturation point down so the simulation reaches it with far fewer
-    events. Every compared system is scaled identically, so throughput
-    *ratios* — the reproduced quantity — are unaffected.
     """
     common = dict(
         seed=seed,
         app_factory=lambda: EchoService(reply_size=reply_size),
         wan=wan,
         client_nic=client_nic,
-        replica_cores=replica_cores,
+        replica_cores=REPLICA_CORES,
         batching=batching,
     )
     client_kwargs = {}
@@ -207,7 +206,7 @@ def _run_system(
             boundary="jni" if system == "ctroxy" else "sgx",
             monitor_factory=monitor_factory,
             fast_reads=fast_reads,
-            leases=True if system == "lease" else leases,
+            leases=system == "lease",
             shards=shards,
             **common,
         )
@@ -312,45 +311,34 @@ def lease_reads(
     reply_size: int = 1024,
     n_clients: Optional[int] = None,
     duration: float = 0.25,
-    wan_duration: float = 2.0,
 ) -> list[Point]:
-    """Leased vs voted reads, LAN and WAN (docs/READS.md).
+    """Leased vs voted reads on the LAN (docs/READS.md).
 
-    Four cells on the fig8/fig9 read-only workload: ``etroxy`` (the
-    fast-read cache with its per-read f+1 probe round) against
-    ``lease`` (local serve under a leader-granted lease, no probe
-    round), on the LAN and behind the 100±20 ms client link. The LAN
-    lease cell *is* the local-serve latency — request decrypt, cache
-    lookup, reply seal, nothing else — so the acceptance claim "WAN
-    lease read p50 drops to local-serve latency" is checked literally:
-    WAN lease p50 minus the WAN round trip lands on the LAN lease p50
-    (see benchmarks/test_leases.py).
+    Two cells on the fig8 read-only workload: ``etroxy`` (the fast-read
+    cache with its per-read f+1 probe round) against ``lease`` (local
+    serve under a leader-granted lease, no probe round). The lease cell
+    *is* the local-serve latency — request decrypt, cache lookup, reply
+    seal, nothing else. There is no WAN cell: the only WAN leg is
+    client -> Troxy, which a lease cannot shorten (docs/READS.md).
     """
     n_clients = n_clients if n_clients is not None else _scaled(16, minimum=8)
     points = []
-    for net, wan, nic, dur, warmup in (
-        ("local", None, None, duration, 0.1),
-        ("wan", WAN_DELAY, WAN_CLIENT_NIC, wan_duration, 1.5),
-    ):
-        for system in ("etroxy", "lease"):
-            cluster, summary = _run_system(
-                system, read_source(key_space=4), reply_size=reply_size,
-                n_clients=n_clients, warmup=warmup, duration=dur,
-                wan=wan, client_nic=nic,
-            )
-            lease_hits = sum(c.stats.lease_read_hits for c in cluster.cores)
-            probe_reads = sum(c.stats.fast_read_attempts for c in cluster.cores)
-            points.append(Point(
-                f"lease-{net}", system, reply_size, summary,
-                extra={
-                    "sim": cluster.sim_stats,
-                    "lease_read_hits": lease_hits,
-                    "fast_read_attempts": probe_reads,
-                    "grants_installed": sum(
-                        c.stats.lease_grants_installed for c in cluster.cores
-                    ),
-                },
-            ))
+    for system in ("etroxy", "lease"):
+        cluster, summary = _run_system(
+            system, read_source(key_space=4), reply_size=reply_size,
+            n_clients=n_clients, warmup=0.1, duration=duration,
+        )
+        points.append(Point(
+            "lease-local", system, reply_size, summary,
+            extra={
+                "sim": cluster.sim_stats,
+                "lease_read_hits": sum(c.stats.lease_read_hits for c in cluster.cores),
+                "fast_read_attempts": sum(c.stats.fast_read_attempts for c in cluster.cores),
+                "grants_installed": sum(
+                    c.stats.lease_grants_installed for c in cluster.cores
+                ),
+            },
+        ))
     return points
 
 

@@ -27,7 +27,6 @@ the import graph; the shard pieces are imported only when ``shards`` > 1.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
@@ -67,14 +66,6 @@ MASTER_SECRET = b"troxy-repro-master-secret-0001"
 #: over JNI), "none" is a free boundary (ablations).
 BOUNDARIES = ("sgx", "jni", "none")
 
-#: Environment default for agreement batching (docs/BATCHING.md):
-#: "off", an integer batch size, or "adaptive".
-BATCHING_ENV = "REPRO_BATCHING"
-
-#: Environment default for lease-based fast reads (docs/READS.md):
-#: "off", "on", or a float lease duration in seconds.
-LEASES_ENV = "REPRO_LEASES"
-
 
 # -- feature resolution -------------------------------------------------------------
 
@@ -83,13 +74,13 @@ def resolve_batching(batching: Union[BatchConfig, int, str, None]) -> BatchConfi
     """Turn a batching knob into a :class:`BatchConfig`.
 
     Accepts a BatchConfig (returned as-is), an int batch size, or the
-    strings "off"/"adaptive"/an integer literal as they arrive from
-    CLIs and the environment. "off" (or 0) disables the batch layer
-    entirely — the pre-batching code path. An int n >= 1 means
+    strings "off"/"adaptive"/an integer literal as they arrive from the
+    CLIs. "off" (or 0) disables the batch layer entirely — the
+    pre-batching code path. An int n >= 1 means
     ``BatchConfig.sized(n)``: size 1 still routes requests through the
     batch loop (the conformance suite pins it wire-equivalent to the
     pre-batching protocol), which is what "batch size 1" means in the
-    CI matrix and the chaos campaigns.
+    batching ladder and the chaos campaigns.
     """
     if batching is None or isinstance(batching, BatchConfig):
         return batching if batching is not None else BatchConfig()
@@ -105,54 +96,39 @@ def resolve_batching(batching: Union[BatchConfig, int, str, None]) -> BatchConfi
     return BatchConfig.sized(batching)
 
 
-def resolve_leases(leases: Union[LeaseConfig, bool, float, str, None]) -> LeaseConfig:
+def resolve_leases(leases: Union[LeaseConfig, bool, str, None]) -> LeaseConfig:
     """Turn a lease knob into a :class:`LeaseConfig`.
 
-    Accepts a LeaseConfig (returned as-is), a bool, a float lease
-    duration in seconds, or the strings "off"/"on"/a float literal as
-    they arrive from CLIs and the environment.
+    Accepts a LeaseConfig (returned as-is), a bool, or the strings
+    "on"/"off"; a lease duration is ``LeaseConfig.on(duration=...)``.
     """
     if leases is None:
         return LeaseConfig()
     if isinstance(leases, LeaseConfig):
         return leases
-    if isinstance(leases, bool):
-        return LeaseConfig.on() if leases else LeaseConfig()
-    if isinstance(leases, str):
-        text = leases.strip().lower()
-        if text in ("", "off", "none", "0", "false"):
-            return LeaseConfig()
-        if text in ("on", "1", "true"):
-            return LeaseConfig.on()
-        return LeaseConfig.on(duration=float(text))
-    return LeaseConfig.on(duration=float(leases))
+    if leases in ("on", "off"):
+        leases = leases == "on"
+    if not isinstance(leases, bool):
+        raise ValueError(f"leases must be a LeaseConfig, a bool, 'on' or 'off': {leases!r}")
+    return LeaseConfig.on() if leases else LeaseConfig()
 
 
-_FEATURES = {
-    "batching": (BATCHING_ENV, resolve_batching),
-    "leases": (LEASES_ENV, resolve_leases),
-}
+_FEATURES = {"batching": resolve_batching, "leases": resolve_leases}
 
 
 def resolve_features(f: int, config: Optional[ClusterConfig], **knobs) -> ClusterConfig:
-    """The one place a feature is switched on: keyword > ``config`` > env.
+    """The one place a feature is switched on: keyword, else ``config``, else off.
 
     ``knobs`` holds the feature keywords the calling system has
     (``batching=``, ``leases=``), each a typed config, the CLI string
-    form, or None. A keyword that is given wins; otherwise an explicit
-    ``config`` is taken as it is, so tests that pin a ClusterConfig stay
-    insensitive to the CI feature matrix; only with neither does the
-    ``REPRO_BATCHING`` / ``REPRO_LEASES`` default apply. No other code
-    reads those variables.
+    form, or None. Start from ``config`` (or ``ClusterConfig(f=f)``,
+    every feature off) and apply each keyword that is given. A
+    deployment is a function of its arguments and of nothing else.
     """
-    explicit_config = config is not None
-    config = config if explicit_config else ClusterConfig(f=f)
+    config = config if config is not None else ClusterConfig(f=f)
     for name, value in knobs.items():
-        env_var, resolve = _FEATURES[name]
-        if value is None and not explicit_config:
-            value = os.environ.get(env_var) or None
         if value is not None:
-            config = replace(config, **{name: resolve(value)})
+            config = replace(config, **{name: _FEATURES[name](value)})
     return config
 
 
@@ -305,13 +281,13 @@ def _add_group(site: Deployment, group: Group) -> None:
 
 
 def _add_client_machines(
-    site: Deployment, count: int, nic: Optional[NicConfig],
+    site: Deployment, nic: Optional[NicConfig],
     wan: Optional[LatencyModel], servers, cores: int = 8,
 ) -> None:
-    """The client side of the testbed: ``count`` machines with their
-    access link, behind the WAN delay to every node in ``servers`` when
-    ``wan`` is set. ``cores`` defaults to ``Network.add_node``'s."""
-    for i in range(count):
+    """The client side of the testbed: two machines with their access
+    link, behind the WAN delay to every node in ``servers`` when ``wan``
+    is set. ``cores`` defaults to ``Network.add_node``'s."""
+    for i in range(2):
         node = site.net.add_node(f"client-machine-{i}", cores=cores, nic=nic)
         site.machines.append(ClientMachine(site.env, site.net, node))
     if wan is not None:
@@ -368,7 +344,7 @@ def _hybster_group(site, config, app_factory, cores) -> None:
 def _troxy_server(
     site: Deployment, config: ClusterConfig, replica_id: str,
     app_factory: Callable[[], Application], replica_cores: int, *,
-    boundary: str, fast_reads: bool, monitor_factory, cache_entries: int,
+    boundary: str, fast_reads: bool, monitor_factory,
     cache_outside: bool, epc_bytes: Optional[int], query_timeout: float,
     router=None, keys_fn=None,
 ):
@@ -432,9 +408,7 @@ def _troxy_server(
         config=config,
         keyring=provisioned,
         runtime=runtime,
-        cache=FastReadCache(
-            troxy_enclave, max_entries=cache_entries, store_outside=cache_outside
-        ),
+        cache=FastReadCache(troxy_enclave, store_outside=cache_outside),
         monitor=monitor_factory() if monitor_factory else ConflictMonitor(),
         probe=site.probe,
     )
@@ -467,7 +441,6 @@ def build_baseline(
     seed: int = 0,
     f: int = 1,
     app_factory: Callable[[], Application] = None,
-    client_machines: int = 2,
     wan: Optional[LatencyModel] = None,
     client_nic: Optional[NicConfig] = None,
     replica_cores: int = 8,
@@ -481,9 +454,7 @@ def build_baseline(
     config = resolve_features(f, config, batching=batching)
     site = _site(seed, trace)
     _hybster_group(site, config, app_factory, replica_cores)
-    _add_client_machines(
-        site, client_machines, client_nic, wan, config.replica_ids, cores=replica_cores
-    )
+    _add_client_machines(site, client_nic, wan, config.replica_ids, cores=replica_cores)
     return site
 
 
@@ -493,21 +464,18 @@ def build_troxy(
     app_factory: Callable[[], Application] = None,
     boundary: str = "sgx",
     fast_reads: bool = True,
-    client_machines: int = 2,
     wan: Optional[LatencyModel] = None,
     client_nic: Optional[NicConfig] = None,
     replica_cores: int = 8,
     config: Optional[ClusterConfig] = None,
     batching: Union[BatchConfig, int, str, None] = None,
-    leases: Union[LeaseConfig, bool, float, str, None] = None,
+    leases: Union[LeaseConfig, bool, str, None] = None,
     monitor_factory: Callable[[], ConflictMonitor] = None,
-    cache_entries: int = 65536,
     cache_outside: bool = True,
     epc_bytes: Optional[int] = None,
     query_timeout: float = 0.1,
     trace: bool = False,
     shards: int = 1,
-    vnodes: int = 64,
 ) -> Deployment:
     """Assemble a Troxy-backed Hybster deployment.
 
@@ -543,7 +511,7 @@ def build_troxy(
         from .shard.ring import ring_from_rng
         from .shard.router import ShardRouter
 
-        site.ring = ring_from_rng(group_ids, site.rng.derive("shard", "ring"), vnodes=vnodes)
+        site.ring = ring_from_rng(group_ids, site.rng.derive("shard", "ring"))
         site.router = router = ShardRouter(
             site.ring, {gid: cfg.replica_ids for gid, cfg in zip(group_ids, configs)}
         )
@@ -557,7 +525,6 @@ def build_troxy(
                 boundary=boundary,
                 fast_reads=fast_reads,
                 monitor_factory=monitor_factory,
-                cache_entries=cache_entries,
                 cache_outside=cache_outside,
                 epc_bytes=epc_bytes,
                 query_timeout=query_timeout,
@@ -581,7 +548,7 @@ def build_troxy(
         _add_group(site, group)
 
     _add_client_machines(
-        site, client_machines, client_nic, wan,
+        site, client_nic, wan,
         [replica.replica_id for replica in site.replicas], cores=replica_cores,
     )
     if router is not None:
@@ -592,19 +559,17 @@ def build_troxy(
 def build_standalone(
     seed: int = 0,
     app_factory: Callable[[], Application] = None,
-    client_machines: int = 2,
     wan: Optional[LatencyModel] = None,
     client_nic: Optional[NicConfig] = None,
-    server_cores: int = 8,
     trace: bool = False,
 ) -> Deployment:
     """Assemble a single non-fault-tolerant server (latency floor)."""
     if app_factory is None:
         raise ValueError("app_factory is required")
     site = _site(seed, trace, attested=False)
-    node = site.net.add_node("server-0", cores=server_cores)
+    node = site.net.add_node("server-0")
     site.server = StandaloneServer(site.env, site.net, node, app_factory())
-    _add_client_machines(site, client_machines, client_nic, wan, ["server-0"])
+    _add_client_machines(site, client_nic, wan, ["server-0"])
     return site
 
 
@@ -612,7 +577,6 @@ def build_prophecy(
     seed: int = 0,
     f: int = 1,
     app_factory: Callable[[], Application] = None,
-    client_machines: int = 2,
     wan: Optional[LatencyModel] = None,
     client_nic: Optional[NicConfig] = None,
     replica_cores: int = 8,
@@ -636,5 +600,5 @@ def build_prophecy(
         keyring=site.keyring, replicas=site.replicas,
         rng=site.rng.derive("prophecy"),
     )
-    _add_client_machines(site, client_machines, client_nic, wan, ["prophecy-mb"])
+    _add_client_machines(site, client_nic, wan, ["prophecy-mb"])
     return site

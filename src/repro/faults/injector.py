@@ -120,9 +120,6 @@ class FaultPlane:
         #: per-replica counter snapshots taken right before each enclave
         #: reboot (input to the counter-monotonicity invariant).
         self.counter_baselines: dict[str, list[dict[str, int]]] = {}
-        #: per-replica Troxy-enclave ecall counts, from the probe bus.
-        self.ecall_counts: dict[str, int] = {}
-        self._troxy_enclaves = {h.enclave.name: h.replica_id for h in cluster.hosts}
         self.attacks: dict[Fault, list[AttackState]] = {}
         self._retired_hits: dict[Fault, int] = {}
         self._retired_kind_hits: dict[str, int] = {}
@@ -131,7 +128,6 @@ class FaultPlane:
         #: plane (campaign blame scoring needs more than describe()).
         self.fault_timeline: list[tuple[str, float, Fault]] = []
         self._filter_installed = False
-        cluster.probe.subscribe(self)
 
     # -- cluster access --------------------------------------------------------
 
@@ -146,14 +142,6 @@ class FaultPlane:
             if host.replica_id == replica_id:
                 return host
         return None
-
-    # -- probe-bus subscriber: enclave activity per replica -------------------
-
-    def begin(self, _t, kind: str, _node, _subject, attrs: dict) -> None:
-        if kind == "enclave.ecall":
-            replica_id = self._troxy_enclaves.get(attrs["enclave"])
-            if replica_id is not None:
-                self.ecall_counts[replica_id] = self.ecall_counts.get(replica_id, 0) + 1
 
     # -- entry points ----------------------------------------------------------
 

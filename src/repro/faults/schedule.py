@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..hybster.config import LeaseConfig
 from ..troxy.monitor import ConflictMonitor
 from .model import (
     EnclaveReboot,
@@ -317,7 +318,7 @@ def _catalogue() -> dict[str, Scenario]:
                 write_ratio=0.15,
                 think_time=0.02,
             ),
-            cluster_kwargs=(("leases", 0.3),),
+            cluster_kwargs=(("leases", LeaseConfig.on(duration=0.3)),),
             horizon=60.0,
         ),
         Scenario(
@@ -341,7 +342,7 @@ def _catalogue() -> dict[str, Scenario]:
                 write_ratio=0.15,
                 think_time=0.02,
             ),
-            cluster_kwargs=(("leases", 1.0),),
+            cluster_kwargs=(("leases", LeaseConfig.on(duration=1.0)),),
         ),
         Scenario(
             name="lease_migration_freeze",
@@ -363,7 +364,7 @@ def _catalogue() -> dict[str, Scenario]:
                 write_ratio=0.15,
                 think_time=0.02,
             ),
-            cluster_kwargs=(("leases", 0.5),),
+            cluster_kwargs=(("leases", LeaseConfig.on(duration=0.5)),),
             horizon=60.0,
             shards=2,
         ),

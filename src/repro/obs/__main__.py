@@ -31,7 +31,6 @@ def run_workload(
     warmup: float = 0.05,
     duration: float = 0.25,
     write_ratio: float = 0.1,
-    key_space: int = 4,
     batching=None,
     plane: ObsPlane = None,
 ) -> tuple[ObsPlane, object]:
@@ -45,7 +44,7 @@ def run_workload(
     the batch-queue phase appear; ``plane`` substitutes another plane
     (e.g. a :class:`~repro.obs.health.HealthPlane`)."""
     plane = plane if plane is not None else ObsPlane()
-    source = mixed_source(write_ratio, random.Random(seed), key_space=key_space)
+    source = mixed_source(write_ratio, random.Random(seed), key_space=4)
     _, summary = _run_system(
         system, source, reply_size=256, n_clients=n_clients,
         warmup=warmup, duration=duration, seed=seed, obs=plane,

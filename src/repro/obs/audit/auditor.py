@@ -10,8 +10,8 @@ proof classes:
   subsystem makes this impossible for honest hardware, so the verdict
   pins the subsystem owner with cryptographic certainty.
 * **tamper** — a delivered message's digest does not match any digest
-  its sender's ledger certified for that peer. The send filter records
-  pre-wire content and the delivery tap records arrivals, so the
+  its sender's ledger certified for that peer. ``net.send`` records
+  pre-wire content and ``net.deliver`` records arrivals, so the
   divergence pins the sender-side host (``HostTamper``) or its
   outbound link; either way the named replica's zone is the culprit.
 * **omission** — sends attested by several senders never appear in the

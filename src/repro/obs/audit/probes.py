@@ -1,14 +1,13 @@
 """Ledger probes on the network send and delivery paths.
 
-One send filter plus the bus's ``net.deliver`` event cover every
-protocol path — hybster ORDER/COMMIT traffic, troxy replies, client
-requests — because all of them go through
-:meth:`repro.sim.network.Network.send`. The send filter is installed at
-``attach()`` time, *before* the fault plane's lazily-installed filter,
-so send entries record the digest of what the host's protocol stack
-actually emitted (the certified history); ``net.deliver`` says what
-physically arrived. The difference between the two is exactly the
-tamper evidence the auditor needs.
+The bus's ``net.send`` and ``net.deliver`` events cover every protocol
+path — hybster ORDER/COMMIT traffic, troxy replies, client requests —
+because all of them go through :meth:`repro.sim.network.Network.send`.
+``net.send`` is emitted before any send filter runs, so send entries
+record the digest of what the host's protocol stack actually emitted
+(the certified history), whatever the fault plane rewrites afterwards;
+``net.deliver`` says what physically arrived. The difference between
+the two is exactly the tamper evidence the auditor needs.
 
 Checkpointing is the one place the audit plane deliberately spends
 simulated time: every ``checkpoint_interval`` entries on a replica's
@@ -101,7 +100,6 @@ class LedgerProbes:
         self.ledgers: dict[str, MessageLedger] = {}
         self.cluster = None
         self._env = None
-        self._net = None
         self._replicas: dict[str, object] = {}
         self._entry_counters: dict[tuple[str, str], object] = {}
         self._checkpoint_counters: dict[str, object] = {}
@@ -113,17 +111,14 @@ class LedgerProbes:
             raise RuntimeError("LedgerProbes is already attached to a cluster")
         self.cluster = cluster
         self._env = cluster.env
-        self._net = cluster.net
         for replica in cluster.replicas:
             self._replicas[replica.node.name] = replica
-        self._net.add_send_filter(self._send_tap)
         cluster.probe.subscribe(self)
         return self
 
     def detach(self) -> None:
         if self.cluster is None:
             return
-        self._net.remove_send_filter(self._send_tap)
         self.cluster.probe.unsubscribe(self)
         self.cluster = None
         self._replicas = {}
@@ -152,13 +147,13 @@ class LedgerProbes:
         if replica is not None and len(ledger.entries) % self.checkpoint_interval == 0:
             self._request_checkpoint(replica, ledger)
 
-    def _send_tap(self, attempt) -> None:
-        self._record(attempt.src, "send", attempt.dst, attempt.payload)
-
-    def event(self, _t, kind: str, _node, msg, _attrs) -> None:
-        """Bus subscriber: what lands in an inbox is a certified receive."""
-        if kind == "net.deliver":
-            self._record(msg.dst, "recv", msg.src, msg.payload)
+    def event(self, _t, kind: str, node, subject, attrs) -> None:
+        """Bus subscriber: an offered send is a certified send, what
+        lands in an inbox is a certified receive."""
+        if kind == "net.send":
+            self._record(node, "send", attrs["dst"], subject)
+        elif kind == "net.deliver":
+            self._record(subject.dst, "recv", subject.src, subject.payload)
 
     # -- checkpointing -------------------------------------------------------
 

@@ -148,6 +148,6 @@ class HashRing:
         return split
 
 
-def ring_from_rng(groups: Iterable[str], rng, vnodes: int = 64) -> HashRing:
+def ring_from_rng(groups: Iterable[str], rng) -> HashRing:
     """Build a ring whose placement is pinned by a sim RNG stream."""
-    return HashRing(groups, vnodes=vnodes, salt=str(rng.getrandbits(64)))
+    return HashRing(groups, salt=str(rng.getrandbits(64)))

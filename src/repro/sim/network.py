@@ -338,9 +338,6 @@ class Network:
         """
         self._send_filters.append(fn)
 
-    def remove_send_filter(self, fn) -> None:
-        self._send_filters.remove(fn)
-
     def add_delivery_tap(self, fn) -> None:
         """Install ``fn(msg: Message) -> None`` on the delivery path.
 

@@ -1,5 +1,6 @@
-"""Feature resolution: keyword > ``config=`` > REPRO_* environment default,
-and the two legacy import paths the frozen perf ledger uses."""
+"""Feature resolution: a keyword wins, else the ``config=`` given, else
+off. Nothing reads the process environment (DESIGN.md D15). Plus the two
+legacy import paths the frozen perf ledger uses."""
 
 import os
 import subprocess
@@ -9,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from repro.apps.kvstore import KvStore
-from repro.deploy import build_baseline, build_troxy, resolve_features
+from repro.deploy import build_baseline, build_troxy, resolve_features, resolve_leases
 from repro.hybster.config import BatchConfig, ClusterConfig, LeaseConfig
+from tests.deploy.test_assembly import trace_digest
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -19,21 +21,22 @@ ADAPTIVE = BatchConfig.adaptive_default()
 LEASED = LeaseConfig.on()
 PINNED = ClusterConfig(f=1, batching=SIZED, leases=LeaseConfig.on(duration=2.0))
 
-# (keyword, config=, env) -> what must win; None means "not given".
+# (keyword, config=, exported) -> what is built. ``exported`` is the value
+# of the variable a CI leg once set for that feature: inert in every row.
 BATCHING_CASES = [
     (None, None, None, BatchConfig()),
-    (None, None, "adaptive", ADAPTIVE),          # env is the last resort
-    (None, None, "4", SIZED),
-    (None, PINNED, "adaptive", SIZED),           # explicit config ignores env
+    (None, None, "adaptive", BatchConfig()),
+    (None, None, "4", BatchConfig()),
+    (None, PINNED, "adaptive", SIZED),           # the config given
     (None, ClusterConfig(f=1), "adaptive", BatchConfig()),
-    ("adaptive", PINNED, "16", ADAPTIVE),        # keyword beats both
+    ("adaptive", PINNED, "16", ADAPTIVE),        # a keyword beats it
     ("off", None, "adaptive", BatchConfig()),
     (ADAPTIVE, PINNED, None, ADAPTIVE),          # typed keyword
 ]
 LEASE_CASES = [
     (None, None, None, LeaseConfig()),
-    (None, None, "on", LEASED),
-    (None, None, "2.0", LeaseConfig.on(duration=2.0)),
+    (None, None, "on", LeaseConfig()),
+    (None, None, "2.0", LeaseConfig()),
     (None, PINNED, "off", PINNED.leases),
     (None, ClusterConfig(f=1), "on", LeaseConfig()),
     ("on", PINNED, "off", LEASED),
@@ -44,7 +47,6 @@ LEASE_CASES = [
 
 @pytest.mark.parametrize("keyword,config,env,expected", BATCHING_CASES)
 def test_batching_precedence(monkeypatch, keyword, config, env, expected):
-    monkeypatch.delenv("REPRO_BATCHING", raising=False)
     if env is not None:
         monkeypatch.setenv("REPRO_BATCHING", env)
     for build in (build_troxy, build_baseline):
@@ -55,7 +57,6 @@ def test_batching_precedence(monkeypatch, keyword, config, env, expected):
 
 @pytest.mark.parametrize("keyword,config,env,expected", LEASE_CASES)
 def test_lease_precedence(monkeypatch, keyword, config, env, expected):
-    monkeypatch.delenv("REPRO_LEASES", raising=False)
     if env is not None:
         monkeypatch.setenv("REPRO_LEASES", env)
     built = build_troxy(seed=1, app_factory=KvStore, config=config, leases=keyword)
@@ -66,10 +67,33 @@ def test_lease_precedence(monkeypatch, keyword, config, env, expected):
     assert all((r.leasing is not None) == expected.enabled for r in built.replicas)
 
 
+@pytest.mark.parametrize("spelling", [2.0, "2.0", 1, "true"], ids=repr)
+def test_a_lease_duration_is_a_lease_config(spelling):
+    with pytest.raises(ValueError):
+        resolve_leases(spelling)
+    assert resolve_leases(LeaseConfig.on(duration=2.0)).duration == 2.0
+
+
+@pytest.mark.parametrize("build,off", [
+    (build_troxy, dict(batching="off", leases="off")),
+    (build_baseline, dict(batching="off")),
+])
+def test_the_environment_switches_nothing_on(monkeypatch, build, off):
+    """A deployment is a function of its arguments: with both variables
+    of the former CI legs exported and no keyword, what is built and
+    every line it traces (test_assembly's four writes and four reads; a
+    lease shows in reads alone) are the explicit all-off deployment's."""
+    explicit = trace_digest(build, **off)
+    monkeypatch.setenv("REPRO_BATCHING", "adaptive")
+    monkeypatch.setenv("REPRO_LEASES", "on")
+    assert trace_digest(build) == explicit
+    config = build(seed=1, app_factory=KvStore).config
+    assert (config.batching, config.leases) == (BatchConfig(), LeaseConfig())
+
+
 def test_a_feature_that_is_off_is_not_constructed(monkeypatch):
     """DESIGN.md D11, D13: an absent role is an absent feature, in the
-    replica and in the enclave. The keywords are explicit so the CI env
-    legs cannot flip them."""
+    replica and in the enclave."""
     from repro.hybster.batching import BatchAssembler, BatchPipeline
     from repro.shard.front import ShardFront
     from repro.shard.router import ShardRouter
@@ -120,15 +144,14 @@ def test_a_feature_that_is_off_is_not_constructed(monkeypatch):
     assert all(c.front.router is sharded.router for c in sharded.cores)
 
 
-def test_features_resolve_independently(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCHING", "adaptive")
-    monkeypatch.setenv("REPRO_LEASES", "on")
-    both = resolve_features(1, None, batching=None, leases=None)
-    assert (both.batching, both.leases) == (ADAPTIVE, LEASED)
-    # A keyword for one feature leaves the env default of the other.
-    mixed = resolve_features(1, None, batching="off", leases=None)
-    assert (mixed.batching, mixed.leases) == (BatchConfig(), LEASED)
-    # A system without a feature never reads that feature's default.
+def test_features_resolve_independently():
+    # A keyword for one feature leaves the other as the config has it.
+    mixed = resolve_features(1, PINNED, batching="off", leases=None)
+    assert (mixed.batching, mixed.leases) == (BatchConfig(), PINNED.leases)
+    mixed = resolve_features(1, PINNED, batching=None, leases="off")
+    assert (mixed.batching, mixed.leases) == (SIZED, LeaseConfig())
+    # A system without a feature passes no keyword for it.
+    assert resolve_features(1, PINNED, batching="adaptive").leases == PINNED.leases
     assert resolve_features(1, None, batching=None).leases == LeaseConfig()
     assert resolve_features(2, None).f == 2
 

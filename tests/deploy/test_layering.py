@@ -10,9 +10,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
 
-#: Files allowed to read os.environ: the one feature-resolution function
-#: and the bench scale knob; CLI entry points may do what they like.
-ENV_READERS = {"deploy.py", "bench/experiments.py"}
+#: Files allowed to read os.environ: the bench scale knob
+#: (REPRO_BENCH_SCALE); CLI entry points may do what they like.
+ENV_READERS = {"bench/experiments.py"}
 
 
 def modules():
@@ -55,15 +55,6 @@ def test_environment_is_read_in_one_place():
             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
                 offenders.append((rel, node.lineno))
     assert not offenders, offenders
-    # ... and inside deploy.py, by resolve_features alone.
-    tree = ast.parse((ROOT / "deploy.py").read_text())
-    readers = {
-        fn.name
-        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
-    }
-    assert readers == {"resolve_features"}
 
 
 def test_hybster_imports_nothing_above_it():

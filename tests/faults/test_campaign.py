@@ -104,7 +104,7 @@ def test_replayed_reply_quorum_cannot_feed_a_lease_read():
     scenario = dc_replace(
         get_scenario("host_tamper_replies"),
         name="host_tamper_replies_leases",
-        cluster_kwargs=(("leases", 0.5),),
+        cluster_kwargs=(("leases", "on"),),
     )
     result = run_scenario(scenario, 1)
     assert result["ok"], [inv for inv in result["invariants"] if not inv["ok"]]

@@ -40,6 +40,15 @@ def run_ops(cluster, client, ops, until=30.0):
     return results
 
 
+def test_a_fault_plane_alone_leaves_the_probe_bus_off():
+    """The plane intercepts (send filter, stop/restart, reboot); it
+    observes nothing, so sites keep paying one flag test each."""
+    cluster, plane = make_plane(seed=1)
+    plane.inject(MessageDelay(src="replica-*", dst="replica-*", delay=0.5))
+    plane.inject(EnclaveReboot("replica-0"))
+    assert cluster.probe.on is False
+
+
 # -- crash / restart ---------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import pytest
 from repro.apps.base import Payload
 from repro.apps.kvstore import KvStore, get, put
 from repro.deploy import build_baseline, build_troxy
+from tests.feature_sets import ALL_OFF, rerun_under_the_other_feature_sets
 
 
 def run_ops(cluster, client, ops, until=40.0):
@@ -21,8 +22,10 @@ def run_ops(cluster, client, ops, until=40.0):
     return results
 
 
-def test_baseline_f2_basic_operation():
-    cluster = build_baseline(seed=51, f=2, app_factory=KvStore)
+def test_baseline_f2_basic_operation(features=ALL_OFF):
+    cluster = build_baseline(
+        seed=51, f=2, app_factory=KvStore, batching=features["batching"]
+    )
     client = cluster.new_client()
     results = run_ops(cluster, client, [put("x", b"v"), get("x")])
     assert [r.result.content for r in results] == [b"stored", b"v"]
@@ -31,8 +34,8 @@ def test_baseline_f2_basic_operation():
     assert len(cluster.replicas) == 5
 
 
-def test_troxy_f2_tolerates_two_byzantine_replicas():
-    cluster = build_troxy(seed=52, f=2, app_factory=KvStore)
+def test_troxy_f2_tolerates_two_byzantine_replicas(features=ALL_OFF):
+    cluster = build_troxy(seed=52, f=2, app_factory=KvStore, **features)
 
     class Liar(KvStore):
         def execute(self, op):
@@ -46,10 +49,10 @@ def test_troxy_f2_tolerates_two_byzantine_replicas():
     assert [r.result.content for r in results] == [b"stored", b"truth"]
 
 
-def test_troxy_f2_fast_read_uses_two_remote_probes():
-    # Pins the voted probe path; leases off so the CI lease matrix
-    # cannot serve the second read locally (docs/READS.md).
-    cluster = build_troxy(seed=53, f=2, app_factory=KvStore, leases="off")
+def test_troxy_f2_fast_read_uses_two_remote_probes(features=ALL_OFF):
+    # Pins the voted probe path: under a lease the second read would be
+    # served locally (docs/READS.md), so only batching follows the set.
+    cluster = build_troxy(seed=53, f=2, app_factory=KvStore, **{**features, "leases": "off"})
     client = cluster.new_client(contact_index=0)
     results = run_ops(
         cluster, client, [put("k", b"v"), get("k"), get("k")]
@@ -62,8 +65,8 @@ def test_troxy_f2_fast_read_uses_two_remote_probes():
     assert answered == 2
 
 
-def test_troxy_f2_crashing_two_replicas_still_live():
-    cluster = build_troxy(seed=54, f=2, app_factory=KvStore, query_timeout=0.2)
+def test_troxy_f2_crashing_two_replicas_still_live(features=ALL_OFF):
+    cluster = build_troxy(seed=54, f=2, app_factory=KvStore, query_timeout=0.2, **features)
     client = cluster.new_client(contact_index=1, request_timeout=2.0)
     results = run_ops(cluster, client, [put("a", b"1")])
     assert results[0].result.content == b"stored"
@@ -71,3 +74,6 @@ def test_troxy_f2_crashing_two_replicas_still_live():
     cluster.hosts[4].stop()
     results = run_ops(cluster, client, [put("b", b"2"), get("b")], until=60.0)
     assert [r.result.content for r in results] == [b"stored", b"2"]
+
+
+test_under_feature_set = rerun_under_the_other_feature_sets(globals())

@@ -54,13 +54,10 @@ def write_ops():
         yield put(f"k{i % 3}", f"v{i}".encode())
 
 
-def test_leases_off_is_wire_identical_to_default(monkeypatch):
+def test_leases_off_is_wire_identical_to_default():
     """``leases="off"`` routes through the exact pre-lease code path:
     the full wire trace — reads, writes, fast-read votes — is identical
     to a deployment that never heard of leases."""
-    # The CI lease matrix forces leases on for default-config builds;
-    # the "default" this pin compares against is the pre-lease protocol.
-    monkeypatch.delenv("REPRO_LEASES", raising=False)
     default, default_results = run_workload(None, mixed_ops)
     off, off_results = run_workload("off", mixed_ops)
     assert off_results == default_results

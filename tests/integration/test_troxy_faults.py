@@ -16,6 +16,7 @@ from repro.faults import (
     ReplicaCrash,
 )
 from repro.troxy.messages import CacheEntryReply
+from tests.feature_sets import ALL_OFF, rerun_under_the_other_feature_sets
 
 
 def run_ops(cluster, client, ops, until=30.0):
@@ -31,9 +32,9 @@ def run_ops(cluster, client, ops, until=30.0):
     return results
 
 
-def test_byzantine_replica_result_outvoted():
+def test_byzantine_replica_result_outvoted(features=ALL_OFF):
     """A replica computing garbage cannot defeat the server-side voter."""
-    cluster = build_troxy(seed=20, app_factory=KvStore)
+    cluster = build_troxy(seed=20, app_factory=KvStore, **features)
 
     class LyingApp(KvStore):
         def execute(self, op):
@@ -46,11 +47,11 @@ def test_byzantine_replica_result_outvoted():
     assert [r.result.content for r in results] == [b"stored", b"truth"]
 
 
-def test_untrusted_host_tampering_with_reply_detected_and_failed_over():
+def test_untrusted_host_tampering_with_reply_detected_and_failed_over(features=ALL_OFF):
     """Bypassing Troxy (Section VI-B): the untrusted part of the contact
     replica mangles the sealed client reply. The client detects the
     corrupted channel, times out, and fails over to another Troxy."""
-    cluster = build_troxy(seed=21, app_factory=KvStore)
+    cluster = build_troxy(seed=21, app_factory=KvStore, **features)
     plane = FaultPlane(cluster)
     tamper = HostTamper("replica-0", forged_result=b"\xffforged", count=0)
     plane.inject(tamper)
@@ -62,10 +63,10 @@ def test_untrusted_host_tampering_with_reply_detected_and_failed_over():
     assert [r.result.content for r in results] == [b"stored", b"real"]
 
 
-def test_troxy_crash_triggers_client_failover():
+def test_troxy_crash_triggers_client_failover(features=ALL_OFF):
     """Section III-D: a crashed Troxy is handled like any crashed server;
     the client reconnects elsewhere and retransmits."""
-    cluster = build_troxy(seed=22, app_factory=KvStore)
+    cluster = build_troxy(seed=22, app_factory=KvStore, **features)
     plane = FaultPlane(cluster)
     client = cluster.new_client(contact_index=1, request_timeout=1.0)
     results = run_ops(cluster, client, [put("x", b"v1")])
@@ -76,13 +77,13 @@ def test_troxy_crash_triggers_client_failover():
     assert client.stats.failovers >= 1
 
 
-def test_stale_cache_reply_replay_rejected():
+def test_stale_cache_reply_replay_rejected(features=ALL_OFF):
     """A malicious replica replays an earlier CacheEntryReply for a new
     query. The nonce binding makes it useless; the read still completes
     correctly (fallback path at worst)."""
-    # Pins the voted probe path; leases off so the CI lease matrix
-    # cannot serve the second read locally (docs/READS.md).
-    cluster = build_troxy(seed=23, app_factory=KvStore, leases="off")
+    # Pins the voted probe path: under a lease the second read would be
+    # served locally (docs/READS.md), so only batching follows the set.
+    cluster = build_troxy(seed=23, app_factory=KvStore, **{**features, "leases": "off"})
     plane = FaultPlane(cluster)
     capture = plane.tap(payload_types=("CacheEntryReply",))
     client = cluster.new_client(contact_index=0)
@@ -114,9 +115,9 @@ def test_stale_cache_reply_replay_rejected():
     assert replaying_core.stats.invalid_messages == 0  # replay is inert, not a crash
 
 
-def test_forged_cache_reply_rejected():
+def test_forged_cache_reply_rejected(features=ALL_OFF):
     """A replica without the group secret cannot forge cache answers."""
-    cluster = build_troxy(seed=24, app_factory=KvStore)
+    cluster = build_troxy(seed=24, app_factory=KvStore, **features)
     client = cluster.new_client(contact_index=0)
     run_ops(cluster, client, [put("k", b"v"), get("k")])
     forged = CacheEntryReply(
@@ -137,11 +138,11 @@ def test_forged_cache_reply_rejected():
     cluster.env.run(until=cluster.env.now + 5.0)
 
 
-def test_enclave_reboot_loses_cache_but_not_safety():
+def test_enclave_reboot_loses_cache_but_not_safety(features=ALL_OFF):
     """Rollback attack (Section IV-B): rebooting the enclave empties the
     cache (reads fall back to ordering) while the sealed trusted counters
     never regress, so ordering stays safe."""
-    cluster = build_troxy(seed=25, app_factory=KvStore)
+    cluster = build_troxy(seed=25, app_factory=KvStore, **features)
     plane = FaultPlane(cluster)
     client = cluster.new_client(contact_index=0)
     run_ops(cluster, client, [put("k", b"v1"), get("k")])
@@ -162,8 +163,8 @@ def test_enclave_reboot_loses_cache_but_not_safety():
     assert [r.result.content for r in results] == [b"v1", b"v1"]
 
 
-def test_leader_crash_in_troxy_mode_recovers_via_view_change():
-    cluster = build_troxy(seed=26, app_factory=KvStore)
+def test_leader_crash_in_troxy_mode_recovers_via_view_change(features=ALL_OFF):
+    cluster = build_troxy(seed=26, app_factory=KvStore, **features)
     plane = FaultPlane(cluster)
     client = cluster.new_client(contact_index=1, request_timeout=2.0)
     results = run_ops(cluster, client, [put("x", b"before")])
@@ -174,10 +175,10 @@ def test_leader_crash_in_troxy_mode_recovers_via_view_change():
     assert all(r.view >= 1 for r in cluster.replicas[1:])
 
 
-def test_unresponsive_remote_troxy_times_out_to_ordering():
+def test_unresponsive_remote_troxy_times_out_to_ordering(features=ALL_OFF):
     """Performance attack: a remote Troxy that never answers cache
     queries only slows the read down to the ordered path."""
-    cluster = build_troxy(seed=27, app_factory=KvStore, query_timeout=0.2)
+    cluster = build_troxy(seed=27, app_factory=KvStore, query_timeout=0.2, **features)
     plane = FaultPlane(cluster)
     client = cluster.new_client(contact_index=0)
     run_ops(cluster, client, [put("k", b"v"), get("k")])
@@ -190,3 +191,6 @@ def test_unresponsive_remote_troxy_times_out_to_ordering():
     assert results[0].result.content == b"v"
     assert cluster.cores[0].stats.fast_read_timeouts >= 1
     assert plane.rule_hits(blackhole) >= 1
+
+
+test_under_feature_set = rerun_under_the_other_feature_sets(globals())

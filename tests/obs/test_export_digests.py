@@ -60,14 +60,6 @@ AUDIT = {
 }
 
 
-@pytest.fixture(autouse=True)
-def no_ambient_features(monkeypatch):
-    """The cells say what they run; the REPRO_* matrix CI forces on the
-    other tests' builders must not reach these."""
-    for name in ("REPRO_BATCHING", "REPRO_LEASES"):
-        monkeypatch.delenv(name, raising=False)
-
-
 def _sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 

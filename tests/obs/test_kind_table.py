@@ -4,7 +4,6 @@ by a rule, every rule is fed by a site, nobody listens to a deployment
 unless asked to, and whoever listens perturbs nothing."""
 
 import ast
-import itertools
 import random
 from pathlib import Path
 
@@ -16,6 +15,7 @@ from repro.deploy import build_baseline, build_prophecy, build_standalone, build
 from repro.obs import probes
 from repro.obs.audit import AuditPlane
 from repro.sim import trace
+from tests.feature_sets import FEATURE_SETS, feature_id
 
 ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
 VERBS = {"event", "begin"}
@@ -88,12 +88,12 @@ def test_the_layers_emit_from_where_the_design_says():
 
 
 TROXY_FEATURES = [
-    dict(zip(("batching", "leases", "shards", "fast_reads"), combo))
-    for combo in itertools.product(("off", "adaptive"), ("off", "on"), (1, 2), (True, False))
+    dict(features, shards=shards, fast_reads=fast_reads)
+    for features in FEATURE_SETS for shards in (1, 2) for fast_reads in (True, False)
 ]
 
 
-@pytest.mark.parametrize("features", TROXY_FEATURES, ids=lambda f: "-".join(map(str, f.values())))
+@pytest.mark.parametrize("features", TROXY_FEATURES, ids=feature_id)
 def test_a_built_troxy_has_no_subscriber(features):
     site = build_troxy(seed=3, app_factory=KvStore, **features)
     assert site.probe.on is False

@@ -58,8 +58,8 @@ def test_clients_read_their_writes_across_groups(shards):
 
 
 def test_remote_fast_reads_are_attested_back_to_the_fronting_troxy():
-    # Pins the cross-group probe path; leases off so the CI lease
-    # matrix cannot serve repeat reads locally (docs/READS.md).
+    # Pins the cross-group probe path: a lease would serve repeat reads
+    # locally (docs/READS.md).
     cluster = build_troxy(seed=11, shards=2, app_factory=KvStore, leases="off")
     client = cluster.new_client(contact_index=0)  # fronted by g0's replica-0
     remote_keys = [

@@ -12,6 +12,7 @@ import pytest
 from repro.apps.kvstore import KvStore, get, put
 from repro.deploy import build_troxy
 from repro.shard.migrate import filter_kv_snapshot, manifest_digest
+from tests.feature_sets import ALL_OFF, rerun_under_the_other_feature_sets
 
 
 def _moving_keys(cluster, fraction=0.5, universe=96):
@@ -42,8 +43,8 @@ def _seed_and_migrate(cluster, moving, extra_driver=None, until=90.0):
     return cluster.migrator.reports[-1]
 
 
-def test_migration_moves_state_and_retires_the_source():
-    cluster = build_troxy(seed=21, shards=2, app_factory=KvStore)
+def test_migration_moves_state_and_retires_the_source(features=ALL_OFF):
+    cluster = build_troxy(seed=21, shards=2, app_factory=KvStore, **features)
     moving = _moving_keys(cluster)
     assert moving, "seed 21 must hash some keys into the moving slice"
 
@@ -80,8 +81,8 @@ def test_migration_moves_state_and_retires_the_source():
     assert reads == [b"v:" + key.encode() for key in moving[:3]]
 
 
-def test_migration_survives_destination_leader_crash():
-    cluster = build_troxy(seed=33, shards=2, app_factory=KvStore)
+def test_migration_survives_destination_leader_crash(features=ALL_OFF):
+    cluster = build_troxy(seed=33, shards=2, app_factory=KvStore, **features)
     moving = _moving_keys(cluster)
 
     def crash_dst_leader():
@@ -102,8 +103,8 @@ def test_migration_survives_destination_leader_crash():
     assert report.certificates >= cluster.config.commit_quorum
 
 
-def test_writes_frozen_mid_migration_resolve_by_retry():
-    cluster = build_troxy(seed=21, shards=2, app_factory=KvStore)
+def test_writes_frozen_mid_migration_resolve_by_retry(features=ALL_OFF):
+    cluster = build_troxy(seed=21, shards=2, app_factory=KvStore, **features)
     moving = _moving_keys(cluster)
     target = moving[0]
     writer_done = []
@@ -144,8 +145,8 @@ def test_filter_and_digest_helpers():
     assert encode_kv_records(pairs)  # round-trips through the install op
 
 
-def test_migrating_between_unknown_groups_fails_cleanly():
-    cluster = build_troxy(seed=5, shards=2, app_factory=KvStore)
+def test_migrating_between_unknown_groups_fails_cleanly(features=ALL_OFF):
+    cluster = build_troxy(seed=5, shards=2, app_factory=KvStore, **features)
 
     def bad():
         with pytest.raises(ValueError):
@@ -156,3 +157,6 @@ def test_migrating_between_unknown_groups_fails_cleanly():
     cluster.env.process(bad())
     cluster.env.run(until=5.0)
     assert not cluster.router.frozen
+
+
+test_under_feature_set = rerun_under_the_other_feature_sets(globals())

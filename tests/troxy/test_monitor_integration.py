@@ -8,8 +8,8 @@ from repro.troxy.monitor import ConflictMonitor
 
 
 def test_switch_latches_under_contention_and_recovers():
-    # Pins the conflict-monitor probe path; leases off so the CI lease
-    # matrix cannot serve reads locally past the monitor (docs/READS.md).
+    # Pins the conflict-monitor probe path: a lease would serve reads
+    # locally past the monitor (docs/READS.md).
     cluster = build_troxy(
         seed=141,
         app_factory=KvStore,
