@@ -7,51 +7,11 @@ Troxy *concept* (extra protocol phases; visible with boundary "none")
 from the cost of *trusting* it (SGX transitions/copies).
 """
 
-from repro.analysis.metrics import Collector
-from repro.apps.echo import EchoService
-from repro.deploy import build_baseline, build_troxy
-from repro.bench.experiments import _scaled, write_source
-from repro.bench.report import save_and_print
-from repro.workloads.loadgen import ClosedLoop
-
-
-def run_boundary(boundary: str, n_clients: int):
-    cluster = build_troxy(
-        seed=42, app_factory=lambda: EchoService(reply_size=10),
-        boundary=boundary, replica_cores=2,
-    )
-    clients = [cluster.new_client() for _ in range(n_clients)]
-    loadgen = ClosedLoop(cluster.env, clients, write_source(256), Collector())
-    loadgen.start()
-    cluster.env.run(until=0.35)
-    summary = loadgen.collector.summarize(0.1, 0.35)
-    ecalls = sum(h.enclave.stats.ecalls for h in cluster.hosts)
-    completed = max(1, loadgen.stats.completed)
-    return summary.throughput, ecalls / completed
-
-
-def run_ablation():
-    n_clients = _scaled(64, minimum=16)
-    rows = {}
-    cluster = build_baseline(
-        seed=42, app_factory=lambda: EchoService(reply_size=10), replica_cores=2
-    )
-    clients = [cluster.new_client(read_optimization=False) for _ in range(n_clients)]
-    loadgen = ClosedLoop(cluster.env, clients, write_source(256), Collector())
-    loadgen.start()
-    cluster.env.run(until=0.35)
-    rows["baseline (no troxy)"] = (loadgen.collector.summarize(0.1, 0.35).throughput, 0.0)
-    for boundary in ("none", "jni", "sgx"):
-        rows[f"troxy boundary={boundary}"] = run_boundary(boundary, n_clients)
-    return rows
+from repro.bench.experiments import ablation_sgx_boundary
 
 
 def test_ablation_sgx_boundary(run_once):
-    rows = run_once(run_ablation)
-    lines = ["Ablation D5 — enclave boundary cost (256 B ordered writes)", "=" * 58]
-    for name, (tput, ecalls) in rows.items():
-        lines.append(f"{name:24s} {tput:>10.0f} op/s   ecalls/request {ecalls:5.1f}")
-    save_and_print("ablation_sgx", "\n".join(lines))
+    rows = run_once(ablation_sgx_boundary)
 
     baseline = rows["baseline (no troxy)"][0]
     free = rows["troxy boundary=none"][0]

@@ -14,7 +14,6 @@ assertions pin the acceptance properties of the lease work:
 """
 
 from repro.bench.experiments import lease_reads
-from repro.bench.report import save_and_print
 
 
 def _by_cell(points):
@@ -23,23 +22,6 @@ def _by_cell(points):
 
 def test_lease_read_latency(run_once):
     points = run_once(lease_reads)
-    title = "Leased vs voted reads — fig8/fig9 read-only workload, 1 KB replies"
-    header = (
-        f"{'network':<12} {'system':<8} {'p50':>11} {'p95':>11} "
-        f"{'throughput':>12} {'lease hits':>11}"
-    )
-    save_and_print(
-        "leases",
-        "\n".join(
-            [title, "=" * len(title), header, "-" * len(header)]
-            + [
-                f"{p.figure:<12} {p.system:<8} "
-                f"{p.summary.p50 * 1e3:8.3f} ms {p.summary.p95 * 1e3:8.3f} ms "
-                f"{p.throughput:7.0f} op/s {p.extra['lease_read_hits']:>11}"
-                for p in points
-            ]
-        ),
-    )
     cells = _by_cell(points)
     lan_voted = cells[("lease-local", "etroxy")]
     lan_lease = cells[("lease-local", "lease")]

@@ -1,8 +1,9 @@
 """Experiment runners: one function per table/figure of the evaluation.
 
-Every function returns structured rows (and prints nothing); the
-``benchmarks/`` suite formats them into the paper-style series and
-asserts the reproduced *shapes*. Workload parameters follow Section VI:
+Every function returns structured rows (and prints nothing):
+``python -m repro.bench`` formats them into the tracked paper-style
+tables and the ``benchmarks/`` suite asserts the reproduced *shapes* on
+the same rows. Workload parameters follow Section VI:
 echo service with configurable reply sizes, 100 +/- 20 ms WAN delay on
 client links, 1 % writes for the contention scenario, and the HTTP page
 service at ~500 req/s for Fig. 11.
@@ -19,11 +20,14 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
+from ..analysis.linearizability import OpRecord
 from ..analysis.metrics import Collector, Summary
 from ..apps.base import Operation, OpKind, Payload
 from ..apps.echo import EchoService
 from ..apps.httpd import HttpPageService, get_operation, post_operation, seed_pages
+from ..apps.kvstore import KvStore, get, put
 from ..hybster.config import BatchConfig
+from ..obs.audit import LedgerProbes
 from ..sim.network import GBPS, NicConfig
 from ..troxy.monitor import ConflictMonitor
 from ..workloads.loadgen import ClosedLoop, PacedLoop
@@ -134,7 +138,8 @@ def _drive(
     The returned deployment carries ``sim_stats`` — wall-clock seconds
     plus the deterministic ``env.steps`` / ``env.scheduled_events``
     counters — for the ``--json`` benchmark emitter and the perf-smoke
-    CI budgets.
+    CI budgets, and the run's ``completed`` request count (warm-up
+    included) for per-request ratios.
     """
     wall_start = time.perf_counter()
     cluster = build()
@@ -158,6 +163,7 @@ def _drive(
         "wall_s": time.perf_counter() - wall_start,
         "steps": cluster.env.steps,
         "scheduled_events": cluster.env.scheduled_events,
+        "completed": loadgen.stats.completed,
     }
     return cluster, summary
 
@@ -215,6 +221,63 @@ def _run_system(
     return _drive(
         build, n_clients, op_source, warmup, duration, obs=obs, **client_kwargs
     )
+
+
+# -- Fig. 5: message flow ---------------------------------------------------------------
+
+
+def _unloaded_writes(cluster, client, rounds: int = 12) -> tuple[float, int]:
+    """Mean unloaded latency over a few sequential writes (the LAN has
+    jitter, so a single sample cannot order the deployments), and the
+    protocol messages each write cost."""
+    outcomes = []
+
+    def driver():
+        for i in range(rounds):
+            outcome = yield from client.invoke(put(f"k{i}", b"v"))
+            outcomes.append(outcome)
+
+    messages_before = cluster.net.messages_sent
+    cluster.env.process(driver())
+    cluster.env.run(until=cluster.env.now + 30.0)
+    if len(outcomes) != rounds:
+        raise RuntimeError("requests did not complete")
+    mean_latency = sum(o.latency for o in outcomes) / rounds
+    messages = (cluster.net.messages_sent - messages_before) // rounds
+    return mean_latency, messages
+
+
+def fig5_message_flow():
+    """One isolated write through Hybster, Troxy at the leader and Troxy
+    at a follower (Fig. 5), plus the Troxy-at-leader cell with the audit
+    ledgers on -> (rows, leader-side proto.send trace, audit).
+
+    ``rows`` are (deployment, mean latency, protocol messages per write);
+    ``audit`` is (latency with ledgers on, ledger entries, certify_ledger
+    ecalls)."""
+    rows, traces = [], []
+    for name, builder, client_kwargs in (
+        ("hybster (client at leader)", build_baseline, {"read_optimization": False}),
+        # replica-0 leads view 0
+        ("troxy at leader (+1 phase)", build_troxy, {"contact_index": 0}),
+        ("troxy at follower (+2 phases)", build_troxy, {"contact_index": 1}),
+    ):
+        cluster = builder(seed=1, app_factory=KvStore, trace=True)
+        client = cluster.new_client(**client_kwargs)
+        rows.append((name, *_unloaded_writes(cluster, client)))
+        traces.append(cluster.tracer.filter(category="proto.send"))
+
+    # Same troxy-at-leader cell with the accountability ledgers on
+    # (repro.obs.audit probes, checkpoint interval 64): the only
+    # simulated-time cost is the periodic certify_ledger ecall.
+    cluster = build_troxy(seed=1, app_factory=KvStore, trace=True)
+    probes = LedgerProbes(checkpoint_interval=64).attach(cluster)
+    client = cluster.new_client(contact_index=0)
+    probed_latency, _messages = _unloaded_writes(cluster, client)
+    audit = (probed_latency, sum(len(l.entries) for l in probes.ledgers.values()),
+             sum(l.checkpoints_requested for l in probes.ledgers.values()))
+
+    return rows, traces[1], audit
 
 
 # -- Fig. 6 / Fig. 7: totally ordered requests --------------------------------------
@@ -572,6 +635,138 @@ def fig11_http_latency(
             points.append(Point("fig11", system, scenario, summary,
                                 extra={"sim": cluster.sim_stats}))
     return points
+
+
+# -- Design ablations (DESIGN.md D1, D2, D5; Section V-A) -----------------------------------------
+
+
+def ablation_sgx_boundary() -> dict[str, tuple[float, float]]:
+    """D5: 256 B ordered writes with the protection boundary of the same
+    Troxy code swept none -> JNI -> SGX, and the baseline for reference
+    -> {cell: (op/s, ecalls per completed request)}."""
+    n_clients = _scaled(64, minimum=16)
+    _, summary = _run_system(
+        "bl", write_source(256), reply_size=10, n_clients=n_clients,
+        warmup=0.1, duration=0.25, read_optimization=False,
+    )
+    rows = {"baseline (no troxy)": (summary.throughput, 0.0)}
+    for boundary in ("none", "jni", "sgx"):
+        cluster, summary = _drive(
+            partial(
+                build_troxy, seed=42, app_factory=lambda: EchoService(reply_size=10),
+                boundary=boundary, replica_cores=REPLICA_CORES,
+            ),
+            n_clients, write_source(256), warmup=0.1, duration=0.25,
+        )
+        ecalls = sum(h.enclave.stats.ecalls for h in cluster.hosts)
+        completed = max(1, cluster.sim_stats["completed"])
+        rows[f"troxy boundary={boundary}"] = (summary.throughput, ecalls / completed)
+    return rows
+
+
+#: A 1 MB EPC: 512 hot keys x 8 KB replies cannot fit.
+TINY_EPC = 1 * 1024 * 1024
+
+
+def ablation_epc_placement() -> dict[str, tuple[float, int, int]]:
+    """Section V-A: reads of 512 hot 8 KB replies against a 1 MB EPC,
+    with the cache stored outside the enclave (hash inside) or inside
+    (EPC paging) -> {placement: (op/s, pages swapped, peak resident B)}."""
+    rows = {}
+    for label, outside in (("outside (hash inside)", True), ("inside (EPC paging)", False)):
+        cluster, summary = _drive(
+            partial(
+                build_troxy, seed=9, app_factory=lambda: EchoService(reply_size=8192),
+                cache_outside=outside, epc_bytes=TINY_EPC, replica_cores=REPLICA_CORES,
+            ),
+            _scaled(48, minimum=12), read_source(key_space=512), warmup=0.3, duration=0.5,
+        )
+        rows[label] = (
+            summary.throughput,
+            sum(host.enclave.stats.pages_swapped for host in cluster.hosts),
+            max(host.enclave.resident_bytes for host in cluster.hosts),
+        )
+    return rows
+
+
+def _write_then_read(break_invalidation: bool):
+    """put v1, get, put v2, get on one key -> (history, contact core stats)."""
+    cluster = build_troxy(seed=17, app_factory=KvStore)
+    if break_invalidation:
+        for core in cluster.cores:
+            core.keys_fn = lambda op: ()  # writes invalidate nothing
+    client = cluster.new_client(contact_index=0)
+    history: list[OpRecord] = []
+
+    def driver():
+        for op in (put("k", b"v1"), get("k"), put("k", b"v2"), get("k")):
+            start = cluster.env.now
+            outcome = yield from client.invoke(op)
+            value = outcome.result.content if op.is_read else op.body.content
+            history.append(
+                OpRecord(client.client_id, op.name, "k", value, start, cluster.env.now)
+            )
+            # The epsilon gaps keep successive intervals disjoint: touching
+            # intervals count as concurrent under real-time precedence.
+            yield cluster.env.timeout(1e-6)
+
+    cluster.env.process(driver())
+    cluster.env.run(until=30.0)
+    return history, cluster.cores[0].stats
+
+
+def ablation_invalidation():
+    """D2: the write-then-read scenario with write invalidation broken
+    and intact -> (broken history, intact history, broken stats, intact
+    stats); the histories go to the linearizability checker."""
+    broken_history, broken_stats = _write_then_read(break_invalidation=True)
+    intact_history, intact_stats = _write_then_read(break_invalidation=False)
+    return broken_history, intact_history, broken_stats, intact_stats
+
+
+class _ClientLinkBytes:
+    """Bytes on the client machines' access links, counted from the
+    ``net.send`` events of the probe bus. Passed to :func:`_drive` as its
+    ``obs``: it subscribes once the deployment is built and leaves the
+    clients as they are."""
+
+    def attach(self, cluster) -> None:
+        self.machines = {m.node.name for m in cluster.machines}
+        self.rx = self.tx = 0
+        cluster.probe.subscribe(self)
+
+    def wrap_clients(self, clients):
+        return clients
+
+    def event(self, t, kind, node, subject, attrs) -> None:
+        if kind == "net.send":
+            if attrs["dst"] in self.machines:
+                self.rx += attrs["size"]
+            if node in self.machines:
+                self.tx += attrs["size"]
+
+
+def ablation_voter(n_clients: int = 24, reply_size: int = 4096, duration: float = 6.0):
+    """D1: what the client itself pays per read over the WAN with
+    client-side (BL) and server-side (Troxy) voting -> {system: (bytes
+    downloaded, bytes uploaded, mean latency)} per completed request."""
+    rows = {}
+    for system, builder, client_kwargs in (
+        ("bl", build_baseline, {"request_distribution": "all"}),
+        ("troxy", build_troxy, {}),
+    ):
+        link = _ClientLinkBytes()
+        cluster, summary = _drive(
+            partial(
+                builder, seed=5, app_factory=lambda: EchoService(reply_size=reply_size),
+                wan=WAN_DELAY, client_nic=WAN_CLIENT_NIC,
+            ),
+            n_clients, read_source(), warmup=0.0, duration=duration, obs=link,
+            **client_kwargs,
+        )
+        completed = max(1, cluster.sim_stats["completed"])
+        rows[system] = (link.rx / completed, link.tx / completed, summary.mean_latency)
+    return rows
 
 
 # -- Table I ------------------------------------------------------------------------------------------

@@ -3,61 +3,44 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Iterable
 
+from . import experiments
 from .experiments import Point
 
 RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 
-def format_throughput_series(title: str, points: Iterable[Point], x_label: str = "size") -> str:
-    """Render throughput points as a series table (one row per x value)."""
+def _series(title: str, points: Iterable[Point], x_label: str, width: int, cell) -> str:
+    """One row per x value, one ``width``-wide column per system, both
+    in order of first appearance; a missing cell is blank."""
     points = list(points)
-    systems = []
-    for point in points:
-        if point.system not in systems:
-            systems.append(point.system)
-    xs = []
-    for point in points:
-        if point.x not in xs:
-            xs.append(point.x)
+    systems = list(dict.fromkeys(p.system for p in points))
+    xs = list(dict.fromkeys(p.x for p in points))
     by_key = {(p.system, p.x): p for p in points}
     lines = [title, "=" * len(title)]
-    header = f"{x_label:>10} | " + " | ".join(f"{s:>18}" for s in systems)
+    header = f"{x_label:>10} | " + " | ".join(f"{s:>{width}}" for s in systems)
     lines.append(header)
     lines.append("-" * len(header))
     for x in xs:
-        cells = []
-        for system in systems:
-            point = by_key.get((system, x))
-            cells.append(f"{point.throughput:>12.0f} op/s" if point else " " * 18)
+        cells = [
+            cell(by_key[system, x]) if (system, x) in by_key else " " * width
+            for system in systems
+        ]
         lines.append(f"{str(x):>10} | " + " | ".join(cells))
     return "\n".join(lines)
+
+
+def format_throughput_series(title: str, points: Iterable[Point], x_label: str = "size") -> str:
+    """Render throughput points as a series table (one row per x value)."""
+    return _series(title, points, x_label, 18, lambda p: f"{p.throughput:>12.0f} op/s")
 
 
 def format_latency_series(title: str, points: Iterable[Point], x_label: str = "net") -> str:
-    points = list(points)
-    systems = []
-    for point in points:
-        if point.system not in systems:
-            systems.append(point.system)
-    xs = []
-    for point in points:
-        if point.x not in xs:
-            xs.append(point.x)
-    by_key = {(p.system, p.x): p for p in points}
-    lines = [title, "=" * len(title)]
-    header = f"{x_label:>10} | " + " | ".join(f"{s:>16}" for s in systems)
-    lines.append(header)
-    lines.append("-" * len(header))
-    for x in xs:
-        cells = []
-        for system in systems:
-            point = by_key.get((system, x))
-            cells.append(f"{point.latency_ms:>12.2f} ms" if point else " " * 16)
-        lines.append(f"{str(x):>10} | " + " | ".join(cells))
-    return "\n".join(lines)
+    """Render mean latencies as a series table (one row per x value)."""
+    return _series(title, points, x_label, 16, lambda p: f"{p.latency_ms:>12.2f} ms")
 
 
 def ratio(points: list[Point], system_a: str, system_b: str, x) -> float:
@@ -70,8 +53,17 @@ def ratio(points: list[Point], system_a: str, system_b: str, x) -> float:
 
 
 def save_and_print(name: str, text: str) -> None:
-    """Print the table and persist it under benchmarks/results/."""
+    """Print the table and persist it under benchmarks/results/.
+
+    Only a full-scale run writes: the tracked tables are full-scale
+    numbers, so a reduced ``REPRO_BENCH_SCALE`` run prints and leaves
+    them alone.
+    """
     print("\n" + text + "\n")
+    if experiments.SCALE != 1.0:
+        print(f"[REPRO_BENCH_SCALE={experiments.SCALE}: {name}.txt not written]",
+              file=sys.stderr)
+        return
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 

@@ -256,7 +256,7 @@ def _site(seed: int, trace: bool, attested: bool = True) -> Deployment:
     env = Environment()
     rng = RngTree(seed)
     probe = Probe(env)
-    tracer = Tracer(enabled=trace)
+    tracer = Tracer()
     if trace:
         probe.subscribe(tracer)
     net = Network(env, rng_tree=rng, default_latency=LAN_LATENCY, probe=probe)
@@ -391,12 +391,24 @@ def _troxy_server(
                 troxy_enclave.measurement,
             ),
         )
+        grantable = None
+        if router is not None:
+            # A group leader must only lease keys its group owns and
+            # that are not pinned elsewhere or write-frozen by a
+            # migration; ownership can change under it, so the veto is
+            # evaluated at every grant.
+            gid = router.group_of_replica(replica_id)
+
+            def grantable(key):
+                return router.group_of_key(key) == gid and not router.write_frozen(key)
+
         # Leader-side lease state (any replica may lead after a view
         # change, so every replica carries a manager + directory mirror).
         replica.leasing = LeaseGranter(
             replica,
             LeaseManager(
-                replica_id, site.keyring.troxy_instance(replica_id), config.leases
+                replica_id, site.keyring.troxy_instance(replica_id), config.leases,
+                grantable,
             ),
             LeaseDirectory(),
             keys_fn,
@@ -531,17 +543,6 @@ def build_troxy(
                 router=router,
                 keys_fn=keys_fn,
             )
-            if router is not None and replica.leasing is not None:
-                # A group leader must only lease keys its group owns and
-                # that are not pinned elsewhere or write-frozen by a
-                # migration; ownership can change under it, so the veto
-                # is evaluated at every grant.
-                replica.leasing.manager.set_grantable(
-                    lambda key, _gid=gid: (
-                        router.group_of_key(key) == _gid
-                        and not router.write_frozen(key)
-                    )
-                )
             group.replicas.append(replica)
             group.hosts.append(host)
             group.cores.append(core)

@@ -228,9 +228,8 @@ def run_scenario(
             r.stats.lease_writes_parked for r in cluster.replicas
         ),
     }
-    # Per-kind wire-rule hits: delayed messages arrive late and tapped
-    # ones are merely observed, so only tamper/loss/corrupt hits count
-    # as actually harmed traffic.
+    # Per-kind wire-rule hits: delayed messages arrive late, so only
+    # tamper/loss/corrupt hits count as actually harmed traffic.
     wire_hits = plane.wire_hit_counts()
     stats["wire_hits"] = wire_hits
     stats["tampered_or_dropped"] = (

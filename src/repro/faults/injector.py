@@ -5,8 +5,8 @@ One :class:`FaultPlane` wraps a running deployment (usually from
 interception point the rest of the library exposes for fault injection:
 
 * the network's send-filter chain (:meth:`Network.add_send_filter`) for
-  wire rules — loss, delay, corruption, reply tampering, and passive
-  taps;
+  wire rules — loss, delay, corruption and reply tampering (what only
+  watches the wire subscribes to ``net.send`` on the probe bus);
 * host/replica ``stop()``/``restart()`` for crash faults;
 * enclave ``reboot()`` plus counter snapshots for rollback attacks;
 * link ``cut()``/``heal()`` for partitions;
@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Optional
 
@@ -50,14 +49,13 @@ class Garbage:
 
 
 #: Stat name each wire-rule kind reports its hits under (campaign
-#: ``wire_hits``): delayed messages were delivered late, tapped ones
-#: were merely observed — neither is a drop or a forgery.
+#: ``wire_hits``): delayed messages were delivered late, which is
+#: neither a drop nor a forgery.
 WIRE_HIT_STATS = {
     "delay": "delayed",
     "loss": "dropped",
     "corrupt": "corrupted",
     "tamper": "tampered",
-    "tap": "tapped",
 }
 
 
@@ -65,7 +63,7 @@ WIRE_HIT_STATS = {
 class WireRule:
     """One active rule on the network send path."""
 
-    kind: str  # "delay" | "loss" | "corrupt" | "tamper" | "tap"
+    kind: str  # "delay" | "loss" | "corrupt" | "tamper"
     src: str = "*"
     dst: str = "*"
     payload_types: tuple[str, ...] = ()
@@ -76,12 +74,6 @@ class WireRule:
     remaining: Optional[int] = None  # tamper budget; None = unlimited
     origin: Optional[Fault] = None  # fault that installed the rule
     hits: int = 0
-    #: Ring buffer of the last ``capture_limit`` payloads a tap saw;
-    #: older captures are evicted and counted in ``capture_overflow``
-    #: so long chaos runs cannot hold every message alive.
-    captured: deque = field(default_factory=deque)
-    capture_limit: int = 256
-    capture_overflow: int = 0
 
     def matches(self, attempt: SendAttempt) -> bool:
         if not fnmatchcase(attempt.src, self.src):
@@ -105,7 +97,7 @@ class AttackState:
 
 
 class FaultPlane:
-    """Fault-injection and observation plane for one running cluster."""
+    """Fault-injection plane for one running cluster."""
 
     def __init__(self, cluster, rng: Optional[random.Random] = None, recorder=None):
         self.cluster = cluster
@@ -256,12 +248,6 @@ class FaultPlane:
             origin=fault,
         ))
 
-    def tap(self, src: str = "*", dst: str = "*", payload_types=()) -> WireRule:
-        """Install a passive observation rule; read ``rule.captured``."""
-        return self._add_rule(WireRule(
-            kind="tap", src=src, dst=dst, payload_types=tuple(payload_types),
-        ))
-
     def remove_wire_rules(self, fault: Fault) -> None:
         for rule in self.rules:
             if rule.origin == fault:
@@ -289,13 +275,7 @@ class FaultPlane:
         for rule in self.rules:
             if attempt.drop or not rule.matches(attempt):
                 continue
-            if rule.kind == "tap":
-                rule.hits += 1
-                if len(rule.captured) >= rule.capture_limit:
-                    rule.captured.popleft()
-                    rule.capture_overflow += 1
-                rule.captured.append(attempt.payload)
-            elif rule.kind == "delay":
+            if rule.kind == "delay":
                 rule.hits += 1
                 extra = rule.delay
                 if rule.jitter:

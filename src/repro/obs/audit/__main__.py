@@ -4,14 +4,16 @@ Usage::
 
     python -m repro.obs.audit                                # full catalogue
     python -m repro.obs.audit --scenarios host_tamper_replies --out audit-run
-    python -m repro.obs.audit --shards 1,2 --batch off,4 --results table.txt
+    python -m repro.obs.audit --shards 1,2 --batch off,4
 
 Every run is fully deterministic: the same arguments produce the same
 table, the same ``audit.json`` files, and byte-identical signed
 evidence bundles — the CI audit-smoke step runs one tampering cell
-twice and diffs the output directories. Exit status is non-zero when an
-attributable fault goes unlocalized or any healthy replica, client, or
-link is wrongly blamed.
+twice and diffs the output directories. With ``--out`` the table lands
+there as ``blame.txt``; the tracked ``benchmarks/results/audit_blame.txt``
+is written by ``python -m repro.bench audit``. Exit status is non-zero
+when an attributable fault goes unlocalized or any healthy replica,
+client, or link is wrongly blamed.
 """
 
 from __future__ import annotations
@@ -59,11 +61,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out", metavar="DIR",
-        help="write per-run audit.json + signed evidence bundles under DIR",
-    )
-    parser.add_argument(
-        "--results", metavar="PATH",
-        help="write the blame-localization table to PATH",
+        help="write per-run audit.json + signed evidence bundles and the "
+        "blame-localization table (blame.txt) under DIR",
     )
     args = parser.parse_args(argv)
 
@@ -101,16 +100,13 @@ def main(argv=None) -> int:
             )
     for run in report["runs"]:
         run.pop("plane")
+    table = render_table(report)
     if args.out:
         (out / "blame.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n"
         )
-
-    table = render_table(report)
+        (out / "blame.txt").write_text(table + "\n")
     print(table)
-    if args.results:
-        Path(args.results).write_text(table + "\n")
-        print(f"results written to {args.results}")
 
     summary = report["summary"]
     ok = summary["localized"] == summary["attributable"] and not summary["false_blame"]

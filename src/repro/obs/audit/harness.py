@@ -11,7 +11,7 @@ replica or workload client may ever be blamed. Link-level ground truth
 without demanding it.
 
 The tracked ``benchmarks/results/audit_blame.txt`` table is
-regenerated from here (``python -m repro.obs.audit``), and the CI
+regenerated from here (``python -m repro.bench audit``), and the CI
 audit-smoke step replays one tampering cell twice and byte-diffs the
 signed evidence bundles.
 """

@@ -4,14 +4,16 @@ Usage::
 
     python -m repro.obs.health                               # full catalogue
     python -m repro.obs.health --scenarios healthy_control --seeds 3
-    python -m repro.obs.health --out health-report --results table.txt
+    python -m repro.obs.health --out health-report
 
 Every run is fully deterministic: the same arguments produce the same
 table, the same ``health.json`` files, and byte-identical forensic
 bundles — the CI health job runs the command twice and diffs the output
-directories. Exit status is non-zero when a catalogued fault scenario
-goes undiagnosed or a fault-free scenario raises any health event
-(false positive).
+directories. With ``--out`` the table lands there as ``detection.txt``;
+the tracked ``benchmarks/results/health_detection.txt`` is written by
+``python -m repro.bench health``. Exit status is non-zero when a
+catalogued fault scenario goes undiagnosed or a fault-free scenario
+raises any health event (false positive).
 """
 
 from __future__ import annotations
@@ -46,11 +48,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out", metavar="DIR",
-        help="write per-run health.json + forensic bundles under DIR",
-    )
-    parser.add_argument(
-        "--results", metavar="PATH",
-        help="write the detection-latency table to PATH",
+        help="write per-run health.json + forensic bundles and the "
+        "detection-latency table (detection.txt) under DIR",
     )
     args = parser.parse_args(argv)
 
@@ -75,16 +74,13 @@ def main(argv=None) -> int:
             )
     for run in report["runs"]:
         run.pop("plane")
+    table = render_table(report)
     if args.out:
         (out / "detection.json").write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n"
         )
-
-    table = render_table(report)
+        (out / "detection.txt").write_text(table + "\n")
     print(table)
-    if args.results:
-        Path(args.results).write_text(table + "\n")
-        print(f"results written to {args.results}")
 
     summary = report["summary"]
     return 0 if not summary["missed"] and not summary["false_positives"] else 1

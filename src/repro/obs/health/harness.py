@@ -9,8 +9,9 @@ check: any health event at all is a false positive.
 
 The harness is the empirical anchor for every detector threshold: the
 tracked ``benchmarks/results/health_detection.txt`` table is
-regenerated from here, and the CI health job fails when a catalogued
-scenario stops being detected or a quiet cell starts paging.
+regenerated from here (``python -m repro.bench health``), and the CI
+health job fails when a catalogued scenario stops being detected or a
+quiet cell starts paging.
 """
 
 from __future__ import annotations

@@ -60,17 +60,16 @@ RULES = {
 
 
 class Tracer:
-    """Collects trace records; a disabled tracer drops everything."""
+    """Collects the trace records it is given; it is given none unless
+    it is subscribed."""
 
-    def __init__(self, enabled: bool = False):
-        self.enabled = enabled
+    def __init__(self):
         self.records: list[TraceRecord] = []
 
     def record(
         self, time: float, category: str, node: str, detail: str, data: Any = None
     ) -> None:
-        if self.enabled:
-            self.records.append(TraceRecord(time, category, node, detail, data))
+        self.records.append(TraceRecord(time, category, node, detail, data))
 
     # -- bus subscriber: instants only, what a span covers is not logged --------
 

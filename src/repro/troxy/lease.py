@@ -326,10 +326,6 @@ class LeaseManager:
         # releases only once every blocking key is revoked or expired.
         self._parked: list[list] = []
 
-    def set_grantable(self, grantable: Callable[[str], bool]) -> None:
-        """Install a deployment-level grant veto (sharding wiring)."""
-        self._grantable = grantable
-
     # -- requests and grants ------------------------------------------------
 
     def note_request(self, key: str, holder: str, now: float) -> bool:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import repro.bench.__main__ as cli
+import repro.bench.report as report
 from repro.analysis.metrics import Summary
 from repro.bench.experiments import Point
 
@@ -59,7 +60,8 @@ def test_json_flag_writes_bench_file(monkeypatch, tmp_path):
     assert cell["sim"] == {"wall_s": 1.25, "steps": 1000, "scheduled_events": 1010}
 
 
-def test_json_flag_table1_writes_rows(tmp_path):
+def test_json_flag_table1_writes_rows(monkeypatch, tmp_path):
+    monkeypatch.setattr(report, "RESULTS_DIR", tmp_path)
     assert cli.main(["table1", "--json", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "BENCH_table1.json").read_text())
     systems = [row["system"] for row in payload["rows"]]

@@ -1,25 +1,41 @@
-"""One producer per tracked table: what ``python -m repro.bench <name>``
-writes, no benchmark test may write as well (two writers drift: the
-pytest and CLI bodies of table1 and fig11 differed for several PRs)."""
+"""One producer per tracked table: every file under benchmarks/results/
+but cpu_account.txt (benchmarks/perf/cpu_account.py) is written by
+``python -m repro.bench <name>`` and by nothing else; benchmark tests
+assert on the producers' data (two writers drift: the pytest and CLI
+bodies of table1 and fig11 differed for several PRs)."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-from repro.bench.__main__ import RUNNERS
+from repro.bench import critpath
 
-BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def _save_calls(path: Path) -> list[ast.Call]:
+    return [
+        node for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "save_and_print"
+    ]
+
+
+def test_every_tracked_table_has_exactly_one_producer():
+    # Constant-named calls under src/repro/bench, plus the critpath
+    # sidecars that run_critpath writes in one loop.
+    produced = Counter(list(critpath.SIDECARS) + ["cpu_account"])
+    for path in (ROOT / "src" / "repro" / "bench").glob("*.py"):
+        produced.update(
+            call.args[0].value for call in _save_calls(path)
+            if isinstance(call.args[0], ast.Constant)
+        )
+    assert [name for name, n in produced.items() if n > 1] == []
+    assert set(produced) == {p.stem for p in (ROOT / "benchmarks" / "results").glob("*.txt")}
 
 
 def test_no_benchmark_test_writes_a_table_repro_bench_owns():
-    offenders = []
-    for path in sorted(BENCHMARKS.glob("test_*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (
-                isinstance(node, ast.Call)
-                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "save_and_print"
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value in RUNNERS
-            ):
-                offenders.append((path.name, node.args[0].value))
-    assert not offenders, offenders
+    offenders = [
+        path.name for path in (ROOT / "benchmarks").rglob("test_*.py") if _save_calls(path)
+    ]
+    assert offenders == []

@@ -5,6 +5,7 @@ import pytest
 from pathlib import Path
 
 from repro.analysis.metrics import Summary
+from repro.bench import experiments
 from repro.bench.experiments import Point
 from repro.bench.report import (
     RESULTS_DIR,
@@ -72,6 +73,18 @@ def test_save_and_print_writes_table(tmp_path, monkeypatch, capsys):
     import repro.bench.report as report
 
     monkeypatch.setattr(report, "RESULTS_DIR", tmp_path / "results")
+    monkeypatch.setattr(experiments, "SCALE", 1.0)
     save_and_print("demo", "a table")
     assert "a table" in capsys.readouterr().out
     assert (tmp_path / "results" / "demo.txt").read_text() == "a table\n"
+
+
+def test_save_and_print_writes_nothing_below_full_scale(tmp_path, monkeypatch, capsys):
+    import repro.bench.report as report
+
+    monkeypatch.setattr(report, "RESULTS_DIR", tmp_path)
+    monkeypatch.setattr(experiments, "SCALE", 0.5)
+    save_and_print("demo", "a table")
+    assert list(tmp_path.iterdir()) == []
+    out, err = capsys.readouterr()
+    assert "a table" in out and "demo.txt not written" in err

@@ -171,22 +171,8 @@ def test_corrupt_rule_replaces_unknown_payload_with_garbage():
     assert isinstance(attempt.payload, Garbage)
 
 
-def test_tap_capture_ring_is_bounded():
-    """A long-lived tap must not grow without bound: only the newest
-    ``capture_limit`` payloads stay; evictions are counted."""
-    _, plane = make_plane(seed=9)
-    rule = plane.tap()
-    rule.capture_limit = 8
-    for i in range(20):
-        plane._filter(_attempt(payload=f"m{i}".encode()))
-    assert rule.hits == 20
-    assert len(rule.captured) == 8
-    assert rule.capture_overflow == 12
-    assert list(rule.captured) == [f"m{i}".encode() for i in range(12, 20)]
-
-
 def test_wire_rule_glob_matching():
-    rule = WireRule(kind="tap", src="replica-*", dst="client-machine-?")
+    rule = WireRule(kind="loss", src="replica-*", dst="client-machine-?")
     assert rule.matches(_attempt(src="replica-2", dst="client-machine-1"))
     assert not rule.matches(_attempt(src="client-1", dst="client-machine-1"))
     assert not rule.matches(_attempt(src="replica-2", dst="client-machine-12"))

@@ -84,15 +84,21 @@ def test_stale_cache_reply_replay_rejected(features=ALL_OFF):
     # Pins the voted probe path: under a lease the second read would be
     # served locally (docs/READS.md), so only batching follows the set.
     cluster = build_troxy(seed=23, app_factory=KvStore, **{**features, "leases": "off"})
-    plane = FaultPlane(cluster)
-    capture = plane.tap(payload_types=("CacheEntryReply",))
+    captured = []
+
+    class CacheReplies:  # watches the wire: a probe-bus subscriber
+        def event(self, t, kind, node, subject, attrs):
+            if kind == "net.send" and isinstance(subject, CacheEntryReply):
+                captured.append(subject)
+
+    cluster.probe.subscribe(CacheReplies())
     client = cluster.new_client(contact_index=0)
     results = run_ops(
         cluster, client, [put("k", b"old"), get("k"), get("k")]
     )
     assert results[-1].result.content == b"old"
-    assert capture.captured, "expected at least one cache-entry reply on the wire"
-    stale = capture.captured[0]
+    assert captured, "expected at least one cache-entry reply on the wire"
+    stale = captured[0]
 
     # Write a new value, then replay the stale answer during the next read.
     results = run_ops(cluster, client, [put("k", b"new")])

@@ -108,11 +108,7 @@ def test_score_blame_permits_partition_links_only():
 
 def test_cli_roundtrip(tmp_path):
     out = tmp_path / "audit-run"
-    results = tmp_path / "blame.txt"
-    code = audit_main([
-        "--scenarios", "host_tamper_replies",
-        "--out", str(out), "--results", str(results),
-    ])
+    code = audit_main(["--scenarios", "host_tamper_replies", "--out", str(out)])
     assert code == 0
     cell = out / "host_tamper_replies-seed1-sh1-boff"
     evidence = json.loads((cell / "evidence.json").read_text())
@@ -120,7 +116,7 @@ def test_cli_roundtrip(tmp_path):
     audit = json.loads((cell / "audit.json").read_text())
     assert audit["triggered"] and audit["verdict_counts"].get("tamper") == 1
     assert (cell / "health.json").exists()
-    table = results.read_text()
+    table = (out / "blame.txt").read_text()
     assert "LOCALIZED" in table and "FALSE-BLAME" not in table
     report = json.loads((out / "blame.json").read_text())
     assert report["summary"]["localized"] == report["summary"]["attributable"]

@@ -103,7 +103,7 @@ def test_a_bus_without_a_clock_takes_no_subscriber():
 
 def logged(kind, node, subject=None, **attrs):
     probe = Probe(Environment())
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     probe.subscribe(tracer)
     probe.event(kind, node, subject, **attrs)
     return [(r.category, r.node, r.detail) for r in tracer.records]
@@ -139,7 +139,7 @@ def test_the_trace_log_renders_its_categories_from_values():
 def test_the_trace_log_ignores_what_has_no_rule_and_span_opens():
     assert logged("troxy.fast_read", "r0", outcome="hit") == []
     probe = Probe(Environment())
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     probe.subscribe(tracer)
     probe.end(probe.begin("hybster.order", "r0"))
     assert tracer.records == []

@@ -33,14 +33,8 @@ def test_rng_empty_path_rejected():
         RngTree(1).derive()
 
 
-def test_tracer_disabled_records_nothing():
-    tracer = Tracer(enabled=False)
-    tracer.record(1.0, "cat", "node", "detail")
-    assert tracer.records == []
-
-
 def test_tracer_records_and_filters():
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     tracer.record(1.0, "proto.send", "replica-0", "x")
     tracer.record(2.0, "net.deliver", "replica-1", "y")
     tracer.record(3.0, "proto.send", "replica-1", "z")
@@ -51,7 +45,7 @@ def test_tracer_records_and_filters():
 
 
 def test_tracer_dump_and_clear():
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     tracer.record(0.0015, "cat", "node", "something happened")
     text = tracer.dump()
     assert "something happened" in text
@@ -66,7 +60,7 @@ def test_trace_record_str():
 
 
 def test_tracer_unbounded_by_default():
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     assert tracer.records == []  # plain list, comparable to literals
     for i in range(1000):
         tracer.record(float(i), "cat", "n", "x")
