@@ -5,15 +5,15 @@ Usage::
     python -m repro.bench fig6            # one experiment
     python -m repro.bench fig7 fig9       # several
     python -m repro.bench all             # everything (slow)
-    REPRO_BENCH_SCALE=0.3 python -m repro.bench all   # quick pass, writes nothing
 
     python -m repro.bench fig6 --json out/      # also write BENCH_fig6.json
     python -m repro.bench fig6 --profile        # cProfile, sorted pstats
 
-Prints the paper-style series and, at full scale, writes them to
-benchmarks/results/: every tracked table there but ``cpu_account.txt``
+Prints the paper-style series and writes them to benchmarks/results/:
+every tracked table there but ``cpu_account.txt``
 (``benchmarks/perf/cpu_account.py``) has its one producer in
-:data:`RUNNERS`, which carries the table's canonical arguments.
+:data:`RUNNERS`, which carries the table's canonical arguments, and
+``tests/paper`` asserts the paper's shapes on what it wrote.
 With ``--json DIR`` each experiment additionally emits ``BENCH_<name>.json``
 with one entry per measured cell: throughput, latency percentiles, host
 wall-clock, and the deterministic ``env.steps`` / ``env.scheduled_events``
@@ -280,7 +280,7 @@ def run_table1():
         lines.append(
             f"{row.system:>10} | {row.replicas:>8} | {row.read_quorum:>22} | {row.consistency}"
         )
-    lines.append("(consistency witnesses: run `pytest benchmarks/test_table1.py`)")
+    lines.append("(consistency witnesses: run `pytest tests/paper/test_table1.py`)")
     save_and_print("table1", "\n".join(lines))
     return rows
 

@@ -2,19 +2,15 @@
 
 Every function returns structured rows (and prints nothing):
 ``python -m repro.bench`` formats them into the tracked paper-style
-tables and the ``benchmarks/`` suite asserts the reproduced *shapes* on
-the same rows. Workload parameters follow Section VI:
+tables, on which ``tests/paper`` asserts the reproduced *shapes*.
+Workload parameters follow Section VI:
 echo service with configurable reply sizes, 100 +/- 20 ms WAN delay on
 client links, 1 % writes for the contention scenario, and the HTTP page
 service at ~500 req/s for Fig. 11.
-
-Scale: set ``REPRO_BENCH_SCALE`` < 1.0 (e.g. 0.3) to shrink client
-counts and measurement windows for quick runs; shapes are preserved.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -39,8 +35,6 @@ from ..deploy import (
     build_troxy,
 )
 
-SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
 REQUEST_SIZES = (256, 1024, 4096, 8192)
 REPLY_SIZES = (256, 1024, 4096, 8192)
 
@@ -54,10 +48,6 @@ WAN_CLIENT_NIC = NicConfig(count=1, bandwidth=0.25 * GBPS)
 #: with far fewer events. Every compared system is scaled identically,
 #: so throughput *ratios* — the reproduced quantity — are unaffected.
 REPLICA_CORES = 2
-
-
-def _scaled(value: int, minimum: int = 4) -> int:
-    return max(minimum, int(value * SCALE))
 
 
 @dataclass(frozen=True)
@@ -284,10 +274,9 @@ def fig5_message_flow():
 
 
 def fig6_ordered_writes_local(
-    sizes=REQUEST_SIZES, n_clients: Optional[int] = None, duration: float = 0.25
+    sizes=REQUEST_SIZES, n_clients: int = 64, duration: float = 0.25
 ) -> list[Point]:
     """Write-only workload, 10 B replies, LAN (Fig. 6)."""
-    n_clients = n_clients if n_clients is not None else _scaled(64, minimum=16)
     points = []
     for size in sizes:
         for system in ("bl", "ctroxy", "etroxy"):
@@ -301,7 +290,7 @@ def fig6_ordered_writes_local(
 
 
 def fig7_ordered_writes_wan(
-    sizes=REQUEST_SIZES, n_clients: Optional[int] = None, duration: float = 2.0
+    sizes=REQUEST_SIZES, n_clients: int = 850, duration: float = 2.0
 ) -> list[Point]:
     """Write-only workload with 100 +/- 20 ms client-link delay (Fig. 7).
 
@@ -310,7 +299,6 @@ def fig7_ordered_writes_wan(
     back, so the constrained client access link carries n times the
     request bytes. Troxy clients exchange one request and one reply.
     """
-    n_clients = n_clients if n_clients is not None else _scaled(850, minimum=64)
     points = []
     for size in sizes:
         for system in ("bl", "etroxy"):
@@ -329,11 +317,10 @@ def fig7_ordered_writes_wan(
 
 
 def fig8_reads_local(
-    reply_sizes=REPLY_SIZES, n_clients: Optional[int] = None, duration: float = 0.25
+    reply_sizes=REPLY_SIZES, n_clients: int = 64, duration: float = 0.25
 ) -> list[Point]:
     """Read-only workload, 10 B requests, LAN (Fig. 8). BL uses the
     PBFT-like read optimization, Troxy the fast-read cache."""
-    n_clients = n_clients if n_clients is not None else _scaled(64, minimum=16)
     points = []
     for reply_size in reply_sizes:
         for system in ("bl", "etroxy"):
@@ -347,7 +334,7 @@ def fig8_reads_local(
 
 
 def fig9_reads_wan(
-    reply_sizes=REPLY_SIZES, n_clients: Optional[int] = None, duration: float = 2.0
+    reply_sizes=REPLY_SIZES, n_clients: int = 1200, duration: float = 2.0
 ) -> list[Point]:
     """Read-only workload over the WAN (Fig. 9).
 
@@ -355,7 +342,6 @@ def fig9_reads_wan(
     the constrained client access link; Troxy sends one (remote cache
     checks exchange only hashes, on the server LAN).
     """
-    n_clients = n_clients if n_clients is not None else _scaled(1200, minimum=64)
     points = []
     for reply_size in reply_sizes:
         for system in ("bl", "etroxy"):
@@ -372,7 +358,7 @@ def fig9_reads_wan(
 
 def lease_reads(
     reply_size: int = 1024,
-    n_clients: Optional[int] = None,
+    n_clients: int = 16,
     duration: float = 0.25,
 ) -> list[Point]:
     """Leased vs voted reads on the LAN (docs/READS.md).
@@ -384,7 +370,6 @@ def lease_reads(
     seal, nothing else. There is no WAN cell: the only WAN leg is
     client -> Troxy, which a lease cannot shorten (docs/READS.md).
     """
-    n_clients = n_clients if n_clients is not None else _scaled(16, minimum=8)
     points = []
     for system in ("etroxy", "lease"):
         cluster, summary = _run_system(
@@ -409,7 +394,7 @@ def lease_reads(
 
 
 def fig10_write_contention(
-    n_clients: Optional[int] = None,
+    n_clients: int = 64,
     duration: float = 0.4,
     reply_size: int = 4096,
     key_space: int = 1,
@@ -424,7 +409,6 @@ def fig10_write_contention(
     cache (quorum mismatches / invalidated entries per fast attempt)."""
     import random
 
-    n_clients = n_clients if n_clients is not None else _scaled(64, minimum=16)
     points = []
 
     def run(system, label, read_optimization=True, fast_reads=True, monitor_factory=None):
@@ -468,7 +452,7 @@ def fig10_write_contention(
 
 
 def batching_throughput(
-    n_clients: Optional[int] = None,
+    n_clients: int = 32,
     duration: float = 0.25,
     request_size: int = 1024,
     settings: tuple = ("off", "1", "4", "16", "adaptive"),
@@ -487,7 +471,6 @@ def batching_throughput(
     batching off/adaptive — batched agreement must not move the
     fast-read p50, because fast reads never enter the ordering pipeline.
     """
-    n_clients = n_clients if n_clients is not None else 32
     points = []
     for setting in settings:
         batching = (
@@ -538,7 +521,7 @@ def batching_throughput(
 
 def sharding_throughput(
     shard_counts: tuple = (1, 2, 4, 8),
-    n_clients: Optional[int] = None,
+    n_clients: int = 96,
     duration: float = 0.25,
     request_size: int = 1024,
     key_space: int = 64,
@@ -558,7 +541,6 @@ def sharding_throughput(
     cell is the plain Troxy deployment: no router, so nothing is looked
     up or forwarded and the one group owns every key.
     """
-    n_clients = n_clients if n_clients is not None else 96
     keys = [f"k{i}" for i in range(key_space)]
     points = []
     for shards in shard_counts:
@@ -589,7 +571,7 @@ def sharding_throughput(
 
 
 def fig11_http_latency(
-    n_clients: Optional[int] = None,
+    n_clients: int = 100,
     total_rate: float = 500.0,
     duration: float = 3.0,
     wan_only: bool = False,
@@ -598,7 +580,6 @@ def fig11_http_latency(
     local network and WAN (Fig. 11)."""
     import random
 
-    n_clients = n_clients if n_clients is not None else _scaled(100, minimum=20)
     rate_per_client = total_rate / n_clients
     pages = sorted(seed_pages().keys())
     points = []
@@ -644,7 +625,7 @@ def ablation_sgx_boundary() -> dict[str, tuple[float, float]]:
     """D5: 256 B ordered writes with the protection boundary of the same
     Troxy code swept none -> JNI -> SGX, and the baseline for reference
     -> {cell: (op/s, ecalls per completed request)}."""
-    n_clients = _scaled(64, minimum=16)
+    n_clients = 64
     _, summary = _run_system(
         "bl", write_source(256), reply_size=10, n_clients=n_clients,
         warmup=0.1, duration=0.25, read_optimization=False,
@@ -679,7 +660,7 @@ def ablation_epc_placement() -> dict[str, tuple[float, int, int]]:
                 build_troxy, seed=9, app_factory=lambda: EchoService(reply_size=8192),
                 cache_outside=outside, epc_bytes=TINY_EPC, replica_cores=REPLICA_CORES,
             ),
-            _scaled(48, minimum=12), read_source(key_space=512), warmup=0.3, duration=0.5,
+            48, read_source(key_space=512), warmup=0.3, duration=0.5,
         )
         rows[label] = (
             summary.throughput,

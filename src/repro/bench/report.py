@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 from typing import Iterable
 
-from . import experiments
 from .experiments import Point
 
 RESULTS_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
@@ -43,27 +41,9 @@ def format_latency_series(title: str, points: Iterable[Point], x_label: str = "n
     return _series(title, points, x_label, 16, lambda p: f"{p.latency_ms:>12.2f} ms")
 
 
-def ratio(points: list[Point], system_a: str, system_b: str, x) -> float:
-    """throughput(a) / throughput(b) at the given x."""
-    a = next(p for p in points if p.system == system_a and p.x == x)
-    b = next(p for p in points if p.system == system_b and p.x == x)
-    if b.throughput == 0:
-        raise ZeroDivisionError(f"{system_b} measured zero throughput at {x}")
-    return a.throughput / b.throughput
-
-
 def save_and_print(name: str, text: str) -> None:
-    """Print the table and persist it under benchmarks/results/.
-
-    Only a full-scale run writes: the tracked tables are full-scale
-    numbers, so a reduced ``REPRO_BENCH_SCALE`` run prints and leaves
-    them alone.
-    """
+    """Print the table and persist it under benchmarks/results/."""
     print("\n" + text + "\n")
-    if experiments.SCALE != 1.0:
-        print(f"[REPRO_BENCH_SCALE={experiments.SCALE}: {name}.txt not written]",
-              file=sys.stderr)
-        return
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 

@@ -102,11 +102,10 @@ class Message:
     size: int
     sent_at: float
     msg_id: int
-    # FIFO stream identity, stamped by ``send`` when in-order delivery
-    # is on: the (src, dst, stream) key and this message's position in
-    # that stream. ``None`` means the message bypasses reordering.
-    stream_pair: Any = None
-    stream_seq: int = 0
+    # FIFO stream identity, stamped by ``send``: the (src, dst, stream)
+    # key and this message's position in that stream.
+    stream_pair: Any
+    stream_seq: int
 
 
 @dataclass
@@ -245,15 +244,13 @@ class Network:
         rng_tree: Optional[RngTree] = None,
         default_latency: Optional[LatencyModel] = None,
         probe: Optional[Probe] = None,
-        fifo_delivery: bool = True,
     ):
         self.env = env
         self.rng_tree = rng_tree or RngTree(0)
         self.default_latency = default_latency or ConstantLatency(50e-6)
         self.probe = probe if probe is not None else Probe(env)
-        # In-order delivery per (src, dst) pair, as TCP provides for all
-        # client/replica connections in the paper's testbed.
-        self.fifo_delivery = fifo_delivery
+        # In-order delivery per (src, dst, stream), as TCP provides for
+        # all client/replica connections in the paper's testbed.
         self._streams: dict[tuple, _StreamRx] = {}
         self._routes: dict[tuple, _Route] = {}
         self.nodes: dict[str, Node] = {}
@@ -368,9 +365,6 @@ class Network:
         prefix of the (src, dst, stream) connection; buffer anything
         that overtook its predecessors."""
         pair = msg.stream_pair
-        if pair is None:
-            self._deliver(msg, receiver)
-            return
         rx = self._streams.get(pair)
         if rx is None:
             rx = self._streams[pair] = _StreamRx()
@@ -465,17 +459,12 @@ class Network:
             return
         self.messages_sent += 1
         self.bytes_sent += size
-        if self.fifo_delivery:
-            seq = route.send_seq
-            route.send_seq = seq + 1
-            msg = Message(
-                src, dst, payload, int(size), self.env._now,
-                next(self._msg_ids), key, seq,
-            )
-        else:
-            msg = Message(
-                src, dst, payload, int(size), self.env._now, next(self._msg_ids)
-            )
+        seq = route.send_seq
+        route.send_seq = seq + 1
+        msg = Message(
+            src, dst, payload, int(size), self.env._now,
+            next(self._msg_ids), key, seq,
+        )
         self._transfer(msg, route, extra_delay)
 
     def _lost(self, kind: str, src: str, dst: str, payload: Any, size: int) -> None:
@@ -521,13 +510,9 @@ class Network:
                 rx.release()
             else:
                 rx._in_use -= 1
-            if self.fifo_delivery:
-                # TCP semantics: each (src,dst,stream) connection
-                # delivers in send order. A packet that overtook its
-                # predecessors waits in the reorder buffer
-                # (head-of-line blocking).
-                self._stream_arrived(msg, route.receiver)
-                return
-            self._deliver(msg, route.receiver)
+            # TCP semantics: each (src,dst,stream) connection delivers
+            # in send order. A packet that overtook its predecessors
+            # waits in the reorder buffer (head-of-line blocking).
+            self._stream_arrived(msg, route.receiver)
 
         tx.request_hold(msg.size / route.tx_nic.bandwidth).callbacks.append(on_tx_done)

@@ -9,7 +9,7 @@ def test_same_seed_identical_summaries():
     def once():
         _, summary = _run_system(
             "etroxy", write_source(256), reply_size=10,
-            n_clients=8, warmup=0.05, duration=0.1,
+            n_clients=2, warmup=0.005, duration=0.01,
         )
         return summary
 
@@ -24,7 +24,7 @@ def test_different_seed_differs():
     def once(seed):
         _, summary = _run_system(
             "bl", read_source(), reply_size=256,
-            n_clients=8, warmup=0.05, duration=0.1, seed=seed,
+            n_clients=2, warmup=0.005, duration=0.01, seed=seed,
         )
         return summary
 

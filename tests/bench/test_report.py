@@ -1,17 +1,13 @@
 """Unit tests for result formatting."""
 
-import pytest
-
 from pathlib import Path
 
 from repro.analysis.metrics import Summary
-from repro.bench import experiments
 from repro.bench.experiments import Point
 from repro.bench.report import (
     RESULTS_DIR,
     format_latency_series,
     format_throughput_series,
-    ratio,
     save_and_print,
 )
 
@@ -46,22 +42,6 @@ def test_latency_table_formats_ms():
     assert "250.00 ms" in table
 
 
-def test_ratio_lookup():
-    assert ratio(points(), "etroxy", "bl", 256) == pytest.approx(0.5)
-    assert ratio(points(), "etroxy", "bl", 1024) == pytest.approx(1.0)
-
-
-def test_ratio_zero_denominator():
-    bad = [Point("f", "bl", 1, summary(0.0)), Point("f", "et", 1, summary(1.0))]
-    with pytest.raises(ZeroDivisionError):
-        ratio(bad, "et", "bl", 1)
-
-
-def test_ratio_missing_point():
-    with pytest.raises(StopIteration):
-        ratio(points(), "etroxy", "bl", 9999)
-
-
 def test_results_dir_is_normalized_path():
     assert isinstance(RESULTS_DIR, Path)
     assert RESULTS_DIR.is_absolute()
@@ -73,18 +53,6 @@ def test_save_and_print_writes_table(tmp_path, monkeypatch, capsys):
     import repro.bench.report as report
 
     monkeypatch.setattr(report, "RESULTS_DIR", tmp_path / "results")
-    monkeypatch.setattr(experiments, "SCALE", 1.0)
     save_and_print("demo", "a table")
     assert "a table" in capsys.readouterr().out
     assert (tmp_path / "results" / "demo.txt").read_text() == "a table\n"
-
-
-def test_save_and_print_writes_nothing_below_full_scale(tmp_path, monkeypatch, capsys):
-    import repro.bench.report as report
-
-    monkeypatch.setattr(report, "RESULTS_DIR", tmp_path)
-    monkeypatch.setattr(experiments, "SCALE", 0.5)
-    save_and_print("demo", "a table")
-    assert list(tmp_path.iterdir()) == []
-    out, err = capsys.readouterr()
-    assert "a table" in out and "demo.txt not written" in err

@@ -1,6 +1,6 @@
-"""Layering: ``repro.deploy`` sits below bench/shard/faults/obs, the
-environment is read in one place, and the layers report on the probe
-bus alone."""
+"""Layering: ``repro.deploy`` sits below bench/shard/faults/obs, no
+module reads the environment, and the layers report on the probe bus
+alone."""
 
 import ast
 import os
@@ -9,10 +9,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
-
-#: Files allowed to read os.environ: the bench scale knob
-#: (REPRO_BENCH_SCALE); CLI entry points may do what they like.
-ENV_READERS = {"bench/experiments.py"}
 
 
 def modules():
@@ -47,10 +43,11 @@ def test_nothing_below_bench_imports_bench():
 
 
 def test_environment_is_read_in_one_place():
+    """The one place is the caller: a run is a function of its arguments
+    (DESIGN.md D15, D17), so no module under ``src/repro``, CLI entry
+    points included, reads ``os.environ``."""
     offenders = []
     for rel, tree in modules():
-        if rel in ENV_READERS or rel.endswith("__main__.py"):
-            continue
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
                 offenders.append((rel, node.lineno))

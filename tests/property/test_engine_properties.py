@@ -31,7 +31,7 @@ def test_events_fire_in_nondecreasing_time_order(delay_list):
 @given(delays)
 @settings(max_examples=30, deadline=None)
 def test_identical_schedules_are_deterministic(delay_list):
-    def run_once():
+    def simulate():
         env = Environment()
         order = []
 
@@ -44,7 +44,7 @@ def test_identical_schedules_are_deterministic(delay_list):
         env.run()
         return order
 
-    assert run_once() == run_once()
+    assert simulate() == simulate()
 
 
 @given(delays, st.floats(min_value=0.0, max_value=100.0, allow_nan=False))

@@ -368,7 +368,7 @@ def test_step_on_empty_schedule_raises():
 
 
 def test_many_processes_are_deterministic():
-    def run_once():
+    def simulate():
         env = Environment()
         order = []
 
@@ -383,4 +383,4 @@ def test_many_processes_are_deterministic():
         env.run()
         return order
 
-    assert run_once() == run_once()
+    assert simulate() == simulate()

@@ -11,7 +11,7 @@ from repro.sim import Environment, Network, RngTree
 
 def test_lossy_link_does_not_stall_fifo_stream():
     env = Environment()
-    net = Network(env, rng_tree=RngTree(11), fifo_delivery=True)
+    net = Network(env, rng_tree=RngTree(11))
     net.add_node("a")
     net.add_node("b")
     net.set_loss("a", "b", 0.5)
@@ -34,7 +34,7 @@ def test_lossy_link_does_not_stall_fifo_stream():
 
 def test_cut_link_does_not_stall_after_heal():
     env = Environment()
-    net = Network(env, rng_tree=RngTree(12), fifo_delivery=True)
+    net = Network(env, rng_tree=RngTree(12))
     net.add_node("a")
     net.add_node("b")
     received = []
@@ -60,7 +60,7 @@ def test_crashed_receiver_consumes_stream_slots():
     """Messages to a crashed node advance the stream so delivery resumes
     cleanly after recovery + reset_streams."""
     env = Environment()
-    net = Network(env, rng_tree=RngTree(13), fifo_delivery=True)
+    net = Network(env, rng_tree=RngTree(13))
     net.add_node("a")
     node_b = net.add_node("b")
     received = []

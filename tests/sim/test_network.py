@@ -207,7 +207,7 @@ def test_network_counters():
 
 
 def test_deterministic_delivery_times():
-    def run_once():
+    def simulate():
         env, net = make_net(latency=NormalLatency(0.1, 0.02))
         times = []
 
@@ -222,4 +222,4 @@ def test_deterministic_delivery_times():
         env.run()
         return times
 
-    assert run_once() == run_once()
+    assert simulate() == simulate()

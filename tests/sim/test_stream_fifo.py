@@ -14,38 +14,22 @@ def collect(env, net, name, out, count):
     env.process(recv())
 
 
-def make_jittery_net(fifo=True):
+def make_jittery_net():
     env = Environment()
-    net = Network(
-        env,
-        rng_tree=RngTree(3),
-        default_latency=UniformLatency(0.01, 0.5),
-        fifo_delivery=fifo,
-    )
+    net = Network(env, rng_tree=RngTree(3), default_latency=UniformLatency(0.01, 0.5))
     net.add_node("a")
     net.add_node("b")
     return env, net
 
 
 def test_same_stream_preserves_send_order_despite_jitter():
-    env, net = make_jittery_net(fifo=True)
+    env, net = make_jittery_net()
     out = []
     collect(env, net, "b", out, 50)
     for i in range(50):
         net.send("a", "b", payload=i, size=10, stream="conn-1")
     env.run()
     assert out == list(range(50))
-
-
-def test_without_fifo_jitter_reorders():
-    env, net = make_jittery_net(fifo=False)
-    out = []
-    collect(env, net, "b", out, 50)
-    for i in range(50):
-        net.send("a", "b", payload=i, size=10, stream="conn-1")
-    env.run()
-    assert sorted(out) == list(range(50))
-    assert out != list(range(50))  # jitter visibly reorders
 
 
 class ScriptedLatency:
@@ -60,7 +44,7 @@ class ScriptedLatency:
 
 def test_distinct_streams_may_overtake_each_other():
     env = Environment()
-    net = Network(env, rng_tree=RngTree(3), fifo_delivery=True)
+    net = Network(env, rng_tree=RngTree(3))
     net.add_node("a")
     net.add_node("b")
     # First message (stream X) slow, second (stream Y) fast.
@@ -74,7 +58,7 @@ def test_distinct_streams_may_overtake_each_other():
 
 
 def test_default_stream_is_per_pair():
-    env, net = make_jittery_net(fifo=True)
+    env, net = make_jittery_net()
     out = []
     collect(env, net, "b", out, 30)
     for i in range(30):
@@ -85,7 +69,7 @@ def test_default_stream_is_per_pair():
 
 def test_head_of_line_blocking_delays_fast_successor():
     env = Environment()
-    net = Network(env, rng_tree=RngTree(3), fifo_delivery=True)
+    net = Network(env, rng_tree=RngTree(3))
     net.add_node("a")
     net.add_node("b")
     times = []
