@@ -3,10 +3,10 @@
 
 Critical-path attribution says *when* a request waited for a core; this
 says what the core was doing instead. Every simulated CPU charge goes
-through ``Node.compute`` / ``Node.charge``. For the length of one run
-this script wraps those two methods (nothing in ``src/`` knows it is
-measured) and books each charge to its node and to the call site that
-made it; a boundary crossing is booked under its ecall name. The
+through ``Node.compute``. For the length of one run this script
+wraps that method (nothing in ``src/`` knows it is measured) and books
+each charge to its node and to the call site that made it; a boundary
+crossing is booked under its ecall name. The
 workloads are the perf ledger's own (``benchmarks/ledger/spec.py``,
 built by ``onepass._Pass``), at the benchmark driver's scale.
 
@@ -83,25 +83,18 @@ class CpuAccount:
 
     @contextmanager
     def installed(self):
-        """Wrap ``Node.compute`` / ``Node.charge`` for the block."""
-        compute, charge = Node.compute, Node.charge
+        """Wrap ``Node.compute`` for the block."""
+        compute = Node.compute
 
         def booked_compute(node, seconds):
             inner = compute(node, seconds)
             return self._booked(node, seconds, inner) if seconds > 0 else inner
 
-        def booked_charge(node, *costs):
-            inner = charge(node, *costs)
-            total = 0.0
-            for cost in costs:
-                total += cost
-            return self._booked(node, total, inner) if total > 0 else inner
-
-        Node.compute, Node.charge = booked_compute, booked_charge
+        Node.compute = booked_compute
         try:
             yield self
         finally:
-            Node.compute, Node.charge = compute, charge
+            Node.compute = compute
 
 
 def measure(workload, seed: int, scale: float):

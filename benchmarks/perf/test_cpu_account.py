@@ -1,9 +1,9 @@
 """The simulated-CPU account measures the run the ledger measures.
 
-``cpu_account.py`` wraps ``Node.compute`` / ``Node.charge`` from outside
-``src/``. The wrappers must schedule nothing: the same window with and
-without them has to agree on every simulated result, or the account
-would describe a different run than the one it is quoted next to.
+``cpu_account.py`` wraps ``Node.compute`` from outside ``src/``. The
+wrapper must schedule nothing: the same window with and without it has
+to agree on every simulated result, or the account would describe a
+different run than the one it is quoted next to.
 """
 
 import pytest

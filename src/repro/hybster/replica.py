@@ -663,9 +663,9 @@ class Replica:
         yield from self.node.compute(self._tx_cost(commit.wire_size))
         if self._commit_is_moot(commit):
             return
-        yield from self.node.charge(
-            self._hash_base + self._hash_per_byte * commit.wire_size,
-            self._mac_cost_const,
+        yield from self.node.compute(
+            self._hash_base + self._hash_per_byte * commit.wire_size
+            + self._mac_cost_const
         )
         if self._commit_is_moot(commit):
             return  # the view or the slot moved on while the core was held

@@ -3,7 +3,7 @@
 Public surface:
 
 * :class:`Environment`, :class:`Event`, :class:`Timeout`, :class:`Process`,
-  :class:`Interrupt`, :class:`AllOf`, :class:`AnyOf` — the engine.
+  :class:`AnyOf` — the engine.
 * :class:`Store`, :class:`Resource` — waitable queues and counted resources.
 * :class:`Network`, :class:`Node`, :class:`NicConfig`, latency models —
   the cluster fabric.
@@ -13,11 +13,9 @@ Public surface:
 """
 
 from .engine import (
-    AllOf,
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -39,13 +37,11 @@ from .rng import RngTree
 from .trace import TraceRecord, Tracer
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "ConstantLatency",
     "Environment",
     "Event",
     "GBPS",
-    "Interrupt",
     "LatencyModel",
     "Message",
     "Network",

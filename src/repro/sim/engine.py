@@ -7,18 +7,22 @@ queue of timestamped events, and *processes* are Python generators that
 
 Event lifecycle follows SimPy's two-stage model:
 
-* *triggered* — the event has a value (or exception) and sits in the
-  schedule; ``succeed()``/``fail()`` or construction (for ``Timeout``)
-  put it there.
+* *triggered* — the event has a value and sits in the schedule;
+  ``succeed()`` or construction (for ``Timeout``) put it there.
 * *processed* — the scheduler popped it and ran its callbacks. A process
   yielding an already-processed event resumes on the next scheduler step.
 
+A process that raises fails its own event: the exception is thrown into
+a process waiting on it, or surfaces from :meth:`Environment.run` when
+none is.
+
 Determinism guarantees
 ----------------------
-Events scheduled for the same simulated time are processed in schedule
-order (a monotonically increasing tiebreaker is part of the heap key), so
-two runs with the same seeds produce byte-identical traces. Nothing in the
-engine consults wall-clock time or global randomness.
+Every heap entry is ``(time, counter, entry)``. Events scheduled for the
+same simulated time are processed in schedule order (the counter grows
+monotonically), so two runs with the same seeds produce byte-identical
+traces. Nothing in the engine consults wall-clock time or global
+randomness.
 
 Hot-path design (see docs/PERFORMANCE.md)
 -----------------------------------------
@@ -28,12 +32,12 @@ simulated second. Three rules keep it fast without changing semantics:
 
 * ``run()`` inlines the event-pop loop instead of calling :meth:`step`
   per event (attribute loads and method dispatch dominate otherwise).
-* Internal wake-ups (already-processed targets, process initialization,
+* Internal wake-ups (already-processed targets, process start,
   pre-processed condition children) use lightweight ``__slots__`` relay
   objects instead of full :class:`Event` instances. A relay occupies
-  exactly the heap slot the old bridge event did — same schedule counter,
-  same priority — so event ordering (and therefore every simulated
-  result) is bit-for-bit unchanged.
+  exactly the heap slot the old bridge event did — same schedule
+  counter — so event ordering (and therefore every simulated result) is
+  bit-for-bit unchanged.
 * ``Timeout`` writes its fields directly instead of chaining through
   ``Event.__init__`` (roughly half of all scheduled events are timeouts).
 
@@ -56,28 +60,19 @@ import gc as _gc
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
+_INF = float("inf")
+
 
 class SimulationError(Exception):
     """Base class for errors raised by the simulation engine."""
 
 
-class Interrupt(SimulationError):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(f"process interrupted: {cause!r}")
-        self.cause = cause
-
-
 class Event:
     """A condition that will fire at some simulated time.
 
-    Processes wait on events by yielding them. An event may succeed with a
-    value or fail with an exception; either way it triggers exactly once.
+    Processes wait on events by yielding them. An event succeeds with a
+    value, and triggers exactly once; only a :class:`Process` that
+    raises fails.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered", "_defused")
@@ -102,11 +97,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """Whether the event succeeded; only meaningful once triggered."""
-        return self._ok
-
-    @property
     def value(self) -> Any:
         if not self._triggered:
             raise SimulationError("event value read before trigger")
@@ -117,37 +107,15 @@ class Event:
         if self._triggered:
             raise SimulationError("event already triggered")
         self._triggered = True
-        self._ok = True
         self._value = value
         self.env._schedule(self)
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with an exception.
-
-        Any process waiting on the event will have the exception thrown
-        into it at its yield point.
-        """
-        if self._triggered:
-            raise SimulationError("event already triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        self._triggered = True
-        self._ok = False
-        self._value = exception
-        self.env._schedule(self)
-        return self
-
-    def defused(self) -> "Event":
-        """Mark a failed event as handled so the scheduler won't re-raise."""
-        self._defused = True
         return self
 
 
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
@@ -160,68 +128,30 @@ class Timeout(Event):
         self._ok = True
         self._triggered = True
         self._defused = False
-        self.delay = delay
         env._counter = counter = env._counter + 1
-        heappush(env._queue, (env._now + delay, 1, counter, self))
+        heappush(env._queue, (env._now + delay, counter, self))
 
 
 class _Relay:
-    """Allocation-light heap entry that re-delivers a finished result.
+    """Allocation-light heap entry that runs one callback next step.
 
     Used where the engine used to allocate a bridge :class:`Event`: a
-    process (or condition) waiting on an *already-processed* target must
-    resume on the next scheduler step, in schedule order. A relay carries
-    just the four fields the scheduler loop touches and occupies exactly
-    the heap slot the bridge event occupied, so ordering is unchanged.
+    process starting, or a process (or condition) waiting on an
+    *already-processed* target, must run on the next scheduler step, in
+    schedule order. A relay carries just the four fields the scheduler
+    loop touches and occupies exactly the heap slot the bridge event
+    occupied, so ordering is unchanged. It re-delivers the target's
+    result; a failure it carries was already surfaced once, so it is
+    born defused.
     """
 
     __slots__ = ("callbacks", "_value", "_ok", "_defused")
 
-    def __init__(self, ok: bool, value: Any):
-        self.callbacks: Optional[list] = []
+    def __init__(self, callback: Callable, ok: bool = True, value: Any = None):
+        self.callbacks: Optional[list] = [callback]
         self._value = value
         self._ok = ok
         self._defused = True
-
-
-class _Initialize(Event):
-    """Internal event used to start a new process at the current time."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process"):
-        self.env = env
-        self.callbacks = [process._resume]
-        self._value = None
-        self._ok = True
-        self._triggered = True
-        self._defused = False
-        env._counter = counter = env._counter + 1
-        heappush(env._queue, (env._now, 1, counter, self))
-
-
-class _Interruption(Event):
-    """Internal failed event delivering an Interrupt into a process."""
-
-    __slots__ = ()
-
-    def __init__(self, process: "Process", cause: Any):
-        super().__init__(process.env)
-        self._triggered = True
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        # Detach the process from whatever it is waiting on right now so a
-        # later trigger of that event cannot resume the process twice.
-        target = process._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(process._resume)
-            except ValueError:
-                pass
-        process._target = None
-        self.callbacks.append(process._resume)
-        process.env._schedule(self, priority_boost=True)
 
 
 class Process(Event):
@@ -231,7 +161,7 @@ class Process(Event):
     the event value other processes see when waiting on it.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         # Flattened Event.__init__: one process is spawned per handled
@@ -243,36 +173,13 @@ class Process(Event):
         self._triggered = False
         self._defused = False
         self._generator = generator
-        self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        _Initialize(env, self)
-
-    @property
-    def is_alive(self) -> bool:
-        return not self._triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its yield point."""
-        if self._triggered:
-            return
-        if self.env.active_process is self:
-            raise SimulationError("a process cannot interrupt itself")
-        _Interruption(self, cause)
+        # Start at the current time, on the next scheduler step.
+        env._counter = counter = env._counter + 1
+        heappush(env._queue, (env._now, counter, _Relay(self._resume)))
 
     def _resume(self, event: Event) -> None:
-        if self._triggered:
-            return
-        # Detach from the event we were waiting on (interrupt case).
-        target = self._target
-        if target is not None and target is not event:
-            if target.callbacks is not None:
-                try:
-                    target.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-        self._target = None
         env = self.env
-        env._active_process = self
         generator = self._generator
         try:
             if event._ok:
@@ -281,106 +188,56 @@ class Process(Event):
                 event._defused = True
                 next_target = generator.throw(event._value)
         except StopIteration as stop:
-            env._active_process = None
             self._triggered = True
-            self._ok = True
             self._value = stop.value
             env._counter = counter = env._counter + 1
-            heappush(env._queue, (env._now, 1, counter, self))
+            heappush(env._queue, (env._now, counter, self))
             return
         except BaseException as exc:
-            env._active_process = None
             self._triggered = True
             self._ok = False
             self._value = exc
             env._counter = counter = env._counter + 1
-            heappush(env._queue, (env._now, 1, counter, self))
+            heappush(env._queue, (env._now, counter, self))
             return
-        env._active_process = None
         callbacks = getattr(next_target, "callbacks", False)
         if callbacks is False:
             raise SimulationError(
                 f"process {self.name!r} yielded {next_target!r}, expected an Event"
             )
         if callbacks is None:
-            # Already processed: resume on the next scheduler step. The
-            # relay becomes our wait target so an interrupt arriving
-            # before it fires detaches us from it (and cannot leave a
-            # stale resume behind).
-            relay = _Relay(next_target._ok, next_target._value)
-            relay.callbacks.append(self._resume)
-            self._target = relay  # type: ignore[assignment]
+            # Already processed: resume on the next scheduler step.
+            relay = _Relay(self._resume, next_target._ok, next_target._value)
             env._counter = counter = env._counter + 1
-            heappush(env._queue, (env._now, 1, counter, relay))
+            heappush(env._queue, (env._now, counter, relay))
         else:
-            self._target = next_target
             callbacks.append(self._resume)
 
 
-class Condition(Event):
-    """Base for AllOf / AnyOf composite wait conditions."""
+class AnyOf(Event):
+    """Fires, with no value, as soon as one child event fires.
 
-    __slots__ = ("events",)
+    Waiters read the child they care about (``get.triggered``), never
+    the condition's value. A failed child is not handled here: like any
+    unhandled failure it surfaces from :meth:`Environment.run`.
+    """
+
+    __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
-        self.events = list(events)
-        if not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
+        for event in events:
             if event.callbacks is None:
                 # Already processed: deliver on the next scheduler step so
                 # ordering stays deterministic.
-                relay = _Relay(event._ok, event._value)
-                relay.callbacks.append(
-                    lambda _r, e=event: self._on_child(e)
-                )
                 env._counter = counter = env._counter + 1
-                heappush(env._queue, (env._now, 1, counter, relay))
+                heappush(env._queue, (env._now, counter, _Relay(self._on_child)))
             else:
                 event.callbacks.append(self._on_child)
 
-    def _collect(self) -> dict:
-        return {
-            i: event._value
-            for i, event in enumerate(self.events)
-            if event.processed and event._ok
-        }
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(Condition):
-    """Fires when every child event has fired; value maps index -> value."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        if all(e.processed for e in self.events):
-            self.succeed(self._collect())
-
-
-class AnyOf(Condition):
-    """Fires as soon as one child event fires; value maps index -> value."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._ok:
-            self.succeed(self._collect())
-        else:
-            event._defused = True
-            self.fail(event._value)
+    def _on_child(self, _event) -> None:
+        if not self._triggered:
+            self.succeed()
 
 
 class Environment:
@@ -389,14 +246,13 @@ class Environment:
     # The engine and resource internals read/write these fields millions
     # of times per simulated second; __slots__ turns every one of those
     # instance-dict probes into a fixed-offset load.
-    __slots__ = ("_now", "_queue", "_counter", "_steps", "_active_process")
+    __slots__ = ("_now", "_queue", "_counter", "_steps")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._counter = 0
         self._steps = 0
-        self._active_process: Optional[Process] = None
 
     @property
     def now(self) -> float:
@@ -413,18 +269,11 @@ class Environment:
         """Events ever pushed onto the schedule (observability counter)."""
         return self._counter
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
     # -- scheduling ------------------------------------------------------
 
-    def _schedule(
-        self, event: Event, delay: float = 0.0, priority_boost: bool = False
-    ) -> None:
+    def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._counter += 1
-        priority = 0 if priority_boost else 1
-        heappush(self._queue, (self._now + delay, priority, self._counter, event))
+        heappush(self._queue, (self._now + delay, self._counter, event))
 
     # -- event factories --------------------------------------------------
 
@@ -437,9 +286,6 @@ class Environment:
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
@@ -449,7 +295,7 @@ class Environment:
         """Process the next scheduled event."""
         if not self._queue:
             raise SimulationError("step() on an empty schedule")
-        time, _priority, _tick, event = heappop(self._queue)
+        time, _tick, event = heappop(self._queue)
         if time < self._now:
             raise SimulationError("scheduler time went backwards")
         self._now = time
@@ -464,15 +310,19 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf when idle."""
-        return self._queue[0][0] if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else _INF
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the schedule drains or simulated time reaches ``until``.
 
         This is :meth:`step` inlined into a tight loop — the hottest few
-        lines of the whole repository; keep it allocation-free.
+        lines of the whole repository; keep it allocation-free. Without
+        ``until`` the horizon is infinite and the clock stays at the last
+        event; with it the clock ends at ``until``.
         """
-        if until is not None and until < self._now:
+        if until is None:
+            until = _INF
+        elif until < self._now:
             raise ValueError(f"until={until} is in the past (now={self._now})")
         queue = self._queue
         pop = heappop
@@ -486,43 +336,23 @@ class Environment:
         if gc_was_enabled:
             _gc.disable()
         try:
-            if until is None:
-                while queue:
-                    time, _priority, _tick, event = pop(queue)
-                    if time < self._now:
-                        raise SimulationError("scheduler time went backwards")
-                    self._now = time
-                    steps += 1
-                    callbacks = event.callbacks
-                    if callbacks is None:
-                        continue
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-            else:
-                while queue:
-                    time = queue[0][0]
-                    if time > until:
-                        self._now = until
-                        return
-                    time, _priority, _tick, event = pop(queue)
-                    if time < self._now:
-                        raise SimulationError("scheduler time went backwards")
-                    self._now = time
-                    steps += 1
-                    callbacks = event.callbacks
-                    if callbacks is None:
-                        continue
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
+            while queue and queue[0][0] <= until:
+                time, _tick, event = pop(queue)
+                if time < self._now:
+                    raise SimulationError("scheduler time went backwards")
+                self._now = time
+                steps += 1
+                callbacks = event.callbacks
+                if callbacks is None:
+                    continue
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
         finally:
             self._steps = steps
             if gc_was_enabled:
                 _gc.enable()
-        if until is not None:
+        if until != _INF:
             self._now = until

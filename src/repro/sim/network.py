@@ -162,29 +162,15 @@ class Node:
         rather than being a generator function itself so ``yield from``
         delegates straight into the resource's generator — one less stack
         frame on the hottest resume path in the simulator.
+
+        Costs paid back-to-back with no observable action in between
+        (hash + MAC, ...) are passed as one sum, ``compute(a + b)``: a
+        single heap entry instead of one scheduler round-trip per
+        component — see docs/PERFORMANCE.md for the design rule.
         """
         if seconds <= 0:
             return ()
         return self.cpu.use(seconds)
-
-    def charge(self, *costs: float):
-        """Charge several deterministic CPU costs as one core occupancy.
-
-        The fast path for back-to-back cost charges (rx + MAC, transition
-        + hash, ...): components are summed and the core is held once, so
-        the whole charge is a single heap entry instead of one scheduler
-        round-trip per component. Only correct when the caller would have
-        charged the components consecutively with no observable action in
-        between — see docs/PERFORMANCE.md for the design rule.
-
-        Usage: ``yield from node.charge(rx_cost, mac_cost)``.
-        """
-        total = 0.0
-        for cost in costs:
-            total += cost
-        if total <= 0:
-            return ()
-        return self.cpu.use(total)
 
     def crash(self) -> None:
         """Silently drop all future inbound and outbound traffic."""

@@ -8,6 +8,10 @@ Two primitives cover everything the rest of the library needs:
   cores, NIC transmit queues). ``request()``/``release()`` or the
   higher-level ``use(duration)``/``request_hold(duration)``.
 
+A queued getter or waiter is triggered only by the ``put()`` or
+``release()`` that pops it, so neither queue ever holds a triggered
+entry; every heap entry is ``(time, counter, entry)``, as in the engine.
+
 Hot-path design (see docs/PERFORMANCE.md)
 -----------------------------------------
 ``Resource`` is the second-hottest object in the repository after the
@@ -64,17 +68,16 @@ class Store:
 
     def put(self, item: Any) -> None:
         """Add an item; wakes the oldest waiting getter, if any."""
-        while self._getters:
+        if self._getters:
+            # A queued getter is untriggered: only this pop triggers it.
             getter = self._getters.popleft()
-            if getter._triggered:
-                continue
             # Inlined Event.succeed() + Environment._schedule(): the
             # inbox put/get pair runs once per delivered message.
             getter._triggered = True
             getter._value = item
             env = getter.env
             env._counter = counter = env._counter + 1
-            heappush(env._queue, (env._now, 1, counter, getter))
+            heappush(env._queue, (env._now, counter, getter))
             return
         self._items.append(item)
 
@@ -86,7 +89,7 @@ class Store:
             event._triggered = True
             event._value = self._items.popleft()
             env._counter = counter = env._counter + 1
-            heappush(env._queue, (env._now, 1, counter, event))
+            heappush(env._queue, (env._now, counter, event))
         else:
             self._getters.append(event)
         return event
@@ -200,10 +203,9 @@ class Resource:
         if self._in_use <= 0:
             raise RuntimeError("release() without a matching request()")
         waiters = self._waiters
-        while waiters:
+        if waiters:
+            # A queued waiter is unadmitted: only this pop admits it.
             waiter = waiters.popleft()
-            if waiter._triggered:
-                continue
             if waiter.hold is None:
                 waiter.succeed()
             else:
@@ -212,7 +214,7 @@ class Resource:
                 # waiter's completion there (see module docstring).
                 env = self.env
                 env._counter = counter = env._counter + 1
-                heappush(env._queue, (env._now, 1, counter, _AdmitRelay(waiter)))
+                heappush(env._queue, (env._now, counter, _AdmitRelay(waiter)))
             return
         self._in_use -= 1
 
@@ -231,14 +233,7 @@ class Resource:
             event = ResourceRequest(self.env)
             event.hold = duration
             self._waiters.append(event)
-        try:
-            yield event
-        except BaseException:
-            # Interrupted. Release only if we actually held the unit;
-            # an un-admitted waiter never acquired anything.
-            if event._triggered:
-                self.release()
-            raise
+        yield event
         # release() inlined for the common no-waiter case: we provably
         # hold a unit here, so the underflow guard cannot fire.
         if self._waiters:

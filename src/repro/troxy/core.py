@@ -350,9 +350,8 @@ class TroxyCore:
         )
         # One hash + MAC authenticates the translated request — also when
         # it is forwarded: the forward tag covers the same auth_bytes().
-        yield from self.node.charge(
-            self.hash_cost(request.wire_size),
-            self.mac_cost_digest,
+        yield from self.node.compute(
+            self.hash_cost(request.wire_size) + self.mac_cost_digest
         )
         return (yield from self.admit(request, Waiter(body, client_machine)))
 

@@ -152,17 +152,13 @@ def record_cpu(replica):
     """Every simulated CPU charge ``replica`` makes from now on."""
     charged = []
     node = replica.node
-    compute, charge = node.compute, node.charge
+    compute = node.compute
 
     def recording_compute(seconds):
         charged.append(seconds)
         return compute(seconds)
 
-    def recording_charge(*costs):
-        charged.append(sum(costs))
-        return charge(*costs)
-
-    node.compute, node.charge = recording_compute, recording_charge
+    node.compute = recording_compute
     return charged
 
 

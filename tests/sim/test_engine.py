@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Interrupt,
-    SimulationError,
-)
+from repro.sim import Environment, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -157,42 +151,6 @@ def test_event_double_trigger_rejected():
         ev.succeed(2)
 
 
-def test_event_fail_raises_in_waiter():
-    env = Environment()
-    caught = []
-
-    def waiter(env, ev):
-        try:
-            yield ev
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    ev = env.event()
-    env.process(waiter(env, ev))
-
-    def firer(env, ev):
-        yield env.timeout(1.0)
-        ev.fail(RuntimeError("boom"))
-
-    env.process(firer(env, ev))
-    env.run()
-    assert caught == ["boom"]
-
-
-def test_unhandled_event_failure_surfaces_from_run():
-    env = Environment()
-    ev = env.event()
-    ev.fail(RuntimeError("nobody caught me"))
-    with pytest.raises(RuntimeError, match="nobody caught me"):
-        env.run()
-
-
-def test_fail_requires_exception_instance():
-    env = Environment()
-    with pytest.raises(TypeError):
-        env.event().fail("not an exception")  # type: ignore[arg-type]
-
-
 def test_crashing_process_surfaces_from_run():
     env = Environment()
 
@@ -224,119 +182,18 @@ def test_crash_propagates_to_waiting_parent():
     assert caught == ["inner"]
 
 
-def test_interrupt_wakes_sleeping_process():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append((env.now, interrupt.cause))
-
-    def interrupter(env, victim):
-        yield env.timeout(2.0)
-        victim.interrupt(cause="wake up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [(2.0, "wake up")]
-
-
-def test_interrupted_process_can_keep_running():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt:
-            pass
-        yield env.timeout(1.0)
-        log.append(env.now)
-
-    def interrupter(env, victim):
-        yield env.timeout(2.0)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [3.0]
-
-
-def test_stale_event_does_not_resume_interrupted_process_twice():
-    env = Environment()
-    resumes = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(5.0)
-            resumes.append("timeout")
-        except Interrupt:
-            resumes.append("interrupt")
-        yield env.timeout(100.0)
-
-    def interrupter(env, victim):
-        yield env.timeout(2.0)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run(until=50.0)
-    assert resumes == ["interrupt"]
-
-
-def test_interrupt_on_finished_process_is_noop():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    proc = env.process(quick(env))
-    env.run()
-    proc.interrupt()  # must not raise
-    env.run()
-
-
-def test_all_of_waits_for_every_event():
-    env = Environment()
-    seen = []
-
-    def proc(env):
-        results = yield env.all_of([env.timeout(1.0, "a"), env.timeout(3.0, "b")])
-        seen.append((env.now, sorted(results.values())))
-
-    env.process(proc(env))
-    env.run()
-    assert seen == [(3.0, ["a", "b"])]
-
-
 def test_any_of_fires_on_first_event():
     env = Environment()
     seen = []
 
     def proc(env):
-        results = yield env.any_of([env.timeout(5.0, "slow"), env.timeout(1.0, "fast")])
-        seen.append((env.now, list(results.values())))
+        slow, fast = env.timeout(5.0, "slow"), env.timeout(1.0, "fast")
+        value = yield env.any_of([slow, fast])
+        seen.append((env.now, value, fast.processed, slow.processed))
 
     env.process(proc(env))
     env.run()
-    assert seen == [(1.0, ["fast"])]
-
-
-def test_all_of_empty_fires_immediately():
-    env = Environment()
-    seen = []
-
-    def proc(env):
-        value = yield env.all_of([])
-        seen.append((env.now, value))
-
-    env.process(proc(env))
-    env.run()
-    assert seen == [(0.0, {})]
+    assert seen == [(1.0, None, True, False)]
 
 
 def test_yielding_non_event_raises():

@@ -1,59 +1,26 @@
-"""Additional engine edge cases: condition failures, defuse, values."""
+"""Additional engine edge cases: failed children, failed targets, values."""
 
 import pytest
 
 from repro.sim import Environment, SimulationError
 
 
-def test_all_of_fails_if_any_child_fails():
-    env = Environment()
-    caught = []
-
-    def proc(env, failing):
-        try:
-            yield env.all_of([env.timeout(1.0, "a"), failing])
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    failing = env.event()
-    env.process(proc(env, failing))
-
-    def firer(env, ev):
-        yield env.timeout(0.5)
-        ev.fail(RuntimeError("child broke"))
-
-    env.process(firer(env, failing))
-    env.run()
-    assert caught == ["child broke"]
-
-
 def test_any_of_fails_fast_on_failure():
+    """AnyOf does not handle a failed child: the crash surfaces from
+    run() when it happens, not when the slow child would have fired."""
     env = Environment()
-    caught = []
 
-    def proc(env, failing):
-        try:
-            yield env.any_of([env.timeout(100.0, "slow"), failing])
-        except RuntimeError:
-            caught.append(env.now)
-
-    failing = env.event()
-    env.process(proc(env, failing))
-
-    def firer(env, ev):
+    def crasher(env):
         yield env.timeout(0.25)
-        ev.fail(RuntimeError("boom"))
+        raise RuntimeError("boom")
 
-    env.process(firer(env, failing))
-    env.run(until=1.0)
-    assert caught == [0.25]
+    def proc(env):
+        yield env.any_of([env.timeout(100.0, "slow"), env.process(crasher(env))])
 
-
-def test_defused_failure_does_not_crash_run():
-    env = Environment()
-    ev = env.event()
-    ev.fail(RuntimeError("handled elsewhere")).defused()
-    env.run()  # must not raise
+    env.process(proc(env))
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run(until=1.0)
+    assert env.now == 0.25
 
 
 def test_event_value_before_trigger_raises():
@@ -62,50 +29,18 @@ def test_event_value_before_trigger_raises():
         _ = env.event().value
 
 
-def test_condition_value_maps_indices():
-    env = Environment()
-    seen = {}
-
-    def proc(env):
-        result = yield env.all_of([env.timeout(1.0, "a"), env.timeout(2.0, "b")])
-        seen.update(result)
-
-    env.process(proc(env))
-    env.run()
-    assert seen == {0: "a", 1: "b"}
-
-
-def test_any_of_partial_value():
-    env = Environment()
-    seen = {}
-
-    def proc(env):
-        result = yield env.any_of([env.timeout(1.0, "fast"), env.timeout(5.0, "slow")])
-        seen.update(result)
-
-    env.process(proc(env))
-    env.run()
-    assert seen == {0: "fast"}
-
-
-def test_process_is_alive_flag():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(2.0)
-
-    p = env.process(proc(env))
-    assert p.is_alive
-    env.run()
-    assert not p.is_alive
-
-
 def test_waiting_on_already_failed_event_raises_at_yield():
     env = Environment()
     caught = []
-    failed = env.event()
-    failed.fail(ValueError("pre-failed")).defused()
-    env.run()  # process the failure
+
+    def crasher(env):
+        raise ValueError("pre-failed")
+        yield  # pragma: no cover - makes this a generator
+
+    failed = env.process(crasher(env))
+    with pytest.raises(ValueError):
+        env.run()  # the failure surfaces once and is processed
+    assert failed.processed
 
     def proc(env):
         try:

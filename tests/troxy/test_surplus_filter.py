@@ -291,7 +291,7 @@ def query_timer_entries(env):
     """Scheduler-heap entries that will resume a query-timer process."""
     return sum(
         1
-        for _time, _priority, _tick, event in env._queue
+        for _time, _tick, event in env._queue
         for callback in event.callbacks or ()
         if getattr(getattr(callback, "__self__", None), "name", "").endswith(":qtimer")
     )
