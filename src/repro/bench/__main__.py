@@ -33,8 +33,10 @@ import time
 from pathlib import Path
 
 from ..analysis.linearizability import check_linearizable
-from ..obs.audit import harness as audit_harness
-from ..obs.health import harness as health_harness
+from ..faults.campaign import run_campaign
+from ..faults.schedule import scenario_names
+from ..obs.audit import AuditPlane, harness as audit_harness
+from ..obs.health import HealthPlane, harness as health_harness
 from . import critpath, experiments
 from .report import (
     format_latency_series,
@@ -257,17 +259,20 @@ def run_ablations():
 
 
 def run_health():
-    # Every EXPECTED scenario x seeds 1-3 x window 0.25: the tracked 54 rows.
-    report = health_harness.run_harness(seeds=[1, 2, 3], window=0.25)
+    # The whole catalogue x seeds 1-3: the tracked 54 rows.
+    campaign = run_campaign(scenario_names(), [1, 2, 3], plane=HealthPlane)
+    report = health_harness.detection_report(campaign)
     save_and_print("health_detection", health_harness.render_table(report))
     return []
 
 
 def run_audit():
     # The whole catalogue x seed 1 x shards (1, 2) x batching (off, 4): the tracked 72 rows.
-    report = audit_harness.run_harness(
-        seeds=[1], shards_matrix=[1, 2], batching_matrix=[None, "4"]
+    campaign = run_campaign(
+        scenario_names(), [1], shards=[1, 2], batching=[None, "4"],
+        plane=AuditPlane,
     )
+    report = audit_harness.blame_report(campaign)
     save_and_print("audit_blame", audit_harness.render_table(report))
     return []
 

@@ -2,7 +2,8 @@
 
 ``run_scenario`` builds a fresh Troxy cluster, runs the scenario's
 client workload underneath its fault schedule, and evaluates the four
-invariants; ``run_campaign`` sweeps scenarios × seeds and aggregates a
+invariants; ``run_campaign`` sweeps shards × batching × scenarios ×
+seeds, optionally under an observing plane, and aggregates a
 JSON-serialisable report. Determinism is absolute: every random choice
 flows from ``RngTree(seed)`` streams and the report contains no
 wall-clock data, so the same (scenario, seed) pair reproduces the same
@@ -107,8 +108,7 @@ def fault_ground_truth(fault: Fault, plane: FaultPlane) -> dict | None:
 
 
 def run_scenario(
-    scenario: Scenario, seed: int, registry=None, obs=None, batching=None,
-    shards: int = 1,
+    scenario: Scenario, seed: int, plane=None, batching=None, shards: int = 1,
 ) -> dict:
     """Run one scenario at one seed; returns a JSON-serialisable result.
 
@@ -124,16 +124,12 @@ def run_scenario(
     shard-agnostic — linearizability is checked over the whole keyspace,
     counters per replica across all groups (docs/SHARDING.md).
 
-    ``registry`` optionally accepts a :class:`repro.obs.Registry`
-    (duck-typed — no obs import here): campaign outcomes are emitted as
-    ``chaos_*`` counters so chaos results land in the same exports as
-    the performance metrics.
-
-    ``obs`` optionally accepts a :class:`repro.obs.ObsPlane` (again
-    duck-typed): it is attached to the freshly built cluster and each
-    workload client is wrapped so invocations open root spans. The
-    caller keeps ownership — call ``obs.finalize()`` after this returns
-    to close spans and snapshot stats.
+    ``plane`` optionally accepts an observing plane (duck-typed — no
+    obs import here: an ``ObsPlane``, ``HealthPlane`` or ``AuditPlane``):
+    it is attached to the freshly built cluster, each workload client is
+    wrapped so invocations open root spans, and it is finalized once the
+    invariants are checked. The result then carries the live plane under
+    ``"plane"``, a key to pop before dumping the result.
     """
     rng_tree = RngTree(seed)
     effective_shards = max(scenario.shards, shards)
@@ -142,13 +138,13 @@ def run_scenario(
         batching=batching, **scenario.build_kwargs(),
     )
     recorder = HistoryRecorder(cluster.env)
-    plane = FaultPlane(
+    faults = FaultPlane(
         cluster,
         rng=rng_tree.derive("faults", scenario.name),
         recorder=recorder,
     )
-    if obs is not None:
-        obs.attach(cluster)
+    if plane is not None:
+        plane.attach(cluster)
 
     spec = scenario.workload
     drivers: list[DriverState] = []
@@ -156,8 +152,8 @@ def run_scenario(
         client = recorder.wrap(
             cluster.new_client(request_timeout=spec.request_timeout)
         )
-        if obs is not None:
-            client = obs.wrap_clients([client])[0]
+        if plane is not None:
+            client = plane.wrap_clients([client])[0]
         state = DriverState(client_id=client.client_id)
         drivers.append(state)
         cluster.env.process(
@@ -171,11 +167,11 @@ def run_scenario(
             name=f"chaos:driver-{state.client_id}",
         )
 
-    plane.drive(scenario.schedule)
+    faults.drive(scenario.schedule)
     cluster.env.run(until=scenario.horizon)
 
     unfinished = [d.client_id for d in drivers if not d.done]
-    unfinished += [s.client_id for s in plane.attack_states if not s.done]
+    unfinished += [s.client_id for s in faults.attack_states if not s.done]
     # A scheduled shard handoff that has not cut over by the horizon is
     # a stalled migration — a liveness failure like an unfinished client.
     migration_reports = cluster.migrator.reports if cluster.migrator else []
@@ -184,7 +180,7 @@ def run_scenario(
     ]
 
     counter_chains = {
-        replica.replica_id: plane.counter_baselines.get(replica.replica_id, [])
+        replica.replica_id: faults.counter_baselines.get(replica.replica_id, [])
         + [replica.counters.snapshot()]
         for replica in cluster.replicas
     }
@@ -199,7 +195,7 @@ def run_scenario(
     stats = {
         "ops_completed": sum(d.ops for d in drivers),
         "client_retries": sum(d.retries for d in drivers),
-        "attack_ops": sum(s.completed for s in plane.attack_states),
+        "attack_ops": sum(s.completed for s in faults.attack_states),
         "history_length": len(recorder.records),
         "fast_read_hits": sum(c.stats.fast_read_hits for c in cluster.cores),
         "fast_read_conflicts": sum(
@@ -230,7 +226,7 @@ def run_scenario(
     }
     # Per-kind wire-rule hits: delayed messages arrive late, so only
     # tamper/loss/corrupt hits count as actually harmed traffic.
-    wire_hits = plane.wire_hit_counts()
+    wire_hits = faults.wire_hit_counts()
     stats["wire_hits"] = wire_hits
     stats["tampered_or_dropped"] = (
         wire_hits["tampered"] + wire_hits["dropped"] + wire_hits["corrupted"]
@@ -249,11 +245,11 @@ def run_scenario(
     # plus the audit ground truth derived from the fault object.
     injections: list[dict] = []
     pending: dict[str, list[dict]] = {}
-    for event, t, fault in plane.fault_timeline:
+    for event, t, fault in faults.fault_timeline:
         if event == "inject":
             record = {
                 "fault": fault.describe(), "t": t, "healed_t": None,
-                "ground_truth": fault_ground_truth(fault, plane),
+                "ground_truth": fault_ground_truth(fault, faults),
             }
             injections.append(record)
             pending.setdefault(record["fault"], []).append(record)
@@ -262,42 +258,27 @@ def run_scenario(
             if live:
                 live.pop(0)["healed_t"] = t
 
-    ok = all(r.ok for r in invariants)
-    if registry is not None:
-        registry.counter(
-            "chaos_runs_total", "Chaos scenario executions",
-            scenario=scenario.name,
-        ).inc()
-        if not ok:
-            registry.counter(
-                "chaos_failed_runs_total", "Chaos runs with a violated invariant",
-                scenario=scenario.name,
-            ).inc()
-        for result in invariants:
-            if not result.ok:
-                registry.counter(
-                    "chaos_invariant_violations_total", "Invariant violations",
-                    scenario=scenario.name,
-                    invariant=result.as_dict()["name"],
-                ).inc()
-        registry.counter(
-            "chaos_ops_total", "Workload operations completed under chaos",
-            scenario=scenario.name,
-        ).inc(stats["ops_completed"])
-
-    return {
+    result = {
         "scenario": scenario.name,
         "seed": seed,
-        "batching": "off" if batching is None else str(batching),
+        "batching": _setting(batching),
         "shards": effective_shards,
         "paper_ref": scenario.paper_ref,
         "horizon": scenario.horizon,
-        "ok": ok,
+        "ok": all(r.ok for r in invariants),
         "invariants": [r.as_dict() for r in invariants],
         "stats": stats,
-        "fault_log": plane.log,
+        "fault_log": faults.log,
         "injections": injections,
     }
+    if plane is not None:
+        plane.finalize()
+        result["plane"] = plane
+    return result
+
+
+def _setting(batching) -> str:
+    return "off" if batching is None else str(batching)
 
 
 def resolve_scenarios(spec: str) -> list[str]:
@@ -311,31 +292,37 @@ def resolve_scenarios(spec: str) -> list[str]:
 
 
 def run_campaign(
-    names: list[str], seeds: list[int], registry=None, batching=None,
-    shards: int = 1,
+    names: list[str], seeds: list[int], shards=(1,), batching=(None,),
+    plane=None,
 ) -> dict:
-    """Run every (scenario, seed) pair and aggregate a report."""
-    results = []
-    for name in names:
-        scenario = get_scenario(name)
-        for seed in seeds:
-            results.append(
-                run_scenario(
-                    scenario, seed, registry=registry, batching=batching,
-                    shards=shards,
-                )
-            )
+    """Run every (shards, batching, scenario, seed) cell, in that loop
+    order, and aggregate a report.
+
+    ``plane`` is an optional plane factory (``HealthPlane``,
+    ``AuditPlane``, ...): each run gets a fresh one, and its record
+    carries it under ``"plane"`` (see :func:`run_scenario`).
+    """
+    results = [
+        run_scenario(
+            get_scenario(name), seed, batching=setting, shards=count,
+            plane=None if plane is None else plane(),
+        )
+        for count in shards
+        for setting in batching
+        for name in names
+        for seed in seeds
+    ]
     failed = [
-        {"scenario": r["scenario"], "seed": r["seed"]}
+        {key: r[key] for key in ("scenario", "seed", "shards", "batching")}
         for r in results
         if not r["ok"]
     ]
     return {
         "tool": "repro.faults",
         "scenarios": names,
-        "seeds": seeds,
-        "batching": "off" if batching is None else str(batching),
-        "shards": shards,
+        "seeds": list(seeds),
+        "batching": [_setting(setting) for setting in batching],
+        "shards": list(shards),
         "runs": results,
         "summary": {
             "total": len(results),
@@ -358,6 +345,7 @@ def render_text(report: dict) -> str:
         stats = run["stats"]
         lines.append(
             f"{verdict}  {run['scenario']:<28} seed={run['seed']:<3} "
+            f"sh={run['shards']} b={run['batching']:<8} "
             f"ops={stats['ops_completed']:<4} retries={stats['client_retries']:<3} "
             f"ordered={stats['ordered_requests']:<4} "
             f"to-switches={stats['switches_to_total_order']}"

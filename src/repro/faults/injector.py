@@ -5,11 +5,11 @@ One :class:`FaultPlane` wraps a running deployment (usually from
 interception point the rest of the library exposes for fault injection:
 
 * the network's send-filter chain (:meth:`Network.add_send_filter`) for
-  wire rules — loss, delay, corruption and reply tampering (what only
-  watches the wire subscribes to ``net.send`` on the probe bus);
+  wire rules — loss, delay, corruption and reply tampering — and for
+  partitions, a set of cut links (what only watches the wire subscribes
+  to ``net.send`` on the probe bus);
 * host/replica ``stop()``/``restart()`` for crash faults;
 * enclave ``reboot()`` plus counter snapshots for rollback attacks;
-* link ``cut()``/``heal()`` for partitions;
 * extra adversarial clients for write-contention attacks.
 
 Everything the plane does is logged with its simulated timestamp
@@ -119,6 +119,8 @@ class FaultPlane:
         #: the fault *objects* — ground-truth plumbing for the audit
         #: plane (campaign blame scoring needs more than describe()).
         self.fault_timeline: list[tuple[str, float, Fault]] = []
+        #: (src, dst) links a partition currently cuts, both directions.
+        self.cut: set[tuple[str, str]] = set()
         self._filter_installed = False
 
     # -- cluster access --------------------------------------------------------
@@ -200,11 +202,12 @@ class FaultPlane:
 
     def partition(self, groups) -> None:
         for a, b in self._cross_group_pairs(groups):
-            self.net.cut(a, b)
+            self.cut |= {(a, b), (b, a)}
+        self._ensure_filter()
 
     def heal_partition(self, groups) -> None:
         for a, b in self._cross_group_pairs(groups):
-            self.net.heal(a, b)
+            self.cut -= {(a, b), (b, a)}
 
     # -- wire rules ------------------------------------------------------------
 
@@ -304,6 +307,9 @@ class FaultPlane:
                     envelope.body, result=Payload(rule.forged_result)
                 )
                 attempt.payload = SecureEnvelope(envelope.record, forged)
+        # After the rules, so a cut message still takes their RNG draws.
+        if (attempt.src, attempt.dst) in self.cut:
+            attempt.drop = True
 
     def _corrupted(self, payload):
         """Flip payload content the way a man-on-the-wire could."""

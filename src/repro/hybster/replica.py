@@ -198,10 +198,6 @@ class Replica:
         # can invalidate every written key before any reply in the batch
         # becomes visible (fast-read freshness across batch boundaries).
         self.batch_reply_sink: Callable = self._default_batch_reply_sink
-        # Fault-injection hook: when set, every dispatched payload is
-        # offered to the filter first; returning False swallows it
-        # (models a mute/selectively-deaf replica without touching links).
-        self.dispatch_filter: Optional[Callable[[object], bool]] = None
 
         # Trusted-subsystem entry points (three of Hybster's boundary
         # crossings); each certify pays the crossing plus one MAC.
@@ -428,8 +424,6 @@ class Replica:
         traffic to the co-located replica.
         """
         if self._stopped:
-            return
-        if self.dispatch_filter is not None and not self.dispatch_filter(payload):
             return
         Process(self.env, self._handle(payload), name=self._handle_name)
 

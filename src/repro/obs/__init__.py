@@ -16,13 +16,13 @@ and an attached plane schedules **no** simulation events, so observed
 and unobserved runs are event-for-event identical.
 
 All timestamps are simulated time; two same-seed runs produce
-byte-identical exports. ``python -m repro.obs`` runs a workload and
-dumps a full report.
+byte-identical exports. ``python -m repro.obs`` runs a workload, dumps
+a full report and attributes its critical path.
 
 :mod:`repro.obs.health` builds on this plane: declarative SLO tracking,
 BFT-aware anomaly detectors, and a fault-forensics flight recorder —
-``python -m repro.obs.health`` measures detection latency over the
-:mod:`repro.faults` scenario catalogue.
+``python -m repro.faults --plane health`` measures detection latency
+over the :mod:`repro.faults` scenario catalogue.
 """
 
 from .export import chrome_trace, metrics_jsonl, prometheus_text, write_report

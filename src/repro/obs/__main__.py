@@ -1,25 +1,38 @@
-"""CLI: run an instrumented workload and dump an observability report.
+"""CLI: run an instrumented workload, export it and attribute its
+critical path.
 
 Usage::
 
     python -m repro.obs --out obs-report                 # default workload
     python -m repro.obs --system etroxy --seed 7 --out d # pick seed/system
+    python -m repro.obs --batching adaptive --out d      # batch queue visible
+    python -m repro.obs --shards 4 --out d               # sharded write cell
     python -m repro.obs --formats prometheus,chrome ...  # subset of formats
 
 The workload is a small closed-loop read-mostly mix against a simulated
-cluster; every phase of every request is recorded as sim-time spans and
-registry metrics, then exported deterministically. Running the command
-twice with the same arguments produces byte-identical files — CI diffs
-two runs to enforce exactly that.
+cluster (with ``--shards``, the sharded write cell of the sharding
+benchmark instead); every phase of every request is recorded as
+sim-time spans and registry metrics, then exported deterministically.
+Every completed request is attributed with :mod:`repro.obs.critpath`:
+the bottleneck report is printed after the summary and written to
+``critpath.txt`` next to the aggregate profile ``critpath.json``, and
+the Chrome trace marks critical-path spans (``args.critical`` /
+category ``critical``). Running the command twice with the same
+arguments produces byte-identical files — CI diffs two runs to enforce
+exactly that.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
+from pathlib import Path
 
+from ..bench.critpath import attributed_sharded_run
 from ..bench.experiments import _run_system, mixed_source
+from .critpath import analyze, highlighted_chrome_trace, render_report
 from .export import REPORT_FILES, write_report
 from .probes import ObsPlane
 
@@ -74,6 +87,15 @@ def render_summary(plane: ObsPlane, summary) -> str:
     return "\n".join(lines)
 
 
+def _label(args) -> str:
+    if args.shards:
+        return f"sharded writes, {args.shards} groups, seed {args.seed}"
+    parts = [args.system, f"seed {args.seed}", f"{args.clients} clients"]
+    if args.batching:
+        parts.append(f"batching {args.batching}")
+    return ", ".join(parts)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
@@ -93,8 +115,15 @@ def main(argv=None) -> int:
                         help="simulated measurement seconds (default: 0.25)")
     parser.add_argument("--write-ratio", type=float, default=0.1,
                         help="fraction of writes in the mix (default: 0.1)")
+    parser.add_argument("--batching", default=None,
+                        help="agreement batching: off, an int, or adaptive "
+                        "(default: off)")
+    parser.add_argument("--shards", type=int, default=0, metavar="N",
+                        help="instead of --system, run the N-group sharded "
+                        "write cell (forwarding hop visible)")
     parser.add_argument("--out", default="obs-report", metavar="DIR",
-                        help="directory for export files (default: obs-report)")
+                        help="directory for export and critpath files "
+                        "(default: obs-report)")
     parser.add_argument("--formats", default="prometheus,jsonl,chrome",
                         help="comma-separated subset of: "
                         + ",".join(sorted(REPORT_FILES)))
@@ -105,16 +134,38 @@ def main(argv=None) -> int:
         if fmt not in REPORT_FILES:
             parser.error(f"unknown format {fmt!r}; choose from {sorted(REPORT_FILES)}")
 
-    plane, summary = run_workload(
-        system=args.system, seed=args.seed, n_clients=args.clients,
-        warmup=args.warmup, duration=args.duration,
-        write_ratio=args.write_ratio,
+    if args.shards:
+        analysis, summary, _cluster, plane = attributed_sharded_run(
+            shards=args.shards, seed=args.seed,
+            n_clients=max(args.clients, 24),
+            warmup=args.warmup, duration=args.duration,
+            batching=args.batching,
+        )
+    else:
+        plane, summary = run_workload(
+            system=args.system, seed=args.seed, n_clients=args.clients,
+            warmup=args.warmup, duration=args.duration,
+            write_ratio=args.write_ratio, batching=args.batching,
+        )
+        analysis = analyze(plane.spans)
+    spans = plane.spans.spans
+    written = write_report(
+        args.out, plane.registry, spans, formats,
+        trace=highlighted_chrome_trace(spans, analysis),
     )
-    written = write_report(args.out, plane.registry, plane.spans.spans, formats)
+    report = render_report(analysis, _label(args))
+    out = Path(args.out)
+    (out / "critpath.txt").write_text(report + "\n")
+    (out / "critpath.json").write_text(
+        json.dumps(analysis.as_dict(), indent=1, sort_keys=True) + "\n"
+    )
+    written["critpath.txt"] = out / "critpath.txt"
+    written["critpath.json"] = out / "critpath.json"
 
     print(render_summary(plane, summary))
-    for fmt in formats:
-        print(f"{fmt}: {written[fmt]}")
+    print(report)
+    for name, path in written.items():
+        print(f"{name}: {path}")
     return 0
 
 

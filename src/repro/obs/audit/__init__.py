@@ -7,9 +7,10 @@ the chain head (:mod:`repro.sgx.counters`). When a health detector
 fires, the :class:`~repro.obs.audit.auditor.Auditor` reconciles the
 ledgers across replicas and emits a signed evidence bundle localizing
 the culprit — equivocation, tamper, omission (with partition-aware
-hedging), or adversarial write contention. ``python -m repro.obs.audit``
-scores blame accuracy against the fault catalogue's injected ground
-truth; see docs/OBSERVABILITY.md ("Accountability & audit").
+hedging), or adversarial write contention. ``python -m repro.faults
+--plane audit`` scores blame accuracy against the fault catalogue's
+injected ground truth; see docs/OBSERVABILITY.md ("Accountability &
+audit").
 """
 
 from .auditor import Auditor, Verdict

@@ -1,19 +1,19 @@
 """Blame-localization harness: chaos scenarios × the audit plane.
 
-For every (scenario, seed, shards, batching) cell the harness runs the
-full :mod:`repro.faults` campaign with an :class:`AuditPlane` attached
-and scores the auditor's verdicts against the campaign's injected
-ground truth (``fault_ground_truth``): every *required* ground-truth
-entry (crash → omission, host tamper / wire corruption → tamper,
-adversarial writers → contention) must be localized, and no healthy
-replica or workload client may ever be blamed. Link-level ground truth
-(partitions, lossy links) is permissive — it whitelists link suspicion
-without demanding it.
+Every (scenario, seed, shards, batching) cell of a :mod:`repro.faults`
+campaign swept with ``plane=AuditPlane`` is scored here against the
+campaign's injected ground truth (``fault_ground_truth``): every
+*required* ground-truth entry (crash → omission, host tamper / wire
+corruption → tamper, adversarial writers → contention) must be
+localized, and no healthy replica or workload client may ever be
+blamed. Link-level ground truth (partitions, lossy links) is permissive
+— it whitelists link suspicion without demanding it.
 
 The tracked ``benchmarks/results/audit_blame.txt`` table is
 regenerated from here (``python -m repro.bench audit``), and the CI
-audit-smoke step replays one tampering cell twice and byte-diffs the
-signed evidence bundles.
+obs-smoke job replays one tampering cell twice through ``python -m
+repro.faults --plane audit`` and byte-diffs the signed evidence
+bundles.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fnmatch import fnmatchcase
 
 from ...faults.campaign import run_scenario
-from ...faults.schedule import get_scenario, scenario_names
+from ...faults.schedule import get_scenario
 from .plane import AuditPlane
 
 
@@ -110,23 +110,13 @@ def score_blame(verdicts: list, ground_truths: list[dict]) -> dict:
             "false_blame": false_blame}
 
 
-def run_localization(
-    name: str, seed: int, window: float = 0.25, shards: int = 1, batching=None,
-) -> dict:
-    """One scenario × seed × deployment cell with the audit plane.
+def localization(run: dict) -> dict:
+    """Score one campaign run record that carries its :class:`AuditPlane`.
 
-    Returns a JSON-serialisable verdict; the ``plane`` key (the live
-    :class:`AuditPlane`, for evidence dumps) is attached as an extra,
-    non-serialisable field callers must pop before dumping.
+    Returns a JSON-serialisable verdict: the auditor's verdicts against
+    the run's injected ground truth (:func:`score_blame`).
     """
-    scenario = get_scenario(name)
-    plane = AuditPlane(window=window)
-    run = run_scenario(
-        scenario, seed, registry=plane.registry, obs=plane,
-        batching=batching, shards=shards,
-    )
-    plane.finalize()
-
+    plane = run["plane"]
     ground_truths = [
         inj["ground_truth"] for inj in run["injections"]
         if inj.get("ground_truth")
@@ -134,11 +124,10 @@ def run_localization(
     score = score_blame(plane.verdicts, ground_truths)
     required = [g for g in ground_truths if g.get("required", False)]
     return {
-        "scenario": name,
-        "seed": seed,
+        "scenario": run["scenario"],
+        "seed": run["seed"],
         "shards": run["shards"],
         "batching": run["batching"],
-        "window": window,
         "triggered": bool(plane.events),
         "expected": sorted(describe_ground(g) for g in required),
         "verdicts": [v.as_dict() for v in plane.verdicts],
@@ -153,46 +142,44 @@ def run_localization(
         ),
         "invariants_ok": run["ok"],
         "ok": not score["missed"] and not score["false_blame"],
-        "plane": plane,
     }
 
 
-def run_harness(
-    names: list[str] | None = None,
-    seeds: list[int] = (1,),
-    window: float = 0.25,
-    shards_matrix=(1,),
-    batching_matrix=(None,),
+def run_localization(
+    name: str, seed: int, shards: int = 1, batching=None,
 ) -> dict:
-    """Sweep scenarios × seeds × deployment cells; aggregate blame report."""
-    if names is None:
-        names = list(scenario_names())
-    runs = []
-    for shards in shards_matrix:
-        for batching in batching_matrix:
-            for name in names:
-                for seed in seeds:
-                    runs.append(run_localization(
-                        name, seed, window=window, shards=shards,
-                        batching=batching,
-                    ))
+    """One scenario × seed × deployment cell with the audit plane.
+
+    The verdict of :func:`localization` plus the live
+    :class:`AuditPlane` under ``plane`` (for evidence dumps), a key to
+    pop before dumping.
+    """
+    run = run_scenario(
+        get_scenario(name), seed, plane=AuditPlane(), batching=batching,
+        shards=shards,
+    )
+    return {**localization(run), "plane": run["plane"]}
+
+
+def blame_report(campaign: dict) -> dict:
+    """Score every run of a ``run_campaign(..., plane=AuditPlane)``."""
+    runs = [localization(run) for run in campaign["runs"]]
     failed = [
-        {"scenario": r["scenario"], "seed": r["seed"], "shards": r["shards"],
-         "batching": r["batching"]}
+        {key: r[key] for key in ("scenario", "seed", "shards", "batching")}
         for r in runs if not r["ok"]
     ]
+    attributable = sum(len(r["expected"]) for r in runs)
+    localized = sum(len(r["localized"]) for r in runs)
+    false_blame = sum(len(r["false_blame"]) for r in runs)
     return {
-        "tool": "repro.obs.audit",
-        "scenarios": names,
-        "seeds": list(seeds),
-        "window": window,
         "runs": runs,
         "summary": {
             "total": len(runs),
-            "attributable": sum(len(r["expected"]) for r in runs),
-            "localized": sum(len(r["localized"]) for r in runs),
-            "false_blame": sum(len(r["false_blame"]) for r in runs),
+            "attributable": attributable,
+            "localized": localized,
+            "false_blame": false_blame,
             "failed": failed,
+            "ok": localized == attributable and not false_blame,
         },
     }
 

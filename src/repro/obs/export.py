@@ -224,10 +224,13 @@ def write_report(
     registry: Registry,
     spans: Sequence[Span] = (),
     formats: Sequence[str] = ("prometheus", "jsonl", "chrome"),
+    trace: Optional[dict] = None,
 ) -> dict[str, Path]:
     """Write the requested export formats into ``out_dir``.
 
-    Returns ``{format: path}``. Unknown format names raise ValueError.
+    ``trace`` replaces the Chrome document (default:
+    ``chrome_trace(spans)``), e.g. with critical-path marks. Returns
+    ``{format: path}``. Unknown format names raise ValueError.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,6 +246,6 @@ def write_report(
         elif fmt == "jsonl":
             path.write_text(metrics_jsonl(registry, spans))
         else:
-            path.write_text(_dumps(chrome_trace(spans)) + "\n")
+            path.write_text(_dumps(trace or chrome_trace(spans)) + "\n")
         written[fmt] = path
     return written

@@ -12,8 +12,8 @@ Layers on top of :mod:`repro.obs`:
   deterministic forensic bundles when detectors fire;
 - :mod:`~repro.obs.health.plane` — the :class:`HealthPlane` tying them
   together with zero perturbation of the simulation;
-- :mod:`~repro.obs.health.harness` — detection-latency measurement over
-  the :mod:`repro.faults` scenario catalogue.
+- :mod:`~repro.obs.health.harness` — detection-latency scoring of the
+  :mod:`repro.faults` scenario catalogue.
 """
 
 from .detectors import (
@@ -34,7 +34,7 @@ from .detectors import (
     shard_of_node,
 )
 from .events import Evidence, HealthEvent
-from .harness import EXPECTED, render_table, run_detection, run_harness
+from .harness import EXPECTED, detection_report, render_table, run_detection
 from .plane import HealthPlane, write_health_report
 from .recorder import FlightRecorder
 from .slo import SloSpec, SloTracker, default_slos
@@ -65,8 +65,8 @@ __all__ = [
     "WindowSnapshot",
     "default_detectors",
     "default_slos",
+    "detection_report",
     "render_table",
     "run_detection",
-    "run_harness",
     "write_health_report",
 ]

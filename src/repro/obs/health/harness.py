@@ -1,23 +1,22 @@
 """Detection-latency harness: chaos scenarios × the health plane.
 
-For every (scenario, seed) pair the harness runs the full
-:mod:`repro.faults` campaign machinery with a :class:`HealthPlane`
-attached and measures, in sim-time, the gap between the first fault
-injection (the scenario's own ``injections`` timeline) and the first
-health event of an *expected* kind. Fault-free scenarios invert the
-check: any health event at all is a false positive.
+Every run of a :mod:`repro.faults` campaign swept with
+``plane=HealthPlane`` is scored here: the sim-time gap between the first
+fault injection (the scenario's own ``injections`` timeline) and the
+first health event of an *expected* kind. Fault-free scenarios invert
+the check: any health event at all is a false positive.
 
-The harness is the empirical anchor for every detector threshold: the
+The scoring is the empirical anchor for every detector threshold: the
 tracked ``benchmarks/results/health_detection.txt`` table is
-regenerated from here (``python -m repro.bench health``), and the CI
-health job fails when a catalogued scenario stops being detected or a
-quiet cell starts paging.
+regenerated from it (``python -m repro.bench health``), and
+``python -m repro.faults --plane health`` fails when a catalogued
+scenario stops being detected or a quiet cell starts paging.
 """
 
 from __future__ import annotations
 
 from ...faults.campaign import run_scenario
-from ...faults.schedule import get_scenario, scenario_names
+from ...faults.schedule import get_scenario
 from .plane import HealthPlane
 
 #: Scenario -> health-event kinds that count as a correct diagnosis.
@@ -68,21 +67,17 @@ EXPECTED: dict[str, tuple[str, ...]] = {
 }
 
 
-def run_detection(name: str, seed: int, window: float = 0.25) -> dict:
-    """One scenario × seed with the health plane attached.
+def detection(run: dict) -> dict:
+    """Score one campaign run record that carries its :class:`HealthPlane`.
 
-    Returns a JSON-serialisable verdict; the ``plane`` key (the live
-    :class:`HealthPlane`, for bundle dumps) is attached as an extra,
-    non-serialisable field callers must pop before dumping.
+    Returns a JSON-serialisable verdict: the gap between the first
+    injection and the first health event of an expected kind, and the
+    false positives (any event of a fault-free run, or one before the
+    first injection).
     """
-    scenario = get_scenario(name)
-    expected = EXPECTED.get(name, ())
-    plane = HealthPlane(window=window)
-    run = run_scenario(scenario, seed, registry=plane.registry, obs=plane)
-    plane.finalize()
-
-    injections = run["injections"]
-    injected_t = min((inj["t"] for inj in injections), default=None)
+    plane = run["plane"]
+    expected = EXPECTED.get(run["scenario"], ())
+    injected_t = min((inj["t"] for inj in run["injections"]), default=None)
 
     detected_t = None
     detected_kind = None
@@ -101,13 +96,11 @@ def run_detection(name: str, seed: int, window: float = 0.25) -> dict:
         ok = detected_t is not None
     else:
         ok = not plane.events
-    report = plane.health_report()
     return {
-        "scenario": name,
-        "seed": seed,
-        "window": window,
+        "scenario": run["scenario"],
+        "seed": run["seed"],
         "expected": list(expected),
-        "injections": len(injections),
+        "injections": len(run["injections"]),
         "injected_t": injected_t,
         "detected_t": detected_t,
         "detected_kind": detected_kind,
@@ -116,42 +109,39 @@ def run_detection(name: str, seed: int, window: float = 0.25) -> dict:
             else round(detected_t - injected_t, 9)
         ),
         "events_total": len(plane.events),
-        "event_counts": report["event_counts"],
+        "event_counts": plane.health_report()["event_counts"],
         "false_positives": false_positives,
         "invariants_ok": run["ok"],
         "ok": ok,
-        "plane": plane,
     }
 
 
-def run_harness(
-    names: list[str] | None = None,
-    seeds: list[int] = (1,),
-    window: float = 0.25,
-) -> dict:
-    """Sweep scenarios × seeds; aggregate a detection-latency report."""
-    if names is None:
-        names = [n for n in scenario_names() if n in EXPECTED]
-    runs = []
-    for name in names:
-        for seed in seeds:
-            runs.append(run_detection(name, seed, window=window))
+def run_detection(name: str, seed: int) -> dict:
+    """One scenario × seed with the health plane attached.
+
+    The verdict of :func:`detection` plus the live :class:`HealthPlane`
+    under ``plane`` (for bundle dumps), a key to pop before dumping.
+    """
+    run = run_scenario(get_scenario(name), seed, plane=HealthPlane())
+    return {**detection(run), "plane": run["plane"]}
+
+
+def detection_report(campaign: dict) -> dict:
+    """Score every run of a ``run_campaign(..., plane=HealthPlane)``."""
+    runs = [detection(run) for run in campaign["runs"]]
     missed = [
         {"scenario": r["scenario"], "seed": r["seed"]}
         for r in runs if not r["ok"]
     ]
     false_positives = sum(r["false_positives"] for r in runs)
     return {
-        "tool": "repro.obs.health",
-        "scenarios": names,
-        "seeds": list(seeds),
-        "window": window,
         "runs": runs,
         "summary": {
             "total": len(runs),
             "detected": len(runs) - len(missed),
             "missed": missed,
             "false_positives": false_positives,
+            "ok": not missed and not false_positives,
         },
     }
 

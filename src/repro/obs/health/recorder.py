@@ -15,7 +15,7 @@ discarded.
   in Perfetto next to the full-run trace.
 
 All content derives from sim-time state only, so two same-seed runs
-produce byte-identical bundles (the CI health job diffs them).
+produce byte-identical bundles (CI's obs-smoke job diffs them).
 """
 
 from __future__ import annotations

@@ -9,15 +9,15 @@ time (``bytes / per_nic_bandwidth``), crosses the link after a sampled
 propagation delay, occupies a receive slot on the destination for the
 same serialization time, and finally lands in the destination's inbox.
 
-Fault injection: links can be cut (partitions) or lossy, and whole nodes
-can be crashed (silently dropping all traffic), which is how replica and
-Troxy failures are staged in the tests.
+Fault injection: whole nodes can be crashed (silently dropping all
+traffic), and every transfer passes the send filters, where the fault
+plane (:mod:`repro.faults.injector`) cuts, loses, delays or rewrites it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .engine import Environment, Timeout
@@ -183,15 +183,6 @@ class Node:
         return f"Node({self.name!r})"
 
 
-@dataclass
-class _LinkState:
-    """Mutable per-direction link condition (fault injection)."""
-
-    cut: bool = False
-    loss_probability: float = 0.0
-    extra_latency: Optional[LatencyModel] = None
-
-
 class _StreamRx:
     """Receiver-side in-order delivery state for one (src, dst, stream)."""
 
@@ -206,10 +197,8 @@ class _Route:
     """Per-(src, dst, stream) cache of everything the send path touches.
 
     Built lazily on first use. Holds the endpoint nodes and their NIC
-    slot resources, the *shared, mutable* link fault state (``cut``/
-    ``heal``/``set_loss`` mutate the same ``_LinkState`` object in
-    place, so fault injection remains live), the latency model and the
-    per-pair rng, and the FIFO send-sequence counter. One dict lookup
+    slot resources, the latency model and the per-pair rng, and the FIFO
+    send-sequence counter. One dict lookup
     per message replaces the half-dozen table probes of the naive path;
     ``set_latency`` updates live routes and ``reset_streams`` drops
     them, so nothing observable changes.
@@ -217,12 +206,12 @@ class _Route:
 
     __slots__ = (
         "sender", "receiver", "tx", "rx", "tx_nic", "rx_nic",
-        "state", "model", "rng", "pair", "send_seq",
+        "model", "rng", "pair", "send_seq",
     )
 
 
 class Network:
-    """Connects nodes; owns latency models and link fault state."""
+    """Connects nodes; owns latency models and the send-filter chain."""
 
     def __init__(
         self,
@@ -241,8 +230,6 @@ class Network:
         self._routes: dict[tuple, _Route] = {}
         self.nodes: dict[str, Node] = {}
         self._latency_overrides: dict[tuple[str, str], LatencyModel] = {}
-        self._links: dict[tuple[str, str], _LinkState] = {}
-        self._loss_rng = self.rng_tree.derive("network", "loss")
         self._send_filters: list[Any] = []
         self._delivery_taps: list[Any] = []
         self._latency_rngs: dict[tuple[str, str], Any] = {}
@@ -275,21 +262,7 @@ class Network:
         self.set_latency(a, b, model)
         self.set_latency(b, a, model)
 
-    def _link(self, src: str, dst: str) -> _LinkState:
-        return self._links.setdefault((src, dst), _LinkState())
-
     # -- fault injection -----------------------------------------------------
-
-    def cut(self, src: str, dst: str, symmetric: bool = True) -> None:
-        """Partition the link (drop everything)."""
-        self._link(src, dst).cut = True
-        if symmetric:
-            self._link(dst, src).cut = True
-
-    def heal(self, src: str, dst: str, symmetric: bool = True) -> None:
-        self._link(src, dst).cut = False
-        if symmetric:
-            self._link(dst, src).cut = False
 
     def reset_streams(self, node_name: str) -> None:
         """Forget in-order stream state involving ``node_name``.
@@ -304,17 +277,12 @@ class Network:
             for key in [k for k in table if k[0] == node_name or k[1] == node_name]:
                 del table[key]
 
-    def set_loss(self, src: str, dst: str, probability: float) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"bad loss probability: {probability}")
-        self._link(src, dst).loss_probability = probability
-
     def add_send_filter(self, fn) -> None:
         """Install ``fn(attempt: SendAttempt) -> None`` on the send path.
 
         Filters run in registration order on every transfer, after the
-        sender-crash check and before link fault state. This is the
-        single interception point the fault-injection plane
+        sender-crash check. This is the single interception point the
+        fault-injection plane
         (:mod:`repro.faults.injector`) builds on. A filter may *change*
         the attempt; what merely watches subscribes to the probe bus
         (``net.send`` is emitted before any filter runs).
@@ -383,7 +351,6 @@ class Network:
         route.rx = receiver.rx
         route.tx_nic = sender.nic
         route.rx_nic = receiver.nic
-        route.state = self._link(src, dst)
         route.model = self._latency_overrides.get((src, dst), self.default_latency)
         rng = self._latency_rngs.get((src, dst))
         if rng is None:
@@ -433,16 +400,13 @@ class Network:
             for fn in tuple(self._send_filters):
                 fn(attempt)
                 if attempt.drop:
-                    self._lost("net.fault", src, dst, payload, attempt.size)
+                    if self.probe.on:
+                        self.probe.event(
+                            "net.fault", src, payload, dst=dst, size=attempt.size
+                        )
                     return
             payload, size = attempt.payload, attempt.size
             extra_delay = attempt.extra_delay
-        state = route.state
-        if state.cut:
-            return
-        if state.loss_probability and self._loss_rng.random() < state.loss_probability:
-            self._lost("net.drop", src, dst, payload, size)
-            return
         self.messages_sent += 1
         self.bytes_sent += size
         seq = route.send_seq
@@ -452,11 +416,6 @@ class Network:
             next(self._msg_ids), key, seq,
         )
         self._transfer(msg, route, extra_delay)
-
-    def _lost(self, kind: str, src: str, dst: str, payload: Any, size: int) -> None:
-        """Report a transfer a filter or a lossy link swallowed (rare path)."""
-        if self.probe.on:
-            self.probe.event(kind, src, payload, dst=dst, size=size)
 
     def _transfer(self, msg: Message, route: _Route, extra_delay: float = 0.0) -> None:
         """Callback-chained transfer: tx slot -> serialize -> propagate ->
@@ -473,14 +432,9 @@ class Network:
                 tx.release()
             else:
                 tx._in_use -= 1
-            # Latency composed exactly as the classic path: base model
-            # sample, then the link's extra latency (if any) from the
-            # same per-pair rng, then any filter-added delay.
-            delay = route.model.sample(route.rng)
-            extra = route.state.extra_latency
-            if extra is not None:
-                delay += extra.sample(route.rng)
-            arrival = Timeout(env, delay + extra_delay)
+            # Base model sample from the per-pair rng, then any
+            # filter-added delay.
+            arrival = Timeout(env, route.model.sample(route.rng) + extra_delay)
             arrival.callbacks.append(on_arrival)
 
         def on_arrival(_event) -> None:

@@ -53,7 +53,6 @@ RULES = {
     "proto.statetransfer": ("proto.statetransfer", lambda _s, seq: f"installed state@{seq}"),
     "net.deliver": ("net.deliver", lambda msg: (
         f"{msg.src}->{msg.dst} {type(msg.payload).__name__} ({msg.size} B)")),
-    "net.drop": ("net.drop", lambda _payload, dst, size: f"->{dst} lost ({size} B)"),
     "net.fault": ("net.fault", lambda _payload, dst, size: (
         f"->{dst} dropped by filter ({size} B)")),
 }

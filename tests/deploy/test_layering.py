@@ -42,6 +42,12 @@ def test_nothing_below_bench_imports_bench():
     assert not offenders, offenders
 
 
+def test_three_commands_ship():
+    """One command per surface (DESIGN.md D19): tables, chaos, obs."""
+    mains = sorted(p.parent.relative_to(ROOT).as_posix() for p in ROOT.rglob("__main__.py"))
+    assert mains == ["bench", "faults", "obs"]
+
+
 def test_environment_is_read_in_one_place():
     """The one place is the caller: a run is a function of its arguments
     (DESIGN.md D15, D17), so no module under ``src/repro``, CLI entry

@@ -61,14 +61,18 @@ def test_enclave_reboot_scenario_records_counter_snapshots():
 
 
 def test_cli_report_roundtrip(tmp_path, capsys):
-    report_path = tmp_path / "out.json"
     code = main([
-        "--scenarios", "healthy_control", "--seeds", "1",
-        "--report", str(report_path),
+        "--scenarios", "healthy_control", "--seeds", "0",
+        "--out", str(tmp_path),
     ])
     assert code == 0
-    report = json.loads(report_path.read_text())
+    report = json.loads((tmp_path / "campaign.json").read_text())
     assert report["summary"] == {"total": 1, "passed": 1, "failed": []}
+    # A literal seed list reproduces exactly the run the library makes.
+    (run,) = report["runs"]
+    assert report_to_json(run) == report_to_json(
+        run_scenario(get_scenario("healthy_control"), 0)
+    )
     out = capsys.readouterr().out
     assert "PASS" in out and "healthy_control" in out
 
@@ -109,28 +113,6 @@ def test_replayed_reply_quorum_cannot_feed_a_lease_read():
     result = run_scenario(scenario, 1)
     assert result["ok"], [inv for inv in result["invariants"] if not inv["ok"]]
     assert result["stats"]["lease_read_hits"] > 0
-
-
-def test_run_scenario_emits_chaos_metrics():
-    from repro.obs import Registry
-
-    registry = Registry()
-    result = run_scenario(get_scenario("healthy_control"), 0, registry=registry)
-    assert registry.value("chaos_runs_total", scenario="healthy_control") == 1
-    assert registry.value("chaos_failed_runs_total", scenario="healthy_control") == 0
-    assert (
-        registry.value("chaos_ops_total", scenario="healthy_control")
-        == result["stats"]["ops_completed"]
-    )
-    assert registry.total("chaos_invariant_violations_total") == 0
-
-
-def test_run_scenario_without_registry_unchanged():
-    with_reg = run_scenario(get_scenario("healthy_control"), 0, registry=None)
-    from repro.obs import Registry
-
-    again = run_scenario(get_scenario("healthy_control"), 0, registry=Registry())
-    assert report_to_json({"runs": [with_reg]}) == report_to_json({"runs": [again]})
 
 
 def test_injection_timeline_recorded():
@@ -184,8 +166,8 @@ def test_run_scenario_with_obs_plane_unperturbed():
 
     bare = run_scenario(get_scenario("healthy_control"), 0)
     plane = ObsPlane()
-    observed = run_scenario(get_scenario("healthy_control"), 0, obs=plane)
-    plane.finalize()
+    observed = run_scenario(get_scenario("healthy_control"), 0, plane=plane)
+    assert observed.pop("plane") is plane
     assert report_to_json({"runs": [bare]}) == report_to_json(
         {"runs": [observed]}
     )

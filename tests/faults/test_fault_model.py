@@ -107,15 +107,21 @@ def test_partition_cuts_cross_group_links_and_heals():
     cluster, plane = make_plane(seed=5)
     fault = NetworkPartition((("replica-2",), ("replica-0", "replica-1")))
     plane.inject(fault)
+
+    def dropped(src, dst):
+        attempt = _attempt(src, dst)
+        plane._filter(attempt)
+        return attempt.drop
+
     # Every cross-group link is cut in both directions...
-    assert cluster.net._link("replica-2", "replica-0").cut
-    assert cluster.net._link("replica-0", "replica-2").cut
-    assert cluster.net._link("replica-2", "replica-1").cut
+    assert dropped("replica-2", "replica-0")
+    assert dropped("replica-0", "replica-2")
+    assert dropped("replica-2", "replica-1")
     # ...intra-group links are untouched.
-    assert not cluster.net._link("replica-0", "replica-1").cut
+    assert not dropped("replica-0", "replica-1")
     plane.heal(fault)
-    assert not cluster.net._link("replica-2", "replica-0").cut
-    assert not cluster.net._link("replica-1", "replica-2").cut
+    assert not dropped("replica-2", "replica-0")
+    assert not dropped("replica-1", "replica-2")
 
 
 # -- wire rules --------------------------------------------------------------

@@ -4,8 +4,8 @@ import json
 
 from repro.deploy import MASTER_SECRET
 from repro.crypto.keys import KeyRing
+from repro.faults.__main__ import main as faults_main
 from repro.obs.audit import verify_bundle
-from repro.obs.audit.__main__ import main as audit_main
 from repro.obs.audit.auditor import Verdict
 from repro.obs.audit.harness import run_localization, score_blame
 
@@ -108,7 +108,10 @@ def test_score_blame_permits_partition_links_only():
 
 def test_cli_roundtrip(tmp_path):
     out = tmp_path / "audit-run"
-    code = audit_main(["--scenarios", "host_tamper_replies", "--out", str(out)])
+    code = faults_main([
+        "--plane", "audit", "--scenarios", "host_tamper_replies", "--seeds", "1",
+        "--out", str(out),
+    ])
     assert code == 0
     cell = out / "host_tamper_replies-seed1-sh1-boff"
     evidence = json.loads((cell / "evidence.json").read_text())

@@ -10,20 +10,16 @@ import json
 
 import pytest
 
+from repro.faults.__main__ import main as faults_main
 from repro.faults.campaign import run_scenario
 from repro.faults.schedule import get_scenario, scenario_names
 from repro.obs.health import EXPECTED, HealthPlane, run_detection
-from repro.obs.health.__main__ import main as health_main
 from repro.obs.health.plane import write_health_report
 
 
 def _judged(name, seed=1, **kw):
-    plane = HealthPlane(**kw)
-    report = run_scenario(
-        get_scenario(name), seed, registry=plane.registry, obs=plane
-    )
-    plane.finalize()
-    return plane, report
+    report = run_scenario(get_scenario(name), seed, plane=HealthPlane(**kw))
+    return report.pop("plane"), report
 
 
 def test_expected_covers_whole_catalogue():
@@ -84,12 +80,17 @@ def test_write_health_report_layout(tmp_path):
 
 
 def test_cli_end_to_end_byte_identical(tmp_path):
-    argv = ["--scenarios", "healthy_control,enclave_reboot_rollback"]
+    argv = [
+        "--plane", "health", "--seeds", "1",
+        "--scenarios", "healthy_control,enclave_reboot_rollback",
+    ]
     outs = []
     for i in (1, 2):
         out = tmp_path / f"run{i}"
-        assert health_main(argv + ["--out", str(out)]) == 0
+        assert faults_main(argv + ["--out", str(out)]) == 0
         outs.append(out)
+    assert (outs[0] / "enclave_reboot_rollback-seed1-sh1-boff" / "health.json").exists()
+    assert "DETECTED" in (outs[0] / "detection.txt").read_text()
     files1 = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*") if p.is_file())
     files2 = sorted(p.relative_to(outs[1]) for p in outs[1].rglob("*") if p.is_file())
     assert files1 == files2 and files1
@@ -99,7 +100,7 @@ def test_cli_end_to_end_byte_identical(tmp_path):
 
 def test_cli_rejects_unknown_scenario(capsys):
     with pytest.raises(SystemExit):
-        health_main(["--scenarios", "nope"])
+        faults_main(["--plane", "health", "--scenarios", "nope"])
 
 
 def test_queue_saturation_diagnosed_on_starved_pipeline():

@@ -1,4 +1,4 @@
-"""Tests for the ``python -m repro.obs`` entry point."""
+"""Tests for the ``python -m repro.obs`` entry point: exports and critpath."""
 
 import json
 
@@ -17,10 +17,25 @@ def test_cli_writes_reports_and_summary(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "requests completed:" in text
     assert "ecall transitions:" in text
-    for name in ("metrics.prom", "metrics.jsonl", "trace.json"):
+    # The critpath report follows the summary.
+    assert text.index("critical-path attribution") > text.index("mode switches:")
+    for name in ("metrics.prom", "metrics.jsonl", "trace.json",
+                 "critpath.txt", "critpath.json"):
         assert (out / name).exists()
     doc = json.loads((out / "trace.json").read_text())
     assert doc["traceEvents"]
+    assert any(e.get("args", {}).get("critical") for e in doc["traceEvents"])
+
+
+def test_cli_shards_attributes_the_sharded_cell(tmp_path, capsys):
+    out = tmp_path / "report"
+    assert main([
+        "--out", str(out), "--shards", "2", "--warmup", "0.005",
+        "--duration", "0.015",
+    ]) == 0
+    text = capsys.readouterr().out
+    assert "sharded writes, 2 groups, seed 42" in text
+    assert "forward_hop" in (out / "critpath.txt").read_text()
 
 
 def test_cli_format_subset(tmp_path):

@@ -20,9 +20,8 @@ from repro.obs.critpath import (
     highlighted_chrome_trace,
     render_report,
 )
-from repro.obs.critpath.__main__ import main as critpath_main
+from repro.obs.__main__ import main as obs_main, run_workload
 from repro.obs.spans import SpanRecorder
-from repro.obs.__main__ import run_workload
 
 
 def _closed(rec, name, start, end, trace="c1#1", node="replica-0", **kw):
@@ -180,7 +179,7 @@ def test_cli_writes_byte_identical_outputs(tmp_path):
     argv = ["--seed", "13", "--clients", "2", "--warmup", "0.01",
             "--duration", "0.03"]
     for i in (1, 2):
-        assert critpath_main(argv + ["--out", str(tmp_path / f"r{i}")]) == 0
+        assert obs_main(argv + ["--out", str(tmp_path / f"r{i}")]) == 0
     for name in ("critpath.txt", "critpath.json", "trace.json"):
         a = (tmp_path / "r1" / name).read_bytes()
         b = (tmp_path / "r2" / name).read_bytes()

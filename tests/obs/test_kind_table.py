@@ -83,7 +83,7 @@ def test_the_layers_emit_from_where_the_design_says():
     assert kinds["enclave.ecall"] == {"enclave.py"}
     assert kinds["troxy.host"] == {"host.py"}
     assert {kind: files for kind, files in kinds.items() if kind.startswith("net.")} == {
-        kind: {"network.py"} for kind in ("net.send", "net.deliver", "net.drop", "net.fault")
+        kind: {"network.py"} for kind in ("net.send", "net.deliver", "net.fault")
     }
 
 

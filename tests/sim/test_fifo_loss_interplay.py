@@ -1,6 +1,6 @@
 """Packet loss must not wedge in-order streams.
 
-Loss is applied at send time, *before* a stream sequence number is
+A send filter drops at send time, *before* a stream sequence number is
 assigned — so a lost message never leaves a hole in the stream and
 later messages still deliver (the model's stand-in for TCP
 retransmission keeping the stream moving).
@@ -14,7 +14,8 @@ def test_lossy_link_does_not_stall_fifo_stream():
     net = Network(env, rng_tree=RngTree(11))
     net.add_node("a")
     net.add_node("b")
-    net.set_loss("a", "b", 0.5)
+    rng = RngTree(11).derive("loss")
+    net.add_send_filter(lambda attempt: setattr(attempt, "drop", rng.random() < 0.5))
     received = []
 
     def recv():
@@ -45,12 +46,16 @@ def test_cut_link_does_not_stall_after_heal():
             received.append(msg.payload)
 
     env.process(recv())
+    cut = set()
+    net.add_send_filter(
+        lambda attempt: setattr(attempt, "drop", (attempt.src, attempt.dst) in cut)
+    )
     net.send("a", "b", payload="before", size=10, stream="s")
     env.run(until=1.0)
-    net.cut("a", "b")
+    cut.add(("a", "b"))
     net.send("a", "b", payload="dropped", size=10, stream="s")
     env.run(until=2.0)
-    net.heal("a", "b")
+    cut.clear()
     net.send("a", "b", payload="after", size=10, stream="s")
     env.run(until=3.0)
     assert received == ["before", "after"]

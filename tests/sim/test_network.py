@@ -110,11 +110,14 @@ def test_partition_drops_messages():
     env, net = make_net()
     out = []
     env.process(receive_one(env, net, "b", out))
-    net.cut("a", "b")
+    cut = {("a", "b")}
+    net.add_send_filter(
+        lambda attempt: setattr(attempt, "drop", (attempt.src, attempt.dst) in cut)
+    )
     net.send("a", "b", payload="lost", size=10)
     env.run(until=10.0)
     assert out == []
-    net.heal("a", "b")
+    cut.clear()
     net.send("a", "b", payload="found", size=10)
     env.run(until=20.0)
     assert len(out) == 1
@@ -142,7 +145,8 @@ def test_crashed_sender_sends_nothing():
 
 def test_loss_probability_drops_fraction():
     env, net = make_net()
-    net.set_loss("a", "b", 0.5)
+    rng = RngTree(7).derive("loss")
+    net.add_send_filter(lambda attempt: setattr(attempt, "drop", rng.random() < 0.5))
     received = []
 
     def recv_all(env, net):
@@ -155,12 +159,6 @@ def test_loss_probability_drops_fraction():
         net.send("a", "b", payload=i, size=10)
     env.run(until=100.0)
     assert 50 < len(received) < 150
-
-
-def test_loss_probability_validation():
-    env, net = make_net()
-    with pytest.raises(ValueError):
-        net.set_loss("a", "b", 1.5)
 
 
 def test_latency_override_per_direction():

@@ -131,7 +131,6 @@ def test_the_trace_log_renders_its_categories_from_values():
     assert logged("proto.newview", "r0", view=2)[0][2] == "view=2"
     msg = SimpleNamespace(src="a", dst="b", payload=order, size=40)
     assert logged("net.deliver", "b", msg) == [("net.deliver", "b", "a->b Order (40 B)")]
-    assert logged("net.drop", "a", order, dst="b", size=40)[0][2] == "->b lost (40 B)"
     assert logged("net.fault", "a", order, dst="b", size=40)[0][2] == (
         "->b dropped by filter (40 B)")
 
