@@ -6,31 +6,20 @@ Usage::
     python -m repro.bench fig7 fig9       # several
     python -m repro.bench all             # everything (slow)
 
-    python -m repro.bench fig6 --json out/      # also write BENCH_fig6.json
-    python -m repro.bench fig6 --profile        # cProfile, sorted pstats
-
 Prints the paper-style series and writes them to benchmarks/results/:
 every tracked table there but ``cpu_account.txt``
 (``benchmarks/perf/cpu_account.py``) has its one producer in
 :data:`RUNNERS`, which carries the table's canonical arguments, and
 ``tests/paper`` asserts the paper's shapes on what it wrote.
-With ``--json DIR`` each experiment additionally emits ``BENCH_<name>.json``
-with one entry per measured cell: throughput, latency percentiles, host
-wall-clock, and the deterministic ``env.steps`` / ``env.scheduled_events``
-counters (the quantities the perf-smoke CI job budgets on).
+To profile an experiment, run it under cProfile:
+``python -m cProfile -s cumtime -m repro.bench fig6``.
 """
 
 from __future__ import annotations
 
 import argparse
-import cProfile
-import dataclasses
-import io
-import json
-import pstats
 import sys
 import time
-from pathlib import Path
 
 from ..analysis.linearizability import check_linearizable
 from ..faults.campaign import run_campaign
@@ -38,12 +27,7 @@ from ..faults.schedule import scenario_names
 from ..obs.audit import AuditPlane, harness as audit_harness
 from ..obs.health import HealthPlane, harness as health_harness
 from . import critpath, experiments
-from .report import (
-    format_latency_series,
-    format_throughput_series,
-    save_and_print,
-    save_bench_json,
-)
+from .report import format_latency_series, format_throughput_series, save_and_print
 
 
 def run_fig5():
@@ -71,35 +55,30 @@ def run_fig5():
         "ecall(s) across the run"
     )
     save_and_print("fig5", "\n".join(lines))
-    return []
 
 
 def run_fig6():
     points = experiments.fig6_ordered_writes_local()
     save_and_print("fig6", format_throughput_series(
         "Fig. 6 — ordered writes, LAN (throughput vs request size)", points))
-    return points
 
 
 def run_fig7():
     points = experiments.fig7_ordered_writes_wan()
     save_and_print("fig7", format_throughput_series(
         "Fig. 7 — ordered writes, 100±20 ms WAN (throughput vs request size)", points))
-    return points
 
 
 def run_fig8():
     points = experiments.fig8_reads_local()
     save_and_print("fig8", format_throughput_series(
         "Fig. 8 — read-only workload, LAN (throughput vs reply size)", points))
-    return points
 
 
 def run_fig9():
     points = experiments.fig9_reads_wan()
     save_and_print("fig9", format_throughput_series(
         "Fig. 9 — read-only workload, 100±20 ms WAN (throughput vs reply size)", points))
-    return points
 
 
 def run_leases():
@@ -121,7 +100,6 @@ def run_leases():
             ]
         ),
     )
-    return points
 
 
 def run_fig10():
@@ -133,14 +111,12 @@ def run_fig10():
             f"read conflicts {point.extra['conflict_rate'] * 100:5.1f}%"
         )
     save_and_print("fig10", "\n".join(lines))
-    return points
 
 
 def run_fig11():
     points = experiments.fig11_http_latency()
     save_and_print("fig11", format_latency_series(
         "Fig. 11 — HTTP service mean latency (GET/POST mix, ~500 req/s)", points))
-    return points
 
 
 def run_batching():
@@ -150,30 +126,22 @@ def run_batching():
     lines = ["Batching — fig6 local writes, 32 clients (etroxy)", "=" * 56]
     lines.append(
         f"{'setting':>9} | {'op/s':>7} | {'p50 ms':>7} | {'avg batch':>9} | "
-        f"{'depth':>5} | flushes size/idle/drain/timeout"
+        f"{'depth':>5} | flushes size/idle/timeout"
     )
     by_setting = {}
     for point in writes:
-        fr = point.extra.get("flush_reasons", {})
+        fr = point.extra["flush_reasons"]
         by_setting[point.x] = point.throughput
         lines.append(
             f"{point.x:>9} | {point.throughput:>7.0f} | "
-            f"{point.summary.p50 * 1000:>7.3f} | {point.extra.get('avg_batch', 1.0):>9.2f} | "
-            f"{point.extra.get('max_pipeline_depth', 0):>5} | "
-            f"{fr.get('size', 0)}/{fr.get('idle', 0)}/{fr.get('drain', 0)}/{fr.get('timeout', 0)}"
+            f"{point.summary.p50 * 1000:>7.3f} | {point.extra['avg_batch']:>9.2f} | "
+            f"{point.extra['max_pipeline_depth']:>5} | "
+            f"{fr['size']}/{fr['idle']}/{fr['timeout']}"
         )
-    if "1" in by_setting:
-        base = by_setting["1"]
-        lines.append("")
-        lines.append("speedup vs batch size 1 (same two-deep agreement pipeline):")
-        for setting in ("4", "16", "adaptive"):
-            if setting in by_setting and base > 0:
-                lines.append(f"  b={setting:>8}: {by_setting[setting] / base:5.2f}x")
-    if "off" in by_setting and "adaptive" in by_setting and by_setting["off"] > 0:
-        lines.append(
-            f"adaptive vs unbatched ('off'): "
-            f"{by_setting['adaptive'] / by_setting['off']:5.2f}x"
-        )
+    lines.append(
+        f"adaptive vs unbatched ('off'): "
+        f"{by_setting['adaptive'] / by_setting['off']:5.2f}x"
+    )
     lines.append("")
     lines.append("fig8-style fast-read guard (p50 must not move):")
     for point in reads:
@@ -182,7 +150,6 @@ def run_batching():
             f"({point.throughput:.0f} op/s)"
         )
     save_and_print("batching", "\n".join(lines))
-    return points
 
 
 def run_sharding():
@@ -209,14 +176,12 @@ def run_sharding():
     lines.append(" is looked up twice: share f/(1+f) for true forward fraction f)")
     lines.extend(critpath.sharding_gap_notes())
     save_and_print("sharding", "\n".join(lines))
-    return points
 
 
 def run_critpath():
     """Critical-path attribution sidecars (benchmarks/results/critpath_*.txt)."""
     for name, producer in critpath.SIDECARS.items():
         save_and_print(name, producer())
-    return []
 
 
 def run_ablations():
@@ -255,7 +220,6 @@ def run_ablations():
             f"latency {latency * 1000:7.1f} ms"
         )
     save_and_print("ablation_voter", "\n".join(lines))
-    return []
 
 
 def run_health():
@@ -263,18 +227,17 @@ def run_health():
     campaign = run_campaign(scenario_names(), [1, 2, 3], plane=HealthPlane)
     report = health_harness.detection_report(campaign)
     save_and_print("health_detection", health_harness.render_table(report))
-    return []
 
 
 def run_audit():
-    # The whole catalogue x seed 1 x shards (1, 2) x batching (off, 4): the tracked 72 rows.
+    # The whole catalogue x seed 1 x shards (1, 2) x batching (off, adaptive):
+    # the tracked 72 rows.
     campaign = run_campaign(
-        scenario_names(), [1], shards=[1, 2], batching=[None, "4"],
+        scenario_names(), [1], shards=[1, 2], batching=[None, "adaptive"],
         plane=AuditPlane,
     )
     report = audit_harness.blame_report(campaign)
     save_and_print("audit_blame", audit_harness.render_table(report))
-    return []
 
 
 def run_table1():
@@ -287,7 +250,6 @@ def run_table1():
         )
     lines.append("(consistency witnesses: run `pytest tests/paper/test_table1.py`)")
     save_and_print("table1", "\n".join(lines))
-    return rows
 
 
 RUNNERS = {
@@ -309,41 +271,6 @@ RUNNERS = {
 }
 
 
-def _write_json(name: str, result, json_dir: Path) -> None:
-    if name == "table1":
-        # Table I has no measured cells; persist the static rows as-is.
-        json_dir.mkdir(parents=True, exist_ok=True)
-        path = json_dir / "BENCH_table1.json"
-        payload = {"bench": "table1",
-                   "rows": [dataclasses.asdict(row) for row in result]}
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    else:
-        path = save_bench_json(name, result, json_dir)
-    print(f"[wrote {path}]", file=sys.stderr)
-
-
-def _run_profiled(name: str, runner, json_dir: Path | None):
-    """Run one experiment under cProfile and print the sorted hot list.
-
-    Profiling inflates wall-clock (per-call bookkeeping), so the
-    ``wall_s`` recorded in a profiled run is *not* comparable to an
-    unprofiled one — the deterministic event counters are.
-    """
-    profile = cProfile.Profile()
-    result = profile.runcall(runner)
-    stream = io.StringIO()
-    stats = pstats.Stats(profile, stream=stream)
-    stats.sort_stats("cumulative").print_stats(40)
-    stats.sort_stats("tottime").print_stats(25)
-    sys.stderr.write(stream.getvalue())
-    if json_dir is not None:
-        json_dir.mkdir(parents=True, exist_ok=True)
-        dump = json_dir / f"BENCH_{name}.pstats"
-        profile.dump_stats(dump)
-        print(f"[wrote {dump}]", file=sys.stderr)
-    return result
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -354,26 +281,11 @@ def main(argv=None) -> int:
         choices=sorted(RUNNERS) + ["all"],
         help="which experiments to run ('all' for every one)",
     )
-    parser.add_argument(
-        "--json", metavar="DIR", default=None,
-        help="also write BENCH_<experiment>.json files into DIR",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run each experiment under cProfile and print sorted pstats "
-             "to stderr (with --json, also dump BENCH_<experiment>.pstats)",
-    )
     args = parser.parse_args(argv)
-    json_dir = Path(args.json) if args.json is not None else None
     names = sorted(RUNNERS) if "all" in args.experiments else args.experiments
     for name in names:
         started = time.time()
-        if args.profile:
-            result = _run_profiled(name, RUNNERS[name], json_dir)
-        else:
-            result = RUNNERS[name]()
-        if json_dir is not None:
-            _write_json(name, result, json_dir)
+        RUNNERS[name]()
         print(f"[{name} finished in {time.time() - started:.0f}s]", file=sys.stderr)
     return 0
 

@@ -11,7 +11,6 @@ service at ~500 req/s for Fig. 11.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -22,7 +21,6 @@ from ..apps.base import Operation, OpKind, Payload
 from ..apps.echo import EchoService
 from ..apps.httpd import HttpPageService, get_operation, post_operation, seed_pages
 from ..apps.kvstore import KvStore, get, put
-from ..hybster.config import BatchConfig
 from ..obs.audit import LedgerProbes
 from ..sim.network import GBPS, NicConfig
 from ..troxy.monitor import ConflictMonitor
@@ -125,13 +123,11 @@ def _drive(
     ecalls are observed too — and the clients are wrapped so every
     invocation opens a root span.
 
-    The returned deployment carries ``sim_stats`` — wall-clock seconds
-    plus the deterministic ``env.steps`` / ``env.scheduled_events``
-    counters — for the ``--json`` benchmark emitter and the perf-smoke
-    CI budgets, and the run's ``completed`` request count (warm-up
-    included) for per-request ratios.
+    The returned deployment carries ``sim_stats``: the deterministic
+    ``env.steps`` / ``env.scheduled_events`` counters the event budgets
+    read (``benchmarks/perf``), and the run's ``completed`` request
+    count (warm-up included) for per-request ratios.
     """
-    wall_start = time.perf_counter()
     cluster = build()
     if obs is not None:
         obs.attach(cluster)
@@ -150,7 +146,6 @@ def _drive(
     cluster.env.run(until=start + warmup + duration)
     summary = loadgen.collector.summarize(start + warmup, start + warmup + duration)
     cluster.sim_stats = {
-        "wall_s": time.perf_counter() - wall_start,
         "steps": cluster.env.steps,
         "scheduled_events": cluster.env.scheduled_events,
         "completed": loadgen.stats.completed,
@@ -280,12 +275,11 @@ def fig6_ordered_writes_local(
     points = []
     for size in sizes:
         for system in ("bl", "ctroxy", "etroxy"):
-            cluster, summary = _run_system(
+            _, summary = _run_system(
                 system, write_source(size), reply_size=10,
                 n_clients=n_clients, warmup=0.1, duration=duration,
             )
-            points.append(Point("fig6", system, size, summary,
-                                extra={"sim": cluster.sim_stats}))
+            points.append(Point("fig6", system, size, summary))
     return points
 
 
@@ -302,14 +296,13 @@ def fig7_ordered_writes_wan(
     points = []
     for size in sizes:
         for system in ("bl", "etroxy"):
-            cluster, summary = _run_system(
+            _, summary = _run_system(
                 system, write_source(size), reply_size=10,
                 n_clients=n_clients, warmup=1.5, duration=duration,
                 wan=WAN_DELAY, client_nic=WAN_CLIENT_NIC,
                 request_distribution="all",
             )
-            points.append(Point("fig7", system, size, summary,
-                                extra={"sim": cluster.sim_stats}))
+            points.append(Point("fig7", system, size, summary))
     return points
 
 
@@ -324,12 +317,11 @@ def fig8_reads_local(
     points = []
     for reply_size in reply_sizes:
         for system in ("bl", "etroxy"):
-            cluster, summary = _run_system(
+            _, summary = _run_system(
                 system, read_source(), reply_size=reply_size,
                 n_clients=n_clients, warmup=0.1, duration=duration,
             )
-            points.append(Point("fig8", system, reply_size, summary,
-                                extra={"sim": cluster.sim_stats}))
+            points.append(Point("fig8", system, reply_size, summary))
     return points
 
 
@@ -345,14 +337,13 @@ def fig9_reads_wan(
     points = []
     for reply_size in reply_sizes:
         for system in ("bl", "etroxy"):
-            cluster, summary = _run_system(
+            _, summary = _run_system(
                 system, read_source(), reply_size=reply_size,
                 n_clients=n_clients, warmup=1.5, duration=duration,
                 wan=WAN_DELAY, client_nic=WAN_CLIENT_NIC,
                 request_distribution="all",
             )
-            points.append(Point("fig9", system, reply_size, summary,
-                                extra={"sim": cluster.sim_stats}))
+            points.append(Point("fig9", system, reply_size, summary))
     return points
 
 
@@ -379,7 +370,6 @@ def lease_reads(
         points.append(Point(
             "lease-local", system, reply_size, summary,
             extra={
-                "sim": cluster.sim_stats,
                 "lease_read_hits": sum(c.stats.lease_read_hits for c in cluster.cores),
                 "fast_read_attempts": sum(c.stats.fast_read_attempts for c in cluster.cores),
                 "grants_installed": sum(
@@ -431,8 +421,7 @@ def fig10_write_contention(
             conflict_rate = conflicts / attempts if attempts else 0.0
         points.append(
             Point("fig10", label, write_ratio, summary,
-                  extra={"conflict_rate": conflict_rate,
-                         "sim": cluster.sim_stats})
+                  extra={"conflict_rate": conflict_rate})
         )
 
     run("bl", "bl-read-opt")
@@ -455,41 +444,29 @@ def batching_throughput(
     n_clients: int = 32,
     duration: float = 0.25,
     request_size: int = 1024,
-    settings: tuple = ("off", "1", "4", "16", "adaptive"),
     read_reply_size: int = 1024,
 ) -> list[Point]:
-    """Agreement-batching sweep on the fig6-style local write workload.
+    """Agreement batching on the fig6-style local write workload.
 
-    One fixed client count, swept over batch settings. "off" is the
-    pre-batching path (unbounded slot concurrency, no batch layer) and
-    serves as the unbatched reference the CI smoke compares against.
-    The numeric settings are ``BatchConfig.sized(n)``: all share the
-    same fixed two-deep agreement pipeline, so batch size is the only
-    variable — the classic batching ablation, where size 1 means one
-    request per certified counter value. "adaptive" is the tuned
-    arrival-rate-driven default. A fig8-style fast-read guard runs at
-    batching off/adaptive — batched agreement must not move the
-    fast-read p50, because fast reads never enter the ordering pipeline.
+    One fixed client count, batching off and on. "off" is the
+    pre-batching path (unbounded slot concurrency, no batch layer);
+    "adaptive" is the one arrival-rate-driven policy (DESIGN.md D20).
+    A fig8-style fast-read guard runs at both settings — batched
+    agreement must not move the fast-read p50, because fast reads never
+    enter the ordering pipeline.
     """
+    settings = ("off", "adaptive")
     points = []
     for setting in settings:
-        batching = (
-            "off" if setting == "off"
-            else BatchConfig.adaptive_default() if setting == "adaptive"
-            else BatchConfig.sized(int(setting))
-        )
         cluster, summary = _run_system(
             "etroxy", write_source(request_size), reply_size=10,
             n_clients=n_clients, warmup=0.1, duration=duration,
-            batching=batching,
+            batching=setting,
         )
         stats = cluster.leader.stats
         points.append(Point(
             "batching-writes", f"etroxy/b={setting}", setting, summary,
             extra={
-                "sim": cluster.sim_stats,
-                "batches": stats.batches_sent,
-                "batched_requests": stats.batched_requests,
                 "avg_batch": (
                     stats.batched_requests / stats.batches_sent
                     if stats.batches_sent else 1.0
@@ -498,21 +475,17 @@ def batching_throughput(
                 "flush_reasons": {
                     "size": stats.batch_flush_size,
                     "idle": stats.batch_flush_idle,
-                    "drain": stats.batch_flush_drain,
                     "timeout": stats.batch_flush_timeout,
                 },
             },
         ))
-    for setting in ("off", "adaptive"):
-        cluster, summary = _run_system(
+    for setting in settings:
+        _, summary = _run_system(
             "etroxy", read_source(), reply_size=read_reply_size,
             n_clients=n_clients, warmup=0.1, duration=duration,
-            batching="off" if setting == "off" else BatchConfig.adaptive_default(),
+            batching=setting,
         )
-        points.append(Point(
-            "batching-reads", f"etroxy/b={setting}", setting, summary,
-            extra={"sim": cluster.sim_stats},
-        ))
+        points.append(Point("batching-reads", f"etroxy/b={setting}", setting, summary))
     return points
 
 
@@ -555,7 +528,6 @@ def sharding_throughput(
         points.append(Point(
             "sharding-writes", f"etroxy/s={shards}", shards, summary,
             extra={
-                "sim": cluster.sim_stats,
                 "lookups": lookups,
                 "forwards": forwards,
                 "forward_share": forwards / lookups if lookups else 0.0,
@@ -605,7 +577,7 @@ def fig11_http_latency(
     for scenario, wan in scenarios:
         nic = WAN_CLIENT_NIC if wan is not None else None
         for system, builder in systems.items():
-            cluster, summary = _drive(
+            _, summary = _drive(
                 partial(
                     builder, seed=42, app_factory=HttpPageService, wan=wan,
                     client_nic=nic,
@@ -613,8 +585,7 @@ def fig11_http_latency(
                 n_clients, op_source_factory(7), warmup=1.0, duration=duration,
                 rate_per_client=rate_per_client,
             )
-            points.append(Point("fig11", system, scenario, summary,
-                                extra={"sim": cluster.sim_stats}))
+            points.append(Point("fig11", system, scenario, summary))
     return points
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable
 
@@ -46,47 +45,3 @@ def save_and_print(name: str, text: str) -> None:
     print("\n" + text + "\n")
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
-
-def point_to_cell(point: Point) -> dict:
-    """One benchmark cell as a JSON-serializable dict.
-
-    Simulated results (throughput, latencies) are deterministic for a
-    given seed; ``wall_s`` is the only host-dependent field, kept apart
-    under ``sim`` next to the deterministic event counters so regression
-    tooling can budget on counts and merely *report* wall-clock.
-    """
-    summary = point.summary
-    extra = dict(point.extra or {})
-    sim = extra.pop("sim", None)
-    cell = {
-        "figure": point.figure,
-        "system": point.system,
-        "x": point.x,
-        "count": summary.count,
-        "throughput_ops": summary.throughput,
-        "mean_latency_s": summary.mean_latency,
-        "p50_latency_s": summary.p50,
-        "p95_latency_s": summary.p95,
-        "p99_latency_s": summary.p99,
-        "conflict_rate": summary.conflict_rate,
-    }
-    if extra:
-        cell["extra"] = extra
-    if sim is not None:
-        cell["sim"] = {
-            "wall_s": sim["wall_s"],
-            "steps": sim["steps"],
-            "scheduled_events": sim["scheduled_events"],
-        }
-    return cell
-
-
-def save_bench_json(name: str, points: Iterable[Point], out_dir) -> Path:
-    """Write ``BENCH_<name>.json`` with one entry per measured cell."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"BENCH_{name}.json"
-    payload = {"bench": name, "cells": [point_to_cell(p) for p in points]}
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    return path

@@ -35,7 +35,7 @@ from .baselines.prophecy import ProphecyMiddlebox
 from .baselines.standalone import StandaloneServer
 from .crypto.keys import KeyRing
 from .hybster.client import BftClient, ClientMachine
-from .hybster.config import BatchConfig, ClusterConfig, LeaseConfig
+from .hybster.config import ClusterConfig, LeaseConfig
 from .hybster.replica import Replica
 from .sgx.attestation import AttestationService, provision_keys
 from .sgx.counters import TrustedCounterSubsystem
@@ -70,30 +70,21 @@ BOUNDARIES = ("sgx", "jni", "none")
 # -- feature resolution -------------------------------------------------------------
 
 
-def resolve_batching(batching: Union[BatchConfig, int, str, None]) -> BatchConfig:
-    """Turn a batching knob into a :class:`BatchConfig`.
+def resolve_batching(batching: Union[bool, str, None]) -> bool:
+    """Turn a batching knob into ``ClusterConfig.batching``.
 
-    Accepts a BatchConfig (returned as-is), an int batch size, or the
-    strings "off"/"adaptive"/an integer literal as they arrive from the
-    CLIs. "off" (or 0) disables the batch layer entirely — the
-    pre-batching code path. An int n >= 1 means
-    ``BatchConfig.sized(n)``: size 1 still routes requests through the
-    batch loop (the conformance suite pins it wire-equivalent to the
-    pre-batching protocol), which is what "batch size 1" means in the
-    batching ladder and the chaos campaigns.
+    Accepts a bool or the strings "off"/"adaptive" as they arrive from
+    the CLIs; None is off. Off is the paper's path, one request per
+    ORDER/COMMIT round with no batch layer; on is the one adaptive
+    policy of :mod:`repro.hybster.batching` (DESIGN.md D20).
     """
-    if batching is None or isinstance(batching, BatchConfig):
-        return batching if batching is not None else BatchConfig()
-    if isinstance(batching, str):
-        text = batching.strip().lower()
-        if text in ("", "off", "none"):
-            return BatchConfig()
-        if text == "adaptive":
-            return BatchConfig.adaptive_default()
-        batching = int(text)
-    if batching < 1:
-        return BatchConfig()
-    return BatchConfig.sized(batching)
+    if batching is None:
+        return False
+    if batching in ("off", "adaptive"):
+        return batching == "adaptive"
+    if not isinstance(batching, bool):
+        raise ValueError(f"batching must be a bool, 'off' or 'adaptive': {batching!r}")
+    return batching
 
 
 def resolve_leases(leases: Union[LeaseConfig, bool, str, None]) -> LeaseConfig:
@@ -120,8 +111,8 @@ def resolve_features(f: int, config: Optional[ClusterConfig], **knobs) -> Cluste
     """The one place a feature is switched on: keyword, else ``config``, else off.
 
     ``knobs`` holds the feature keywords the calling system has
-    (``batching=``, ``leases=``), each a typed config, the CLI string
-    form, or None. Start from ``config`` (or ``ClusterConfig(f=f)``,
+    (``batching=``, ``leases=``), each a bool, a typed config, the CLI
+    string form, or None. Start from ``config`` (or ``ClusterConfig(f=f)``,
     every feature off) and apply each keyword that is given. A
     deployment is a function of its arguments and of nothing else.
     """
@@ -457,7 +448,7 @@ def build_baseline(
     client_nic: Optional[NicConfig] = None,
     replica_cores: int = 8,
     config: Optional[ClusterConfig] = None,
-    batching: Union[BatchConfig, int, str, None] = None,
+    batching: Union[bool, str, None] = None,
     trace: bool = False,
 ) -> Deployment:
     """Assemble the original Hybster deployment with client-side voting."""
@@ -480,7 +471,7 @@ def build_troxy(
     client_nic: Optional[NicConfig] = None,
     replica_cores: int = 8,
     config: Optional[ClusterConfig] = None,
-    batching: Union[BatchConfig, int, str, None] = None,
+    batching: Union[bool, str, None] = None,
     leases: Union[LeaseConfig, bool, str, None] = None,
     monitor_factory: Callable[[], ConflictMonitor] = None,
     cache_outside: bool = True,

@@ -4,9 +4,9 @@ Usage::
 
     python -m repro.faults --scenarios all --seeds 0,1 --out out
     python -m repro.faults --scenarios troxy_crash_failover,host_tamper_replies
-    python -m repro.faults --batch off,4 --shards 1,2  # deployment matrix
+    python -m repro.faults --batch off,adaptive --shards 1,2  # deployment matrix
     python -m repro.faults --plane health --seeds 1,2,3 --out health
-    python -m repro.faults --plane audit --shards 1,2 --batch off,4
+    python -m repro.faults --plane audit --shards 1,2 --batch off,adaptive
     python -m repro.faults --list
 
 One sweep over shards × batching × scenarios × seeds. ``--plane`` runs
@@ -103,9 +103,8 @@ def main(argv=None) -> int:
         "--batch",
         default="off",
         metavar="LIST",
-        help="comma-separated agreement-batching settings to sweep: 'off', "
-        "a batch size (1/4/16 route through the batch loop), or "
-        "'adaptive' (default: off)",
+        help="comma-separated agreement-batching settings to sweep: 'off' "
+        "and/or 'adaptive' (default: off)",
     )
     parser.add_argument(
         "--shards",
@@ -150,9 +149,9 @@ def main(argv=None) -> int:
         parser.error("--seeds needs at least one seed")
     if not shards or min(shards) < 1:
         parser.error("--shards needs group counts of at least 1")
-    batching = [
-        None if token in ("off", "none") else token for token in _tokens(args.batch)
-    ] or [None]
+    batching = _tokens(args.batch) or ["off"]
+    if not set(batching) <= {"off", "adaptive"}:
+        parser.error("--batch takes 'off' and/or 'adaptive'")
 
     plane = _planes()[args.plane] if args.plane else None
     report = run_campaign(

@@ -112,11 +112,10 @@ def run_scenario(
 ) -> dict:
     """Run one scenario at one seed; returns a JSON-serialisable result.
 
-    ``batching`` optionally forces an agreement-batching setting on the
-    cluster (anything :func:`repro.deploy.resolve_batching`
-    accepts, e.g. ``"4"`` or ``"adaptive"``); the invariants are
-    batching-agnostic, so the same catalogue re-runs at any batch size
-    (docs/BATCHING.md).
+    ``batching`` optionally switches agreement batching on the cluster
+    (``"off"`` or ``"adaptive"``, as :func:`repro.deploy.resolve_batching`
+    takes it); the invariants are batching-agnostic, so the same
+    catalogue re-runs batched (docs/BATCHING.md).
 
     ``shards`` optionally forces a group count; the cluster gets
     ``max(scenario.shards, shards)`` agreement groups so migration

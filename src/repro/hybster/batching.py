@@ -3,23 +3,22 @@ that drives it.
 
 The :class:`BatchAssembler` owns the leader's request buffer and decides
 when a batch should be cut: on size (the cutoff filled), on time (the
-oldest buffered request waited ``batch_wait``), on an idle pipeline
-(nothing in flight to overlap with, so waiting would only add latency),
-or on drain (a pipeline slot freed and the configuration never waits).
+oldest buffered request waited ``BATCH_WAIT``) or on an idle pipeline
+(nothing in flight to overlap with, so waiting would only add latency).
 
 The assembler touches no :mod:`repro.sim` type, which makes it directly
 property-testable (``tests/property/test_batching_properties.py``): it
 is fed requests and timestamps, and everything it returns is a pure
 function of that sequence. :class:`BatchPipeline` is the role that
 feeds it (DESIGN.md D11): it exists only on a replica whose
-``config.batching`` is enabled, and owns the wake-up signal, the
-in-flight slots and the ``<replica>:batcher`` process.
+``config.batching`` is on, and owns the wake-up signal, the in-flight
+slots and the ``<replica>:batcher`` process.
 
-Adaptive cutoff: with ``BatchConfig.adaptive`` the assembler tracks an
-EWMA of request inter-arrival gaps and aims the cutoff at the number of
-requests expected to arrive within one ``batch_wait`` window — light
+There is one policy (DESIGN.md D20). The assembler tracks an EWMA of
+request inter-arrival gaps and aims the cutoff at the number of
+requests expected to arrive within one ``BATCH_WAIT`` window — light
 load degrades towards single-request batches (no added latency), heavy
-load grows batches towards ``max_batch`` (amortized certification).
+load grows batches towards ``MAX_BATCH`` (amortized certification).
 """
 
 from __future__ import annotations
@@ -28,8 +27,19 @@ from collections import deque
 from typing import Optional
 
 from ..sim.resources import Store
-from .config import BatchConfig
 from .messages import Batch, Request
+
+#: Cap on the requests one batch (one certified counter value) carries.
+MAX_BATCH = 64
+#: Longest the oldest buffered request waits for its batch to fill;
+#: short enough not to tax closed-loop latency on the fig6 local-writes
+#: workload (benchmarks/results/batching.txt).
+BATCH_WAIT = 50e-6
+#: Batches that may be ordered but not yet committed. Deep enough that
+#: the cutoff, not the pipeline, decides the batch size.
+PIPELINE_DEPTH = 16
+#: Floor of the adaptive cutoff.
+MIN_BATCH = 1
 
 #: Smoothing factor for the inter-arrival EWMA; small enough to ride out
 #: bursts, large enough to track a load shift within tens of requests.
@@ -39,8 +49,7 @@ _EWMA_ALPHA = 0.2
 class BatchAssembler:
     """FIFO request buffer with size/time/pipeline flush policy."""
 
-    def __init__(self, config: BatchConfig):
-        self.config = config
+    def __init__(self):
         self._buffer: deque[tuple[Request, float]] = deque()
         self._ewma_gap: Optional[float] = None
         self._last_arrival: Optional[float] = None
@@ -56,9 +65,9 @@ class BatchAssembler:
     @property
     def deadline(self) -> Optional[float]:
         """When the oldest buffered request must flush, or None."""
-        if not self._buffer or self.config.batch_wait <= 0:
+        if not self._buffer:
             return None
-        return self._buffer[0][1] + self.config.batch_wait
+        return self._buffer[0][1] + BATCH_WAIT
 
     def enqueue(self, request: Request, now: float) -> None:
         """Buffer one request, updating the arrival-rate estimate."""
@@ -73,39 +82,34 @@ class BatchAssembler:
 
     def cutoff(self) -> int:
         """Requests worth waiting for before cutting a batch."""
-        config = self.config
-        if not config.adaptive:
-            return config.max_batch
         if not self._ewma_gap or self._ewma_gap <= 0:
-            return config.min_batch
+            return MIN_BATCH
         # A denormally small gap makes the ratio overflow int(); any
-        # ratio beyond max_batch clamps there anyway.
-        expected = config.batch_wait / self._ewma_gap
-        if expected >= config.max_batch:
-            return config.max_batch
-        return max(config.min_batch, int(expected))
+        # ratio beyond MAX_BATCH clamps there anyway.
+        expected = BATCH_WAIT / self._ewma_gap
+        if expected >= MAX_BATCH:
+            return MAX_BATCH
+        return max(MIN_BATCH, int(expected))
 
     def flush_reason(self, now: float, inflight: int) -> Optional[str]:
         """Why a batch should be cut right now, or None to keep waiting.
 
         ``inflight`` is the number of batches ordered but not yet
-        committed; at or above ``pipeline_depth`` nothing may flush.
+        committed; at or above ``PIPELINE_DEPTH`` nothing may flush.
         """
-        if not self._buffer or inflight >= self.config.pipeline_depth:
+        if not self._buffer or inflight >= PIPELINE_DEPTH:
             return None
         if len(self._buffer) >= self.cutoff():
             return "size"
         if inflight == 0:
             return "idle"
-        if self.config.batch_wait <= 0:
-            return "drain"
-        if now >= self._buffer[0][1] + self.config.batch_wait:
+        if now >= self._buffer[0][1] + BATCH_WAIT:
             return "timeout"
         return None
 
     def take(self) -> tuple[Request, ...]:
-        """Pop the next batch (up to ``max_batch`` requests, FIFO)."""
-        count = min(len(self._buffer), self.config.max_batch)
+        """Pop the next batch (up to ``MAX_BATCH`` requests, FIFO)."""
+        count = min(len(self._buffer), MAX_BATCH)
         return tuple(self._buffer.popleft()[0] for _ in range(count))
 
     def drain(self) -> tuple[Request, ...]:
@@ -126,7 +130,7 @@ class BatchPipeline:
 
     def __init__(self, replica):
         self.replica = replica
-        self.assembler = BatchAssembler(replica.config.batching)
+        self.assembler = BatchAssembler()
         self._signal = Store(replica.env)
         # Slots holding a batch this leader ordered but has not yet seen
         # committed; its size is the pipeline occupancy.
@@ -223,7 +227,7 @@ class BatchPipeline:
                 yield from replica._order(payload)
                 continue
             deadline = batcher.deadline
-            if deadline is None or inflight >= batcher.config.pipeline_depth:
+            if deadline is None or inflight >= PIPELINE_DEPTH:
                 return  # nothing to do until the next enqueue/commit signal
             # Buffered below the cutoff with the pipeline still moving:
             # wait for the flush deadline or more arrivals, whichever

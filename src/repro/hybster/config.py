@@ -6,83 +6,6 @@ from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
-class BatchConfig:
-    """Ordered-request batching and agreement pipelining (docs/BATCHING.md).
-
-    The leader accumulates client requests into bounded batches and
-    certifies one trusted-counter value per batch. ``max_batch`` caps the
-    batch size; ``batch_wait`` caps how long the oldest buffered request
-    may wait for the batch to fill (0 means "never wait": batches form
-    only from the backlog that accumulates while the pipeline is full).
-    ``pipeline_depth`` bounds how many batches may be ordered but not yet
-    committed; while the pipeline is full, arrivals buffer — which is
-    what makes batches fill under load. With ``adaptive`` the flush
-    cutoff follows the observed arrival rate (how many requests are
-    expected to arrive within one ``batch_wait`` window) instead of
-    always waiting for ``max_batch``.
-
-    The default configuration is *off*: requests are ordered one per
-    ORDER/COMMIT round through the exact pre-batching code path, so the
-    wire format and message flow are unchanged (the conformance suite in
-    ``tests/hybster`` pins this byte for byte).
-    """
-
-    max_batch: int = 1
-    batch_wait: float = 0.0
-    pipeline_depth: int = 1
-    adaptive: bool = False
-    min_batch: int = 1  # adaptive cutoff floor
-
-    def __post_init__(self):
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.batch_wait < 0:
-            raise ValueError(f"batch_wait must be >= 0, got {self.batch_wait}")
-        if self.pipeline_depth < 1:
-            raise ValueError(
-                f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
-            )
-        if not 1 <= self.min_batch <= self.max_batch:
-            raise ValueError(
-                f"min_batch must be in [1, max_batch], got {self.min_batch}"
-            )
-        if self.adaptive and self.batch_wait <= 0:
-            raise ValueError("adaptive batching requires batch_wait > 0")
-
-    @property
-    def enabled(self) -> bool:
-        """Whether the batching machinery is engaged at all.
-
-        A configuration that cannot ever form a multi-request batch or
-        hold more than one slot in flight takes the legacy path.
-        """
-        return (
-            self.max_batch > 1
-            or self.adaptive
-            or self.pipeline_depth > 1
-            or self.batch_wait > 0
-        )
-
-    @staticmethod
-    def sized(n: int, pipeline_depth: int = 2) -> "BatchConfig":
-        """Fixed-size batching: flush whenever the pipeline has room,
-        carrying up to ``n`` backlogged requests per batch."""
-        return BatchConfig(max_batch=n, pipeline_depth=pipeline_depth)
-
-    @staticmethod
-    def adaptive_default() -> "BatchConfig":
-        """Arrival-rate-driven batching with a small wait window.
-
-        Tuned on the fig6 local-writes workload: the 50 µs window is
-        short enough not to tax closed-loop latency, while the deep
-        pipeline keeps slots available so the cutoff — not the pipeline
-        — decides batch size (benchmarks/results/batching.txt)."""
-        return BatchConfig(
-            max_batch=64, batch_wait=0.00005, pipeline_depth=16, adaptive=True
-        )
-
-
-@dataclass(frozen=True)
 class LeaseConfig:
     """Leader-granted read leases for the Troxy fast path (docs/READS.md).
 
@@ -142,7 +65,11 @@ class ClusterConfig:
     request_timeout: float = 2.0  # client retransmission timeout
     progress_timeout: float = 1.0  # replica-side view-change trigger
     runtime: str = "java"  # protocol-processing cost profile
-    batching: BatchConfig = field(default_factory=BatchConfig)
+    #: Ordered-request batching and agreement pipelining
+    #: (docs/BATCHING.md). Off is the paper's path: one request per
+    #: ORDER/COMMIT round, no batch layer constructed. On is the one
+    #: arrival-rate-driven policy of :mod:`repro.hybster.batching`.
+    batching: bool = False
     leases: LeaseConfig = field(default_factory=LeaseConfig)
     #: Node-name prefix for this agreement group's replicas. The default
     #: (empty) keeps the historical ``replica-{i}`` names; sharded

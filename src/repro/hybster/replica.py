@@ -95,6 +95,9 @@ class ReplicaStats:
     batch_flush_size: int = 0
     batch_flush_timeout: int = 0
     batch_flush_idle: int = 0
+    #: Always 0: the one batching policy always waits, so nothing drains
+    #: (DESIGN.md D20). Kept because obs mirrors every field here into a
+    #: ``replica_*`` gauge, and the exported series are pinned by digest.
     batch_flush_drain: int = 0
     max_pipeline_depth: int = 0
     # Lease granting and write parking (leader side; docs/READS.md).
@@ -213,7 +216,7 @@ class Replica:
         # package imports nothing from repro.troxy.
         self.viewchange = ViewChanger(self)
         self.checkpoint = Checkpointer(self)
-        self.batching = BatchPipeline(self) if config.batching.enabled else None
+        self.batching = BatchPipeline(self) if config.batching else None
         self.leasing = None
         # A message that travels tagged is keyed (Tagged, inner class):
         # no handler ever sees the wrong wire shape.

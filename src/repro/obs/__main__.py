@@ -51,11 +51,11 @@ def run_workload(
 
     A read-mostly contended mix exercises every span type: cold reads
     order (order/execute/vote), warm reads hit the fast-read cache, and
-    the occasional write invalidates entries. ``batching`` takes a
-    :class:`repro.hybster.config.BatchConfig` (or the string presets
-    accepted by the builders) so critical-path attribution can watch
-    the batch-queue phase appear; ``plane`` substitutes another plane
-    (e.g. a :class:`~repro.obs.health.HealthPlane`)."""
+    the occasional write invalidates entries. ``batching`` takes
+    ``"off"`` or ``"adaptive"`` (as the builders do) so critical-path
+    attribution can watch the batch-queue phase appear; ``plane``
+    substitutes another plane (e.g. a
+    :class:`~repro.obs.health.HealthPlane`)."""
     plane = plane if plane is not None else ObsPlane()
     source = mixed_source(write_ratio, random.Random(seed), key_space=4)
     _, summary = _run_system(
@@ -116,8 +116,8 @@ def main(argv=None) -> int:
     parser.add_argument("--write-ratio", type=float, default=0.1,
                         help="fraction of writes in the mix (default: 0.1)")
     parser.add_argument("--batching", default=None,
-                        help="agreement batching: off, an int, or adaptive "
-                        "(default: off)")
+                        choices=("off", "adaptive"),
+                        help="agreement batching (default: off)")
     parser.add_argument("--shards", type=int, default=0, metavar="N",
                         help="instead of --system, run the N-group sharded "
                         "write cell (forwarding hop visible)")

@@ -508,7 +508,7 @@ class QueueSaturationDetector(Detector):
     long each request sat in the leader's :class:`BatchAssembler`, and
     ``hybster.order`` spans how long cutting-plus-certifying a slot
     takes. Healthy batching holds the mean wait within a small multiple
-    of the service time (the assembler waits at most ``batch_wait``, and
+    of the service time (the assembler waits at most ``BATCH_WAIT``, and
     adaptively less under light load). When arrivals outrun the drain
     rate — pipeline slots all in flight, cutoff never reached fast
     enough — waits grow with the backlog while service stays flat, so

@@ -5,33 +5,36 @@ legacy import paths the frozen perf ledger uses."""
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.apps.kvstore import KvStore
-from repro.deploy import build_baseline, build_troxy, resolve_features, resolve_leases
-from repro.hybster.config import BatchConfig, ClusterConfig, LeaseConfig
+from repro.deploy import (
+    build_baseline, build_troxy, resolve_batching, resolve_features, resolve_leases,
+)
+from repro.hybster.config import ClusterConfig, LeaseConfig
 from tests.deploy.test_assembly import trace_digest
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-SIZED = BatchConfig.sized(4)
-ADAPTIVE = BatchConfig.adaptive_default()
 LEASED = LeaseConfig.on()
-PINNED = ClusterConfig(f=1, batching=SIZED, leases=LeaseConfig.on(duration=2.0))
+PINNED = ClusterConfig(f=1, batching=True, leases=LeaseConfig.on(duration=2.0))
+UNBATCHED = ClusterConfig(f=1)
 
-# (keyword, config=, exported) -> what is built. ``exported`` is the value
-# of the variable a CI leg once set for that feature: inert in every row.
+# (keyword, config=, exported) -> the config built. ``exported`` is the
+# value of the variable a CI leg once set for that feature: inert in
+# every row.
 BATCHING_CASES = [
-    (None, None, None, BatchConfig()),
-    (None, None, "adaptive", BatchConfig()),
-    (None, None, "4", BatchConfig()),
-    (None, PINNED, "adaptive", SIZED),           # the config given
-    (None, ClusterConfig(f=1), "adaptive", BatchConfig()),
-    ("adaptive", PINNED, "16", ADAPTIVE),        # a keyword beats it
-    ("off", None, "adaptive", BatchConfig()),
-    (ADAPTIVE, PINNED, None, ADAPTIVE),          # typed keyword
+    (None, None, None, UNBATCHED),
+    (None, None, "adaptive", UNBATCHED),
+    (None, None, "4", UNBATCHED),
+    (None, PINNED, "adaptive", PINNED),          # the config given
+    (None, ClusterConfig(f=1), "adaptive", UNBATCHED),
+    ("adaptive", replace(PINNED, batching=False), "16", PINNED),  # a keyword beats it
+    ("off", None, "adaptive", UNBATCHED),
+    (True, ClusterConfig(f=1), None, replace(UNBATCHED, batching=True)),  # typed keyword
 ]
 LEASE_CASES = [
     (None, None, None, LeaseConfig()),
@@ -51,8 +54,9 @@ def test_batching_precedence(monkeypatch, keyword, config, env, expected):
         monkeypatch.setenv("REPRO_BATCHING", env)
     for build in (build_troxy, build_baseline):
         built = build(seed=1, app_factory=KvStore, config=config, batching=keyword)
-        assert built.config.batching == expected
+        assert built.config == expected
         assert built.replicas[0].config is built.config
+        assert all((r.batching is not None) == expected.batching for r in built.replicas)
 
 
 @pytest.mark.parametrize("keyword,config,env,expected", LEASE_CASES)
@@ -74,6 +78,13 @@ def test_a_lease_duration_is_a_lease_config(spelling):
     assert resolve_leases(LeaseConfig.on(duration=2.0)).duration == 2.0
 
 
+@pytest.mark.parametrize("spelling", [4, "4", 1, "on"], ids=repr)
+def test_a_batch_size_is_not_a_batching_setting(spelling):
+    with pytest.raises(ValueError):
+        resolve_batching(spelling)
+    assert resolve_batching("adaptive") is resolve_batching(True) is True
+
+
 @pytest.mark.parametrize("build,off", [
     (build_troxy, dict(batching="off", leases="off")),
     (build_baseline, dict(batching="off")),
@@ -88,7 +99,7 @@ def test_the_environment_switches_nothing_on(monkeypatch, build, off):
     monkeypatch.setenv("REPRO_LEASES", "on")
     assert trace_digest(build) == explicit
     config = build(seed=1, app_factory=KvStore).config
-    assert (config.batching, config.leases) == (BatchConfig(), LeaseConfig())
+    assert (config.batching, config.leases) == (False, LeaseConfig())
 
 
 def test_a_feature_that_is_off_is_not_constructed(monkeypatch):
@@ -147,9 +158,9 @@ def test_a_feature_that_is_off_is_not_constructed(monkeypatch):
 def test_features_resolve_independently():
     # A keyword for one feature leaves the other as the config has it.
     mixed = resolve_features(1, PINNED, batching="off", leases=None)
-    assert (mixed.batching, mixed.leases) == (BatchConfig(), PINNED.leases)
+    assert (mixed.batching, mixed.leases) == (False, PINNED.leases)
     mixed = resolve_features(1, PINNED, batching=None, leases="off")
-    assert (mixed.batching, mixed.leases) == (SIZED, LeaseConfig())
+    assert (mixed.batching, mixed.leases) == (True, LeaseConfig())
     # A system without a feature passes no keyword for it.
     assert resolve_features(1, PINNED, batching="adaptive").leases == PINNED.leases
     assert resolve_features(1, None, batching=None).leases == LeaseConfig()

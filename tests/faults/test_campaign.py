@@ -77,6 +77,12 @@ def test_cli_report_roundtrip(tmp_path, capsys):
     assert "PASS" in out and "healthy_control" in out
 
 
+@pytest.mark.parametrize("batch", ["4", "off,1", "none"])
+def test_cli_batch_is_off_or_adaptive(batch):
+    with pytest.raises(SystemExit):
+        main(["--scenarios", "healthy_control", "--seeds", "0", "--batch", batch])
+
+
 def test_cli_list(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out

@@ -2,67 +2,24 @@
 
 Pins the compatibility contract of the batching layer:
 
-* at batch size 1 the wire flow is *byte-for-byte* the pre-batching
-  protocol — same messages, same order, same simulated timestamps; the
-  only trace difference is the purely diagnostic ``proto.batch`` record,
 * batched and unbatched deployments are state-machine equivalent (same
-  client outcomes, same converged application state),
+  client outcomes, same converged application state), whether the
+  adaptive cutoff degrades to single-request batches or forms real ones,
 * pipelined agreement commits strictly in order, including across a
   leader crash and view change.
+
+That batching off is the pre-batching path is DESIGN.md D11's "absent
+when off" (``tests/deploy/test_features.py``).
 """
 
 from repro.apps.kvstore import KvStore, get, put
 from repro.deploy import build_troxy
-from repro.hybster.config import BatchConfig, ClusterConfig
+from repro.hybster.config import ClusterConfig
 
 
-def wire_trace(cluster) -> list[str]:
-    """Every wire send as a rendered record (timestamp included)."""
-    return [str(r) for r in cluster.tracer.filter(category="proto.send")]
-
-
-def full_trace_sans_diagnostics(cluster) -> list[str]:
-    """The whole protocol trace minus the batch-flush diagnostics, which
-    describe leader-local policy decisions and never touch the wire."""
-    return [
-        str(r) for r in cluster.tracer.records if r.category != "proto.batch"
-    ]
-
-
-def run_sequential_writes(batching, rounds: int = 8):
-    cluster = build_troxy(
-        seed=71, app_factory=KvStore, trace=True, batching=batching
-    )
-    client = cluster.new_client(contact_index=0)
-    contents = []
-
-    def driver():
-        for i in range(rounds):
-            outcome = yield from client.invoke(put(f"k{i}", b"v"))
-            contents.append(outcome.result.content)
-
-    cluster.env.process(driver())
-    cluster.env.run(until=30.0)
-    assert len(contents) == rounds, "workload did not complete"
-    return cluster, contents
-
-
-def test_size_one_batches_are_wire_equivalent():
-    """The fig5 conformance anchor: a size-1 configuration routes through
-    the batch loop yet reproduces the pre-batching message flow byte for
-    byte — message types, destinations, sequence labels *and* simulated
-    timestamps."""
-    legacy, legacy_results = run_sequential_writes("off")
-    batched, batched_results = run_sequential_writes(BatchConfig.sized(1))
-    assert batched_results == legacy_results
-    assert wire_trace(batched) == wire_trace(legacy)
-    assert full_trace_sans_diagnostics(batched) == full_trace_sans_diagnostics(legacy)
-    # The batch loop really ran (this is not the legacy code path) ...
-    leader = batched.replicas[0]
-    assert leader.stats.batches_sent >= len(batched_results)
-    # ... but no Batch message ever hit the wire: single-request batches
-    # are emitted as bare Requests, preserving the wire format.
-    assert not [line for line in wire_trace(batched) if "Batch" in line]
+#: Concurrent closed-loop clients enough for the adaptive cutoff to form
+#: multi-request batches (each arrival finds others in flight).
+CLIENTS = 16
 
 
 def run_concurrent_mix(batching, clients: int = 4, writes: int = 4):
@@ -88,8 +45,12 @@ def run_concurrent_mix(batching, clients: int = 4, writes: int = 4):
 
 
 def test_size_one_batches_are_state_machine_equivalent():
-    legacy, legacy_results = run_concurrent_mix("off")
-    batched, batched_results = run_concurrent_mix(BatchConfig.sized(1))
+    """One closed-loop client never overlaps its own requests, so the
+    adaptive cutoff stays at one request per batch."""
+    legacy, legacy_results = run_concurrent_mix("off", clients=1)
+    batched, batched_results = run_concurrent_mix("adaptive", clients=1)
+    leader = batched.replicas[0]
+    assert leader.stats.batches_sent == leader.stats.batched_requests > 0
     assert batched_results == legacy_results
     legacy_snap = {r.app.snapshot() for r in legacy.replicas}
     batched_snap = {r.app.snapshot() for r in batched.replicas}
@@ -101,9 +62,9 @@ def test_size_one_batches_are_state_machine_equivalent():
 
 
 def test_multi_request_batches_preserve_outcomes():
-    """Real batching (size 4) is observationally equivalent for clients."""
-    legacy, legacy_results = run_concurrent_mix("off")
-    batched, batched_results = run_concurrent_mix(BatchConfig.sized(4))
+    """Real batching is observationally equivalent for clients."""
+    legacy, legacy_results = run_concurrent_mix("off", clients=CLIENTS)
+    batched, batched_results = run_concurrent_mix("adaptive", clients=CLIENTS)
     assert batched_results == legacy_results
     assert {r.app.snapshot() for r in batched.replicas} == {
         r.app.snapshot() for r in legacy.replicas
@@ -126,7 +87,7 @@ def test_pipelined_commits_are_in_order():
     strictly non-decreasing, gap-free sequence order."""
     cluster = build_troxy(
         seed=73, app_factory=KvStore, trace=True,
-        batching=BatchConfig(max_batch=4, pipeline_depth=4),
+        batching="adaptive",
     )
     done = []
 
@@ -160,7 +121,7 @@ def test_pipelined_commits_in_order_across_view_change():
     config = ClusterConfig(f=1, request_timeout=1.5, progress_timeout=0.5)
     cluster = build_troxy(
         seed=74, app_factory=KvStore, config=config, trace=True,
-        batching=BatchConfig(max_batch=4, pipeline_depth=4),
+        batching="adaptive",
     )
     completed = {}
 

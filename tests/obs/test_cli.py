@@ -51,3 +51,8 @@ def test_cli_format_subset(tmp_path):
 def test_cli_rejects_unknown_format(tmp_path):
     with pytest.raises(SystemExit):
         main(["--out", str(tmp_path), "--formats", "protobuf"])
+
+
+def test_cli_batching_is_off_or_adaptive(tmp_path):
+    with pytest.raises(SystemExit):
+        main(["--out", str(tmp_path), "--batching", "4"])

@@ -249,7 +249,7 @@ def test_a_held_vote_is_voting_wait_and_lies_inside_the_deciding_crossing():
 def test_a_bundle_crossing_joins_the_tree_of_every_request_it_votes_on():
     from repro.apps.kvstore import put
 
-    cluster, plane, host, keys = _forwarded_cell(4)
+    cluster, plane, host, keys = _forwarded_cell("adaptive")
     clients = plane.wrap_clients(
         [cluster.new_client(contact_index=0) for _ in range(4)]
     )
@@ -257,6 +257,7 @@ def test_a_bundle_crossing_joins_the_tree_of_every_request_it_votes_on():
         cluster.env.process(client.invoke(put(key, b"v")))
     cluster.env.run(until=1.0)
     plane.finalize()
+    assert any(r.stats.batched_requests > r.stats.batches_sent for r in cluster.replicas)
     shared = {}
     for client in clients:
         crossings = [

@@ -11,18 +11,18 @@ must still cover each completed request fully.
 
 from repro.apps.kvstore import KvStore, get, put
 from repro.deploy import build_troxy
-from repro.hybster.config import BatchConfig, ClusterConfig
+from repro.hybster.config import ClusterConfig
 from repro.obs.critpath import analyze
 from repro.obs.probes import ObsPlane
 
-FLUSH_REASONS = {"size", "idle", "drain", "timeout", "dropped"}
+FLUSH_REASONS = {"size", "idle", "timeout", "dropped"}
 
 
 def test_queue_spans_close_exactly_once_across_leader_crash():
     config = ClusterConfig(f=1, request_timeout=1.5, progress_timeout=0.5)
     cluster = build_troxy(
         seed=74, app_factory=KvStore, config=config,
-        batching=BatchConfig(max_batch=4, pipeline_depth=4),
+        batching="adaptive",
     )
     plane = ObsPlane().attach(cluster)
     completed = {}

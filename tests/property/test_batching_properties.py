@@ -8,8 +8,8 @@ the protocol relies on:
 * requests leave in arrival order (no reordering between a client's
   requests or anyone else's),
 * nothing is duplicated or dropped across any sequence of flushes,
-* ``take()`` respects ``max_batch`` and the adaptive cutoff stays within
-  ``[min_batch, max_batch]``,
+* ``take()`` respects ``MAX_BATCH`` and the adaptive cutoff stays within
+  ``[MIN_BATCH, MAX_BATCH]``,
 * nothing flushes while the agreement pipeline is full,
 * the batch digest is a deterministic, order-sensitive function of the
   request tuple (the counter certificate covers entry order).
@@ -19,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.kvstore import put
-from repro.hybster.batching import BatchAssembler
-from repro.hybster.config import BatchConfig
+from repro.hybster.batching import (
+    BATCH_WAIT, MAX_BATCH, MIN_BATCH, PIPELINE_DEPTH, BatchAssembler,
+)
 from repro.hybster.messages import Batch, Request
 
 
@@ -33,33 +34,30 @@ def make_request(i: int) -> Request:
     )
 
 
-@st.composite
-def batch_configs(draw):
-    max_batch = draw(st.integers(min_value=1, max_value=32))
-    adaptive = draw(st.booleans())
-    return BatchConfig(
-        max_batch=max_batch,
-        min_batch=draw(st.integers(min_value=1, max_value=max_batch)),
-        batch_wait=draw(st.sampled_from([0.001, 0.01] if adaptive else [0.0, 0.001, 0.01])),
-        pipeline_depth=draw(st.integers(min_value=1, max_value=8)),
-        adaptive=adaptive,
-    )
+#: A run's arrival gap, from far below to far above ``BATCH_WAIT``, so
+#: across runs the cutoff sweeps its whole range, ``MIN_BATCH`` to the cap.
+GAPS = st.sampled_from([0.0, 1e-7, 1e-6, 1e-5, BATCH_WAIT, 1e-3])
+#: In-flight batches a flush attempt sees: idle, moving, full, past full.
+INFLIGHT = st.sampled_from([0, 1, 2, PIPELINE_DEPTH - 1, PIPELINE_DEPTH, PIPELINE_DEPTH + 2])
 
 
 @st.composite
 def assembler_runs(draw):
-    """An assembler plus a schedule of (enqueue | flush-attempt) steps
-    with non-decreasing timestamps and arbitrary in-flight counts."""
-    config = draw(batch_configs())
+    """A schedule of (enqueue | flush-attempt) steps with non-decreasing
+    timestamps. In a run with rare flush attempts the buffer outgrows
+    ``MAX_BATCH``, so ``take()`` meets the cap; an occasional pause of a
+    hundred gaps lets a flush attempt find the oldest request overdue."""
+    enqueues_per_flush = draw(st.sampled_from([1, 7, 100]))
+    gap = draw(GAPS)
     steps = []
     now = 0.0
-    for i in range(draw(st.integers(min_value=1, max_value=40))):
-        now += draw(st.floats(min_value=0.0, max_value=0.01))
-        if draw(st.booleans()):
+    for i in range(draw(st.integers(min_value=1, max_value=160))):
+        now += gap * draw(st.sampled_from([0, 1, 2, 100]))
+        if draw(st.integers(0, enqueues_per_flush)):
             steps.append(("enqueue", now, i))
         else:
-            steps.append(("flush", now, draw(st.integers(0, 10))))
-    return config, steps
+            steps.append(("flush", now, draw(INFLIGHT)))
+    return steps
 
 
 @given(assembler_runs())
@@ -67,10 +65,9 @@ def assembler_runs(draw):
 def test_no_reordering_no_dup_no_drop(run):
     """Concatenating every flushed batch plus the final drain replays the
     exact enqueue sequence: FIFO order, each request exactly once."""
-    config, steps = run
-    assembler = BatchAssembler(config)
+    assembler = BatchAssembler()
     enqueued, flushed = [], []
-    for kind, now, arg in steps:
+    for kind, now, arg in run:
         if kind == "enqueue":
             request = make_request(arg)
             enqueued.append(request)
@@ -90,28 +87,27 @@ def test_no_reordering_no_dup_no_drop(run):
 @given(assembler_runs())
 @settings(max_examples=200, deadline=None)
 def test_caps_and_pipeline_respected(run):
-    config, steps = run
-    assembler = BatchAssembler(config)
-    for kind, now, arg in steps:
+    assembler = BatchAssembler()
+    for kind, now, arg in run:
         if kind == "enqueue":
             assembler.enqueue(make_request(arg), now)
         else:
             cutoff = assembler.cutoff()
-            assert config.min_batch <= cutoff <= config.max_batch
+            assert MIN_BATCH <= cutoff <= MAX_BATCH
             reason = assembler.flush_reason(now, inflight=arg)
-            if arg >= config.pipeline_depth:
+            if arg >= PIPELINE_DEPTH:
                 assert reason is None, "flushed into a full pipeline"
             if reason is not None:
-                assert len(assembler.take()) <= config.max_batch
+                buffered = len(assembler)
+                assert len(assembler.take()) == min(buffered, MAX_BATCH)
 
 
 @given(assembler_runs())
 @settings(max_examples=100, deadline=None)
 def test_flush_reasons_are_justified(run):
     """Each reported reason matches the state that triggered it."""
-    config, steps = run
-    assembler = BatchAssembler(config)
-    for kind, now, arg in steps:
+    assembler = BatchAssembler()
+    for kind, now, arg in run:
         if kind == "enqueue":
             assembler.enqueue(make_request(arg), now)
             continue
@@ -125,8 +121,6 @@ def test_flush_reasons_are_justified(run):
             assert buffered >= assembler.cutoff()
         elif reason == "idle":
             assert arg == 0
-        elif reason == "drain":
-            assert config.batch_wait <= 0
         elif reason == "timeout":
             assert deadline is not None and now >= deadline
         else:
@@ -145,27 +139,26 @@ def test_batch_digest_deterministic_and_order_sensitive(ids):
     assert Batch(rotated).digest() != Batch(requests).digest()
 
 
-@given(st.integers(min_value=2, max_value=64),
-       st.floats(min_value=1e-6, max_value=1e-3),
-       st.floats(min_value=1e-6, max_value=1e-2))
+@given(st.floats(min_value=1e-8, max_value=1e-3))
 @settings(max_examples=200, deadline=None)
-def test_adaptive_cutoff_tracks_arrival_rate_within_bounds(max_batch, gap, wait):
-    """Under a steady arrival rate the adaptive cutoff converges to the
-    number of arrivals expected per wait window, clamped to the caps."""
-    config = BatchConfig(
-        max_batch=max_batch, batch_wait=wait, pipeline_depth=4, adaptive=True
-    )
-    assembler = BatchAssembler(config)
-    for i in range(50):
+def test_adaptive_cutoff_tracks_arrival_rate_within_bounds(gap):
+    """Under a steady arrival rate the cutoff converges to the number of
+    arrivals expected per wait window, clamped to the caps; a backlog
+    past ``MAX_BATCH`` leaves in batches of exactly the cap."""
+    assembler = BatchAssembler()
+    arrivals = MAX_BATCH + 36
+    for i in range(arrivals):
         assembler.enqueue(make_request(i), i * gap)
     cutoff = assembler.cutoff()
 
     def clamped(ratio):
-        return min(max_batch, max(config.min_batch, int(ratio)))
+        return min(MAX_BATCH, max(MIN_BATCH, int(ratio)))
 
     # The smoothed gap is built from differences of ``i * gap`` and is
     # only equal to ``gap`` up to float rounding, so a ratio sitting on
-    # an integer (wait=0.01, gap=0.001) may truncate to either side.
-    ratio = wait / gap
+    # an integer (gap=1e-5) may truncate to either side.
+    ratio = BATCH_WAIT / gap
     assert clamped(ratio * (1 - 1e-9)) <= cutoff <= clamped(ratio * (1 + 1e-9))
-    assert config.min_batch <= cutoff <= config.max_batch
+    assert MIN_BATCH <= cutoff <= MAX_BATCH
+    assert len(assembler.take()) == MAX_BATCH
+    assert len(assembler.take()) == arrivals - MAX_BATCH

@@ -1,6 +1,6 @@
 """Property-based tests for the linearizability checker itself, plus an
 end-to-end property: real Troxy clusters produce linearizable histories
-at every agreement-batching setting (docs/BATCHING.md)."""
+with agreement batching on (docs/BATCHING.md)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +9,6 @@ from repro.analysis.history import HistoryRecorder
 from repro.analysis.linearizability import OpRecord, check_key_history
 from repro.apps.kvstore import KvStore, get, put
 from repro.deploy import build_troxy
-from repro.hybster.config import BatchConfig
 
 
 @st.composite
@@ -72,15 +71,11 @@ def test_widening_intervals_preserves_linearizability(history):
 
 @st.composite
 def cluster_workloads(draw):
-    """A batching setting, cluster seed, and a contended workload (few
-    keys, several clients, mixed reads/writes with unique values)."""
-    batching = draw(
-        st.sampled_from(
-            [BatchConfig.sized(1), BatchConfig.sized(4), BatchConfig.sized(16)]
-        )
-    )
+    """A cluster seed and a contended workload (few keys, clients
+    enough to form multi-request batches, mixed reads/writes with
+    unique values)."""
     seed = draw(st.integers(min_value=0, max_value=10_000))
-    n_clients = draw(st.integers(min_value=2, max_value=3))
+    n_clients = draw(st.integers(min_value=4, max_value=6))
     schedules = []
     for c in range(n_clients):
         ops = []
@@ -91,16 +86,16 @@ def cluster_workloads(draw):
             else:
                 ops.append(get(key))
         schedules.append(ops)
-    return batching, seed, schedules
+    return seed, schedules
 
 
 @given(cluster_workloads())
 @settings(max_examples=12, deadline=None)
 def test_batched_agreement_histories_are_linearizable(workload):
-    """Whatever the batch size, the recorded client history — fast reads,
+    """With batching on, the recorded client history — fast reads,
     cached reads, and batched ordered operations included — linearizes."""
-    batching, seed, schedules = workload
-    cluster = build_troxy(seed=seed, app_factory=KvStore, batching=batching)
+    seed, schedules = workload
+    cluster = build_troxy(seed=seed, app_factory=KvStore, batching="adaptive")
     recorder = HistoryRecorder(cluster.env)
     done = []
 
@@ -127,7 +122,7 @@ def sharded_workloads(draw):
     deliberately span group boundaries (cross-shard reads included)."""
     shards = draw(st.sampled_from([1, 2, 4]))
     seed = draw(st.integers(min_value=0, max_value=10_000))
-    n_clients = draw(st.integers(min_value=2, max_value=3))
+    n_clients = draw(st.integers(min_value=4, max_value=6))
     schedules = []
     for c in range(n_clients):
         ops = []

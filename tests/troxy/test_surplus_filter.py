@@ -86,7 +86,7 @@ def test_the_third_reply_of_a_decided_request_does_not_cross():
 
 
 def test_a_bundle_with_no_open_member_does_not_cross():
-    cluster = build_troxy(seed=202, app_factory=KvStore, batching=4)
+    cluster = build_troxy(seed=202, app_factory=KvStore, batching="adaptive")
     host = cluster.hosts[1]
     bundles = capture(cluster, BatchedReply, host.node.name)
     clients = [cluster.new_client(contact_index=1) for _ in range(4)]
@@ -94,6 +94,8 @@ def test_a_bundle_with_no_open_member_does_not_cross():
         cluster.env.process(client.invoke(put(f"k{index}", b"v")))
     cluster.env.run(until=10.0)
     assert all(client.stats.timeouts == 0 for client in clients)
+    leader = cluster.replicas[0].stats
+    assert leader.batched_requests > leader.batches_sent
     assert any(len(bundle) > 1 for bundle in bundles)
 
     before = host.enclave.stats.ecalls

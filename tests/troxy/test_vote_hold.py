@@ -252,7 +252,7 @@ def test_f2_two_mismatching_votes_then_matching_ones_still_decide():
 
 
 def test_a_bundle_waits_and_the_next_one_takes_it_inside():
-    cluster = build_troxy(seed=307, shards=2, app_factory=KvStore, batching=4, leases="off")
+    cluster = build_troxy(seed=307, shards=2, app_factory=KvStore, batching="adaptive", leases="off")
     host = cluster.hosts[0]
     events = journal(cluster, host)
     keys = foreign_keys(cluster)
@@ -262,6 +262,8 @@ def test_a_bundle_waits_and_the_next_one_takes_it_inside():
     cluster.env.run(until=10.0)
     assert all(client.stats.timeouts == 0 for client in clients)
     assert cluster.cores[0].stats.replies_voted == 4
+    # The four writes were ordered in fewer batches than requests.
+    assert any(r.stats.batched_requests > r.stats.batches_sent for r in cluster.replicas)
     # The first vote message of the run is a bundle, and it waited: the
     # crossing came with the next one.
     assert events[0][0] == events[1][0] == "vote"
@@ -274,7 +276,7 @@ def test_one_completable_member_releases_everything_held_for_its_requests():
     """The many-to-many case, driven on the host's own table: a held
     bundle crosses whole, so it also counts as inside for the requests
     that did not trigger its release."""
-    cluster = build_troxy(seed=308, f=2, app_factory=KvStore, batching=4, leases="off")
+    cluster = build_troxy(seed=308, f=2, app_factory=KvStore, batching="adaptive", leases="off")
     host = cluster.hosts[0]
     me, peers = host.node.name, [h.replica_id for h in cluster.hosts[1:]]
 
