@@ -95,10 +95,6 @@ class ReplicaStats:
     batch_flush_size: int = 0
     batch_flush_timeout: int = 0
     batch_flush_idle: int = 0
-    #: Always 0: the one batching policy always waits, so nothing drains
-    #: (DESIGN.md D20). Kept because obs mirrors every field here into a
-    #: ``replica_*`` gauge, and the exported series are pinned by digest.
-    batch_flush_drain: int = 0
     max_pipeline_depth: int = 0
     # Lease granting and write parking (leader side; docs/READS.md).
     # All zero when leases are disabled.

@@ -1,13 +1,13 @@
 """repro.obs — unified metrics/span/trace observability layer.
 
 One coherent instrumentation plane for the whole stack: a
-:class:`~repro.obs.registry.Registry` of labeled counters, gauges and
-histograms, a :class:`~repro.obs.spans.SpanRecorder` of hierarchical
-sim-time spans that follow one request end-to-end (legacy client →
-Troxy host → ecall boundary → Hybster ordering → execution → reply
-voting → fast-read cache), and deterministic exporters
-(:mod:`repro.obs.export`): JSONL, Prometheus text format, and Chrome
-trace-event JSON loadable in Perfetto.
+:class:`~repro.obs.registry.Registry` of labeled counters and gauges, a
+:class:`~repro.obs.spans.SpanRecorder` of hierarchical sim-time spans
+that follow one request end-to-end (legacy client → Troxy host → ecall
+boundary → Hybster ordering → execution → reply voting → fast-read
+cache) and carry every duration, and deterministic exporters
+(:mod:`repro.obs.export`): JSONL and Chrome trace-event JSON loadable
+in Perfetto.
 
 Wiring happens through :class:`~repro.obs.probes.ObsPlane`, which
 subscribes to a deployment's probe bus (:mod:`repro.sim.probe`), the
@@ -25,24 +25,21 @@ BFT-aware anomaly detectors, and a fault-forensics flight recorder —
 over the :mod:`repro.faults` scenario catalogue.
 """
 
-from .export import chrome_trace, metrics_jsonl, prometheus_text, write_report
+from .export import chrome_trace, metrics_jsonl, write_report
 from .probes import ObsPlane
 from .quantiles import QuantileSketch
-from .registry import Counter, Gauge, Histogram, Quantile, Registry
+from .registry import Counter, Gauge, Registry
 from .spans import Span, SpanRecorder
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "ObsPlane",
-    "Quantile",
     "QuantileSketch",
     "Registry",
     "Span",
     "SpanRecorder",
     "chrome_trace",
     "metrics_jsonl",
-    "prometheus_text",
     "write_report",
 ]

@@ -7,12 +7,12 @@ Usage::
     python -m repro.obs --system etroxy --seed 7 --out d # pick seed/system
     python -m repro.obs --batching adaptive --out d      # batch queue visible
     python -m repro.obs --shards 4 --out d               # sharded write cell
-    python -m repro.obs --formats prometheus,chrome ...  # subset of formats
 
 The workload is a small closed-loop read-mostly mix against a simulated
 cluster (with ``--shards``, the sharded write cell of the sharding
 benchmark instead); every phase of every request is recorded as
-sim-time spans and registry metrics, then exported deterministically.
+sim-time spans and registry counters and gauges, then exported
+deterministically to ``metrics.jsonl`` and ``trace.json``.
 Every completed request is attributed with :mod:`repro.obs.critpath`:
 the bottleneck report is printed after the summary and written to
 ``critpath.txt`` next to the aggregate profile ``critpath.json``, and
@@ -33,7 +33,7 @@ from pathlib import Path
 from ..bench.critpath import attributed_sharded_run
 from ..bench.experiments import _run_system, mixed_source
 from .critpath import analyze, highlighted_chrome_trace, render_report
-from .export import REPORT_FILES, write_report
+from .export import write_report
 from .probes import ObsPlane
 
 
@@ -100,7 +100,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Run an instrumented workload and export deterministic "
-        "metrics/span reports (Prometheus text, JSONL, Chrome trace).",
+        "metrics/span reports (JSONL, Chrome trace).",
     )
     parser.add_argument("--system", default="etroxy",
                         choices=("bl", "ctroxy", "etroxy"),
@@ -124,15 +124,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="obs-report", metavar="DIR",
                         help="directory for export and critpath files "
                         "(default: obs-report)")
-    parser.add_argument("--formats", default="prometheus,jsonl,chrome",
-                        help="comma-separated subset of: "
-                        + ",".join(sorted(REPORT_FILES)))
     args = parser.parse_args(argv)
-
-    formats = [f.strip() for f in args.formats.split(",") if f.strip()]
-    for fmt in formats:
-        if fmt not in REPORT_FILES:
-            parser.error(f"unknown format {fmt!r}; choose from {sorted(REPORT_FILES)}")
 
     if args.shards:
         analysis, summary, _cluster, plane = attributed_sharded_run(
@@ -150,7 +142,7 @@ def main(argv=None) -> int:
         analysis = analyze(plane.spans)
     spans = plane.spans.spans
     written = write_report(
-        args.out, plane.registry, spans, formats,
+        args.out, plane.registry, spans,
         trace=highlighted_chrome_trace(spans, analysis),
     )
     report = render_report(analysis, _label(args))

@@ -85,10 +85,7 @@ class AuditPlane:
                 triggers=self.events,
             )
             for verdict in self.verdicts:
-                self.registry.counter(
-                    "audit_verdicts_total", "Audit blame verdicts",
-                    kind=verdict.kind,
-                ).inc()
+                self.registry.counter("audit_verdicts_total", kind=verdict.kind).inc()
         return unfinished
 
     # -- reporting ------------------------------------------------------------

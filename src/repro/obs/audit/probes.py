@@ -139,8 +139,7 @@ class LedgerProbes:
             counter = self._entry_counters.get((node, direction))
             if counter is None:
                 counter = self._entry_counters[(node, direction)] = self.registry.counter(
-                    "audit_ledger_entries_total", "Audit ledger entries appended",
-                    node=node, direction=direction,
+                    "audit_ledger_entries_total", node=node, direction=direction,
                 )
             counter.inc()
         replica = self._replicas.get(node)
@@ -178,7 +177,6 @@ class LedgerProbes:
             counter = self._checkpoint_counters.get(ledger.node_id)
             if counter is None:
                 counter = self._checkpoint_counters[ledger.node_id] = self.registry.counter(
-                    "audit_checkpoints_total", "Certified audit-ledger checkpoints",
-                    node=ledger.node_id,
+                    "audit_checkpoints_total", node=ledger.node_id,
                 )
             counter.inc()

@@ -208,8 +208,7 @@ class HealthPlane:
             self.events.extend(events)
             for event in events:
                 self.registry.counter(
-                    "health_events_total", "Health diagnoses emitted",
-                    kind=event.kind, severity=event.severity,
+                    "health_events_total", kind=event.kind, severity=event.severity
                 ).inc()
             self.flight.capture(win.end, events)
         self.windows_evaluated += 1
@@ -292,12 +291,8 @@ class HealthPlane:
             # The run may end mid-window; evaluate what accumulated.
             self._win.end = max(self.now, self._win.start)
             self._close_window(advance=False)
-        self.registry.gauge(
-            "health_windows_evaluated", "Sliding windows judged"
-        ).set(self.windows_evaluated)
-        self.registry.gauge(
-            "health_flight_bundles", "Forensic bundles captured"
-        ).set(len(self.flight.bundles))
+        self.registry.gauge("health_windows_evaluated").set(self.windows_evaluated)
+        self.registry.gauge("health_flight_bundles").set(len(self.flight.bundles))
         return unfinished
 
     # -- reporting ---------------------------------------------------------------

@@ -20,33 +20,13 @@ produce byte-identical bundles (CI's obs-smoke job diffs them).
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from ..export import chrome_trace
+from ..export import _dumps, chrome_trace, span_record
 from ..spans import Span
 from .events import HealthEvent
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def span_record(span: Span) -> dict:
-    """The JSONL shape shared with :func:`repro.obs.export.metrics_jsonl`."""
-    return {
-        "type": span.kind,
-        "span_id": span.span_id,
-        "parent_id": span.parent_id,
-        "trace_id": span.trace_id,
-        "name": span.name,
-        "node": span.node,
-        "start": span.start,
-        "end": span.end,
-        "attrs": span.attrs,
-    }
 
 
 class FlightRecorder:

@@ -3,8 +3,8 @@
 The layers report on their deployment's probe bus
 (:mod:`repro.sim.probe`); they never import this package. The plane is
 one subscriber of that bus: :data:`RULES` lists the event kinds it
-consumes, how each becomes spans and which counter or histogram a span
-of each kind feeds. A probe added at a site is one row here
+consumes, how each becomes spans and which counter a span of each kind
+feeds. A probe added at a site is one row here
 (docs/OBSERVABILITY.md, "Probes").
 
 Non-perturbation guarantee: the plane schedules **zero** simulation
@@ -49,14 +49,9 @@ from .registry import Registry
 from .spans import Span, SpanRecorder, trace_key
 
 
-def _counts(metric: str, help_text: str, *labels: str, at: str = "close") -> tuple:
+def _counts(metric: str, *labels: str, at: str = "close") -> tuple:
     """Feed: a counter of the spans of a kind, bumped as one opens/closes."""
-    return (at, "counter", metric, help_text, labels)
-
-
-def _times(metric: str, help_text: str, *labels: str) -> tuple:
-    """Feed: a histogram of the durations of the spans of a kind."""
-    return ("close", "histogram", metric, help_text, labels)
+    return (at, metric, labels)
 
 
 #: Every bus kind the plane consumes -> (how, what its spans feed).
@@ -67,48 +62,25 @@ def _times(metric: str, help_text: str, *labels: str) -> tuple:
 #: need correlation (whose trace, which parent, a span opened on one node
 #: and closed on another) and name the method that does it.
 #:
-#: Feeds, besides ``phase_seconds``: the span's node is always a label,
-#: the named attrs are the others. One crossing or order round may cover
-#: several spans (one per request it works for); it feeds once, through
-#: the first.
+#: Feeds: the span's node is always a label, the named attrs are the
+#: others. One crossing or order round may cover several spans (one per
+#: request it works for); it feeds once, through the first.
 RULES = {
-    "enclave.ecall": (
-        "_open_ecall",
-        _counts("ecall_transitions_total", "Enclave boundary crossings",
-                "enclave", "ecall", at="open"),
-        _times("ecall_seconds", "Sim-time spent inside one ecall", "ecall"),
-    ),
-    "troxy.host": ("_open_host", _counts(
-        "troxy_host_messages_total", "Messages pumped by the untrusted host", "type", at="open")),
-    "troxy.cache": (None, _counts("cache_lookups_total", "Fast-read cache checks", "outcome")),
-    "troxy.fast_read": (None, _counts(
-        "fast_read_results_total", "Fast-read protocol outcomes", "outcome")),
-    "troxy.lease_read": (None, _counts(
-        "lease_read_results_total", "Lease read path outcomes", "outcome")),
-    "troxy.lease_install": (None, _counts(
-        "lease_installs_total", "Lease grant install outcomes", "outcome")),
-    "troxy.lease_revoke": (None, _counts(
-        "lease_revocations_total", "Lease revocations processed")),
-    "troxy.vote": (None, _counts(
-        "votes_total", "Reply votes processed by the server-side voter", "outcome")),
-    "monitor.switch": (None, _counts(
-        "monitor_mode_switches_total", "Adaptive total-order switches", "mode")),
-    "hybster.order": ("_open_order", _counts("orders_total", "Slots assigned by the leader")),
-    "hybster.execute": ("_open_execute", _counts(
-        "executions_total", "Requests executed by the state machine")),
-    "hybster.commit": ("_on_commit", _counts(
-        "commits_total", "Slots that reached commit quorum")),
-    "hybster.queue": (
-        "_on_enqueue",
-        _counts("queue_requests_total", "Requests leaving the leader batch queue", "reason"),
-        _times("queue_wait_seconds", "Sim-time spent in the leader batch queue"),
-    ),
-    "shard.forward": (
-        "_on_forward",
-        _counts("shard_forwards_total", "Requests forwarded to their owning group",
-                "target", at="open"),
-        _times("forward_hop_seconds", "Fronting-to-owning-group hop time"),
-    ),
+    "enclave.ecall": ("_open_ecall", _counts(
+        "ecall_transitions_total", "enclave", "ecall", at="open")),
+    "troxy.host": ("_open_host", _counts("troxy_host_messages_total", "type", at="open")),
+    "troxy.cache": (None, _counts("cache_lookups_total", "outcome")),
+    "troxy.fast_read": (None, _counts("fast_read_results_total", "outcome")),
+    "troxy.lease_read": (None, _counts("lease_read_results_total", "outcome")),
+    "troxy.lease_install": (None, _counts("lease_installs_total", "outcome")),
+    "troxy.lease_revoke": (None, _counts("lease_revocations_total")),
+    "troxy.vote": (None, _counts("votes_total", "outcome")),
+    "monitor.switch": (None, _counts("monitor_mode_switches_total", "mode")),
+    "hybster.order": ("_open_order", _counts("orders_total")),
+    "hybster.execute": ("_open_execute", _counts("executions_total")),
+    "hybster.commit": ("_on_commit", _counts("commits_total")),
+    "hybster.queue": ("_on_enqueue", _counts("queue_requests_total", "reason")),
+    "shard.forward": ("_on_forward", _counts("shard_forwards_total", "target", at="open")),
     # No span of their own: they scope, close or count something else.
     "hybster.certify": ("_on_certify",),
     "hybster.certified": ("_on_certified",),
@@ -328,31 +300,20 @@ class ObsPlane:
         if span.end is not None:
             return False
         self.spans.end(span, t, **attrs)
-        self._instrument(
-            "histogram", "phase_seconds", "Sim-time per protocol phase (span name)",
-            phase=span.name,
-        ).observe(span.duration)
         return True
 
-    def _instrument(self, make: str, metric: str, help_text: str, **labels):
+    def _counter(self, metric: str, **labels):
         key = (metric, *labels.values())
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = getattr(self.registry, make)(
-                metric, help_text, **labels
-            )
+            series = self._series[key] = self.registry.counter(metric, **labels)
         return series
 
     def _feed(self, when: str, span: Span) -> None:
-        for at, make, metric, help_text, labels in RULES[span.name.partition(":")[0]][1:]:
-            if at != when:
-                continue
-            values = {label: _label(span, label) for label in labels}
-            series = self._instrument(make, metric, help_text, node=span.node, **values)
-            if make == "counter":
-                series.inc()
-            else:
-                series.observe(span.duration)
+        for at, metric, labels in RULES[span.name.partition(":")[0]][1:]:
+            if at == when:
+                values = {label: _label(span, label) for label in labels}
+                self._counter(metric, node=span.node, **values).inc()
 
     # -- client ----------------------------------------------------------------
 
@@ -368,23 +329,11 @@ class ObsPlane:
             client=client.client_id, op=op.name, read=op.is_read,
         )
         self._root_span[trace] = span
-        self.registry.counter(
-            "client_invocations_total", "Client operations started",
-            node=node.name,
-        ).inc()
+        self.registry.counter("client_invocations_total", node=node.name).inc()
         result = yield from client.invoke(op)
         if self._root_span.get(trace) is span:
             del self._root_span[trace]
-        if not self._close(span, self.now, {"retries": result.retries}):
-            return result  # detached meanwhile: closed there, nothing after
-        self.registry.histogram(
-            "client_latency_seconds", "End-to-end client latency",
-            node=node.name,
-        ).observe(result.latency)
-        self.registry.quantile(
-            "client_latency_quantile", "Streaming client-latency quantiles",
-            node=node.name, op_class="read" if op.is_read else "write",
-        ).observe(result.latency)
+        self._close(span, self.now, {"retries": result.retries})
         return result
 
     # -- kinds that need correlation: intervals ---------------------------------------
@@ -493,21 +442,13 @@ class ObsPlane:
                 self.end(t, (span,), {"reason": reason, "batch": size})
 
     def _on_batch(self, t, node, requests, attrs) -> None:
-        """Leader cut one batch: its requests leave the queue; occupancy,
-        flush reason and pipeline depth are the batch's own metrics."""
-        reason, size = attrs["reason"], len(requests)
-        self._leave_queue(t, requests, reason, size)
-        self.registry.counter(
-            "batch_flushes_total", "Batches cut by the leader",
-            node=node, reason=reason,
-        ).inc()
-        self.registry.histogram(
-            "batch_occupancy", "Requests per cut batch", node=node,
-        ).observe(size)
-        self.registry.gauge(
-            "batch_pipeline_depth", "Batches in flight after this flush",
-            node=node,
-        ).set(attrs["depth"])
+        """Leader cut one batch: its requests leave the queue; flush
+        reason and pipeline depth are the batch's own metrics (its size
+        is the ``batch`` attr of the queue spans it closes)."""
+        reason = attrs["reason"]
+        self._leave_queue(t, requests, reason, len(requests))
+        self.registry.counter("batch_flushes_total", node=node, reason=reason).inc()
+        self.registry.gauge("batch_pipeline_depth", node=node).set(attrs["depth"])
 
     def _on_queue_drop(self, t, _node, requests, _attrs) -> None:
         """Requests drained unordered (view change / restart)."""
@@ -533,12 +474,8 @@ class ObsPlane:
     def _on_send(self, _t, src, payload, attrs) -> None:
         """Offered traffic: counted before any send filter can drop it."""
         labels = {"src": src, "dst": attrs["dst"], "type": type(payload).__name__}
-        self._instrument(
-            "counter", "net_messages_total", "Messages offered to the network", **labels
-        ).inc()
-        self._instrument(
-            "counter", "net_bytes_total", "Payload bytes offered to the network", **labels
-        ).inc(attrs["size"])
+        self._counter("net_messages_total", **labels).inc()
+        self._counter("net_bytes_total", **labels).inc(attrs["size"])
 
     # -- snapshots & lifecycle -----------------------------------------------------------------
 
@@ -580,18 +517,12 @@ class ObsPlane:
                 int(host.core.monitor.total_order_mode)
             )
         net = cluster.net
-        self.registry.gauge(
-            "net_messages_sent", "Transfers accepted by the network"
-        ).set(net.messages_sent)
+        self.registry.gauge("net_messages_sent").set(net.messages_sent)
         self.registry.gauge("net_bytes_sent").set(net.bytes_sent)
         env = cluster.env
-        self.registry.gauge("sim_now_seconds", "Simulated clock").set(env.now)
-        self.registry.gauge(
-            "sim_events_scheduled", "Events ever pushed on the schedule"
-        ).set(env.scheduled_events)
-        self.registry.gauge(
-            "sim_steps", "Scheduler steps processed"
-        ).set(env.steps)
+        self.registry.gauge("sim_now_seconds").set(env.now)
+        self.registry.gauge("sim_events_scheduled").set(env.scheduled_events)
+        self.registry.gauge("sim_steps").set(env.steps)
 
     def finalize(self) -> int:
         """End-of-run: close in-flight spans and snapshot all stats.
@@ -600,8 +531,6 @@ class ObsPlane:
         flight when the simulation horizon was reached).
         """
         unfinished = self.spans.finish(self.now)
-        self.registry.gauge(
-            "spans_unfinished", "Spans still open at the end of the run"
-        ).set(unfinished)
+        self.registry.gauge("spans_unfinished").set(unfinished)
         self.snapshot()
         return unfinished

@@ -12,7 +12,7 @@ Two properties matter more than approximation error here:
 - **Determinism** — no randomness, no wall clock; the centroid list is
   a pure function of the observation sequence (compression uses a
   stable sort keyed on centroid mean), so same-seed simulation runs
-  export byte-identical quantile lines.
+  print byte-identical critical-path and health-SLO quantiles.
 - **Mergeability** — :meth:`merge` folds another sketch in by treating
   its centroids as weighted observations, which is exact for disjoint
   windows up to the usual digest error. Sliding-window SLO evaluation

@@ -1,36 +1,26 @@
-"""Registry of labeled counters, gauges, and histograms.
+"""Registry of labeled counters and gauges.
 
 The registry is the single sink every layer emits into. Instruments are
 identified by (name, sorted label set); asking for the same identity
 twice returns the same instrument, so probes in different subsystems can
-share series without coordination. Everything is plain Python state —
-no wall-clock timestamps, no background threads — so a registry filled
-by a deterministic simulation run exports byte-identically.
+share series without coordination. Durations are not instruments: they
+are spans (:mod:`repro.obs.spans`), and their quantiles come from
+:class:`~repro.obs.quantiles.QuantileSketch` over those spans. Everything
+is plain Python state — no wall-clock timestamps, no background threads
+— so a registry filled by a deterministic simulation run exports
+byte-identically.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
-
-from .quantiles import QuantileSketch
+from typing import Iterator, Union
 
 Number = Union[int, float]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-#: Default latency-style buckets (seconds); chosen to resolve both the
-#: LAN microsecond regime and the paper's 100 ms WAN regime.
-DEFAULT_BUCKETS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-    0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
-)
-
-#: Default tracked quantiles: median, tail, extreme tail.
-DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
 
 
 class RegistryError(Exception):
@@ -81,105 +71,6 @@ class Gauge:
     def set(self, value: Number) -> None:
         self.value = value
 
-    def inc(self, amount: Number = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: Number = 1) -> None:
-        self.value -= amount
-
-
-class Histogram:
-    """Cumulative-bucket histogram (Prometheus semantics)."""
-
-    kind = "histogram"
-    __slots__ = ("name", "labels", "buckets", "counts", "sum", "count")
-
-    def __init__(
-        self,
-        name: str,
-        labels: tuple[tuple[str, str], ...],
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ):
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise RegistryError(f"histogram {name} needs at least one bucket")
-        if any(math.isnan(b) or math.isinf(b) for b in bounds):
-            raise RegistryError(f"histogram {name} buckets must be finite")
-        self.name = name
-        self.labels = labels
-        self.buckets = bounds
-        # One count per finite bound; the +Inf bucket is ``count``.
-        self.counts = [0] * len(bounds)
-        self.sum: float = 0.0
-        self.count: int = 0
-
-    def observe(self, value: Number) -> None:
-        self.sum += value
-        self.count += 1
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                break
-
-    def cumulative(self) -> list[tuple[float, int]]:
-        """(upper_bound, cumulative_count) pairs, +Inf last."""
-        out: list[tuple[float, int]] = []
-        running = 0
-        for bound, n in zip(self.buckets, self.counts):
-            running += n
-            out.append((bound, running))
-        out.append((math.inf, self.count))
-        return out
-
-
-class Quantile:
-    """Streaming-quantile instrument backed by a mergeable sketch.
-
-    Complements :class:`Histogram`, whose fixed buckets only bound a
-    quantile to a bucket width: the sketch tracks the distribution
-    itself, so exporters can emit ``_quantile{q=...}`` lines for any
-    tracked quantile with sub-bucket resolution.
-    """
-
-    kind = "quantile"
-    __slots__ = ("name", "labels", "quantiles", "sketch")
-
-    def __init__(
-        self,
-        name: str,
-        labels: tuple[tuple[str, str], ...],
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-        compression: int = 64,
-    ):
-        qs = tuple(sorted(float(q) for q in quantiles))
-        if not qs:
-            raise RegistryError(f"quantile {name} needs at least one quantile")
-        if any(not 0.0 < q < 1.0 for q in qs):
-            raise RegistryError(f"quantile {name} quantiles must be in (0, 1)")
-        self.name = name
-        self.labels = labels
-        self.quantiles = qs
-        self.sketch = QuantileSketch(compression=compression)
-
-    def observe(self, value: Number) -> None:
-        self.sketch.observe(value)
-
-    @property
-    def sum(self) -> float:
-        return self.sketch.sum
-
-    @property
-    def count(self) -> int:
-        return int(self.sketch.count)
-
-    def value(self, q: float) -> float:
-        """Estimated value at quantile ``q`` (NaN when empty)."""
-        return self.sketch.quantile(q)
-
-    def snapshot(self) -> list[tuple[float, float]]:
-        """(q, estimate) pairs for every tracked quantile."""
-        return [(q, self.sketch.quantile(q)) for q in self.quantiles]
-
 
 @dataclass
 class _Family:
@@ -187,9 +78,6 @@ class _Family:
 
     name: str
     kind: str
-    help: str = ""
-    buckets: Optional[tuple[float, ...]] = None
-    quantiles: Optional[tuple[float, ...]] = None
     instruments: dict = field(default_factory=dict)
 
 
@@ -201,89 +89,25 @@ class Registry:
 
     # -- instrument factories -------------------------------------------------
 
-    def counter(self, name: str, help: str = "", **labels) -> Counter:
-        return self._get(name, "counter", help, labels, Counter)
+    def counter(self, name: str, **labels) -> Counter:
+        return self._get(name, labels, Counter)
 
-    def gauge(self, name: str, help: str = "", **labels) -> Gauge:
-        return self._get(name, "gauge", help, labels, Gauge)
+    def gauge(self, name: str, **labels) -> Gauge:
+        return self._get(name, labels, Gauge)
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Optional[Sequence[float]] = None,
-        **labels,
-    ) -> Histogram:
-        family = self._family(name, "histogram", help)
-        bounds = tuple(sorted(float(b) for b in buckets)) if buckets else DEFAULT_BUCKETS
-        if family.buckets is None:
-            family.buckets = bounds
-        elif family.buckets != bounds:
-            raise RegistryError(
-                f"histogram {name} re-registered with different buckets"
-            )
-        key = _label_key(labels)
-        instrument = family.instruments.get(key)
-        if instrument is None:
-            instrument = Histogram(name, key, family.buckets)
-            family.instruments[key] = instrument
-        return instrument
-
-    def quantile(
-        self,
-        name: str,
-        help: str = "",
-        quantiles: Optional[Sequence[float]] = None,
-        compression: int = 64,
-        **labels,
-    ) -> Quantile:
-        family = self._family(name, "quantile", help)
-        if quantiles is not None:
-            qs = tuple(sorted(float(q) for q in quantiles))
-            if not qs:
-                raise RegistryError(
-                    f"quantile {name} needs at least one quantile"
-                )
-            if any(not 0.0 < q < 1.0 for q in qs):
-                raise RegistryError(
-                    f"quantile {name} quantiles must be in (0, 1)"
-                )
-        else:
-            qs = DEFAULT_QUANTILES
-        if family.quantiles is None:
-            family.quantiles = qs
-        elif family.quantiles != qs:
-            raise RegistryError(
-                f"quantile {name} re-registered with different quantiles"
-            )
-        key = _label_key(labels)
-        instrument = family.instruments.get(key)
-        if instrument is None:
-            instrument = Quantile(name, key, family.quantiles, compression)
-            family.instruments[key] = instrument
-        return instrument
-
-    def _family(self, name: str, kind: str, help: str) -> _Family:
+    def _get(self, name: str, labels: dict, factory):
         _check_name(name)
         family = self._families.get(name)
         if family is None:
-            family = _Family(name=name, kind=kind, help=help)
-            self._families[name] = family
-        elif family.kind != kind:
+            family = self._families[name] = _Family(name=name, kind=factory.kind)
+        elif family.kind != factory.kind:
             raise RegistryError(
-                f"metric {name} already registered as {family.kind}, not {kind}"
+                f"metric {name} already registered as {family.kind}, not {factory.kind}"
             )
-        if help and not family.help:
-            family.help = help
-        return family
-
-    def _get(self, name: str, kind: str, help: str, labels: dict, factory):
-        family = self._family(name, kind, help)
         key = _label_key(labels)
         instrument = family.instruments.get(key)
         if instrument is None:
-            instrument = factory(name, key)
-            family.instruments[key] = instrument
+            instrument = family.instruments[key] = factory(name, key)
         return instrument
 
     # -- read access ------------------------------------------------------------
@@ -293,25 +117,13 @@ class Registry:
         for name in sorted(self._families):
             yield self._families[name]
 
-    def instruments(self) -> Iterator[Union[Counter, Gauge, Histogram, Quantile]]:
-        """All instruments, sorted by (name, labels)."""
-        for family in self.families():
-            for key in sorted(family.instruments):
-                yield family.instruments[key]
-
     def value(self, name: str, **labels) -> Number:
         """Current value of a counter/gauge; 0 when never touched."""
         family = self._families.get(name)
         if family is None:
             return 0
         instrument = family.instruments.get(_label_key(labels))
-        if instrument is None:
-            return 0
-        if isinstance(instrument, (Histogram, Quantile)):
-            raise RegistryError(
-                f"{name} is a {instrument.kind}; read .sum/.count instead"
-            )
-        return instrument.value
+        return 0 if instrument is None else instrument.value
 
     def total(self, name: str, **labels) -> Number:
         """Sum of a family's values across series matching ``labels``.
@@ -323,11 +135,8 @@ class Registry:
         if family is None:
             return 0
         want = set(_label_key(labels))
-        total: Number = 0
-        for key, instrument in family.instruments.items():
-            if want <= set(key):
-                if isinstance(instrument, (Histogram, Quantile)):
-                    total += instrument.count
-                else:
-                    total += instrument.value
-        return total
+        return sum(
+            instrument.value
+            for key, instrument in family.instruments.items()
+            if want <= set(key)
+        )

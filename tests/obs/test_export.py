@@ -16,12 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.export import (
-    chrome_trace,
-    metrics_jsonl,
-    prometheus_text,
-    write_report,
-)
+from repro.obs.export import chrome_trace, metrics_jsonl, write_report
 from repro.obs.registry import Registry
 from repro.obs.spans import SpanRecorder
 
@@ -31,19 +26,12 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 def build_fixture():
     """Small deterministic registry + spans exercising every feature."""
     reg = Registry()
-    c = reg.counter("requests_total", "Completed requests", node="r0", kind="read")
+    c = reg.counter("requests_total", node="r0", kind="read")
     c.inc()
     c.inc(2)
     reg.counter("requests_total", node="r1", kind="write").inc()
-    g = reg.gauge("queue_depth", "Pending requests", node="r0")
-    g.set(3)
-    g.dec()
-    h = reg.histogram(
-        "latency_seconds", "Request latency", buckets=(0.001, 0.01, 0.1), node="r0"
-    )
-    for v in (0.0005, 0.002, 0.05, 0.5):
-        h.observe(v)
-    reg.counter("escaped_total", "Label escaping probe", label='a"b\\c\nd').inc()
+    reg.gauge("queue_depth", node="r0").set(3)
+    reg.counter("escaped_total", label='a"b\\c\nd').inc()
 
     rec = SpanRecorder()
     root = rec.begin("client.invoke", 0.0, trace_id="c0#1", node="client-0", op="get")
@@ -65,7 +53,6 @@ def build_fixture():
 def _render_all():
     reg, rec = build_fixture()
     return {
-        "metrics.prom": prometheus_text(reg),
         "metrics.jsonl": metrics_jsonl(reg, rec.spans),
         "trace.json": json.dumps(
             chrome_trace(rec.spans), sort_keys=True, separators=(",", ":")
@@ -74,7 +61,7 @@ def _render_all():
     }
 
 
-@pytest.mark.parametrize("filename", ["metrics.prom", "metrics.jsonl", "trace.json"])
+@pytest.mark.parametrize("filename", ["metrics.jsonl", "trace.json"])
 def test_exporters_match_golden(filename):
     rendered = _render_all()[filename]
     golden = (GOLDEN_DIR / filename).read_text()
@@ -85,28 +72,14 @@ def test_exports_are_deterministic():
     assert _render_all() == _render_all()
 
 
-def test_prometheus_structure():
-    reg, _ = build_fixture()
-    text = prometheus_text(reg)
-    assert text.endswith("\n")
-    assert "# TYPE requests_total counter" in text
-    assert "# HELP queue_depth Pending requests" in text
-    assert 'latency_seconds_bucket{node="r0",le="+Inf"} 4' in text
-    assert "latency_seconds_count{node=\"r0\"} 4" in text
-    # Label escaping: backslash, quote, newline.
-    assert 'escaped_total{label="a\\"b\\\\c\\nd"} 1' in text
-    assert prometheus_text(Registry()) == ""
-
-
 def test_jsonl_records_parse():
     reg, rec = build_fixture()
     lines = metrics_jsonl(reg, rec.spans).splitlines()
     records = [json.loads(line) for line in lines]
     kinds = {r["type"] for r in records}
-    assert kinds == {"counter", "gauge", "histogram", "span", "event"}
-    hist = next(r for r in records if r["type"] == "histogram")
-    assert hist["buckets"][-1]["le"] == "+Inf"
-    assert hist["count"] == 4
+    assert kinds == {"counter", "gauge", "span", "event"}
+    escaped = next(r for r in records if r["name"] == "escaped_total")
+    assert escaped["labels"] == {"label": 'a"b\\c\nd'}
     span = next(r for r in records if r["type"] == "span")
     assert {"span_id", "parent_id", "trace_id", "name", "node", "start", "end"} <= set(span)
 
@@ -137,54 +110,22 @@ def test_chrome_trace_structure():
 def test_write_report_roundtrip(tmp_path):
     reg, rec = build_fixture()
     written = write_report(tmp_path / "out", reg, rec.spans)
-    assert sorted(written) == ["chrome", "jsonl", "prometheus"]
+    assert sorted(written) == ["chrome", "jsonl"]
     for path in written.values():
         assert path.exists()
         assert path.read_text().endswith("\n")
-    with pytest.raises(ValueError):
-        write_report(tmp_path / "bad", reg, rec.spans, formats=("nope",))
-
-
-def test_nonfinite_prometheus_rendering():
-    """+Inf/-Inf/NaN samples must use the Prometheus spellings."""
-    reg = Registry()
-    h = reg.histogram("weird_seconds", buckets=(1.0,))
-    h.observe(math.inf)
-    reg.gauge("pressure", node="r0").set(-math.inf)
-    reg.gauge("ratio", node="r0").set(math.nan)
-    text = prometheus_text(reg)
-    assert "weird_seconds_sum +Inf" in text
-    assert 'pressure{node="r0"} -Inf' in text
-    assert 'ratio{node="r0"} NaN' in text
-    assert "nan" not in text
-    assert "inf" not in text.replace("+Inf", "").replace("-Inf", "")
-
-
-def test_empty_label_instruments_render_bare():
-    """No-label series print `name value` with no `{}` pair block."""
-    reg = Registry()
-    reg.counter("total_ops").inc(3)
-    reg.histogram("lat", buckets=(0.1,)).observe(0.05)
-    text = prometheus_text(reg)
-    assert "\ntotal_ops 3\n" in "\n" + text
-    assert "total_ops{}" not in text
-    assert 'lat_bucket{le="0.1"} 1' in text
-    assert "lat_sum 0.05" in text
-    assert "lat_count 1" in text
 
 
 def test_nonfinite_jsonl_stays_valid_json():
     """json.dumps would emit bare Infinity/NaN; exports must not."""
     reg = Registry()
-    reg.histogram("weird_seconds", buckets=(1.0,)).observe(math.inf)
+    reg.gauge("pressure", node="r0").set(math.inf)
+    reg.gauge("pressure", node="r1").set(-math.inf)
     reg.gauge("ratio").set(math.nan)
     text = metrics_jsonl(reg, [])
     records = [json.loads(line) for line in text.splitlines()]
     assert "Infinity" not in text and "NaN" not in text.replace('"NaN"', "")
-    hist = next(r for r in records if r["type"] == "histogram")
-    assert hist["sum"] == "+Inf"
-    gauge = next(r for r in records if r["type"] == "gauge")
-    assert gauge["value"] == "NaN"
+    assert [r["value"] for r in records] == ["+Inf", "-Inf", "NaN"]
 
 
 def _regenerate():

@@ -8,6 +8,14 @@ before the probe bus replaced the ``obs.*`` hook methods and pass
 unedited through that refactor. A change that moves one on purpose
 re-records it and says why (the ``tests/deploy/test_assembly.py`` idiom).
 
+Re-recorded on purpose when the registry became counters and gauges
+(DESIGN.md D21): the three ``metrics.jsonl`` digests and
+``SHARDED_SPANS``, whose files lost their ``histogram`` and
+``quantile`` records and the always-zero ``replica_batch_flush_drain``
+gauge; every other line is the same bytes in the same order. The
+``metrics.prom`` digests went with the Prometheus export. The
+``trace.json`` digests, ``HEALTH`` and ``AUDIT`` did not move.
+
 CI's ``obs-smoke`` job runs this file on its own, so "identical to a
 second run" there is also "identical to what is committed".
 """
@@ -27,32 +35,26 @@ from repro.obs.health.plane import write_health_report
 # cell -> (run_workload keywords, {export file: sha256})
 WORKLOADS = {
     "etroxy": (dict(system="etroxy"), {
-        "metrics.prom":
-            "812b27f92ebfb9183c3154b17bbd704cc3040bc072b93428c304b2ff390a6738",
         "metrics.jsonl":
-            "6584e839125f8637f9ee1ab9e8e1b07897dfa82b1da962c7c1b3550ffcfa4740",
+            "d8da03dceefea4ab4099c17bdbfb148aee192e89c8eb7f1ca974cdfd6ef1d92b",
         "trace.json":
             "28c4bc7b8d1ae0561c540f9560c745a9904f794a44618d74549d13e3647e5e32",
     }),
     "bl": (dict(system="bl"), {
-        "metrics.prom":
-            "912ddc24a5ee290717c00d3ac1322e0038ca8f1509b31c8d1f309d796ffb177a",
         "metrics.jsonl":
-            "eacc8d52b48dfafe8f20d660aebc1f7a583bac7d1927f5de872cb69cf346dcd3",
+            "e4836e4b1148e1d428c7fe0a668c5bec4afa97a5bffb7ed29219bead0c64ed30",
         "trace.json":
             "86de365faf6a2eb1a6cc676a2198cf4f398927ad4bfadaff89e97bb76c18ccde",
     }),
     "etroxy-adaptive": (dict(system="etroxy", batching="adaptive"), {
-        "metrics.prom":
-            "cbcc95b00db62fcfe6e2f1dc8b633e114f1e8c61a88fcc145d197c1c423258bc",
         "metrics.jsonl":
-            "ccf8e9b5fc0c4d7e6d9be6e19f0570f235d961183f80b7e317e6c6a337738bfc",
+            "1d3b836b270c0a8ffd61cf6b78120478c592524174b91fb7bf419c62387b0294",
         "trace.json":
             "53974a611f5f2be0da31cabd75a5fa98e3f30883d54741e5855bb4b3d7b7d436",
     }),
 }
 
-SHARDED_SPANS = "72d88dea8eff51fa7db2bf245216d25704e54ef9762f6e69fa469ac402c2a133"
+SHARDED_SPANS = "1eb6a0338a1be330d56dec678b6ebedc799bb5c391af84c5ab76f69aed5251ca"
 HEALTH = "ebf2818a6a9b98fb9869ddc4b51567bb4ccbb62a97c1acd457606801297cd1ed"
 AUDIT = {
     "audit.json": "0e4b519de941da61c2fd6e865fc3f769401912258fc5f047d21a79d062a6a075",
@@ -81,7 +83,7 @@ def test_sharded_span_export_is_pinned(tmp_path):
     _analysis, _summary, _cluster, plane = attributed_sharded_run(
         shards=2, seed=42, n_clients=6, warmup=0.005, duration=0.015
     )
-    written = write_report(tmp_path, plane.registry, plane.spans.spans, ["jsonl"])
+    written = write_report(tmp_path, plane.registry, plane.spans.spans)
     assert _sha(written["jsonl"]) == SHARDED_SPANS
 
 

@@ -1,13 +1,11 @@
-"""Streaming quantile sketch + Quantile registry instrument."""
+"""Streaming quantile sketch."""
 
 import math
 import random
 
 import pytest
 
-from repro.obs.export import metrics_jsonl, prometheus_text
 from repro.obs.quantiles import QuantileSketch
-from repro.obs.registry import Registry, RegistryError
 
 
 def test_empty_sketch():
@@ -98,63 +96,3 @@ def test_determinism_same_stream_same_bytes():
         return [sk.quantile(q) for q in (0.5, 0.9, 0.99)]
 
     assert build() == build()
-
-
-# -- Quantile registry instrument ---------------------------------------------
-
-
-def test_registry_quantile_instrument():
-    reg = Registry()
-    q = reg.quantile("lat", "Latency quantiles", node="r0")
-    for v in (1.0, 2.0, 3.0, 4.0):
-        q.observe(v)
-    assert q.count == 4
-    assert q.sum == 10.0
-    assert q.value(0.5) == 2.5
-    assert reg.quantile("lat", node="r0") is q
-    assert reg.total("lat") == 4
-
-
-def test_registry_quantile_validation():
-    reg = Registry()
-    with pytest.raises(RegistryError):
-        reg.quantile("bad", quantiles=())
-    with pytest.raises(RegistryError):
-        reg.quantile("bad2", quantiles=(0.5, 1.5))
-    reg.quantile("ok", quantiles=(0.5, 0.9))
-    with pytest.raises(RegistryError):
-        reg.quantile("ok", quantiles=(0.5,))  # family-level mismatch
-
-
-def test_registry_quantile_value_raises():
-    reg = Registry()
-    inst = reg.quantile("lat2")
-    inst.observe(1.0)
-    with pytest.raises(RegistryError):
-        reg.value("lat2")
-
-
-def test_prometheus_summary_lines():
-    reg = Registry()
-    q = reg.quantile("rpc_latency", "RPC latency", quantiles=(0.5, 0.99), node="r0")
-    for v in (0.01, 0.02, 0.03, 0.04):
-        q.observe(v)
-    text = prometheus_text(reg)
-    assert "# TYPE rpc_latency summary" in text
-    assert 'rpc_latency_quantile{node="r0",q="0.5"} 0.025' in text
-    assert 'rpc_latency_quantile{node="r0",q="0.99"} 0.04' in text
-    assert 'rpc_latency_sum{node="r0"} 0.1' in text
-    assert 'rpc_latency_count{node="r0"} 4' in text
-
-
-def test_empty_quantile_renders_nan():
-    reg = Registry()
-    reg.quantile("idle", quantiles=(0.5,))
-    text = prometheus_text(reg)
-    assert 'idle_quantile{q="0.5"} NaN' in text
-    # JSONL stays parseable: NaN is stringified, not bare.
-    import json
-
-    for line in metrics_jsonl(reg, []).splitlines():
-        record = json.loads(line)
-    assert record["quantiles"][0]["value"] == "NaN"

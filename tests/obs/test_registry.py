@@ -1,15 +1,13 @@
 """Unit tests for the metrics registry."""
 
-import math
-
 import pytest
 
-from repro.obs.registry import DEFAULT_BUCKETS, Registry, RegistryError
+from repro.obs.registry import Registry, RegistryError
 
 
 def test_counter_inc_and_value():
     reg = Registry()
-    c = reg.counter("ops_total", "Operations", node="r0")
+    c = reg.counter("ops_total", node="r0")
     c.inc()
     c.inc(4)
     assert c.value == 5
@@ -30,30 +28,13 @@ def test_counter_get_or_create_same_instrument():
     assert reg.counter("ops_total", node="r1") is not a
 
 
-def test_gauge_set_inc_dec():
-    g = Registry().gauge("depth")
+def test_gauge_set():
+    reg = Registry()
+    g = reg.gauge("depth", node="r0")
     g.set(10.0)
-    g.inc(2.5)
-    g.dec()
-    assert g.value == pytest.approx(11.5)
-
-
-def test_histogram_buckets_and_cumulative():
-    h = Registry().histogram("lat", buckets=(0.01, 0.1, 1.0))
-    for v in (0.005, 0.05, 0.05, 0.5, 5.0):
-        h.observe(v)
-    cum = dict(h.cumulative())
-    assert cum[0.01] == 1
-    assert cum[0.1] == 3
-    assert cum[1.0] == 4
-    assert cum[math.inf] == 5
-    assert h.count == 5
-    assert h.sum == pytest.approx(5.605)
-
-
-def test_histogram_default_buckets():
-    h = Registry().histogram("lat")
-    assert tuple(h.buckets) == tuple(DEFAULT_BUCKETS)
+    g.set(2.5)
+    assert reg.value("depth", node="r0") == 2.5
+    assert reg.value("depth", node="r1") == 0
 
 
 def test_kind_conflict_rejected():
@@ -61,13 +42,6 @@ def test_kind_conflict_rejected():
     reg.counter("x_total")
     with pytest.raises(RegistryError):
         reg.gauge("x_total")
-
-
-def test_bucket_conflict_rejected():
-    reg = Registry()
-    reg.histogram("lat", buckets=(1.0, 2.0))
-    with pytest.raises(RegistryError):
-        reg.histogram("lat", buckets=(1.0, 3.0))
 
 
 def test_invalid_names_rejected():
@@ -87,13 +61,6 @@ def test_total_sums_over_matching_labels():
     assert reg.total("reads_total", outcome="hit") == 5
     assert reg.total("reads_total", node="r0") == 10
     assert reg.total("missing_total") == 0
-
-
-def test_value_raises_on_histogram():
-    reg = Registry()
-    reg.histogram("lat").observe(1.0)
-    with pytest.raises(RegistryError):
-        reg.value("lat")
 
 
 def test_families_sorted_by_name():
