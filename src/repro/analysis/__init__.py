@@ -1,13 +1,7 @@
 """Measurement and verification utilities."""
 
 from .history import HistoryRecorder
-from .linearizability import (
-    OpRecord,
-    check_key_history,
-    check_linearizable,
-    find_violation,
-    split_by_key,
-)
+from .linearizability import OpRecord, check_linearizable, find_violation
 from .metrics import Collector, Sample, Summary, percentile
 
 __all__ = [
@@ -16,9 +10,7 @@ __all__ = [
     "OpRecord",
     "Sample",
     "Summary",
-    "check_key_history",
     "check_linearizable",
     "find_violation",
     "percentile",
-    "split_by_key",
 ]

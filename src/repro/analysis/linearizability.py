@@ -1,21 +1,30 @@
-"""Linearizability checking for key-value histories (Wing & Gong).
+"""Linearizability checking for register histories with unique writes.
 
-Troxy's headline consistency claim is that the fast-read cache preserves
-linearizability. The integration tests exercise that claim end to end:
-they record (start, end, operation, result) for every client invocation
-and hand the history to this checker, which searches for a legal
-sequential witness ordering consistent with real-time precedence.
+Troxy's headline claim is that the fast-read cache preserves
+linearizability. Tests, the chaos campaign and every figure cell of
+``python -m repro.bench`` record each completed client operation and
+hand the history to this checker.
 
-Exponential in the worst case — use with bounded histories (the tests
-keep them small and per-key, which is sound: linearizability is local,
-i.e. a history is linearizable iff each per-key subhistory is).
+Linearizability is local, so each key is checked on its own with the
+zone check of Gibbons & Korach ("Testing Shared Memories", SIAM J.
+Comput. 1997), which needs written values unique per key (a repeated
+one raises :class:`ValueError`). A *cluster* is a write and the reads
+that returned its value; the initial value is a virtual write at minus
+infinity. A read of a value never written fails, and so does a read
+that ends before its write starts. A cluster's *zone* runs from the
+minimum end to the maximum start of its operations: *forward* when the
+minimum end comes first, *backward* otherwise. The history is
+linearizable iff no two forward zones overlap and no backward zone lies
+inside a forward zone: one sort and one bisect per key.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
+_INF = float("inf")
 
 @dataclass(frozen=True)
 class OpRecord:
@@ -24,7 +33,7 @@ class OpRecord:
     client: str
     kind: str  # "put" or "get"
     key: str
-    value: Optional[bytes]  # written value for put; observed value for get
+    value: object  # written value for put; observed value for get (None: initial)
     start: float
     end: float
 
@@ -35,66 +44,72 @@ class OpRecord:
             raise ValueError("end before start")
 
 
-def split_by_key(history: list[OpRecord]) -> dict[str, list[OpRecord]]:
-    """Locality: check each key's subhistory independently."""
+def _show(record: OpRecord) -> str:
+    return f"{record.client} {record.kind} [{record.start:.6f}, {record.end:.6f}]"
+
+
+def _key_violation(key: str, records: list[OpRecord], initial) -> Optional[str]:
+    """Why one key's history is not linearizable, or None."""
+    writes = {initial: OpRecord("initial", "put", key, initial, -_INF, -_INF)}
+    for record in records:
+        if record.kind == "put":
+            if record.value in writes:
+                raise ValueError(f"value {record.value!r} written twice to key {key!r}")
+            writes[record.value] = record
+    # value -> [minimum end, maximum start] over the value's cluster
+    bounds = {value: [write.end, write.start] for value, write in writes.items()}
+    for op in records:  # a write is its own cluster's write: a no-op here
+        write = writes.get(op.value)
+        if write is None:
+            return f"{_show(op)} returned {op.value!r}, which was never written"
+        if op.end < write.start:
+            return f"{_show(op)} returned {op.value!r} before {_show(write)} wrote it"
+        cluster = bounds[op.value]
+        cluster[0] = min(cluster[0], op.end)
+        cluster[1] = max(cluster[1], op.start)
+    forward, backward = [], []
+    for value, (first_end, last_start) in bounds.items():
+        if first_end < last_start:
+            forward.append((first_end, last_start, value))
+        else:
+            backward.append((last_start, first_end, value))
+    forward.sort(key=lambda zone: zone[0])
+    for earlier, later in zip(forward, forward[1:]):
+        if later[0] < earlier[1]:
+            return _conflict(earlier, later)
+    starts = [zone[0] for zone in forward]
+    for zone in backward:
+        # Forward zones are disjoint: only the last one starting before
+        # this zone can contain it.
+        index = bisect_left(starts, zone[0]) - 1
+        if index >= 0 and zone[1] < forward[index][1]:
+            return _conflict(forward[index], zone)
+    return None
+
+
+def _conflict(*zones: tuple) -> str:
+    a, b = (f"{value!r} [{lo:.6f}, {hi:.6f}]" for lo, hi, value in zones)
+    return f"the zones of {a} and {b} conflict"
+
+
+def _first_violation(history: list[OpRecord], initial: dict) -> Optional[str]:
     by_key: dict[str, list[OpRecord]] = {}
     for record in history:
         by_key.setdefault(record.key, []).append(record)
-    return by_key
-
-
-def check_key_history(
-    history: list[OpRecord], initial: Optional[bytes] = None
-) -> bool:
-    """Is this single-key history linearizable w.r.t. a register spec?"""
-    records = sorted(history, key=lambda r: (r.start, r.end))
-    n = len(records)
-    if n == 0:
-        return True
-    seen: set[tuple[frozenset, Optional[bytes]]] = set()
-
-    def search(remaining: frozenset, state: Optional[bytes]) -> bool:
-        if not remaining:
-            return True
-        memo_key = (remaining, state)
-        if memo_key in seen:
-            return False
-        # An op may linearize next only if no other remaining op finished
-        # before it started (real-time order must be respected).
-        min_end = min(records[i].end for i in remaining)
-        for i in sorted(remaining):
-            record = records[i]
-            if record.start > min_end:
-                break  # sorted by start: no later op can be minimal
-            if record.kind == "get" and record.value != state:
-                continue
-            next_state = record.value if record.kind == "put" else state
-            if search(remaining - {i}, next_state):
-                return True
-        seen.add(memo_key)
-        return False
-
-    return search(frozenset(range(n)), initial)
+    for key in sorted(by_key):
+        reason = _key_violation(key, by_key[key], initial.get(key))
+        if reason is not None:
+            return f"history for key {key!r} is not linearizable: {reason}"
+    return None
 
 
 def check_linearizable(
     history: list[OpRecord], initial: Optional[dict[str, bytes]] = None
 ) -> bool:
-    """Check a multi-key history (per-key decomposition)."""
-    initial = initial or {}
-    return all(
-        check_key_history(records, initial.get(key))
-        for key, records in split_by_key(history).items()
-    )
+    """Is this multi-key history linearizable w.r.t. a register per key?"""
+    return _first_violation(history, initial or {}) is None
 
 
 def find_violation(history: list[OpRecord]) -> Optional[str]:
     """Human-readable description of the first non-linearizable key."""
-    for key, records in split_by_key(history).items():
-        if not check_key_history(records):
-            ops = "\n".join(
-                f"  [{r.start:.6f}, {r.end:.6f}] {r.client} {r.kind}({key}) -> {r.value!r}"
-                for r in sorted(records, key=lambda r: r.start)
-            )
-            return f"history for key {key!r} is not linearizable:\n{ops}"
-    return None
+    return _first_violation(history, {})

@@ -11,11 +11,13 @@ service at ~500 req/s for Fig. 11.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
-from ..analysis.linearizability import OpRecord
+from ..analysis.history import HistoryRecorder
+from ..analysis.linearizability import OpRecord, find_violation
 from ..analysis.metrics import Collector, Summary
 from ..apps.base import Operation, OpKind, Payload
 from ..apps.echo import EchoService
@@ -175,6 +177,8 @@ def _run_system(
 
     ``system`` is "bl", "ctroxy", "etroxy" or "lease" (etroxy with
     leases on); ``shards`` applies to the Troxy systems.
+    The deployment carries the cell's history (:class:`_VersionHistory`)
+    as ``history``; one that is not linearizable raises RuntimeError.
     """
     common = dict(
         seed=seed,
@@ -203,9 +207,57 @@ def _run_system(
         )
     else:
         raise ValueError(f"unknown system {system!r}")
-    return _drive(
-        build, n_clients, op_source, warmup, duration, obs=obs, **client_kwargs
+    recorder = _VersionHistory(obs)
+    cluster, summary = _drive(
+        build, n_clients, op_source, warmup, duration, obs=recorder, **client_kwargs
     )
+    cluster.history = recorder.history()
+    violation = find_violation(cluster.history)
+    if violation is not None:
+        raise RuntimeError(f"{system} cell is not linearizable: {violation}")
+    return cluster, summary
+
+
+class _VersionHistory(HistoryRecorder):
+    """An EchoService cell's history: each op's value is its key's
+    version, N from ``ok:N`` or ``key@N`` (0, the initial value, is
+    None). :func:`_drive` takes it as ``obs`` and it forwards to the
+    caller's plane; with epsilon 0 it schedules nothing."""
+
+    def __init__(self, obs):
+        super().__init__(env=None, epsilon=0.0)
+        self.obs = obs
+        self.writes_invoked: Counter = Counter()
+
+    def attach(self, cluster) -> None:
+        self.env = cluster.env
+        if self.obs is not None:
+            self.obs.attach(cluster)
+
+    def wrap_clients(self, clients):
+        clients = [self.wrap(client) for client in clients]
+        return clients if self.obs is None else self.obs.wrap_clients(clients)
+
+    def invoked(self, op: Operation) -> None:
+        if not op.is_read:
+            self.writes_invoked[op.key] += 1
+
+    def to_record(self, client_id, op, outcome, start, end) -> OpRecord:
+        prefix = f"{op.key}@".encode() if op.is_read else b"ok:"
+        version = int(outcome.result.content.removeprefix(prefix))
+        kind = "get" if op.is_read else "put"
+        return OpRecord(client_id, kind, op.key, version or None, start, end)
+
+    def history(self) -> list[OpRecord]:
+        """The records, less each read of a version no completed write
+        returned that is at most the writes invoked on its key (one still
+        in flight at the end). Any other such read stays in, and fails."""
+        written = {(r.key, r.value) for r in self.records if r.kind == "put"}
+        return [
+            r for r in self.records
+            if r.kind == "put" or r.value is None or (r.key, r.value) in written
+            or r.value > self.writes_invoked[r.key]
+        ]
 
 
 # -- Fig. 5: message flow ---------------------------------------------------------------
@@ -647,24 +699,16 @@ def _write_then_read(break_invalidation: bool):
     if break_invalidation:
         for core in cluster.cores:
             core.keys_fn = lambda op: ()  # writes invalidate nothing
-    client = cluster.new_client(contact_index=0)
-    history: list[OpRecord] = []
+    recorder = HistoryRecorder(cluster.env)
+    client = recorder.wrap(cluster.new_client(contact_index=0))
 
     def driver():
         for op in (put("k", b"v1"), get("k"), put("k", b"v2"), get("k")):
-            start = cluster.env.now
-            outcome = yield from client.invoke(op)
-            value = outcome.result.content if op.is_read else op.body.content
-            history.append(
-                OpRecord(client.client_id, op.name, "k", value, start, cluster.env.now)
-            )
-            # The epsilon gaps keep successive intervals disjoint: touching
-            # intervals count as concurrent under real-time precedence.
-            yield cluster.env.timeout(1e-6)
+            yield from client.invoke(op)
 
     cluster.env.process(driver())
     cluster.env.run(until=30.0)
-    return history, cluster.cores[0].stats
+    return recorder.records, cluster.cores[0].stats
 
 
 def ablation_invalidation():

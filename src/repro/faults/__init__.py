@@ -16,7 +16,6 @@ The subsystem has four layers:
 from .injector import FaultPlane, WireRule
 from .invariants import (
     InvariantResult,
-    check_cache_freshness,
     check_counter_monotonicity,
     check_linearizability,
     check_liveness,
@@ -62,7 +61,6 @@ __all__ = [
     "WireRule",
     "WorkloadSpec",
     "WriteContentionAttack",
-    "check_cache_freshness",
     "check_counter_monotonicity",
     "check_linearizability",
     "check_liveness",

@@ -84,8 +84,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults",
         description="Run fault-injection scenarios against a simulated "
-        "Troxy cluster and check linearizability, liveness, cache "
-        "freshness and counter monotonicity.",
+        "Troxy cluster and check linearizability, liveness and counter "
+        "monotonicity.",
     )
     parser.add_argument(
         "--scenarios",

@@ -1,18 +1,15 @@
 """Invariant checks evaluated after every chaos scenario.
 
-Four properties, mapped to the paper's claims:
+Three properties, mapped to the paper's claims:
 
 * **linearizability** — the Troxy fast-read cache must preserve
   linearizability under every fault (Section IV-A); delegates to
-  :mod:`repro.analysis.linearizability`.
+  :mod:`repro.analysis.linearizability`. Written values are unique, so
+  a stale read from the cache is a linearizability violation and the
+  detail names the two values whose zones conflict.
 * **liveness** — every client driver finishes its workload before the
   scenario horizon. Legacy clients retry forever, so an unfinished
   driver means the service stopped making progress.
-* **cache freshness** — a targeted staleness check: a read must never
-  observe a value that was overwritten by a put which completed before
-  the read began. Weaker than full linearizability but linear-time and
-  with a far sharper diagnostic when the fast-read path serves stale
-  cache entries (Section IV-A write invalidation).
 * **counter monotonicity** — across enclave reboots, sealed trusted
   counters must never move backwards (rollback protection, Section
   IV-B).
@@ -27,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..analysis.linearizability import OpRecord, check_key_history, split_by_key
+from ..analysis.linearizability import OpRecord, find_violation
 
 
 @dataclass(frozen=True)
@@ -46,16 +43,9 @@ class InvariantResult:
 
 
 def check_linearizability(history: Sequence[OpRecord]) -> InvariantResult:
-    for key, records in sorted(split_by_key(list(history)).items()):
-        if not check_key_history(records):
-            ops = "; ".join(
-                f"[{r.start:.4f},{r.end:.4f}] {r.client} {r.kind} -> {r.value!r}"
-                for r in sorted(records, key=lambda r: (r.start, r.end))
-            )
-            return InvariantResult(
-                "linearizability", False,
-                f"key {key!r} has no legal witness ordering: {ops}",
-            )
+    violation = find_violation(list(history))
+    if violation is not None:
+        return InvariantResult("linearizability", False, violation)
     return InvariantResult("linearizability", True)
 
 
@@ -70,52 +60,6 @@ def check_liveness(unfinished: Sequence[str]) -> InvariantResult:
             "drivers still running at horizon: " + ", ".join(sorted(unfinished)),
         )
     return InvariantResult("liveness", True)
-
-
-# -- cache freshness ---------------------------------------------------------
-
-
-def find_stale_read(history: Sequence[OpRecord]) -> Optional[str]:
-    """First read that observed a provably overwritten value.
-
-    A get G is stale iff some put W' on the same key completed before G
-    started (``W'.end < G.start``) while the put that produced G's
-    observed value had already completed before W' began
-    (``W_v.end < W'.start``). A get observing ``None`` (no value) treats
-    ``W_v.end`` as minus infinity. Sound provided written values are
-    unique per key, which the campaign workload guarantees.
-    """
-    for key, records in sorted(split_by_key(list(history)).items()):
-        puts = [r for r in records if r.kind == "put"]
-        if not puts:
-            continue
-        writes_by_value = {r.value: r for r in puts}
-        for get in records:
-            if get.kind != "get":
-                continue
-            if get.value is None:
-                observed_end = float("-inf")
-            else:
-                write = writes_by_value.get(get.value)
-                if write is None:
-                    continue  # alien value: linearizability will flag it
-                observed_end = write.end
-            for newer in puts:
-                if newer.end < get.start and observed_end < newer.start:
-                    return (
-                        f"{get.client} read {get.value!r} from key {key!r} at "
-                        f"[{get.start:.4f},{get.end:.4f}] but {newer.client} had "
-                        f"already overwritten it with {newer.value!r} by "
-                        f"t={newer.end:.4f}"
-                    )
-    return None
-
-
-def check_cache_freshness(history: Sequence[OpRecord]) -> InvariantResult:
-    stale = find_stale_read(history)
-    if stale is not None:
-        return InvariantResult("cache_freshness", False, stale)
-    return InvariantResult("cache_freshness", True)
 
 
 # -- counter monotonicity ----------------------------------------------------

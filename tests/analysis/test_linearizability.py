@@ -1,13 +1,10 @@
-"""Unit tests for the linearizability checker."""
+"""Unit tests for the linearizability checker (the zone check)."""
+
+import time
 
 import pytest
 
-from repro.analysis.linearizability import (
-    OpRecord,
-    check_key_history,
-    check_linearizable,
-    find_violation,
-)
+from repro.analysis.linearizability import OpRecord, check_linearizable, find_violation
 
 
 def put(client, key, value, start, end):
@@ -123,14 +120,74 @@ def test_find_violation_none_for_good_history():
     assert find_violation([put("a", "k", b"1", 0, 1)]) is None
 
 
-def test_moderate_history_performance():
-    # 24 sequential-ish operations should check instantly.
+def test_stale_none_read_rejected():
+    history = [
+        put("a", "k", b"1", 0, 1),
+        get("b", "k", None, 2, 3),  # put completed, read saw the initial value
+    ]
+    assert not check_linearizable(history)
+
+
+def test_read_ending_before_its_write_starts_rejected():
+    history = [
+        get("b", "k", b"1", 0, 1),  # a value from the future
+        put("a", "k", b"1", 2, 3),
+    ]
+    assert not check_linearizable(history)
+
+
+def test_backward_zone_inside_forward_zone_rejected():
+    # b1's write lies wholly between two reads of a1.
+    history = [
+        put("a", "k", b"a1", 0, 1),
+        get("c", "k", b"a1", 1.5, 2),
+        put("b", "k", b"b1", 3, 4),
+        get("c", "k", b"a1", 5, 6),
+    ]
+    assert not check_linearizable(history)
+
+
+def test_touching_intervals_are_concurrent():
+    # A read starting exactly when a write ends may still precede it.
+    history = [
+        put("a", "k", b"1", 0, 1),
+        put("a", "k", b"2", 1, 2),
+        get("b", "k", b"1", 2, 3),
+    ]
+    assert check_linearizable(history)
+
+
+def test_violation_names_both_clusters_and_their_zones():
+    history = [
+        put("a", "k", b"1", 0, 1),
+        put("a", "k", b"2", 2, 3),
+        get("b", "k", b"1", 4, 5),
+    ]
+    message = find_violation(history)
+    assert "b'1' [1.000000, 4.000000]" in message
+    assert "b'2' [2.000000, 3.000000]" in message
+
+
+def test_repeated_write_value_raises():
+    history = [put("a", "k", b"1", 0, 1), put("b", "k", b"1", 2, 3)]
+    with pytest.raises(ValueError):
+        check_linearizable(history)
+    with pytest.raises(ValueError):  # the initial value counts as written
+        check_linearizable([put("a", "k", b"init", 0, 1)], initial={"k": b"init"})
+    # The same value on two keys is two registers.
+    assert check_linearizable([put("a", "x", b"1", 0, 1), put("a", "y", b"1", 0, 1)])
+
+
+def test_large_history_performance():
+    # 50 000 ops on one key: a writer and two readers, each read
+    # overlapping the next write, checked well inside a second.
     history = []
-    t = 0.0
-    value = None
-    for i in range(12):
-        value = str(i).encode()
-        history.append(put("w", "k", value, t, t + 0.5))
-        history.append(get("r", "k", value, t + 1.0, t + 1.5))
-        t += 2.0
-    assert check_key_history(history)
+    for i in range(1, 16_667):
+        t = 3.0 * i
+        history.append(put("w", "k", i, t, t + 2.0))
+        history.append(get("r", "k", i, t + 1.0, t + 2.5))
+        history.append(get("s", "k", i - 1 or None, t - 1.0, t + 0.5))
+    assert len(history) > 49_990
+    started = time.perf_counter()
+    assert check_linearizable(history)
+    assert time.perf_counter() - started < 1.0

@@ -45,7 +45,6 @@ def test_healthy_control_passes_all_invariants():
     assert [inv["name"] for inv in result["invariants"]] == [
         "linearizability",
         "liveness",
-        "cache_freshness",
         "counter_monotonicity",
     ]
     assert all(inv["ok"] for inv in result["invariants"])

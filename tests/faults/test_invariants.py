@@ -2,12 +2,10 @@
 
 from repro.analysis.linearizability import OpRecord
 from repro.faults.invariants import (
-    check_cache_freshness,
     check_counter_monotonicity,
     check_linearizability,
     check_liveness,
     find_counter_regression,
-    find_stale_read,
 )
 
 
@@ -60,7 +58,7 @@ def test_liveness_flags_unfinished_drivers():
     assert "client-1, client-2" in result.detail
 
 
-# -- cache freshness ---------------------------------------------------------
+# -- stale reads: linearizability violations under unique writes ----------
 
 
 def test_stale_read_detected():
@@ -69,9 +67,9 @@ def test_stale_read_detected():
         rec("c1", "put", "k", b"b", 2.0, 3.0),
         rec("c2", "get", "k", b"a", 4.0, 5.0),  # overwritten before the read
     ]
-    result = check_cache_freshness(history)
+    result = check_linearizability(history)
     assert not result.ok
-    assert "overwritten" in result.detail
+    assert "b'a'" in result.detail and "b'b'" in result.detail
 
 
 def test_stale_none_read_detected():
@@ -79,7 +77,7 @@ def test_stale_none_read_detected():
         rec("c1", "put", "k", b"a", 0.0, 1.0),
         rec("c2", "get", "k", None, 2.0, 3.0),  # put completed, read saw nothing
     ]
-    assert not check_cache_freshness(history).ok
+    assert not check_linearizability(history).ok
 
 
 def test_concurrent_read_is_not_stale():
@@ -89,17 +87,17 @@ def test_concurrent_read_is_not_stale():
         rec("c1", "put", "k", b"b", 2.0, 5.0),
         rec("c2", "get", "k", b"a", 3.0, 4.0),
     ]
-    assert check_cache_freshness(history).ok
+    assert check_linearizability(history).ok
 
 
 def test_alien_value_is_left_to_linearizability():
-    # find_stale_read only reasons about values it saw written.
     history = [
         rec("c1", "put", "k", b"a", 0.0, 1.0),
         rec("c2", "get", "k", b"zz", 2.0, 3.0),
     ]
-    assert find_stale_read(history) is None
-    assert not check_linearizability(history).ok
+    result = check_linearizability(history)
+    assert not result.ok
+    assert "never written" in result.detail
 
 
 # -- counter monotonicity ----------------------------------------------------

@@ -8,10 +8,11 @@ sides of it against the running systems:
   replica (within f) pinned as the validation probe, a read after a
   completed write returns the old value.
 * Troxy (strong): the same adversarial scenario yields the new value,
-  and a concurrent random workload's history passes the Wing & Gong
-  linearizability checker.
+  and a concurrent random workload's history passes the linearizability
+  checker.
 """
 
+from repro.analysis.history import HistoryRecorder
 from repro.analysis.linearizability import OpRecord, find_violation
 from repro.apps.base import Payload
 from repro.apps.kvstore import KvStore, get, put
@@ -83,32 +84,23 @@ def same_attack_on_troxy() -> bytes:
 def troxy_random_history() -> list[OpRecord]:
     """Concurrent readers/writers against Troxy; record the history."""
     cluster = build_troxy(seed=32, app_factory=KvStore)
-    clients = [cluster.new_client() for _ in range(6)]
-    history: list[OpRecord] = []
+    recorder = HistoryRecorder(cluster.env)
+    clients = [recorder.wrap(cluster.new_client()) for _ in range(6)]
 
     def writer(client, index):
         for i in range(6):
-            value = f"w{index}.{i}".encode()
-            start = cluster.env.now
-            yield from client.invoke(put("hot", value))
-            history.append(OpRecord(client.client_id, "put", "hot", value, start, cluster.env.now))
-            yield cluster.env.timeout(1e-6)  # keep intervals disjoint
+            yield from client.invoke(put("hot", f"w{index}.{i}".encode()))
 
     def reader(client):
         for _ in range(8):
-            start = cluster.env.now
-            outcome = yield from client.invoke(get("hot"))
-            value = outcome.result.content
-            observed = None if value == b"\x00missing" else value
-            history.append(OpRecord(client.client_id, "get", "hot", observed, start, cluster.env.now))
-            yield cluster.env.timeout(1e-6)
+            yield from client.invoke(get("hot"))
 
     cluster.env.process(writer(clients[0], 0))
     cluster.env.process(writer(clients[1], 1))
     for client in clients[2:]:
         cluster.env.process(reader(client))
     cluster.env.run(until=120.0)
-    return history
+    return recorder.records
 
 
 def run_table1():

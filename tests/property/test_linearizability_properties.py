@@ -2,11 +2,13 @@
 end-to-end property: real Troxy clusters produce linearizable histories
 with agreement batching on (docs/BATCHING.md)."""
 
+from itertools import permutations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.history import HistoryRecorder
-from repro.analysis.linearizability import OpRecord, check_key_history
+from repro.analysis.linearizability import OpRecord, check_linearizable
 from repro.apps.kvstore import KvStore, get, put
 from repro.deploy import build_troxy
 
@@ -23,7 +25,7 @@ def sequential_histories(draw):
         is_put = draw(st.booleans())
         duration = draw(st.floats(min_value=0.1, max_value=1.0))
         if is_put:
-            value = str(draw(st.integers(0, 5))).encode()
+            value = str(i).encode()  # unique per write
             records.append(OpRecord(f"c{i % 3}", "put", "k", value, t, t + duration))
             state = value
         else:
@@ -35,7 +37,7 @@ def sequential_histories(draw):
 @given(sequential_histories())
 @settings(max_examples=100, deadline=None)
 def test_sequential_execution_is_always_linearizable(history):
-    assert check_key_history(history)
+    assert check_linearizable(history)
 
 
 @given(sequential_histories(), st.data())
@@ -51,7 +53,7 @@ def test_reading_a_never_written_value_is_never_linearizable(history, data):
         victim.start, victim.end,
     )
     mutated = history[:index] + [poisoned] + history[index + 1:]
-    assert not check_key_history(mutated)
+    assert not check_linearizable(mutated)
 
 
 @given(sequential_histories())
@@ -63,7 +65,52 @@ def test_widening_intervals_preserves_linearizability(history):
         OpRecord(r.client, r.kind, r.key, r.value, r.start - 0.05, r.end + 0.05)
         for r in history
     ]
-    assert check_key_history(widened)
+    assert check_linearizable(widened)
+
+
+def linearizable_by_search(history) -> bool:
+    """Brute-force oracle: some order of all ops replays as one register
+    per key and respects real time."""
+    for order in permutations(history):
+        state = {}
+        for op in order:
+            if op.kind == "put":
+                state[op.key] = op.value
+            elif state.get(op.key) != op.value:
+                break
+        else:
+            if not any(b.end < a.start for i, a in enumerate(order) for b in order[i + 1:]):
+                return True
+    return False
+
+
+@st.composite
+def small_histories(draw):
+    """Up to 7 ops on one or two keys, unique written values, integer
+    times so touching and equal endpoints are common; a read returns a
+    written value, the initial None, or (rarely) an alien value."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    shapes = [
+        (draw(st.booleans()), draw(st.sampled_from("xxxy")),
+         draw(st.integers(0, 10)), draw(st.integers(0, 4)))
+        for _ in range(n)
+    ]
+    written = [i for i, (is_put, *_rest) in enumerate(shapes) if is_put]
+    history = []
+    for i, (is_put, key, start, length) in enumerate(shapes):
+        if is_put:
+            value = i
+        else:
+            value = draw(st.sampled_from(written + [None, None, "alien"]))
+        history.append(OpRecord("c", "put" if is_put else "get", key, value,
+                                start, start + length))
+    return history
+
+
+@given(small_histories())
+@settings(max_examples=500, deadline=None)
+def test_zone_check_agrees_with_brute_force_search(history):
+    assert check_linearizable(history) == linearizable_by_search(history)
 
 
 # -- end-to-end: batched agreement stays linearizable ---------------------------
