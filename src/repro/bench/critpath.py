@@ -19,6 +19,7 @@ the fronting-Troxy accept path account for.
 
 from __future__ import annotations
 
+from ..analysis.metrics import percentile
 from ..deploy import WAN_DELAY
 from ..obs.critpath import analyze, render_report
 from ..obs.probes import ObsPlane
@@ -166,8 +167,8 @@ def sharding_gap_notes() -> list[str]:
         )
         return total / len(analysis.requests)
 
-    e2e_1 = one.e2e.mean
-    e2e_4 = four.e2e.mean
+    e2e_1 = one.mean_e2e
+    e2e_4 = four.mean_e2e
     inflation = e2e_4 - e2e_1
     hop = mean_phase(four, "forward_hop") - mean_phase(one, "forward_hop")
     accept = mean_phase(four, "troxy_accept") - mean_phase(one, "troxy_accept")
@@ -193,8 +194,8 @@ def sharding_gap_notes() -> list[str]:
         "(the forward tag is the request's one authentication)",
     ]
     if fwd and local:
-        p50_fwd = sorted(r.e2e for r in fwd)[len(fwd) // 2]
-        p50_local = sorted(r.e2e for r in local)[len(local) // 2]
+        p50_fwd = percentile(sorted(r.e2e for r in fwd), 0.5)
+        p50_local = percentile(sorted(r.e2e for r in local), 0.5)
         lines.append(
             f"  forwarded vs local p50: {p50_fwd * 1e3:.3f} ms vs "
             f"{p50_local * 1e3:.3f} ms "

@@ -176,9 +176,8 @@ def _run_system(
     """Drive one echo-service deployment closed-loop (see :func:`_drive`).
 
     ``system`` is "bl", "ctroxy", "etroxy" or "lease" (etroxy with
-    leases on); ``shards`` applies to the Troxy systems.
-    The deployment carries the cell's history (:class:`_VersionHistory`)
-    as ``history``; one that is not linearizable raises RuntimeError.
+    leases on); ``shards`` applies to the Troxy systems. The cell's
+    history is checked (:func:`_checked_drive`).
     """
     common = dict(
         seed=seed,
@@ -207,6 +206,19 @@ def _run_system(
         )
     else:
         raise ValueError(f"unknown system {system!r}")
+    return _checked_drive(
+        system, build, n_clients, op_source, warmup, duration, obs=obs, **client_kwargs
+    )
+
+
+def _checked_drive(label: str, build, n_clients, op_source, warmup, duration,
+                   obs=None, **client_kwargs):
+    """:func:`_drive` an EchoService cell and check its history.
+
+    The deployment carries the history (:class:`_VersionHistory`) as
+    ``history``; one that is not linearizable raises RuntimeError
+    naming ``label``.
+    """
     recorder = _VersionHistory(obs)
     cluster, summary = _drive(
         build, n_clients, op_source, warmup, duration, obs=recorder, **client_kwargs
@@ -214,7 +226,7 @@ def _run_system(
     cluster.history = recorder.history()
     violation = find_violation(cluster.history)
     if violation is not None:
-        raise RuntimeError(f"{system} cell is not linearizable: {violation}")
+        raise RuntimeError(f"{label} cell is not linearizable: {violation}")
     return cluster, summary
 
 
@@ -655,7 +667,8 @@ def ablation_sgx_boundary() -> dict[str, tuple[float, float]]:
     )
     rows = {"baseline (no troxy)": (summary.throughput, 0.0)}
     for boundary in ("none", "jni", "sgx"):
-        cluster, summary = _drive(
+        cluster, summary = _checked_drive(
+            f"troxy boundary={boundary}",
             partial(
                 build_troxy, seed=42, app_factory=lambda: EchoService(reply_size=10),
                 boundary=boundary, replica_cores=REPLICA_CORES,
@@ -678,7 +691,8 @@ def ablation_epc_placement() -> dict[str, tuple[float, int, int]]:
     (EPC paging) -> {placement: (op/s, pages swapped, peak resident B)}."""
     rows = {}
     for label, outside in (("outside (hash inside)", True), ("inside (EPC paging)", False)):
-        cluster, summary = _drive(
+        cluster, summary = _checked_drive(
+            label,
             partial(
                 build_troxy, seed=9, app_factory=lambda: EchoService(reply_size=8192),
                 cache_outside=outside, epc_bytes=TINY_EPC, replica_cores=REPLICA_CORES,
@@ -752,7 +766,8 @@ def ablation_voter(n_clients: int = 24, reply_size: int = 4096, duration: float 
         ("troxy", build_troxy, {}),
     ):
         link = _ClientLinkBytes()
-        cluster, summary = _drive(
+        cluster, summary = _checked_drive(
+            system,
             partial(
                 builder, seed=5, app_factory=lambda: EchoService(reply_size=reply_size),
                 wan=WAN_DELAY, client_nic=WAN_CLIENT_NIC,

@@ -27,7 +27,6 @@ over the :mod:`repro.faults` scenario catalogue.
 
 from .export import chrome_trace, metrics_jsonl, write_report
 from .probes import ObsPlane
-from .quantiles import QuantileSketch
 from .registry import Counter, Gauge, Registry
 from .spans import Span, SpanRecorder
 
@@ -35,7 +34,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "ObsPlane",
-    "QuantileSketch",
     "Registry",
     "Span",
     "SpanRecorder",

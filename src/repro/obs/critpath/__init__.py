@@ -6,8 +6,9 @@ went: troxy accept -> fast-read attempt -> batch-queue wait -> ordering
 -> counter certification -> execute -> reply voting -> (sharded)
 forwarding hop. Every phase is split into *wait* (queueing, network
 transit) and *service* (span-covered work on the critical path), and
-the per-request attributions aggregate into mergeable per-phase
-:class:`~repro.obs.quantiles.QuantileSketch` profiles.
+the per-request attributions aggregate into per-phase profiles whose
+p50 / p99 are :func:`repro.analysis.metrics.percentile` over the
+per-request seconds.
 
 The attribution is an interval sweep over one request's span tree,
 clamped to the ``client.invoke`` root window ``[T0, T1]``:
@@ -26,8 +27,7 @@ clamped to the ``client.invoke`` root window ``[T0, T1]``:
 
 Every atomic interval of ``[T0, T1]`` is attributed to exactly one
 (phase, part) pair, so per-request slices sum to the measured
-end-to-end latency by construction (coverage == 1.0) — the analyzer
-asserts nothing weaker than the >= 95 % acceptance bar.
+end-to-end latency by construction (coverage == 1.0).
 
 Everything here is pure arithmetic on recorded spans: no simulation
 events, no randomness, no wall clock — two same-seed runs render
@@ -39,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
+from ...analysis.metrics import percentile
 from ..export import chrome_trace
-from ..quantiles import QuantileSketch
 from ..spans import Span, SpanRecorder
 
 __all__ = [
@@ -217,13 +217,10 @@ def attribute_trace(
 
 
 class CritpathAnalysis:
-    """Aggregated attribution of one (or several merged) runs."""
+    """Aggregated attribution of one run."""
 
     def __init__(self):
         self.requests: list[RequestAttribution] = []
-        #: (phase, part) -> per-request-seconds sketch (mergeable).
-        self.profiles: dict[tuple[str, str], QuantileSketch] = {}
-        self.e2e = QuantileSketch()
         #: (phase, part) -> (total attributed seconds, requests hit).
         self.totals: dict[tuple[str, str], float] = {}
         self.counts: dict[tuple[str, str], int] = {}
@@ -231,26 +228,27 @@ class CritpathAnalysis:
 
     def add(self, attribution: RequestAttribution) -> None:
         self.requests.append(attribution)
-        self.e2e.observe(attribution.e2e)
         for key, seconds in attribution.slices.items():
-            self.profiles.setdefault(key, QuantileSketch()).observe(seconds)
             self.totals[key] = self.totals.get(key, 0.0) + seconds
             self.counts[key] = self.counts.get(key, 0) + 1
 
-    def merge(self, other: "CritpathAnalysis") -> "CritpathAnalysis":
-        """Fold another analysis in (mergeable quantile profiles)."""
-        self.requests.extend(other.requests)
-        self.e2e.merge(other.e2e)
-        for key, sketch in other.profiles.items():
-            self.profiles.setdefault(key, QuantileSketch()).merge(sketch)
-            self.totals[key] = self.totals.get(key, 0.0) + other.totals[key]
-            self.counts[key] = self.counts.get(key, 0) + other.counts[key]
-        self.traces_seen += other.traces_seen
-        return self
+    def seconds(self, key: Optional[tuple[str, str]] = None) -> list[float]:
+        """Sorted per-request seconds of one (phase, part) slice, or of
+        the end-to-end latency when ``key`` is None."""
+        if key is None:
+            return sorted(r.e2e for r in self.requests)
+        return sorted(r.slices[key] for r in self.requests if key in r.slices)
 
     @property
     def total_e2e(self) -> float:
-        return self.e2e.sum
+        return sum(r.e2e for r in self.requests)
+
+    @property
+    def mean_e2e(self) -> float:
+        return self.total_e2e / len(self.requests)
+
+    def mean(self, key: tuple[str, str]) -> float:
+        return self.totals[key] / self.counts[key]
 
     def min_coverage(self) -> float:
         return min((r.coverage for r in self.requests), default=0.0)
@@ -275,22 +273,23 @@ class CritpathAnalysis:
     def as_dict(self) -> dict:
         """JSON-serialisable summary (byte-stable when dumped sorted)."""
         phases = {}
-        for phase, part in self.rows():
-            sketch = self.profiles[(phase, part)]
-            phases[f"{phase}/{part}"] = {
-                "requests": self.counts[(phase, part)],
-                "p50_ms": sketch.quantile(0.5) * 1e3,
-                "p99_ms": sketch.quantile(0.99) * 1e3,
-                "mean_ms": sketch.mean * 1e3,
-                "total_s": self.totals[(phase, part)],
-                "share": self.share((phase, part)),
+        for key in self.rows():
+            values = self.seconds(key)
+            phases["/".join(key)] = {
+                "requests": self.counts[key],
+                "p50_ms": percentile(values, 0.5) * 1e3,
+                "p99_ms": percentile(values, 0.99) * 1e3,
+                "mean_ms": self.mean(key) * 1e3,
+                "total_s": self.totals[key],
+                "share": self.share(key),
             }
+        e2e = self.seconds()
         return {
             "tool": "repro.obs.critpath",
             "requests": len(self.requests),
             "traces_seen": self.traces_seen,
-            "e2e_p50_ms": self.e2e.quantile(0.5) * 1e3 if len(self.e2e) else None,
-            "e2e_p99_ms": self.e2e.quantile(0.99) * 1e3 if len(self.e2e) else None,
+            "e2e_p50_ms": percentile(e2e, 0.5) * 1e3 if e2e else None,
+            "e2e_p99_ms": percentile(e2e, 0.99) * 1e3 if e2e else None,
             "min_coverage": self.min_coverage(),
             "phases": phases,
         }
@@ -335,10 +334,11 @@ def render_report(analysis: CritpathAnalysis, label: str = "") -> str:
     if n == 0:
         lines.append("no completed requests to attribute")
         return "\n".join(lines)
+    e2e = analysis.seconds()
     lines.append(
-        f"end-to-end: p50 {_ms(analysis.e2e.quantile(0.5)).strip()} ms   "
-        f"p99 {_ms(analysis.e2e.quantile(0.99)).strip()} ms   "
-        f"mean {_ms(analysis.e2e.mean).strip()} ms"
+        f"end-to-end: p50 {_ms(percentile(e2e, 0.5)).strip()} ms   "
+        f"p99 {_ms(percentile(e2e, 0.99)).strip()} ms   "
+        f"mean {_ms(analysis.mean_e2e).strip()} ms"
     )
     lines.append("")
     lines.append(
@@ -347,11 +347,12 @@ def render_report(analysis: CritpathAnalysis, label: str = "") -> str:
     )
     rows = analysis.rows()
     for phase, part in rows:
-        sketch = analysis.profiles[(phase, part)]
+        key = (phase, part)
+        values = analysis.seconds(key)
         lines.append(
-            f"{phase:<16} {part:<8} {analysis.counts[(phase, part)]:>5} "
-            f"{_ms(sketch.quantile(0.5))} {_ms(sketch.quantile(0.99))} "
-            f"{_ms(sketch.mean)} {analysis.share((phase, part)):>6.1%}"
+            f"{phase:<16} {part:<8} {analysis.counts[key]:>5} "
+            f"{_ms(percentile(values, 0.5))} {_ms(percentile(values, 0.99))} "
+            f"{_ms(analysis.mean(key))} {analysis.share(key):>6.1%}"
         )
     lines.append("")
     wait = sum(s for (_p, part), s in analysis.totals.items() if part == "wait")
@@ -366,12 +367,11 @@ def render_report(analysis: CritpathAnalysis, label: str = "") -> str:
         f"(min over requests {analysis.min_coverage():.1%})"
     )
     if rows:
-        top_phase, top_part = rows[0]
-        top_sketch = analysis.profiles[(top_phase, top_part)]
+        top = rows[0]
         lines.append(
-            f"top bottleneck: {top_phase}/{top_part} — "
-            f"{analysis.share((top_phase, top_part)):.1%} of attributed time "
-            f"(p99 {_ms(top_sketch.quantile(0.99)).strip()} ms)"
+            f"top bottleneck: {'/'.join(top)} — "
+            f"{analysis.share(top):.1%} of attributed time "
+            f"(p99 {_ms(percentile(analysis.seconds(top), 0.99)).strip()} ms)"
         )
     return "\n".join(lines)
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from ...analysis.metrics import percentile
 from .window import WindowSnapshot
 
 
@@ -77,17 +78,6 @@ class Detector:
         raise NotImplementedError
 
 
-def _median(values: list[int]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 0:
-        return 0.0
-    mid = n // 2
-    if n % 2:
-        return float(ordered[mid])
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 class ReplicaDivergenceDetector(Detector):
     """One replica's execution counter drifting below the quorum's.
 
@@ -119,7 +109,7 @@ class ReplicaDivergenceDetector(Detector):
             if len(nodes) < 3:
                 continue
             executes = {node: win.per_node[node].executes for node in nodes}
-            median = _median(list(executes.values()))
+            median = float(percentile(sorted(executes.values()), 0.5))
             if median < self.min_quorum_ops:
                 continue
             for node in nodes:

@@ -9,10 +9,8 @@ spec per window, keeps cumulative compliance, and reports breaches as
 :class:`~repro.obs.health.detectors.Finding`\\ s the plane turns into
 ``slo_violation`` health events.
 
-Latency quantiles come from the per-window
-:class:`~repro.obs.quantiles.QuantileSketch`, which the tracker also
-merges into a run-total sketch — the sketches are mergeable precisely
-so windowed and whole-run views stay consistent.
+A latency quantile is :func:`repro.analysis.metrics.percentile` over
+the window's sorted latencies: a window holds a few hundred at most.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..quantiles import QuantileSketch
+from ...analysis.metrics import percentile
 from .detectors import Finding
 from .window import WindowSnapshot
 
@@ -63,8 +61,6 @@ class SloTracker:
         self.windows_violated = 0
         self.worst: float = math.nan
         self._breached = False
-        #: Run-total latency sketch (merged from the window sketches).
-        self.total_sketch = QuantileSketch()
 
     def evaluate(self, win: WindowSnapshot) -> Finding | None:
         spec = self.spec
@@ -100,12 +96,10 @@ class SloTracker:
         """The spec's measured value for this window; None = no data."""
         spec = self.spec
         if spec.kind == "latency_quantile":
-            sketch = win.latency.get(spec.op_class)
-            if sketch is not None:
-                self.total_sketch.merge(sketch_copy(sketch))
-            if sketch is None or sketch.count < spec.min_samples:
+            values = win.latency.get(spec.op_class, ())
+            if not values or len(values) < spec.min_samples:
                 return None
-            return sketch.quantile(spec.q)
+            return percentile(sorted(values), spec.q)
         if spec.kind == "hit_rate_floor":
             hits = sum(d.fast_hits for d in win.per_node.values())
             attempts = sum(d.fast_attempts for d in win.per_node.values())
@@ -139,13 +133,6 @@ class SloTracker:
             "worst": None if math.isnan(self.worst) else round(self.worst, 6),
             "compliant": self.windows_violated == 0,
         }
-
-
-def sketch_copy(sketch: QuantileSketch) -> QuantileSketch:
-    """Cheap value-copy so merging never mutates the window's sketch."""
-    clone = QuantileSketch(compression=sketch.compression)
-    clone.merge(sketch)
-    return clone
 
 
 def default_slos() -> tuple[SloSpec, ...]:

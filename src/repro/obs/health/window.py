@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..quantiles import QuantileSketch
-
 
 @dataclass
 class NodeDelta:
@@ -77,8 +75,8 @@ class WindowSnapshot:
     completed: int = 0
     retries: int = 0
     open_invokes: int = 0
-    #: op_class ("read" / "write" / "all") -> latency sketch for
-    #: invocations that completed inside this window.
+    #: op_class ("read" / "write" / "all") -> latencies (seconds) of
+    #: the invocations that completed inside this window.
     latency: dict = field(default_factory=dict)
     #: replica/host node name -> NodeDelta.
     per_node: dict = field(default_factory=dict)
@@ -93,15 +91,9 @@ class WindowSnapshot:
             delta = self.per_node[name] = NodeDelta(node=name)
         return delta
 
-    def latency_sketch(self, op_class: str) -> QuantileSketch:
-        sketch = self.latency.get(op_class)
-        if sketch is None:
-            sketch = self.latency[op_class] = QuantileSketch()
-        return sketch
-
     def observe_latency(self, op_class: str, value: float) -> None:
-        self.latency_sketch(op_class).observe(value)
-        self.latency_sketch("all").observe(value)
+        self.latency.setdefault(op_class, []).append(value)
+        self.latency.setdefault("all", []).append(value)
 
     def replica_nodes(self) -> list[str]:
         """Node names in sorted order (deterministic detector loops)."""

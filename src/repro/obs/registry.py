@@ -4,8 +4,8 @@ The registry is the single sink every layer emits into. Instruments are
 identified by (name, sorted label set); asking for the same identity
 twice returns the same instrument, so probes in different subsystems can
 share series without coordination. Durations are not instruments: they
-are spans (:mod:`repro.obs.spans`), and their quantiles come from
-:class:`~repro.obs.quantiles.QuantileSketch` over those spans. Everything
+are spans (:mod:`repro.obs.spans`), and their percentiles come from
+:func:`repro.analysis.metrics.percentile` over those spans. Everything
 is plain Python state — no wall-clock timestamps, no background threads
 — so a registry filled by a deterministic simulation run exports
 byte-identically.

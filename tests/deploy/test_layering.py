@@ -60,6 +60,26 @@ def test_environment_is_read_in_one_place():
     assert not offenders, offenders
 
 
+def test_one_quantile_definition():
+    """Every percentile in the repository is
+    ``analysis.metrics.percentile`` over sorted samples (DESIGN.md D23):
+    no other module defines a quantile, percentile or median function,
+    or imports ``statistics``."""
+    offenders = []
+    for rel, tree in modules():
+        if rel == "analysis/metrics.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                word in node.name.lower() for word in ("quantile", "percentile", "median")
+            ):
+                offenders.append((rel, node.name))
+        for name in imported_modules(rel, tree):
+            if name == "statistics" or name.startswith("statistics."):
+                offenders.append((rel, name))
+    assert not offenders, offenders
+
+
 def test_hybster_imports_nothing_above_it():
     """The consensus layer stands alone: the lease role lives in
     repro.troxy and is attached by the build (DESIGN.md D11)."""

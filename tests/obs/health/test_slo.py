@@ -103,18 +103,23 @@ def test_progress_slo():
     assert tracker.evaluate(moving) is None
 
 
-def test_total_sketch_accumulates_across_windows():
+def test_latency_quantile_interpolates_between_samples():
+    """p99 of two samples a < b is 0.01·a + 0.99·b (``percentile``),
+    not b."""
     spec = SloSpec(
-        name="p99", kind="latency_quantile", limit=10.0, min_samples=1,
-        op_class="read",
+        name="p99", kind="latency_quantile", limit=0.001, q=0.99,
+        op_class="write", min_samples=2,
     )
     tracker = SloTracker(spec)
-    for i in range(3):
-        win = _win(i)
-        win.observe_latency("read", float(i + 1))
-        tracker.evaluate(win)
-    assert tracker.total_sketch.count == 3
-    assert tracker.total_sketch.quantile(1.0) == 3.0
+    win = _win()
+    a, b = 0.010, 0.050
+    win.observe_latency("write", b)
+    win.observe_latency("write", a)
+    finding = tracker.evaluate(win)
+    assert finding.detail["value"] == pytest.approx(0.01 * a + 0.99 * b)
+    assert finding.detail["value"] != b
+    assert tracker.summary()["worst"] == finding.detail["value"]
+    assert win.latency == {"write": [b, a], "all": [b, a]}
 
 
 def test_default_slos_shape():

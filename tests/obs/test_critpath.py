@@ -13,8 +13,8 @@ import json
 
 import pytest
 
+from repro.analysis.metrics import percentile
 from repro.obs.critpath import (
-    CritpathAnalysis,
     analyze,
     attribute_trace,
     highlighted_chrome_trace,
@@ -92,20 +92,28 @@ def test_unfinished_or_missing_roots_are_skipped():
     assert attribute_trace([], "c9#9") is None
 
 
-def test_analysis_merge_matches_union():
+def test_profile_percentiles_are_exact_over_the_requests():
+    """p50 / p99 are ``percentile`` over every request's seconds, not an
+    estimate: 65 distinct latencies, where a digest's midpoint
+    interpolation lands elsewhere."""
     rec = SpanRecorder()
-    for i, (a, b) in enumerate([(0.0, 1.0), (2.0, 2.5), (3.0, 3.7)]):
-        root = _closed(rec, "client.invoke", a, b, trace=f"c1#{i}", parent=None)
-        _closed(rec, "hybster.execute", a, (a + b) / 2,
+    for i in range(65):
+        start, e2e = float(i), 0.010 + 0.001 * i * i / 64
+        root = _closed(rec, "client.invoke", start, start + e2e,
+                       trace=f"c1#{i}", parent=None)
+        _closed(rec, "hybster.execute", start, start + e2e / 2,
                 trace=f"c1#{i}", parent=root)
-    whole = analyze(rec.spans)
-    left = analyze(rec.spans, trace_ids=["c1#0"])
-    right = analyze(rec.spans, trace_ids=["c1#1", "c1#2"])
-    merged = CritpathAnalysis().merge(left).merge(right)
-    assert merged.totals == whole.totals
-    assert merged.counts == whole.counts
-    assert merged.e2e.quantile(0.5) == pytest.approx(whole.e2e.quantile(0.5))
-    assert len(merged.requests) == len(whole.requests) == 3
+    analysis = analyze(rec.spans)
+    summary = analysis.as_dict()
+    e2e = sorted(r.e2e for r in analysis.requests)
+    assert len(e2e) == 65
+    assert summary["e2e_p99_ms"] == percentile(e2e, 0.99) * 1e3
+    assert summary["e2e_p50_ms"] == percentile(e2e, 0.5) * 1e3
+    execute = sorted(r.slices[("execute", "service")] for r in analysis.requests)
+    assert analysis.seconds(("execute", "service")) == execute
+    row = summary["phases"]["execute/service"]
+    assert row["p99_ms"] == percentile(execute, 0.99) * 1e3
+    assert row["mean_ms"] == pytest.approx(sum(execute) / 65 * 1e3)
 
 
 # -- end-to-end: instrumented runs ------------------------------------------
@@ -145,7 +153,7 @@ def test_batching_run_shows_queue_phase():
     )
     analysis = analyze(plane.spans)
     assert ("batch_queue", "wait") in analysis.totals
-    assert analysis.profiles[("batch_queue", "wait")].count > 0
+    assert analysis.seconds(("batch_queue", "wait"))
 
 
 def test_sharded_run_shows_forward_phase():

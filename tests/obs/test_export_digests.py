@@ -16,6 +16,14 @@ gauge; every other line is the same bytes in the same order. The
 ``metrics.prom`` digests went with the Prometheus export. The
 ``trace.json`` digests, ``HEALTH`` and ``AUDIT`` did not move.
 
+Re-recorded on purpose when the quantile sketch went (DESIGN.md D23):
+``HEALTH`` and ``AUDIT``'s ``evidence.json``, because an SLO window's
+p99 is now ``analysis.metrics.percentile`` over its latencies. Only the
+``value`` / ``worst`` fields of the one ``slo_violation`` event and its
+evidence metric moved (1.000627 -> 0.980621 in ``HEALTH``, 1.000561 ->
+0.970554 in the evidence, whose signature covers it); every event keeps
+its kind, time and window, and ``audit.json`` did not move.
+
 CI's ``obs-smoke`` job runs this file on its own, so "identical to a
 second run" there is also "identical to what is committed".
 """
@@ -55,10 +63,10 @@ WORKLOADS = {
 }
 
 SHARDED_SPANS = "1eb6a0338a1be330d56dec678b6ebedc799bb5c391af84c5ab76f69aed5251ca"
-HEALTH = "ebf2818a6a9b98fb9869ddc4b51567bb4ccbb62a97c1acd457606801297cd1ed"
+HEALTH = "f6a873ac43ae97a87b5793495fcb196db20efc39ac02ec27ed320d5f794c390d"
 AUDIT = {
     "audit.json": "0e4b519de941da61c2fd6e865fc3f769401912258fc5f047d21a79d062a6a075",
-    "evidence.json": "55a1f0cc541b5b990113b9b758698e38a1a36573b792014e056c537fac40a81c",
+    "evidence.json": "0aa3d6f32b0edff51440252e7ec764a7ef0e2d92b8738bfd9c47278d64c55bb3",
 }
 
 

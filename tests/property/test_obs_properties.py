@@ -1,86 +1,16 @@
 """Property-based tests for the observability primitives.
 
-Two pure-logic pieces back the critical-path analyzer, so Hypothesis
-drives them through arbitrary inputs:
-
-* :class:`~repro.obs.quantiles.QuantileSketch` merging — ``count`` /
-  ``sum`` are exact under any merge grouping, and merged quantile
-  estimates are associative/commutative within the sketch's compression
-  tolerance (the aggregation over per-phase attribution profiles relies
-  on grouping-independence);
-* :class:`~repro.obs.spans.SpanRecorder` tree invariants — every
-  ``parent_id`` resolves to a recorded span of the same trace that was
-  open at child-begin time (no orphans, no cross-trace edges), and
-  ``finish()`` closes every open span exactly once, idempotently.
+The critical-path analyzer rests on :class:`~repro.obs.spans.SpanRecorder`,
+so Hypothesis drives its tree invariants through arbitrary schedules:
+every ``parent_id`` resolves to a recorded span of the same trace that
+was open at child-begin time (no orphans, no cross-trace edges), and
+``finish()`` closes every open span exactly once, idempotently.
 """
-
-import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.quantiles import QuantileSketch
 from repro.obs.spans import SpanRecorder
-
-values = st.lists(
-    st.floats(min_value=0.0, max_value=1e4, allow_nan=False,
-              allow_infinity=False, width=32),
-    max_size=80,
-)
-
-QUANTS = (0.0, 0.25, 0.5, 0.9, 0.99, 1.0)
-
-
-def _sketch(data):
-    sketch = QuantileSketch(compression=16)
-    for value in data:
-        sketch.observe(value)
-    return sketch
-
-
-def _tolerance(data):
-    """Absolute slack for a merged-estimate comparison.
-
-    A t-digest bounds rank error, not value error; on arbitrary floats
-    the induced value error is bounded by the data's spread. A fraction
-    of the spread keeps the check meaningful (a broken merge that drops
-    or double-counts buffers shifts estimates by whole centroids).
-    """
-    spread = max(data) - min(data)
-    return 0.35 * spread + 1e-9
-
-
-@given(values, values)
-@settings(max_examples=60, deadline=None)
-def test_merge_is_commutative_within_tolerance(a, b):
-    ab = _sketch(a).merge(_sketch(b))
-    ba = _sketch(b).merge(_sketch(a))
-    assert ab.count == ba.count == len(a) + len(b)
-    assert math.isclose(ab.sum, ba.sum, rel_tol=1e-9, abs_tol=1e-9)
-    data = a + b
-    if not data:
-        assert math.isnan(ab.quantile(0.5)) and math.isnan(ba.quantile(0.5))
-        return
-    tol = _tolerance(data)
-    for q in QUANTS:
-        assert abs(ab.quantile(q) - ba.quantile(q)) <= tol, q
-
-
-@given(values, values, values)
-@settings(max_examples=60, deadline=None)
-def test_merge_is_associative_within_tolerance(a, b, c):
-    left = _sketch(a).merge(_sketch(b)).merge(_sketch(c))
-    right = _sketch(a).merge(_sketch(b).merge(_sketch(c)))
-    assert left.count == right.count == len(a) + len(b) + len(c)
-    assert math.isclose(left.sum, right.sum, rel_tol=1e-9, abs_tol=1e-9)
-    data = a + b + c
-    if not data:
-        return
-    tol = _tolerance(data)
-    for q in QUANTS:
-        assert abs(left.quantile(q) - right.quantile(q)) <= tol, q
-    # Any grouping stays inside the observed value range.
-    assert min(data) <= left.quantile(0.5) <= max(data)
 
 
 @st.composite
