@@ -2,18 +2,19 @@
 
 The subsystem has four layers:
 
-* :mod:`repro.faults.model` — declarative fault types (what goes wrong);
+* :mod:`repro.faults.model` — fault types (what goes wrong), each of
+  which stages itself and names its own audit blame;
 * :mod:`repro.faults.schedule` — timed schedules and the named scenario
   catalogue (when it goes wrong);
-* :mod:`repro.faults.injector` — the :class:`FaultPlane` that stages
-  faults against a live cluster through small interception points (how
-  it is made to go wrong);
+* :mod:`repro.faults.injector` — the :class:`FaultPlane`, the state the
+  faults share on a live cluster: lookups, RNG, timeline, the one send
+  filter;
 * :mod:`repro.faults.invariants` / :mod:`repro.faults.campaign` — what
   must still hold afterwards, and the deterministic runner that sweeps
   scenarios × seeds (``python -m repro.faults``).
 """
 
-from .injector import FaultPlane, WireRule
+from .injector import FaultPlane
 from .invariants import (
     InvariantResult,
     check_counter_monotonicity,
@@ -58,7 +59,6 @@ __all__ = [
     "SCENARIOS",
     "Scenario",
     "Schedule",
-    "WireRule",
     "WorkloadSpec",
     "WriteContentionAttack",
     "check_counter_monotonicity",

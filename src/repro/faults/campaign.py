@@ -20,15 +20,7 @@ from ..apps.kvstore import KvStore, get, put
 from ..deploy import build_troxy
 from ..sim.rng import RngTree
 from .injector import FaultPlane
-from .model import (
-    Fault,
-    HostTamper,
-    MessageCorrupt,
-    MessageLoss,
-    NetworkPartition,
-    ReplicaCrash,
-    WriteContentionAttack,
-)
+from .model import Fault
 from .invariants import (
     check_counter_monotonicity,
     check_linearizability,
@@ -62,48 +54,6 @@ def _workload_driver(env, client, spec: WorkloadSpec, rng, state: DriverState):
         if spec.think_time:
             yield env.timeout(spec.think_time)
     state.done = True
-
-
-def fault_ground_truth(fault: Fault, plane: FaultPlane) -> dict | None:
-    """Structured blame target of one injected fault.
-
-    This is the audit plane's ground truth (docs/OBSERVABILITY.md,
-    "Accountability & audit"): for each fault that leaves attributable
-    evidence, say *who* a correct auditor must blame. ``required`` marks
-    faults the auditor is expected to localize; link-level entries are
-    permissive — they whitelist link suspicion without demanding it
-    (omission evidence cannot distinguish a quiet link from a lossy
-    one). Faults whose wire rules never fired, and benign faults
-    (delay, reboot, restart, migration), have no ground truth.
-    """
-    if isinstance(fault, ReplicaCrash):
-        return {"blame": "node", "targets": [fault.replica], "required": True}
-    if isinstance(fault, HostTamper):
-        if plane.rule_hits(fault) == 0:
-            return None
-        return {"blame": "tamper", "targets": [fault.replica], "required": True}
-    if isinstance(fault, MessageCorrupt):
-        if plane.rule_hits(fault) == 0:
-            return None
-        return {"blame": "tamper", "src": fault.src, "required": True}
-    if isinstance(fault, MessageLoss):
-        if plane.rule_hits(fault) == 0:
-            return None
-        return {
-            "blame": "link", "src": fault.src, "dst": fault.dst,
-            "required": False,
-        }
-    if isinstance(fault, NetworkPartition):
-        pairs = sorted(
-            sorted((a, b)) for a, b in plane._cross_group_pairs(fault.groups)
-        )
-        return {"blame": "link", "pairs": pairs, "required": False}
-    if isinstance(fault, WriteContentionAttack):
-        clients = sorted(s.client_id for s in plane.attacks.get(fault, ()))
-        if not clients:
-            return None
-        return {"blame": "client", "targets": clients, "required": True}
-    return None
 
 
 def run_scenario(
@@ -221,7 +171,7 @@ def run_scenario(
             r.stats.lease_writes_parked for r in cluster.replicas
         ),
     }
-    # Per-kind wire-rule hits: delayed messages arrive late, so only
+    # Wire-fault hits per kind: delayed messages arrive late, so only
     # tamper/loss/corrupt hits count as actually harmed traffic.
     wire_hits = faults.wire_hit_counts()
     stats["wire_hits"] = wire_hits
@@ -239,21 +189,19 @@ def run_scenario(
 
     # First-class injection timeline: one record per injected fault with
     # its sim-time activation (and, when healed, deactivation) timestamp
-    # plus the audit ground truth derived from the fault object.
+    # plus the audit ground truth the fault names for itself.
     injections: list[dict] = []
-    pending: dict[str, list[dict]] = {}
-    for event, t, fault in faults.fault_timeline:
+    pending: dict[Fault, list[dict]] = {}
+    for event, t, fault in faults.timeline:
         if event == "inject":
             record = {
                 "fault": fault.describe(), "t": t, "healed_t": None,
-                "ground_truth": fault_ground_truth(fault, faults),
+                "ground_truth": fault.ground_truth(faults),
             }
             injections.append(record)
-            pending.setdefault(record["fault"], []).append(record)
-        elif event == "heal":
-            live = pending.get(fault.describe())
-            if live:
-                live.pop(0)["healed_t"] = t
+            pending.setdefault(fault, []).append(record)
+        elif pending.get(fault):
+            pending[fault].pop(0)["healed_t"] = t
 
     result = {
         "scenario": scenario.name,

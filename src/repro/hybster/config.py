@@ -117,9 +117,3 @@ class ClusterConfig:
 
     def leader_of(self, view: int) -> str:
         return self.replica_ids[view % self.n]
-
-    def index_of(self, replica_id: str) -> int:
-        try:
-            return self.replica_ids.index(replica_id)
-        except ValueError:
-            raise ValueError(f"unknown replica id: {replica_id!r}") from None

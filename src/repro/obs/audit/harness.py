@@ -2,12 +2,13 @@
 
 Every (scenario, seed, shards, batching) cell of a :mod:`repro.faults`
 campaign swept with ``plane=AuditPlane`` is scored here against the
-campaign's injected ground truth (``fault_ground_truth``): every
-*required* ground-truth entry (crash → omission, host tamper / wire
-corruption → tamper, adversarial writers → contention) must be
-localized, and no healthy replica or workload client may ever be
-blamed. Link-level ground truth (partitions, lossy links) is permissive
-— it whitelists link suspicion without demanding it.
+ground truth each injected fault names for itself
+(``Fault.ground_truth``): every *required* ground-truth entry (crash →
+omission, host tamper / wire corruption → tamper, adversarial writers →
+contention) must be localized, and no healthy replica or workload
+client may ever be blamed. Link-level ground truth (partitions, lossy
+links) is permissive — it whitelists link suspicion without demanding
+it.
 
 The tracked ``benchmarks/results/audit_blame.txt`` table is
 regenerated from here (``python -m repro.bench audit``), and the CI

@@ -59,7 +59,7 @@ def trace_key(message) -> str:
 
 
 class SpanRecorder:
-    """Collects spans; builds per-trace trees."""
+    """Collects spans, one tree per trace."""
 
     def __init__(self):
         self.spans: list[Span] = []
@@ -212,37 +212,3 @@ class SpanRecorder:
 
     def roots(self, trace_id: str) -> list[Span]:
         return [s for s in self.trace(trace_id) if s.parent_id is None]
-
-    def phase_names(self, trace_id: str) -> set[str]:
-        """Distinct span names of one trace (the Fig. 5 phase set)."""
-        return {s.name for s in self.trace(trace_id)}
-
-    def tree(self, trace_id: str) -> list[tuple[int, Span]]:
-        """Depth-first (depth, span) rendering of one request's tree."""
-        spans = self.trace(trace_id)
-        ids = {s.span_id for s in spans}
-        by_parent: dict[Optional[int], list[Span]] = {}
-        for span in spans:
-            parent = span.parent_id if span.parent_id in ids else None
-            by_parent.setdefault(parent, []).append(span)
-        out: list[tuple[int, Span]] = []
-
-        def visit(parent_id: Optional[int], depth: int) -> None:
-            for span in by_parent.get(parent_id, ()):
-                out.append((depth, span))
-                visit(span.span_id, depth + 1)
-
-        visit(None, 0)
-        return out
-
-
-def render_tree(recorder: SpanRecorder, trace_id: str) -> str:
-    """Human-readable tree of one request (debugging helper)."""
-    lines = []
-    for depth, span in recorder.tree(trace_id):
-        dur_us = span.duration * 1e6
-        lines.append(
-            f"{'  ' * depth}{span.name}  [{span.node}]  "
-            f"@{span.start * 1e3:.3f}ms  +{dur_us:.1f}us"
-        )
-    return "\n".join(lines)

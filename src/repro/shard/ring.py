@@ -47,7 +47,7 @@ class HashRing:
             self._place_group(group)
         self._sort()
 
-    # -- construction / membership -------------------------------------------------
+    # -- construction ----------------------------------------------------------------
 
     def _place_group(self, group: str) -> None:
         for v in range(self.vnodes):
@@ -66,30 +66,6 @@ class HashRing:
     def groups(self) -> tuple[str, ...]:
         """Groups currently assigned at least one token (sorted)."""
         return tuple(sorted(set(self.assignment.values())))
-
-    def add_group(self, group: str) -> None:
-        """Join a new group: place its tokens; only keys whose successor
-        token is now one of the new tokens change owner."""
-        if any(token[0] == group for token in self.assignment):
-            raise ValueError(f"group already on the ring: {group!r}")
-        self._place_group(group)
-        self._sort()
-
-    def remove_group(self, group: str) -> None:
-        """Leave: drop the group's home tokens and re-home any foreign
-        tokens assigned to it back to their home groups."""
-        remaining = {g for g in self.groups if g != group}
-        if not remaining:
-            raise ValueError("cannot remove the last group")
-        self.assignment = {
-            token: (token[0] if owner == group else owner)
-            for token, owner in self.assignment.items()
-            if token[0] != group
-        }
-        self._positions = [
-            (pos, token) for pos, token in self._positions if token[0] != group
-        ]
-        self._sort()
 
     # -- lookup ----------------------------------------------------------------------
 

@@ -1,4 +1,7 @@
-"""Unit tests for the declarative fault types and the fault plane."""
+"""Unit tests for the fault types and the fault plane."""
+
+import dataclasses
+import inspect
 
 import pytest
 
@@ -18,7 +21,8 @@ from repro.faults import (
     Schedule,
     WriteContentionAttack,
 )
-from repro.faults.injector import Garbage, WireRule
+from repro.faults import model
+from repro.faults.model import Fault, Garbage, WireFault
 from repro.sim.network import SendAttempt
 
 
@@ -124,7 +128,23 @@ def test_partition_cuts_cross_group_links_and_heals():
     assert not dropped("replica-1", "replica-2")
 
 
-# -- wire rules --------------------------------------------------------------
+def test_healing_one_partition_keeps_links_another_still_cuts():
+    _, plane = make_plane(seed=5)
+    wide = NetworkPartition((("replica-2",), ("replica-0", "replica-1")))
+    narrow = NetworkPartition((("replica-2",), ("replica-0",)))
+    plane.inject(wide)
+    plane.inject(narrow)
+    plane.heal(narrow)
+    attempt = _attempt("replica-2", "replica-0")
+    plane._filter(attempt)
+    assert attempt.drop  # the wide partition still cuts r2 -> r0
+    plane.heal(wide)
+    attempt = _attempt("replica-2", "replica-0")
+    plane._filter(attempt)
+    assert not attempt.drop
+
+
+# -- wire faults -------------------------------------------------------------
 
 
 def _attempt(src="replica-0", dst="replica-1", payload=b"x", size=8):
@@ -150,10 +170,26 @@ def test_loss_rule_drops_and_heal_removes_it():
     attempt = _attempt()
     plane._filter(attempt)
     assert attempt.drop
-    assert plane.rule_hits(fault) == 1
+    assert plane.hits[fault] == 1
     plane.heal(fault)
-    assert plane.rules == []
-    assert plane.rule_hits(fault) == 1  # hits survive the heal
+    assert plane.wire == []
+    assert plane.hits[fault] == 1  # hits survive the heal
+    fresh = _attempt()
+    plane._filter(fresh)
+    assert not fresh.drop
+
+
+def test_healing_one_of_two_equal_wire_faults_keeps_the_other():
+    _, plane = make_plane(seed=7)
+    fault = MessageLoss(probability=1.0)
+    plane.inject(fault)
+    plane.inject(MessageLoss(probability=1.0))
+    plane.heal(fault)
+    attempt = _attempt()
+    plane._filter(attempt)
+    assert attempt.drop  # the second black-hole is still active
+    assert plane.wire == [fault]
+    plane.heal(fault)
     fresh = _attempt()
     plane._filter(fresh)
     assert not fresh.drop
@@ -178,7 +214,7 @@ def test_corrupt_rule_replaces_unknown_payload_with_garbage():
 
 
 def test_wire_rule_glob_matching():
-    rule = WireRule(kind="loss", src="replica-*", dst="client-machine-?")
+    rule = MessageLoss(src="replica-*", dst="client-machine-?")
     assert rule.matches(_attempt(src="replica-2", dst="client-machine-1"))
     assert not rule.matches(_attempt(src="client-1", dst="client-machine-1"))
     assert not rule.matches(_attempt(src="replica-2", dst="client-machine-12"))
@@ -193,7 +229,7 @@ def test_host_tamper_budget_limits_forgeries():
     plane.inject(fault)
     client = cluster.new_client(contact_index=0, request_timeout=1.0)
     results = run_ops(cluster, client, [put("x", b"real"), get("x")], until=60.0)
-    assert plane.rule_hits(fault) == 1  # budget respected
+    assert plane.hits[fault] == 1  # budget respected
     assert client.stats.invalid_replies >= 1
     assert [r.result.content for r in results] == [b"stored", b"real"]
 
@@ -248,3 +284,43 @@ def test_drive_executes_schedule_at_the_right_times():
         (0.5, "inject"),
         (1.5, "heal"),
     ]
+
+
+# -- totality ----------------------------------------------------------------
+
+
+def _fault_classes():
+    return [
+        cls for _, cls in inspect.getmembers(model, inspect.isclass)
+        if issubclass(cls, Fault) and cls.__module__ == model.__name__
+    ]
+
+
+def _concrete(cls):
+    return not cls.__subclasses__()
+
+
+def test_every_fault_kind_is_wired_in_its_own_class():
+    """A new kind cannot be half-wired: it stages itself, a wire fault
+    reports under a stat the campaign counts, and its description names
+    exactly its dataclass fields (never a ClassVar)."""
+    _, plane = make_plane(seed=13)
+    stats = plane.wire_hit_counts()
+    concrete = [cls for cls in _fault_classes() if _concrete(cls)]
+    assert len(concrete) >= 10
+    for cls in concrete:
+        assert cls.inject is not Fault.inject, cls.__name__
+        if issubclass(cls, WireFault):
+            assert cls.hit_stat in stats, cls.__name__
+    examples = [
+        ReplicaCrash("replica-1"), ReplicaRestart("replica-1"),
+        EnclaveReboot("replica-0"), NetworkPartition((("a",), ("b",))),
+        MessageDelay(), MessageLoss(), MessageCorrupt(), HostTamper("replica-0"),
+        WriteContentionAttack(keys=("k",)), model.ShardMigration(),
+    ]
+    assert {type(fault) for fault in examples} == set(concrete)
+    for fault in examples:
+        described = fault.describe()
+        names = [f.name for f in dataclasses.fields(fault)]
+        assert described.count("=") == len(names), described
+        assert all(f"{name}=" in described for name in names), described

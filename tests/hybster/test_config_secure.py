@@ -28,13 +28,6 @@ def test_config_leader_rotation():
     assert config.leader_of(3) == "replica-0"
 
 
-def test_config_index_of():
-    config = ClusterConfig(f=1)
-    assert config.index_of("replica-2") == 2
-    with pytest.raises(ValueError):
-        config.index_of("replica-99")
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ClusterConfig(f=0)

@@ -57,7 +57,7 @@ def test_untrusted_host_tampering_with_reply_detected_and_failed_over(features=A
     plane.inject(tamper)
     client = cluster.new_client(contact_index=0, request_timeout=1.0)
     results = run_ops(cluster, client, [put("x", b"real"), get("x")], until=60.0)
-    assert plane.rule_hits(tamper) >= 1  # the attack actually ran
+    assert plane.hits[tamper] >= 1  # the attack actually ran
     assert client.stats.invalid_replies >= 1  # corrupted channel detected
     assert client.stats.failovers >= 1
     assert [r.result.content for r in results] == [b"stored", b"real"]
@@ -196,7 +196,7 @@ def test_unresponsive_remote_troxy_times_out_to_ordering(features=ALL_OFF):
     results = run_ops(cluster, client, [get("k")])
     assert results[0].result.content == b"v"
     assert cluster.cores[0].stats.fast_read_timeouts >= 1
-    assert plane.rule_hits(blackhole) >= 1
+    assert plane.hits[blackhole] >= 1
 
 
 test_under_feature_set = rerun_under_the_other_feature_sets(globals())

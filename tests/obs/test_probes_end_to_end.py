@@ -66,7 +66,7 @@ def test_full_request_chain_recorded(run):
         "hybster.execute", "troxy.vote",
     }
     fast_chain = {"client.invoke", "troxy.host", "troxy.cache", "troxy.fast_read"}
-    names_by_trace = [rec.phase_names(t) for t in rec.trace_ids()]
+    names_by_trace = [{s.name for s in rec.trace(t)} for t in rec.trace_ids()]
     assert any(ordered_chain <= names for names in names_by_trace), (
         "no trace contains the full ordered-write chain"
     )
