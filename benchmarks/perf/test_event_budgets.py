@@ -33,43 +33,57 @@ hold; on the saturated ledger workload it is 0.79 of 9.58. ``bl`` has
 no Troxy host and did not move. The fast-read cell moved only through
 its warm-up writes (8 events of 74 897, 0.01 MACs per operation) and
 keeps its pins.
+
+The last pin is ``env.pending``: the entries still in the schedule when
+the cell ends. Every request arms a 2 s timer that its reply makes
+moot, and the cells are 0.07 s long, so when the lost timers stayed on
+the heap it held one entry per request (1 590 / 1 652 / 4 609 / 1 873
+for the four cells below). A fired ``any_of`` now withdraws its losing
+timers and the heap is rebuilt without them once they are at least
+``_COMPACT_MIN`` and more than half of it (DESIGN.md D25); what is left
+is 21-26 live entries plus the withdrawn timers since the last rebuild.
+Where that rebuild falls moves with any change to the event structure,
+so the pin allows one rebuild's worth (``_COMPACT_MIN``) above the
+recorded count, and dead timers piling up again fail it on a count.
 """
 
 import pytest
 
 from repro.bench.experiments import _run_system, read_source, write_source
 from repro.crypto.primitives import MacKey
+from repro.sim.engine import _COMPACT_MIN
 
 #: (cell-id, system, op source, kwargs, budgets): scheduled events of
-#: the run, and ecalls / MAC operations per operation.
+#: the run, ecalls / MAC operations per operation, and the entries
+#: pending in the schedule at the end.
 CELLS = [
     (
         "fig6-etroxy-128B-8c",
         "etroxy",
         write_source(128),
         dict(reply_size=10, n_clients=8, warmup=0.02, duration=0.05),
-        dict(events=195_531, ecalls=7.985, macs=17.36),
+        dict(events=195_531, ecalls=7.985, macs=17.36, pending=54),
     ),
     (
         "fig6-ctroxy-128B-8c",
         "ctroxy",
         write_source(128),
         dict(reply_size=10, n_clients=8, warmup=0.02, duration=0.05),
-        dict(events=201_172, ecalls=7.848, macs=17.28),
+        dict(events=201_172, ecalls=7.848, macs=17.28, pending=116),
     ),
     (
         "fig6-bl-128B-8c",
         "bl",
         write_source(128),
         dict(reply_size=10, n_clients=8, warmup=0.02, duration=0.05),
-        dict(events=228_768, ecalls=3.003, macs=17.09),
+        dict(events=228_768, ecalls=3.003, macs=17.09, pending=257),
     ),
     (
         "fig8-etroxy-1KiB-8c",
         "etroxy",
         read_source(),
         dict(reply_size=1024, n_clients=8, warmup=0.02, duration=0.05),
-        dict(events=74_897, ecalls=3.064, macs=8.12),
+        dict(events=74_897, ecalls=3.064, macs=8.12, pending=81),
     ),
 ]
 
@@ -81,7 +95,8 @@ COUNT_TOLERANCE = 0.05
 
 @pytest.fixture(scope="module")
 def measured():
-    """Every cell run once: events, crossings and MACs per operation."""
+    """Every cell run once: events, crossings and MACs per operation,
+    pending entries."""
     sign = MacKey.sign
     signed = [0]
 
@@ -107,6 +122,7 @@ def measured():
                 "events": cluster.sim_stats["scheduled_events"],
                 "ecalls": sum(b.stats.ecalls for b in boundaries) / operations,
                 "macs": signed[0] / operations,
+                "pending": cluster.sim_stats["pending"],
             }
     finally:
         MacKey.sign = sign
@@ -137,6 +153,17 @@ def test_crossings_and_macs_per_operation_within_budget(cell, count, measured):
         f"{cell_id}: {value:.3f} {count} per operation against a budget of "
         f"{budget} (±{COUNT_TOLERANCE:.0%}) — surplus work crossed the boundary "
         f"again, or was removed: re-baseline deliberately"
+    )
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=[cell[0] for cell in CELLS])
+def test_pending_entries_within_pin(cell, measured):
+    cell_id, pin = cell[0], cell[4]["pending"]
+    pending = measured[cell_id]["pending"]
+    assert pending <= pin + _COMPACT_MIN, (
+        f"{cell_id}: {pending} entries pending at the end against a pin of "
+        f"{pin} (+{_COMPACT_MIN}) — timers that lost an any_of are piling "
+        f"up on the heap again"
     )
 
 

@@ -126,9 +126,10 @@ def _drive(
     invocation opens a root span.
 
     The returned deployment carries ``sim_stats``: the deterministic
-    ``env.steps`` / ``env.scheduled_events`` counters the event budgets
-    read (``benchmarks/perf``), and the run's ``completed`` request
-    count (warm-up included) for per-request ratios.
+    ``env.steps`` / ``env.scheduled_events`` / ``env.pending`` counters
+    the event budgets read (``benchmarks/perf``), and the run's
+    ``completed`` request count (warm-up included) for per-request
+    ratios.
     """
     cluster = build()
     if obs is not None:
@@ -150,6 +151,7 @@ def _drive(
     cluster.sim_stats = {
         "steps": cluster.env.steps,
         "scheduled_events": cluster.env.scheduled_events,
+        "pending": cluster.env.pending,
         "completed": loadgen.stats.completed,
     }
     return cluster, summary

@@ -1,8 +1,8 @@
 """Deterministic discrete-event simulation engine.
 
 This is the substrate every other subsystem runs on. It is a small,
-self-contained cousin of SimPy: an :class:`Environment` owns a priority
-queue of timestamped events, and *processes* are Python generators that
+self-contained cousin of SimPy: an :class:`Environment` owns a schedule
+of timestamped events, and *processes* are Python generators that
 ``yield`` events to suspend until those events fire.
 
 Event lifecycle follows SimPy's two-stage model:
@@ -18,26 +18,44 @@ none is.
 
 Determinism guarantees
 ----------------------
-Every heap entry is ``(time, counter, entry)``. Events scheduled for the
-same simulated time are processed in schedule order (the counter grows
-monotonically), so two runs with the same seeds produce byte-identical
-traces. Nothing in the engine consults wall-clock time or global
-randomness.
+Every schedule entry takes the next value of a counter that grows by
+one per schedule. Events are processed in ``(time, counter)`` order:
+those scheduled for the same simulated time run in schedule order, so
+two runs with the same seeds produce byte-identical traces. Nothing in
+the engine consults wall-clock time or global randomness.
+
+The schedule has two parts (DESIGN.md D25). An entry for the current
+instant — a process start, a relay, a completion, ``succeed()``, a
+timeout that rounds to no delay — goes to a FIFO *lane*; every later
+entry goes to a heap of ``(time, counter, entry)``. A heap entry for
+the current instant was pushed before the clock got there, so its
+counter is lower than every lane entry's: when the clock advances, the
+heap entries of the new instant move to the (then empty) lane first,
+and the lane is drained before the clock moves again.
+
+A fired :class:`AnyOf` withdraws the timers that lost it (un-fired
+``Timeout`` children whose only callback is that condition). A
+withdrawn timer reads ``triggered`` and not ``processed``, never runs a
+callback, and a process yielding it raises :class:`SimulationError`.
+Until the heap is rebuilt without the withdrawn timers (once they are
+at least ``_COMPACT_MIN`` and more than half of it) each one pops as a
+step that runs nothing.
 
 Hot-path design (see docs/PERFORMANCE.md)
 -----------------------------------------
 The scheduler is the single hottest code in the repository: a saturated
-Fig. 6 cell pushes and pops hundreds of thousands of heap entries per
-simulated second. Three rules keep it fast without changing semantics:
+Fig. 6 cell schedules hundreds of thousands of entries per simulated
+second. Four rules keep it fast without changing the order of events:
 
 * ``run()`` inlines the event-pop loop instead of calling :meth:`step`
   per event (attribute loads and method dispatch dominate otherwise).
+* Same-instant entries skip the heap: a deque append and pop instead of
+  two O(log n) sifts.
 * Internal wake-ups (already-processed targets, process start,
   pre-processed condition children) use lightweight ``__slots__`` relay
-  objects instead of full :class:`Event` instances. A relay occupies
-  exactly the heap slot the old bridge event did — same schedule
-  counter — so event ordering (and therefore every simulated result) is
-  bit-for-bit unchanged.
+  objects instead of full :class:`Event` instances. A relay takes the
+  schedule counter the old bridge event took, so event ordering (and
+  therefore every simulated result) is bit-for-bit unchanged.
 * ``Timeout`` writes its fields directly instead of chaining through
   ``Event.__init__`` (roughly half of all scheduled events are timeouts).
 
@@ -57,14 +75,31 @@ Example
 from __future__ import annotations
 
 import gc as _gc
-from heapq import heappop, heappush
+from collections import deque
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 _INF = float("inf")
+#: The heap is rebuilt without withdrawn timers once they are more than
+#: half of it and at least this many; a smaller heap pops its few dead
+#: entries for less than a rebuild costs.
+_COMPACT_MIN = 256
 
 
 class SimulationError(Exception):
     """Base class for errors raised by the simulation engine."""
+
+
+class _Withdrawn(list):
+    """Callback list of a timer withdrawn by the :class:`AnyOf` it lost."""
+
+    __slots__ = ()
+
+    def append(self, _callback) -> None:
+        raise SimulationError("waiting on a timer withdrawn by the any_of it lost")
+
+
+_WITHDRAWN = _Withdrawn()
 
 
 class Event:
@@ -108,7 +143,9 @@ class Event:
             raise SimulationError("event already triggered")
         self._triggered = True
         self._value = value
-        self.env._schedule(self)
+        env = self.env
+        env._counter += 1
+        env._lane.append(self)
         return self
 
 
@@ -129,20 +166,24 @@ class Timeout(Event):
         self._triggered = True
         self._defused = False
         env._counter = counter = env._counter + 1
-        heappush(env._queue, (env._now + delay, counter, self))
+        now = env._now
+        time = now + delay
+        if time == now:
+            env._lane.append(self)
+        else:
+            heappush(env._queue, (time, counter, self))
 
 
 class _Relay:
-    """Allocation-light heap entry that runs one callback next step.
+    """Allocation-light schedule entry that runs one callback next step.
 
     Used where the engine used to allocate a bridge :class:`Event`: a
     process starting, or a process (or condition) waiting on an
     *already-processed* target, must run on the next scheduler step, in
     schedule order. A relay carries just the four fields the scheduler
-    loop touches and occupies exactly the heap slot the bridge event
-    occupied, so ordering is unchanged. It re-delivers the target's
-    result; a failure it carries was already surfaced once, so it is
-    born defused.
+    loop touches and takes the schedule counter the bridge event took,
+    so ordering is unchanged. It re-delivers the target's result; a
+    failure it carries was already surfaced once, so it is born defused.
     """
 
     __slots__ = ("callbacks", "_value", "_ok", "_defused")
@@ -175,8 +216,8 @@ class Process(Event):
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         # Start at the current time, on the next scheduler step.
-        env._counter = counter = env._counter + 1
-        heappush(env._queue, (env._now, counter, _Relay(self._resume)))
+        env._counter += 1
+        env._lane.append(_Relay(self._resume))
 
     def _resume(self, event: Event) -> None:
         env = self.env
@@ -190,15 +231,15 @@ class Process(Event):
         except StopIteration as stop:
             self._triggered = True
             self._value = stop.value
-            env._counter = counter = env._counter + 1
-            heappush(env._queue, (env._now, counter, self))
+            env._counter += 1
+            env._lane.append(self)
             return
         except BaseException as exc:
             self._triggered = True
             self._ok = False
             self._value = exc
-            env._counter = counter = env._counter + 1
-            heappush(env._queue, (env._now, counter, self))
+            env._counter += 1
+            env._lane.append(self)
             return
         callbacks = getattr(next_target, "callbacks", False)
         if callbacks is False:
@@ -207,9 +248,8 @@ class Process(Event):
             )
         if callbacks is None:
             # Already processed: resume on the next scheduler step.
-            relay = _Relay(self._resume, next_target._ok, next_target._value)
-            env._counter = counter = env._counter + 1
-            heappush(env._queue, (env._now, counter, relay))
+            env._counter += 1
+            env._lane.append(_Relay(self._resume, next_target._ok, next_target._value))
         else:
             callbacks.append(self._resume)
 
@@ -219,25 +259,39 @@ class AnyOf(Event):
 
     Waiters read the child they care about (``get.triggered``), never
     the condition's value. A failed child is not handled here: like any
-    unhandled failure it surfaces from :meth:`Environment.run`.
+    unhandled failure it surfaces from :meth:`Environment.run`. Firing
+    withdraws the losing timers (see the module docstring).
     """
 
-    __slots__ = ()
+    __slots__ = ("_children",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
-        for event in events:
+        self._children = children = tuple(events)
+        for event in children:
             if event.callbacks is None:
                 # Already processed: deliver on the next scheduler step so
                 # ordering stays deterministic.
-                env._counter = counter = env._counter + 1
-                heappush(env._queue, (env._now, counter, _Relay(self._on_child)))
+                env._counter += 1
+                env._lane.append(_Relay(self._on_child))
             else:
                 event.callbacks.append(self._on_child)
 
     def _on_child(self, _event) -> None:
-        if not self._triggered:
-            self.succeed()
+        if self._triggered:
+            return
+        self.succeed()
+        env = self.env
+        for child in self._children:
+            # A pending timer whose one callback is ours lost this race.
+            callbacks = child.callbacks
+            if callbacks and len(callbacks) == 1 and type(child) is Timeout:
+                child.callbacks = _WITHDRAWN
+                env._withdrawn += 1
+        self._children = ()
+        withdrawn = env._withdrawn
+        if withdrawn >= _COMPACT_MIN and withdrawn * 2 > len(env._queue):
+            env._compact()
 
 
 class Environment:
@@ -246,13 +300,18 @@ class Environment:
     # The engine and resource internals read/write these fields millions
     # of times per simulated second; __slots__ turns every one of those
     # instance-dict probes into a fixed-offset load.
-    __slots__ = ("_now", "_queue", "_counter", "_steps")
+    __slots__ = ("_now", "_queue", "_lane", "_counter", "_steps", "_withdrawn")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
+        # Entries after the current instant: (time, counter, entry).
         self._queue: list[tuple[float, int, Event]] = []
+        # Entries at the current instant, in counter order.
+        self._lane: deque = deque()
         self._counter = 0
         self._steps = 0
+        # Withdrawn timers still in the schedule.
+        self._withdrawn = 0
 
     @property
     def now(self) -> float:
@@ -266,14 +325,33 @@ class Environment:
 
     @property
     def scheduled_events(self) -> int:
-        """Events ever pushed onto the schedule (observability counter)."""
+        """Events ever scheduled (observability counter)."""
         return self._counter
+
+    @property
+    def pending(self) -> int:
+        """Entries in the schedule now, withdrawn timers not yet dropped
+        included (observability counter)."""
+        return len(self._queue) + len(self._lane)
 
     # -- scheduling ------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._counter += 1
-        heappush(self._queue, (self._now + delay, self._counter, event))
+        now = self._now
+        time = now + delay
+        if time == now:
+            self._lane.append(event)
+        else:
+            heappush(self._queue, (time, self._counter, event))
+
+    def _compact(self) -> None:
+        """Rebuild the heap, in place, without its withdrawn timers."""
+        queue = self._queue
+        size = len(queue)
+        queue[:] = [entry for entry in queue if entry[2].callbacks is not _WITHDRAWN]
+        heapify(queue)
+        self._withdrawn -= size - len(queue)
 
     # -- event factories --------------------------------------------------
 
@@ -293,16 +371,28 @@ class Environment:
 
     def step(self) -> None:
         """Process the next scheduled event."""
-        if not self._queue:
+        queue, lane = self._queue, self._lane
+        if lane:
+            event = lane.popleft()
+        elif queue:
+            time, _tick, event = heappop(queue)
+            if time < self._now:
+                raise SimulationError("scheduler time went backwards")
+            self._now = time
+            # The clock moved: the rest of this instant's heap entries
+            # go to the (empty) lane, ahead of anything scheduled now.
+            while queue and queue[0][0] == time:
+                lane.append(heappop(queue)[2])
+        else:
             raise SimulationError("step() on an empty schedule")
-        time, _tick, event = heappop(self._queue)
-        if time < self._now:
-            raise SimulationError("scheduler time went backwards")
-        self._now = time
         self._steps += 1
-        if event.callbacks is None:
+        callbacks = event.callbacks
+        if callbacks is None:
             return
-        callbacks, event.callbacks = event.callbacks, None
+        if callbacks is _WITHDRAWN:
+            self._withdrawn -= 1
+            return
+        event.callbacks = None
         for callback in callbacks:
             callback(event)
         if not event._ok and not event._defused:
@@ -310,6 +400,8 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf when idle."""
+        if self._lane:
+            return self._now
         return self._queue[0][0] if self._queue else _INF
 
     def run(self, until: Optional[float] = None) -> None:
@@ -325,7 +417,12 @@ class Environment:
         elif until < self._now:
             raise ValueError(f"until={until} is in the past (now={self._now})")
         queue = self._queue
+        lane = self._lane
         pop = heappop
+        popleft = lane.popleft
+        append = lane.append
+        withdrawn = _WITHDRAWN
+        now = self._now
         steps = self._steps
         # Processed events drop their callback lists, which breaks the
         # reference cycles events/processes form — the refcounter reclaims
@@ -336,14 +433,24 @@ class Environment:
         if gc_was_enabled:
             _gc.disable()
         try:
-            while queue and queue[0][0] <= until:
-                time, _tick, event = pop(queue)
-                if time < self._now:
-                    raise SimulationError("scheduler time went backwards")
-                self._now = time
+            while True:
+                if lane:
+                    event = popleft()
+                elif queue and queue[0][0] <= until:
+                    time, _tick, event = pop(queue)
+                    if time < now:
+                        raise SimulationError("scheduler time went backwards")
+                    self._now = now = time
+                    while queue and queue[0][0] == now:
+                        append(pop(queue)[2])
+                else:
+                    break
                 steps += 1
                 callbacks = event.callbacks
                 if callbacks is None:
+                    continue
+                if callbacks is withdrawn:
+                    self._withdrawn -= 1
                     continue
                 event.callbacks = None
                 for callback in callbacks:

@@ -165,7 +165,7 @@ class Node:
 
         Costs paid back-to-back with no observable action in between
         (hash + MAC, ...) are passed as one sum, ``compute(a + b)``: a
-        single heap entry instead of one scheduler round-trip per
+        single schedule entry instead of one scheduler round-trip per
         component — see docs/PERFORMANCE.md for the design rule.
         """
         if seconds <= 0:

@@ -10,7 +10,9 @@ Two primitives cover everything the rest of the library needs:
 
 A queued getter or waiter is triggered only by the ``put()`` or
 ``release()`` that pops it, so neither queue ever holds a triggered
-entry; every heap entry is ``(time, counter, entry)``, as in the engine.
+entry. Hand-offs happen at the current instant and go to the engine's
+same-instant lane, with the next schedule counter, as ``succeed()``
+does (DESIGN.md D25).
 
 Hot-path design (see docs/PERFORMANCE.md)
 -----------------------------------------
@@ -20,23 +22,22 @@ goes through one. Two fast paths keep event churn down without changing
 admission order or timing:
 
 * *Uncontended*: when a unit is free, ``use``/``request_hold`` skip the
-  request event entirely and schedule only the hold timeout — one heap
+  request event entirely and schedule only the hold timeout — one schedule
   entry per acquisition.
 * *Direct handoff*: when the resource is saturated, the waiter records
   its hold duration up front and admission schedules the waiter's
   *completion* directly — the waiting process resumes once (when its
   hold ends) instead of twice (admission, then timeout). The admission
-  bookkeeping is a tiny relay that occupies exactly the heap slot the
-  classic request event occupied and assigns the completion its
-  schedule counter at the same moment the classic path would have, so
-  same-time tiebreak order — and therefore every simulated result — is
+  bookkeeping is a tiny relay that takes the schedule counter the
+  classic request event took and assigns the completion its schedule
+  counter at the same moment the classic path would have, so same-time
+  tiebreak order — and therefore every simulated result — is
   bit-for-bit identical to the two-resume dance.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Any, Generator, Optional
 
 from .engine import Environment, Event, Timeout
@@ -71,13 +72,13 @@ class Store:
         if self._getters:
             # A queued getter is untriggered: only this pop triggers it.
             getter = self._getters.popleft()
-            # Inlined Event.succeed() + Environment._schedule(): the
-            # inbox put/get pair runs once per delivered message.
+            # Inlined Event.succeed(): the inbox put/get pair runs once
+            # per delivered message.
             getter._triggered = True
             getter._value = item
             env = getter.env
-            env._counter = counter = env._counter + 1
-            heappush(env._queue, (env._now, counter, getter))
+            env._counter += 1
+            env._lane.append(getter)
             return
         self._items.append(item)
 
@@ -88,8 +89,8 @@ class Store:
         if self._items:
             event._triggered = True
             event._value = self._items.popleft()
-            env._counter = counter = env._counter + 1
-            heappush(env._queue, (env._now, counter, event))
+            env._counter += 1
+            env._lane.append(event)
         else:
             self._getters.append(event)
         return event
@@ -103,14 +104,14 @@ class Store:
 
 
 class _AdmitRelay:
-    """Heap-entry stand-in for the classic admission event.
+    """Schedule-entry stand-in for the classic admission event.
 
     Scheduled by :meth:`Resource.release` when it hands a unit to a
-    ``request_hold`` waiter. It pops in exactly the slot the old
-    admission event popped in, and only then schedules the waiter's
-    completion — so the completion gets the same schedule counter the
-    classic request-then-timeout path would have assigned, preserving
-    deterministic tiebreak order among same-time events.
+    ``request_hold`` waiter. It takes the schedule counter the old
+    admission event took, pops where it popped, and only then schedules
+    the waiter's completion — so the completion gets the same schedule
+    counter the classic request-then-timeout path would have assigned,
+    preserving deterministic tiebreak order among same-time events.
     """
 
     __slots__ = ("callbacks", "_value", "_ok", "_defused", "waiter")
@@ -210,11 +211,11 @@ class Resource:
                 waiter.succeed()
             else:
                 # Direct handoff: the unit transfers now; the relay pops
-                # in the classic admission slot and schedules the
-                # waiter's completion there (see module docstring).
+                # where the classic admission event popped and schedules
+                # the waiter's completion there (see module docstring).
                 env = self.env
-                env._counter = counter = env._counter + 1
-                heappush(env._queue, (env._now, counter, _AdmitRelay(waiter)))
+                env._counter += 1
+                env._lane.append(_AdmitRelay(waiter))
             return
         self._in_use -= 1
 
@@ -223,7 +224,7 @@ class Resource:
 
         Usage inside a process::
 
-            yield from cpu.use(0.000'02)
+            yield from cpu.use(20e-6)
         """
         # request_hold() inlined: this generator wraps every compute().
         if self._in_use < self.capacity:

@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.analysis.metrics import Collector
 from repro.apps.base import Operation, OpKind, Payload
 from repro.crypto import KeyRing, establish_session
 from repro.hybster.client import ClientMachine
 from repro.hybster.messages import Reply, Request
 from repro.hybster.secure import SecureEnvelope, open_body, seal_body
 from repro.sim import Environment, Network, RngTree
+from repro.sim.engine import _COMPACT_MIN
 from repro.workloads.legacy import LegacyClient
+from repro.workloads.loadgen import ClosedLoop
 
 
 class StubServer:
@@ -172,3 +175,29 @@ def test_client_counts_invalid_replies_on_garbage(world):
     env.process(driver())
     env.run(until=5.0)
     assert client.stats.invalid_replies == 1
+
+
+def test_closed_loop_schedule_holds_entries_per_client_not_per_request(world):
+    """Every request arms a request_timeout timer that its reply makes
+    moot. The reply wins the any_of and withdraws the timer, so after
+    10 000 requests (all inside one request_timeout) the schedule holds
+    a bounded number of entries per client, not one per request."""
+    env, net, keyring, servers, machine = world
+    clients = [
+        LegacyClient(machine, f"client-{i}", keyring, servers) for i in range(8)
+    ]
+    for client in clients:
+        client.connect_instant()
+    loadgen = ClosedLoop(env, clients, lambda i, seq: op(f"k{i}"), Collector())
+    loadgen.start()
+    while loadgen.stats.completed < 10_000:
+        env.run(until=env.now + 0.01)
+    assert env.now < clients[0].request_timeout
+    assert sum(client.stats.timeouts for client in clients) == 0
+    withdrawn = env._withdrawn
+    live = len(env._queue) - withdrawn
+    assert live <= 4 * len(clients)
+    # Withdrawn timers wait for the next rebuild: fewer than the rebuild
+    # minimum, or not yet half the heap.
+    assert withdrawn < _COMPACT_MIN or 2 * withdrawn <= len(env._queue)
+    assert len(env._queue) < 2 * _COMPACT_MIN
