@@ -145,12 +145,12 @@ class Enclave:
         if entry is None:
             raise EnclaveViolation(f"no such ecall: {name!r}")
         fn, isgen = entry
+        if bytes_in < 0 or bytes_out < 0:
+            raise ValueError("negative buffer size")
         stats = self.stats
         stats.ecalls += 1
         stats.bytes_copied_in += bytes_in
         stats.bytes_copied_out += bytes_out
-        if bytes_in < 0 or bytes_out < 0:
-            raise ValueError("negative buffer size")
         cost = (
             self._per_call
             + self._copy_in_per_byte * bytes_in

@@ -1,5 +1,7 @@
 """Unit tests for the enclave boundary model."""
 
+import dataclasses
+
 import pytest
 
 from repro.sim import Environment, Network, RngTree
@@ -94,6 +96,22 @@ def test_ecall_stats_count():
     enclave.register_ecall("noop", lambda: None)
     run_ecall(env, enclave, "noop")
     assert enclave.stats.ecalls == 1
+
+
+@pytest.mark.parametrize("sizes", [dict(bytes_in=-1), dict(bytes_out=-1)])
+def test_rejected_crossing_is_not_counted(sizes):
+    env, node, enclave = make_enclave()
+    enclave.register_ecall("noop", lambda: None)
+    run_ecall(env, enclave, "noop", bytes_in=64, bytes_out=32)
+    before = dataclasses.replace(enclave.stats)
+
+    def proc():
+        yield from enclave.ecall("noop", **sizes)
+
+    env.process(proc())
+    with pytest.raises(ValueError, match="negative buffer size"):
+        env.run()
+    assert enclave.stats == before
 
 
 def test_jni_boundary_cheaper_than_sgx():
