@@ -79,7 +79,7 @@ class Auditor:
         self.contention_ratio = contention_ratio
 
     def reconcile(
-        self, ledgers: dict, end_t: float, replica_ids=frozenset(), triggers=(),
+        self, ledgers: dict, end_t: float, replica_ids=frozenset(),
     ) -> list[Verdict]:
         """Cross-check every ledger pair; returns sorted verdicts."""
         verdicts: list[Verdict] = []

@@ -35,9 +35,8 @@ class AuditPlane:
         window: float = 0.25,
         checkpoint_interval: int = 64,
         auditor: Optional[Auditor] = None,
-        **health_kwargs,
     ):
-        self.health = HealthPlane(registry=registry, window=window, **health_kwargs)
+        self.health = HealthPlane(registry=registry, window=window)
         self.probes = LedgerProbes(
             registry=self.registry, checkpoint_interval=checkpoint_interval
         )
@@ -82,7 +81,6 @@ class AuditPlane:
                 self.probes.ledgers,
                 end_t=self.now,
                 replica_ids=replica_ids,
-                triggers=self.events,
             )
             for verdict in self.verdicts:
                 self.registry.counter("audit_verdicts_total", kind=verdict.kind).inc()

@@ -6,8 +6,9 @@ Layers on top of :mod:`repro.obs`:
   sim-time windows (latency quantiles, fast-read hit-rate floor,
   progress);
 - :mod:`~repro.obs.health.detectors` — BFT-aware anomaly detectors
-  (replica divergence, abort storms, view/mode churn, sealed-counter
-  stalls, enclave reboots);
+  (replica divergence, mode switches, view changes, enclave reboots,
+  client retries, shard imbalance, migration stalls), each kept only
+  while it is some fault scenario's first diagnosis;
 - :mod:`~repro.obs.health.recorder` — bounded flight recorder dumping
   deterministic forensic bundles when detectors fire;
 - :mod:`~repro.obs.health.plane` — the :class:`HealthPlane` tying them
@@ -17,17 +18,13 @@ Layers on top of :mod:`repro.obs`:
 """
 
 from .detectors import (
-    CacheStalenessDetector,
     ClientRetrySpikeDetector,
     Detector,
     EnclaveRebootDetector,
-    FastReadAbortStormDetector,
     Finding,
     MigrationStallDetector,
-    ModeSwitchChurnDetector,
-    QueueSaturationDetector,
+    ModeSwitchDetector,
     ReplicaDivergenceDetector,
-    SealedCounterStallDetector,
     ShardImbalanceDetector,
     ViewChangeDetector,
     default_detectors,
@@ -41,23 +38,19 @@ from .slo import SloSpec, SloTracker, default_slos
 from .window import NodeDelta, WindowSnapshot
 
 __all__ = [
-    "CacheStalenessDetector",
     "ClientRetrySpikeDetector",
     "Detector",
     "EnclaveRebootDetector",
     "EXPECTED",
     "Evidence",
-    "FastReadAbortStormDetector",
     "Finding",
     "FlightRecorder",
     "HealthEvent",
     "HealthPlane",
     "MigrationStallDetector",
-    "ModeSwitchChurnDetector",
+    "ModeSwitchDetector",
     "NodeDelta",
-    "QueueSaturationDetector",
     "ReplicaDivergenceDetector",
-    "SealedCounterStallDetector",
     "ShardImbalanceDetector",
     "SloSpec",
     "SloTracker",

@@ -24,41 +24,27 @@ from .plane import HealthPlane
 #: must stay silent and every event is a false positive.
 EXPECTED: dict[str, tuple[str, ...]] = {
     "healthy_control": (),
-    "troxy_crash_failover": (
-        "replica_divergence", "sealed_counter_stall", "client_retry_spike",
-    ),
-    "leader_crash_view_change": (
-        "view_change", "replica_divergence", "sealed_counter_stall",
-    ),
-    "crash_restart_recovery": (
-        "replica_divergence", "sealed_counter_stall",
-    ),
+    "troxy_crash_failover": ("replica_divergence", "client_retry_spike"),
+    "leader_crash_view_change": ("view_change", "replica_divergence"),
+    "crash_restart_recovery": ("replica_divergence",),
     "enclave_reboot_rollback": ("enclave_reboot",),
-    "partition_minority": (
-        "replica_divergence", "sealed_counter_stall",
-    ),
+    "partition_minority": ("replica_divergence",),
     "message_delay_burst": ("slo_violation", "client_retry_spike"),
     "message_loss_burst": ("client_retry_spike",),
     "reply_corruption": ("client_retry_spike",),
     "host_tamper_replies": ("client_retry_spike",),
-    "write_contention_attack": (
-        "cache_staleness", "fast_read_abort_storm", "mode_switch",
-    ),
-    "unresponsive_cache_peer": (
-        "fast_read_abort_storm", "mode_switch", "slo_violation",
-    ),
+    "write_contention_attack": ("mode_switch",),
+    "unresponsive_cache_peer": ("mode_switch", "slo_violation"),
     # Lease scenarios (docs/READS.md): leases are enabled and the fault
     # targets the lease machinery itself.
     "lease_partition_expiry": (
-        "replica_divergence", "sealed_counter_stall", "client_retry_spike",
-        "slo_violation",
+        "replica_divergence", "client_retry_spike", "slo_violation",
     ),
     "lease_enclave_reboot": ("enclave_reboot",),
     "lease_migration_freeze": ("slo_violation", "client_retry_spike"),
     # Sharded scenarios (docs/SHARDING.md) build two agreement groups.
     "shard_migration_partition": (
-        "replica_divergence", "sealed_counter_stall", "client_retry_spike",
-        "shard_imbalance",
+        "replica_divergence", "client_retry_spike", "shard_imbalance",
     ),
     "shard_migration_leader_crash": (
         "migration_stall", "view_change", "client_retry_spike",

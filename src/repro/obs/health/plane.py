@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from ..probes import ObsPlane
 from ..registry import Registry
 from ..spans import Span
-from .detectors import Detector, Finding, default_detectors
+from .detectors import Finding, default_detectors
 from .events import Evidence, HealthEvent
 from .recorder import FlightRecorder
-from .slo import SloSpec, SloTracker, default_slos
+from .slo import SloTracker, default_slos
 from .window import WindowSnapshot
 
 #: (kind of a span that really closed, its ``outcome``) -> the per-node
@@ -41,13 +41,10 @@ from .window import WindowSnapshot
 #: counters (``repro.obs.probes.RULES``), one instant later.
 TALLIES = {
     ("hybster.execute", None): "executes",
-    ("hybster.commit", None): "commits",
     ("monitor.switch", None): "switches",
     ("troxy.fast_read", "hit"): "fast_hits",
     ("troxy.fast_read", "conflict"): "fast_conflicts",
     ("troxy.fast_read", "timeout"): "fast_timeouts",
-    ("troxy.cache", "miss"): "cache_misses",
-    ("troxy.vote", "decided"): "votes_decided",
 }
 
 
@@ -57,36 +54,20 @@ class HealthPlane:
     ``cluster``, ``now``, ``wrap_clients``, ``snapshot``) is its obs
     plane's."""
 
-    def __init__(
-        self,
-        registry: Optional[Registry] = None,
-        window: float = 0.25,
-        slos: Optional[Sequence[SloSpec]] = None,
-        detectors: Optional[Sequence[Detector]] = None,
-        flight_capacity: int = 128,
-        max_bundles: int = 12,
-    ):
+    def __init__(self, registry: Optional[Registry] = None, window: float = 0.25):
         self.obs = ObsPlane(registry=registry)
         self.obs.spans.opened.append(self._span_opened)
         self.obs.spans.closed.append(self._span_closed)
         if window <= 0:
             raise ValueError(f"window must be positive: {window}")
         self.window = float(window)
-        self.slos = [
-            SloTracker(spec)
-            for spec in (slos if slos is not None else default_slos())
-        ]
-        self.detectors = (
-            list(detectors) if detectors is not None else default_detectors()
-        )
-        self.flight = FlightRecorder(
-            capacity=flight_capacity, max_bundles=max_bundles
-        )
+        self.slos = [SloTracker(spec) for spec in default_slos()]
+        self.detectors = default_detectors()
+        self.flight = FlightRecorder()
         self.events: list[HealthEvent] = []
         self.windows_evaluated = 0
         self._win: Optional[WindowSnapshot] = None
         self._open_invokes = 0
-        self._last_slot = None
         self._sampled: dict[tuple, float] = {}
         self._replica_ids: list[str] = []
 
@@ -119,19 +100,10 @@ class HealthPlane:
         for replica in cluster.replicas:
             rid = replica.replica_id
             self._sampled[("view", rid)] = replica.view
-            self._sampled[("sealed", rid)] = self._sealed_sum(replica)
-            self._sampled[("invalid", rid)] = replica.stats.invalid_messages
         for host in cluster.hosts:
             rid = host.replica_id
             self._sampled[("reboots", rid)] = host.enclave.stats.reboots
             self._sampled[("clears", rid)] = host.core.cache.stats.clears
-
-    @staticmethod
-    def _sealed_sum(replica) -> int:
-        counters = getattr(replica, "counters", None)
-        if counters is None:
-            return 0
-        return sum(counters.snapshot().values())
 
     # -- span tap (window clock + flight recorder + client progress) ----------
 
@@ -167,22 +139,6 @@ class HealthPlane:
         if tally is not None:
             nd = win.node(span.node)
             setattr(nd, tally, getattr(nd, tally) + 1)
-        elif name == "hybster.queue":
-            # Batch-queue wait vs ordering service feed the
-            # queue_saturation detector.
-            nd = win.node(span.node)
-            nd.queue_waits += 1
-            nd.queue_wait_sum += span.duration
-        elif name == "hybster.order":
-            nd = win.node(span.node)
-            nd.order_services += 1
-            nd.order_service_sum += span.duration
-            # One slot per order round, however many member spans (one
-            # per batched request, closed back to back) cover it.
-            slot = (span.node, span.attrs.get("seq"), span.end)
-            if slot != self._last_slot:
-                self._last_slot = slot
-                nd.orders += 1
 
     def _maybe_tick(self) -> None:
         if self._win is None or self.cluster is None:
@@ -233,12 +189,6 @@ class HealthPlane:
             nd = win.node(rid)
             nd.view = replica.view
             nd.view_delta = int(self._sample(("view", rid), replica.view))
-            sealed = self._sealed_sum(replica)
-            nd.sealed_sum = sealed
-            nd.sealed_delta = int(self._sample(("sealed", rid), sealed))
-            nd.invalid_messages = int(self._sample(
-                ("invalid", rid), replica.stats.invalid_messages
-            ))
         for host in cluster.hosts:
             rid = host.replica_id
             nd = win.node(rid)

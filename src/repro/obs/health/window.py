@@ -4,7 +4,7 @@ The health plane evaluates detectors and SLOs once per window. A
 :class:`WindowSnapshot` is everything one evaluation sees: per-node
 tallies of the spans that closed since the previous window boundary
 plus a few sampled absolutes read straight off the cluster objects
-(views, sealed-counter sums, enclave reboot counts). Sampling is
+(views, enclave reboot and cache-clear counts). Sampling is
 read-only — no simulation events, no randomness — so the health plane
 inherits the obs plane's non-perturbation guarantee.
 """
@@ -20,47 +20,19 @@ class NodeDelta:
 
     node: str
     executes: int = 0
-    orders: int = 0
-    commits: int = 0
     fast_hits: int = 0
     fast_conflicts: int = 0
     fast_timeouts: int = 0
-    cache_misses: int = 0
-    votes_decided: int = 0
     switches: int = 0
-    invalid_messages: int = 0
-    # Batch-queue wait vs ordering service, accumulated from closed
-    # hybster.queue / hybster.order spans (repro.obs.critpath phases).
-    queue_waits: int = 0
-    queue_wait_sum: float = 0.0
-    order_services: int = 0
-    order_service_sum: float = 0.0
     # Sampled absolutes (value at window end) and their window deltas.
     view: int = 0
     view_delta: int = 0
     reboots_delta: int = 0
-    sealed_sum: int = 0
-    sealed_delta: int = 0
     cache_clears_delta: int = 0
 
     @property
     def fast_attempts(self) -> int:
         return self.fast_hits + self.fast_conflicts + self.fast_timeouts
-
-    @property
-    def mean_queue_wait(self) -> float:
-        return self.queue_wait_sum / self.queue_waits if self.queue_waits else 0.0
-
-    @property
-    def mean_order_service(self) -> float:
-        return (
-            self.order_service_sum / self.order_services
-            if self.order_services else 0.0
-        )
-
-    @property
-    def fast_aborts(self) -> int:
-        return self.fast_conflicts + self.fast_timeouts
 
 
 @dataclass

@@ -1,14 +1,10 @@
 """Unit tests for the anomaly-detector catalogue (pure window math)."""
 
 from repro.obs.health.detectors import (
-    CacheStalenessDetector,
     ClientRetrySpikeDetector,
     EnclaveRebootDetector,
-    FastReadAbortStormDetector,
-    ModeSwitchChurnDetector,
-    QueueSaturationDetector,
+    ModeSwitchDetector,
     ReplicaDivergenceDetector,
-    SealedCounterStallDetector,
     ViewChangeDetector,
     default_detectors,
 )
@@ -26,7 +22,7 @@ def _cell(win, executes=(8, 8, 8)):
 
 
 def test_replica_divergence_fires_on_lagging_replica():
-    det = ReplicaDivergenceDetector(min_quorum_ops=4, lag_ratio=0.25)
+    det = ReplicaDivergenceDetector()
     win = _cell(_win(), executes=(8, 8, 0))
     findings = det.evaluate(win)
     assert [f.node for f in findings] == ["replica-2"]
@@ -57,49 +53,23 @@ def test_detectors_are_edge_triggered():
     assert det.evaluate(_cell(_win(3), executes=(8, 8, 0)))
 
 
-def test_fast_read_abort_storm():
-    det = FastReadAbortStormDetector(min_samples=6, abort_ratio=0.5)
-    win = _win()
-    node = win.node("replica-0")
-    node.fast_hits = 2
-    node.fast_conflicts = 3
-    node.fast_timeouts = 3
-    findings = det.evaluate(win)
-    assert [f.kind for f in findings] == ["fast_read_abort_storm"]
-    # Healthy hit-dominated window stays quiet.
-    win2 = _win(1)
-    node2 = win2.node("replica-0")
-    node2.fast_hits = 20
-    node2.fast_conflicts = 1
-    assert det.evaluate(win2) == []
-
-
-def test_cache_staleness():
-    det = CacheStalenessDetector(min_conflicts=4, conflict_ratio=0.5)
-    win = _win()
-    node = win.node("replica-1")
-    node.fast_hits = 3
-    node.fast_conflicts = 5
-    node.cache_misses = 2
-    findings = det.evaluate(win)
-    assert [f.kind for f in findings] == ["cache_staleness"]
-    assert findings[0].detail["conflicts"] == 5
-
-
 def test_mode_switch_and_churn():
-    det = ModeSwitchChurnDetector(churn_threshold=3, trail=8)
+    det = ModeSwitchDetector()
     win = _win()
     win.node("replica-0").switches = 1
     findings = det.evaluate(win)
     assert [f.kind for f in findings] == ["mode_switch"]
     assert findings[0].severity == "info"
-    # Two more switches within the trail -> churn escalation. The
-    # plain mode_switch condition is still active from the previous
-    # window, so only the escalation fires (edge trigger).
+    # Churn (a switch in every window) is one episode: the condition is
+    # still active, so nothing re-fires (edge trigger) ...
     win2 = _win(1)
     win2.node("replica-0").switches = 2
-    kinds = sorted(f.kind for f in det.evaluate(win2))
-    assert kinds == ["mode_switch_churn"]
+    assert det.evaluate(win2) == []
+    # ... until a quiet window re-arms it.
+    assert det.evaluate(_win(2)) == []
+    win3 = _win(3)
+    win3.node("replica-0").switches = 1
+    assert [f.kind for f in det.evaluate(win3)] == ["mode_switch"]
 
 
 def test_view_change_instances_refire():
@@ -117,20 +87,6 @@ def test_view_change_instances_refire():
     assert [f.kind for f in det.evaluate(win2)] == ["view_change"]
 
 
-def test_sealed_counter_stall_needs_patience():
-    det = SealedCounterStallDetector(patience=2, min_cluster_progress=4)
-    for i in range(2):
-        win = _cell(_win(i), executes=(4, 4, 0))
-        win.node("replica-2").sealed_delta = 0
-        findings = det.evaluate(win)
-    assert [f.kind for f in findings] == ["sealed_counter_stall"]
-    assert findings[0].node == "replica-2"
-    # One window of stall is not enough.
-    det2 = SealedCounterStallDetector(patience=2, min_cluster_progress=4)
-    win = _cell(_win(), executes=(4, 4, 0))
-    assert det2.evaluate(win) == []
-
-
 def test_enclave_reboot():
     det = EnclaveRebootDetector()
     win = _win()
@@ -144,7 +100,7 @@ def test_enclave_reboot():
 
 
 def test_client_retry_spike():
-    det = ClientRetrySpikeDetector(min_retries=1)
+    det = ClientRetrySpikeDetector()
     win = _win()
     win.retries = 2
     win.completed = 5
@@ -152,48 +108,6 @@ def test_client_retry_spike():
     assert [f.kind for f in findings] == ["client_retry_spike"]
     assert findings[0].node == ""
     assert det.evaluate(_win(1)) == []
-
-
-def _queued(win, node="replica-0", waits=10, wait_mean=0.004,
-            services=10, service_mean=0.00005):
-    delta = win.node(node)
-    delta.queue_waits = waits
-    delta.queue_wait_sum = waits * wait_mean
-    delta.order_services = services
-    delta.order_service_sum = services * service_mean
-    return win
-
-
-def test_queue_saturation_needs_patience_and_ratio():
-    det = QueueSaturationDetector(ratio=40.0, min_waits=6, patience=2)
-    # Ratio 80x but only one hot window so far -> armed, not fired.
-    assert det.evaluate(_queued(_win(0))) == []
-    findings = det.evaluate(_queued(_win(1)))
-    assert [f.kind for f in findings] == ["queue_saturation"]
-    assert findings[0].severity == "warn"
-    assert findings[0].detail["wait_service_ratio"] == 80.0
-    # Edge-triggered: still saturated -> no re-fire.
-    assert det.evaluate(_queued(_win(2))) == []
-    # Recovery (healthy ratio) re-arms; two fresh hot windows fire again.
-    assert det.evaluate(_queued(_win(3), wait_mean=0.0001)) == []
-    assert det.evaluate(_queued(_win(4))) == []
-    assert det.evaluate(_queued(_win(5)))
-
-
-def test_queue_saturation_quiet_on_healthy_batching():
-    det = QueueSaturationDetector(ratio=40.0, min_waits=6, patience=2)
-    for index in range(4):
-        # Healthy adaptive leader: wait ~15x service (batching bench).
-        win = _queued(_win(index), wait_mean=0.00075)
-        assert det.evaluate(win) == []
-
-
-def test_queue_saturation_needs_samples_and_service_baseline():
-    det = QueueSaturationDetector(ratio=40.0, min_waits=6, patience=1)
-    # Too few queued requests to judge.
-    assert det.evaluate(_queued(_win(0), waits=3)) == []
-    # No ordering service observed (no denominator) -> quiet.
-    assert det.evaluate(_queued(_win(1), services=0, service_mean=0.0)) == []
 
 
 def test_default_catalogue_quiet_on_healthy_window():

@@ -13,9 +13,7 @@ import pytest
 from repro.faults.__main__ import main as faults_main
 from repro.faults.campaign import run_scenario
 from repro.faults.schedule import get_scenario, scenario_names
-from repro.obs.health import (
-    EXPECTED, Detector, HealthPlane, default_detectors, run_detection,
-)
+from repro.obs.health import EXPECTED, HealthPlane, run_detection
 from repro.obs.health.plane import write_health_report
 
 
@@ -103,42 +101,6 @@ def test_cli_end_to_end_byte_identical(tmp_path):
 def test_cli_rejects_unknown_scenario(capsys):
     with pytest.raises(SystemExit):
         faults_main(["--plane", "health", "--scenarios", "nope"])
-
-
-class _Windows(Detector):
-    """Keeps every window the plane judges; never finds anything."""
-
-    name = "windows"
-
-    def __init__(self):
-        super().__init__()
-        self.seen = []
-
-    def _conditions(self, win):
-        self.seen.append(win)
-        return []
-
-
-def test_queue_phase_is_the_leaders_and_quiet_under_adaptive_batching():
-    # Write-heavy load under the one batching policy: only the leader
-    # queues requests and orders slots, and healthy batching keeps the
-    # wait/service ratio below the queue_saturation threshold. The
-    # detector's firing math is unit-tested in test_detectors.py.
-    from repro.obs.__main__ import run_workload
-
-    windows = _Windows()
-    plane = HealthPlane(window=0.01, detectors=default_detectors() + [windows])
-    plane, _ = run_workload(
-        n_clients=8, write_ratio=1.0, warmup=0.01, duration=0.03,
-        batching="adaptive", plane=plane,
-    )
-    queued = {node for win in windows.seen for node, d in win.per_node.items()
-              if d.queue_waits}
-    ordered = {node for win in windows.seen for node, d in win.per_node.items()
-               if d.order_services}
-    assert queued == ordered == {"replica-0"}
-    assert sum(win.per_node["replica-0"].queue_waits for win in windows.seen) > 100
-    assert "queue_saturation" not in {e.kind for e in plane.events}
 
 
 def test_final_partial_window_is_evaluated():

@@ -24,6 +24,14 @@ evidence metric moved (1.000627 -> 0.980621 in ``HEALTH``, 1.000561 ->
 0.970554 in the evidence, whose signature covers it); every event keeps
 its kind, time and window, and ``audit.json`` did not move.
 
+Re-recorded on purpose when the five health kinds that never diagnosed
+a scenario went (DESIGN.md D27): ``HEALTH`` alone, because its
+``detectors`` list now names the seven kept detectors (and
+``mode_switch`` instead of ``mode_switch_churn``). Its events, SLO
+summaries, flight summary and bundles are the same bytes; ``AUDIT``,
+``SHARDED_SPANS`` and every ``metrics.jsonl`` / ``trace.json`` digest
+did not move.
+
 CI's ``obs-smoke`` job runs this file on its own, so "identical to a
 second run" there is also "identical to what is committed".
 """
@@ -63,7 +71,7 @@ WORKLOADS = {
 }
 
 SHARDED_SPANS = "1eb6a0338a1be330d56dec678b6ebedc799bb5c391af84c5ab76f69aed5251ca"
-HEALTH = "f6a873ac43ae97a87b5793495fcb196db20efc39ac02ec27ed320d5f794c390d"
+HEALTH = "40a04111aef32ad1de753703cc603d537a7dacf54833a5362b82207a32d75b7b"
 AUDIT = {
     "audit.json": "0e4b519de941da61c2fd6e865fc3f769401912258fc5f047d21a79d062a6a075",
     "evidence.json": "0aa3d6f32b0edff51440252e7ec764a7ef0e2d92b8738bfd9c47278d64c55bb3",
