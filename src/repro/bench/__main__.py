@@ -7,10 +7,9 @@ Usage::
     python -m repro.bench all             # everything (slow)
 
 Prints the paper-style series and writes them to benchmarks/results/:
-every tracked table there but ``cpu_account.txt``
-(``benchmarks/perf/cpu_account.py``) has its one producer in
-:data:`RUNNERS`, which carries the table's canonical arguments, and
-``tests/paper`` asserts the paper's shapes on what it wrote.
+every tracked table there has its one producer in :data:`RUNNERS`,
+which carries the table's canonical arguments, and ``tests/paper``
+asserts the paper's shapes on what it wrote.
 To profile an experiment, run it under cProfile:
 ``python -m cProfile -s cumtime -m repro.bench fig6``.
 """
@@ -240,6 +239,38 @@ def run_audit():
     save_and_print("audit_blame", audit_harness.render_table(report))
 
 
+def run_cpu_account():
+    """Where the simulated CPU goes (benchmarks/results/cpu_account.txt)."""
+    lines = [
+        "Simulated-CPU account of the perf-ledger traffic shapes",
+        "(python -m repro.bench cpu_account; etroxy, seed 1, the ledger's --seconds 10 "
+        "windows; simulated clock, repeats exactly)",
+    ]
+    for point in experiments.cpu_account():
+        roles, summary = point.extra["roles"], point.summary
+        lines += [
+            "",
+            f"{point.x}: {summary.throughput:.0f} op/s, {summary.count} ops in a "
+            f"{summary.duration * 1e3:.2f} ms window, {roles['replicas'][0]} replica nodes "
+            f"x {experiments.REPLICA_CORES} cores",
+            f"  {'role':<10} {'nodes':>5} {'busiest core':>12} {'busy us/op':>10} "
+            f"{'per_call us/op':>14} {'share':>6} {'wait us/acq':>11}",
+        ]
+        lines += [
+            f"  {role:<10} {nodes:>5} {row['busiest']:>12.3f} {row['busy_us']:>10.2f} "
+            f"{row['per_call_us']:>14.2f} {row['per_call_share']:>6.2f} {row['wait_us']:>11.2f}"
+            for role, (nodes, row) in roles.items()
+        ]
+        for role in ("leaders", "followers"):
+            sites = roles[role][1]["sites"]  # the top 12, the rest summed
+            lines.append(f"  {role}, busy us/op by call site:")
+            lines += [f"    {micros:>8.2f}  {site}" for micros, site in sites[:12]]
+            if sites[12:]:
+                rest = sum(micros for micros, _site in sites[12:])
+                lines.append(f"    {rest:>8.2f}  other ({len(sites) - 12} sites)")
+    save_and_print("cpu_account", "\n".join(lines))
+
+
 def run_table1():
     rows = experiments.table1_rows()
     lines = ["Table I — read optimizations and consistency", "=" * 46]
@@ -268,6 +299,7 @@ RUNNERS = {
     "leases": run_leases,
     "health": run_health,
     "audit": run_audit,
+    "cpu_account": run_cpu_account,
 }
 
 

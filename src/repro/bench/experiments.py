@@ -11,9 +11,12 @@ service at ~500 req/s for Fig. 11.
 
 from __future__ import annotations
 
-from collections import Counter
+import random
+import sys
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 from typing import Callable, Optional
 
 from ..analysis.history import HistoryRecorder
@@ -463,8 +466,6 @@ def fig10_write_contention(
     (reference). The reported conflict rate is client-observed for the
     baseline (failed read quorums) and Troxy-observed for the fast-read
     cache (quorum mismatches / invalidated entries per fast attempt)."""
-    import random
-
     points = []
 
     def run(system, label, read_optimization=True, fast_reads=True, monitor_factory=None):
@@ -616,8 +617,6 @@ def fig11_http_latency(
 ) -> list[Point]:
     """Mean latency of the HTTP page service at a non-saturating load,
     local network and WAN (Fig. 11)."""
-    import random
-
     rate_per_client = total_rate / n_clients
     pages = sorted(seed_pages().keys())
     points = []
@@ -780,6 +779,99 @@ def ablation_voter(n_clients: int = 24, reply_size: int = 4096, duration: float 
         completed = max(1, cluster.sim_stats["completed"])
         rows[system] = (link.rx / completed, link.tx / completed, summary.mean_latency)
     return rows
+
+
+# -- Simulated-CPU account (docs/PERFORMANCE.md) --------------------------------------------------
+
+
+class _CpuAccount:
+    """Busy and wait seconds per (node, call site) of the charges that
+    start in the window, from the ``node.compute`` events of the bus. A
+    call site is ``<module>.<function>`` of the charging frame, or
+    ``ecall <name>`` for a crossing, whose fixed cost (``per_call``) is
+    also summed per node. An ``obs`` of :func:`_drive`, like
+    :class:`_ClientLinkBytes`."""
+
+    KIND = "node.compute"
+
+    def __init__(self, warmup: float, duration: float):
+        self.warmup, self.duration = warmup, duration
+        self.busy = defaultdict(float)  # (node, site) -> seconds
+        self.per_call, self.wait = defaultdict(float), defaultdict(float)  # node -> s
+        self.acquisitions = Counter()  # node -> charges
+
+    def attach(self, cluster) -> None:
+        start = cluster.env.now + self.warmup
+        self.window = (start, start + self.duration)
+        cluster.probe.subscribe(self)
+
+    def wrap_clients(self, clients):
+        return clients
+
+    def event(self, t, kind, node, subject, attrs) -> None:
+        if kind != self.KIND:
+            return
+        seconds, waited = attrs["seconds"], attrs["waited"]
+        if not self.window[0] <= t - seconds - waited < self.window[1]:
+            return
+        # Up the stack: Probe.event, Node.compute's generator, the caller.
+        frame = sys._getframe(3)
+        site = f"{Path(frame.f_code.co_filename).stem}.{frame.f_code.co_name}"
+        if site == "enclave.ecall":
+            site = f"ecall {frame.f_locals['name']}"
+            self.per_call[node] += frame.f_locals["self"].costs.per_call
+        self.busy[node, site] += seconds
+        self.wait[node] += waited
+        self.acquisitions[node] += 1
+
+    def role(self, nodes, summary: Summary) -> dict:
+        """The account of ``nodes``, per operation completed in the window."""
+        ops = summary.count
+        sites, node_busy = defaultdict(float), defaultdict(float)
+        for (node, site), seconds in self.busy.items():
+            if node in nodes:
+                sites[site] += seconds
+                node_busy[node] += seconds
+        busy = sum(node_busy.values())
+        per_call = sum(self.per_call[n] for n in nodes)
+        acquisitions = max(1, sum(self.acquisitions[n] for n in nodes))
+        return {
+            "busiest": max(node_busy.values(), default=0.0) / summary.duration / REPLICA_CORES,
+            "busy_us": busy / ops * 1e6,
+            "per_call_us": per_call / ops * 1e6,
+            "per_call_share": per_call / busy if busy else 0.0,
+            "wait_us": sum(self.wait[n] for n in nodes) / acquisitions * 1e6,
+            "sites": sorted(((seconds / ops * 1e6, site) for site, seconds in sites.items()),
+                            key=lambda row: (-row[0], row[1])),
+        }
+
+
+def cpu_account() -> list[Point]:
+    """The perf ledger's four traffic shapes as etroxy cells (seed 1, its
+    windows at ``--seconds 10``: scale 10/33) -> one point per cell whose
+    ``extra["roles"]`` maps replicas / leaders / followers to (node
+    count, :meth:`_CpuAccount.role`)."""
+    cells = (  # name, op source, reply B, clients, warm-up, window, build keywords
+        ("writes_lan", write_source(1024, 64), 10, 32, 0.05, 0.20, {"batching": "adaptive"}),
+        ("reads_lan", read_source(10, 16), 1024, 32, 0.05, 0.20, {}),
+        ("mixed_contended", mixed_source(0.15, random.Random(1), 10, 16), 1024, 32,
+         0.05, 0.15, {}),
+        ("writes_sharded", write_source(1024, 64), 10, 96, 0.02, 0.04, {"shards": 4}),
+    )
+    points = []
+    for name, source, reply_size, n_clients, warmup, window, kwargs in cells:
+        account = _CpuAccount(warmup * (10 / 33), window * (10 / 33))
+        cluster, summary = _run_system(
+            "etroxy", source, reply_size, n_clients, account.warmup, account.duration,
+            seed=1, obs=account, **kwargs,
+        )
+        replicas = {replica.node.name for replica in cluster.replicas}
+        leaders = {group.leader.node.name for group in cluster.groups}
+        roles = {"replicas": replicas, "leaders": leaders, "followers": replicas - leaders}
+        points.append(Point("cpu_account", "etroxy", name, summary, extra={"roles": {
+            role: (len(nodes), account.role(nodes, summary)) for role, nodes in roles.items()
+        }}))
+    return points
 
 
 # -- Table I ------------------------------------------------------------------------------------------

@@ -145,10 +145,12 @@ class Node:
         name: str,
         cores: int = 8,
         nic: Optional[NicConfig] = None,
+        probe: Optional[Probe] = None,
     ):
         self.env = env
         self.name = name
         self.nic = nic or NicConfig()
+        self.probe = probe if probe is not None else Probe(env)
         self.inbox: Store = Store(env)
         self.cpu = Resource(env, capacity=cores)
         self.tx = Resource(env, capacity=self.nic.count)
@@ -167,10 +169,21 @@ class Node:
         (hash + MAC, ...) are passed as one sum, ``compute(a + b)``: a
         single schedule entry instead of one scheduler round-trip per
         component — see docs/PERFORMANCE.md for the design rule.
+
+        With a subscriber on the bus the charge is reported once it
+        completes (``node.compute``); without one this costs a flag test.
         """
         if seconds <= 0:
             return ()
+        if self.probe.on:
+            return self._reported(seconds)
         return self.cpu.use(seconds)
+
+    def _reported(self, seconds: float):
+        start = self.env.now
+        yield from self.cpu.use(seconds)
+        self.probe.event("node.compute", self.name, None, seconds=seconds,
+                         waited=self.env.now - start - seconds)
 
     def crash(self) -> None:
         """Silently drop all future inbound and outbound traffic."""
@@ -244,7 +257,7 @@ class Network:
     ) -> Node:
         if name in self.nodes:
             raise ValueError(f"duplicate node name: {name!r}")
-        node = Node(self.env, name, cores=cores, nic=nic)
+        node = Node(self.env, name, cores=cores, nic=nic, probe=self.probe)
         self.nodes[name] = node
         return node
 

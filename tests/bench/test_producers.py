@@ -1,8 +1,7 @@
 """One producer per tracked table: every file under benchmarks/results/
-but cpu_account.txt (benchmarks/perf/cpu_account.py) is written by
-``python -m repro.bench <name>`` and by nothing else; tests read what
-the producers wrote (two writers drift: the pytest and CLI bodies of
-table1 and fig11 differed for several PRs)."""
+is written by ``python -m repro.bench <name>`` and by nothing else;
+tests read what the producers wrote (two writers drift: the pytest and
+CLI bodies of table1 and fig11 differed for several PRs)."""
 
 import ast
 from collections import Counter
@@ -24,7 +23,7 @@ def _save_calls(path: Path) -> list[ast.Call]:
 def test_every_tracked_table_has_exactly_one_producer():
     # Constant-named calls under src/repro/bench, plus the critpath
     # sidecars that run_critpath writes in one loop.
-    produced = Counter(list(critpath.SIDECARS) + ["cpu_account"])
+    produced = Counter(list(critpath.SIDECARS))
     for path in (ROOT / "src" / "repro" / "bench").glob("*.py"):
         produced.update(
             call.args[0].value for call in _save_calls(path)

@@ -149,16 +149,16 @@ def valid_commit(cluster, seq, request, sender_index, view=0):
 
 
 def record_cpu(replica):
-    """Every simulated CPU charge ``replica`` makes from now on."""
+    """Every simulated CPU charge ``replica`` makes from now on, as the
+    probe bus reports it (``node.compute``, once the charge completes)."""
     charged = []
-    node = replica.node
-    compute = node.compute
 
-    def recording_compute(seconds):
-        charged.append(seconds)
-        return compute(seconds)
+    class Charges:
+        def event(self, t, kind, node, subject, attrs):
+            if kind == "node.compute" and node == replica.node.name:
+                charged.append(attrs["seconds"])
 
-    node.compute = recording_compute
+    replica.node.probe.subscribe(Charges())
     return charged
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps.kvstore import KvStore
-from repro.bench.experiments import _run_system, mixed_source
+from repro.bench.experiments import _CpuAccount, _run_system, mixed_source
 from repro.deploy import build_baseline, build_prophecy, build_standalone, build_troxy
 from repro.obs import probes
 from repro.obs.audit import AuditPlane
@@ -65,7 +65,7 @@ def emitted_kinds() -> dict:
 
 def test_every_emitted_kind_is_claimed_and_every_rule_is_fed():
     emitted = set(emitted_kinds())
-    claimed = set(probes.RULES) | set(trace.RULES)
+    claimed = set(probes.RULES) | set(trace.RULES) | {_CpuAccount.KIND}
     assert emitted - claimed == set(), "a site reports what nobody consumes"
     assert claimed - emitted == set(), "a rule waits for what no site reports"
     # The trace log names its categories; none of them became a span.
@@ -82,6 +82,7 @@ def test_the_layers_emit_from_where_the_design_says():
     kinds = emitted_kinds()
     assert kinds["enclave.ecall"] == {"enclave.py"}
     assert kinds["troxy.host"] == {"host.py"}
+    assert kinds["node.compute"] == {"network.py"}
     assert {kind: files for kind, files in kinds.items() if kind.startswith("net.")} == {
         kind: {"network.py"} for kind in ("net.send", "net.deliver", "net.fault")
     }
@@ -102,6 +103,7 @@ def test_a_built_troxy_has_no_subscriber(features):
     reporters += [host.enclave for host in site.hosts]
     reporters += [replica.boundary for replica in site.replicas]
     reporters += [core.monitor for core in site.cores]
+    reporters += site.net.nodes.values()
     assert all(reporter.probe is site.probe for reporter in reporters)
 
 
@@ -117,7 +119,14 @@ def test_the_other_systems_have_no_subscriber_either(build):
 
 def test_every_subscriber_together_perturbs_nothing():
     """ObsPlane + health windows + audit ledgers (checkpoints off: they
-    are the one documented place a subscriber spends simulated time)."""
+    are the one documented place a subscriber spends simulated time) +
+    the simulated-CPU account."""
+    account = _CpuAccount(warmup=0.01, duration=0.04)
+
+    class AuditAndAccount(AuditPlane):
+        def attach(self, cluster):
+            account.attach(cluster)
+            return super().attach(cluster)
 
     def measure(obs):
         source = mixed_source(0.2, random.Random(3), key_space=4)
@@ -127,7 +136,8 @@ def test_every_subscriber_together_perturbs_nothing():
         )
         return summary, cluster.env.steps, cluster.env.scheduled_events
 
-    plane = AuditPlane(window=0.01, checkpoint_interval=10**9)
+    plane = AuditAndAccount(window=0.01, checkpoint_interval=10**9)
     assert measure(plane) == measure(None)
     plane.finalize()
     assert plane.windows_evaluated > 1 and plane.ledgers and len(plane.spans) > 0
+    assert account.busy and sum(account.acquisitions.values()) > 0
