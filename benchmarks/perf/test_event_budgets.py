@@ -57,7 +57,21 @@ is 21-26 live entries plus the withdrawn timers since the last rebuild.
 Where that rebuild falls moves with any change to the event structure,
 so the pin allows one rebuild's worth (``_COMPACT_MIN``) above the
 recorded count, and dead timers piling up again fail it on a count.
+
+The records built per operation (messages, ``Action``s, certificates,
+samples, history records) have hand-written ``__init__``s (DESIGN.md
+D28). Each cell runs under ``cProfile`` from the moment its clients are
+connected, and the calls of code objects named ``__init__`` in file
+``<string>`` -- the ``__init__`` a dataclass generates -- are pinned at
+``MAX_GENERATED_INITS`` per operation. What is left are the window's
+``Summary`` and the like. Before the records were slotted the cells
+built 51.97 / 51.85 / 40.16 / 23.39 of them per operation (in the order
+below); a record class that gets a generated ``__init__`` again fails
+here on a count. The profile only observes: the run and every count
+above are the same with it on.
 """
+
+import cProfile
 
 import pytest
 
@@ -104,12 +118,38 @@ TOLERANCE = 0.10
 #: per-operation counts move only with the in-flight tail of the run; one
 #: surplus crossing or MAC per operation is 6-12 % of any cell.
 COUNT_TOLERANCE = 0.05
+#: dataclass-generated ``__init__`` calls per operation, once clients are up
+MAX_GENERATED_INITS = 0.01
+
+
+class _ProfiledLoad:
+    """An ``obs`` of a cell that switches its profile on once the clients
+    are connected, so the deployment's set-up is not counted."""
+
+    def __init__(self):
+        self.profile = cProfile.Profile()
+
+    def attach(self, cluster) -> None:
+        pass
+
+    def wrap_clients(self, clients):
+        self.profile.enable()
+        return clients
+
+    def generated_inits(self) -> int:
+        self.profile.disable()
+        return sum(
+            entry.callcount for entry in self.profile.getstats()
+            if not isinstance(entry.code, str)
+            and entry.code.co_filename == "<string>" and entry.code.co_name == "__init__"
+        )
 
 
 @pytest.fixture(scope="module")
 def measured():
-    """Every cell run once, from empty memos: events, crossings, MACs and
-    HMACs computed per operation, pending entries."""
+    """Every cell run once, from empty memos: events, crossings, MACs,
+    HMACs computed and generated ``__init__``s per operation, pending
+    entries."""
     sign, hmac_digest = MacKey.sign, primitives._hmac_digest
     signed, computed = [0], [0]
 
@@ -128,7 +168,9 @@ def measured():
         for cell_id, system, source, kwargs, _budgets in CELLS:
             signed[0] = computed[0] = 0
             primitives._tags, primitives._digests = primitives._Memo(), primitives._Memo()
-            cluster, _summary = _run_system(system, source, **kwargs)
+            load = _ProfiledLoad()
+            cluster, _summary = _run_system(system, source, obs=load, **kwargs)
+            inits = load.generated_inits()
             boundaries = [replica.boundary for replica in cluster.replicas]
             boundaries += [host.enclave for host in getattr(cluster, "hosts", ())]
             cores = getattr(cluster, "cores", None)
@@ -142,6 +184,7 @@ def measured():
                 "ecalls": sum(b.stats.ecalls for b in boundaries) / operations,
                 "macs": signed[0] / operations,
                 "hmacs": computed[0] / operations,
+                "inits": inits / operations,
                 "pending": cluster.sim_stats["pending"],
             }
     finally:
@@ -175,6 +218,17 @@ def test_crossings_and_macs_per_operation_within_budget(cell, count, measured):
         f"{budget} (±{COUNT_TOLERANCE:.0%}) — surplus work crossed the boundary "
         f"again, a memo stopped hitting, or work was removed: re-baseline "
         f"deliberately"
+    )
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=[cell[0] for cell in CELLS])
+def test_no_generated_init_per_operation(cell, measured):
+    cell_id = cell[0]
+    inits = measured[cell_id]["inits"]
+    assert inits <= MAX_GENERATED_INITS, (
+        f"{cell_id}: {inits:.3f} dataclass-generated __init__ calls per operation "
+        f"(pin {MAX_GENERATED_INITS}) -- a record built per operation lost its "
+        f"hand-written __init__"
     )
 
 

@@ -26,7 +26,7 @@ from typing import Optional
 
 _INF = float("inf")
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class OpRecord:
     """One completed client operation."""
 
@@ -37,11 +37,17 @@ class OpRecord:
     start: float
     end: float
 
-    def __post_init__(self):
-        if self.kind not in ("put", "get"):
-            raise ValueError(f"unsupported kind: {self.kind!r}")
-        if self.end < self.start:
+    def __init__(self, client, kind, key, value, start, end):
+        if kind not in ("put", "get"):
+            raise ValueError(f"unsupported kind: {kind!r}")
+        if end < start:
             raise ValueError("end before start")
+        self.client = client
+        self.kind = kind
+        self.key = key
+        self.value = value
+        self.start = start
+        self.end = end
 
 
 def _show(record: OpRecord) -> str:

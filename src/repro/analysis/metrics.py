@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 
-@dataclass
+@dataclass(slots=True, init=False)
 class Sample:
     """One completed operation."""
 
@@ -17,6 +17,16 @@ class Sample:
     read: bool = False
     conflict: bool = False
     retries: int = 0
+
+    def __init__(
+        self, completed_at, latency, ordered=True, read=False, conflict=False, retries=0
+    ):
+        self.completed_at = completed_at
+        self.latency = latency
+        self.ordered = ordered
+        self.read = read
+        self.conflict = conflict
+        self.retries = retries
 
 
 @dataclass(frozen=True)

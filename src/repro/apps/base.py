@@ -26,8 +26,16 @@ class OpKind(enum.Enum):
     WRITE = "write"
 
 
-@dataclass(frozen=True)
-class Payload:
+class _Memo:
+    """The interned digest, a slot set to ``None`` at construction and
+    filled on first use; not a dataclass field, so ``==``, ``hash``,
+    ``repr`` and ``replace`` ignore it."""
+
+    __slots__ = ("_digest",)
+
+
+@dataclass(slots=True, init=False, unsafe_hash=True)
+class Payload(_Memo):
     """Message body: semantic content plus modelled wire size."""
 
     content: bytes
@@ -37,32 +45,31 @@ class Payload:
     # because cost models read it on every hop of every message.
     size: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.padded_size and self.padded_size < len(self.content):
+    def __init__(self, content, padded_size=0):
+        if padded_size and padded_size < len(content):
             raise ValueError(
-                f"padded_size {self.padded_size} smaller than content "
-                f"({len(self.content)} bytes)"
+                f"padded_size {padded_size} smaller than content ({len(content)} bytes)"
             )
-        object.__setattr__(self, "size", self.padded_size or len(self.content))
+        self.content = content
+        self.padded_size = padded_size
+        self.size = padded_size or len(content)
+        self._digest = None
 
     def digest(self) -> bytes:
         # Interned rather than per-instance: every replica materializes
         # its own Payload for the same reply content, and voters hash
-        # all of them (see docs/PERFORMANCE.md). try/except cache: the
-        # hit path is a plain attribute load, no dict.get call.
-        try:
-            return self._digest
-        except AttributeError:
-            cached = intern_digest(self.content, self.size.to_bytes(8, "big"))
-            object.__setattr__(self, "_digest", cached)
-            return cached
+        # all of them (see docs/PERFORMANCE.md).
+        cached = self._digest
+        if cached is None:
+            cached = self._digest = intern_digest(self.content, self.size.to_bytes(8, "big"))
+        return cached
 
 
 EMPTY_PAYLOAD = Payload(b"", 0)
 
 
-@dataclass(frozen=True)
-class Operation:
+@dataclass(slots=True, init=False, unsafe_hash=True)
+class Operation(_Memo):
     """One application-level command."""
 
     kind: OpKind
@@ -72,21 +79,22 @@ class Operation:
     size: int = field(init=False, compare=False, repr=False)
     is_read: bool = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "size", len(self.name) + len(self.key) + self.body.size + 2
-        )
-        object.__setattr__(self, "is_read", self.kind is OpKind.READ)
+    def __init__(self, kind, name, key="", body=EMPTY_PAYLOAD):
+        self.kind = kind
+        self.name = name
+        self.key = key
+        self.body = body
+        self.size = len(name) + len(key) + body.size + 2
+        self.is_read = kind is OpKind.READ
+        self._digest = None
 
     def digest(self) -> bytes:
-        try:
-            return self._digest
-        except AttributeError:
-            cached = digest_of(
+        cached = self._digest
+        if cached is None:
+            cached = self._digest = digest_of(
                 self.kind.value.encode(), self.name.encode(), self.key.encode(),
                 self.body.digest(),
             )
-            object.__setattr__(self, "_digest", cached)
         return cached
 
 

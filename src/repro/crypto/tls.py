@@ -20,7 +20,7 @@ cryptographic property. Integrity and replay detection *are* real.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .primitives import MAC_SIZE, MacKey, derive_key
 
@@ -36,7 +36,7 @@ class TlsError(Exception):
     """Integrity or replay failure on a TLS record."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class TlsRecord:
     """One sealed record on the wire."""
 
@@ -44,10 +44,14 @@ class TlsRecord:
     seq: int
     ciphertext: bytes
     tag: bytes
+    wire_size: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def wire_size(self) -> int:
-        return len(self.ciphertext) + TLS_RECORD_OVERHEAD
+    def __init__(self, session_id, seq, ciphertext, tag):
+        self.session_id = session_id
+        self.seq = seq
+        self.ciphertext = ciphertext
+        self.tag = tag
+        self.wire_size = len(ciphertext) + TLS_RECORD_OVERHEAD
 
 
 class TlsEndpoint:

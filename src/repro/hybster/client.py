@@ -29,7 +29,7 @@ from .messages import Reply, Request
 from .secure import SecureEnvelope, open_body, seal_body
 
 
-@dataclass
+@dataclass(slots=True, init=False)
 class InvokeResult:
     """Outcome of one client operation."""
 
@@ -38,6 +38,13 @@ class InvokeResult:
     retries: int = 0
     read_conflict: bool = False
     ordered: bool = True
+
+    def __init__(self, result, latency, retries=0, read_conflict=False, ordered=True):
+        self.result = result
+        self.latency = latency
+        self.retries = retries
+        self.read_conflict = read_conflict
+        self.ordered = ordered
 
 
 @dataclass

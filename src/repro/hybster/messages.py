@@ -10,7 +10,8 @@ All messages expose ``auth_bytes()`` (the canonical byte string covered
 by MACs / counter certificates) and ``wire_size`` (modelled bytes on the
 wire, used by the network simulation).
 
-Messages are immutable, so every derived quantity is computed once:
+Messages are immutable by convention, checked by the write-once test
+(``tests/test_records.py``), so every derived quantity is computed once:
 ``wire_size`` is precomputed at construction (cost models read it on
 every hop), per-instance digests are cached on first use, and content
 digests go through :func:`repro.crypto.primitives.intern_digest` so the
@@ -31,9 +32,16 @@ from ..sgx.counters import CounterCertificate
 _HEADER = 16  # type tag, lengths, framing
 
 
+class _Memo:
+    """The digest memos of a message: slots set to ``None`` at
+    construction and filled on first use. They are not dataclass
+    fields, so ``==``, ``hash``, ``repr`` and ``replace`` ignore them."""
 
-@dataclass(frozen=True)
-class Request:
+    __slots__ = ("_digest", "_auth")
+
+
+@dataclass(slots=True, init=False, unsafe_hash=True)
+class Request(_Memo):
     """A client operation as it enters the BFT protocol.
 
     ``origin`` names the contact point replies must converge on: the
@@ -49,34 +57,31 @@ class Request:
     unordered: bool = False
     wire_size: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "wire_size",
-            _HEADER + len(self.client_id) + 8 + self.op.size + len(self.origin),
-        )
+    def __init__(self, client_id, request_id, op, origin, unordered=False):
+        self.client_id = client_id
+        self.request_id = request_id
+        self.op = op
+        self.origin = origin
+        self.unordered = unordered
+        self.wire_size = _HEADER + len(client_id) + 8 + op.size + len(origin)
+        self._digest = self._auth = None
 
     def digest(self) -> bytes:
-        # try/except cache: the hit path is a plain attribute load, which
-        # beats a dict.get call on every verify after the first.
-        try:
-            return self._digest
-        except AttributeError:
-            cached = digest_of(
+        cached = self._digest
+        if cached is None:
+            cached = self._digest = digest_of(
                 self.client_id.encode(),
                 self.request_id.to_bytes(8, "big"),
                 self.op.digest(),
                 b"u" if self.unordered else b"o",
             )
-            object.__setattr__(self, "_digest", cached)
-            return cached
+        return cached
 
     def auth_bytes(self) -> bytes:
-        try:
-            return self._auth
-        except AttributeError:
-            cached = b"REQ" + self.digest()
-            object.__setattr__(self, "_auth", cached)
-            return cached
+        cached = self._auth
+        if cached is None:
+            cached = self._auth = b"REQ" + self.digest()
+        return cached
 
 
 NOOP_REQUEST_CLIENT = "__noop__"
@@ -88,8 +93,8 @@ def noop_request(seq: int, origin: str) -> Request:
     return Request(NOOP_REQUEST_CLIENT, seq, op, origin)
 
 
-@dataclass(frozen=True)
-class Batch:
+@dataclass(slots=True, init=False, unsafe_hash=True)
+class Batch(_Memo):
     """An ordered run of client requests agreed on as one slot.
 
     The leader certifies a single monotonic-counter value for the whole
@@ -103,15 +108,12 @@ class Batch:
     requests: tuple[Request, ...]
     wire_size: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if len(self.requests) < 2:
-            raise ValueError(
-                f"a Batch carries at least two requests, got {len(self.requests)}"
-            )
-        object.__setattr__(
-            self, "wire_size",
-            _HEADER + sum(request.wire_size for request in self.requests),
-        )
+    def __init__(self, requests):
+        if len(requests) < 2:
+            raise ValueError(f"a Batch carries at least two requests, got {len(requests)}")
+        self.requests = requests
+        self.wire_size = _HEADER + sum(request.wire_size for request in requests)
+        self._digest = None
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -122,23 +124,21 @@ class Batch:
     def digest(self) -> bytes:
         """Order-sensitive digest over the entry digests (deterministic
         for a given request tuple; see tests/property)."""
-        try:
-            return self._digest
-        except AttributeError:
-            cached = digest_of(
+        cached = self._digest
+        if cached is None:
+            cached = self._digest = digest_of(
                 b"BATCH",
                 len(self.requests).to_bytes(4, "big"),
                 *[request.digest() for request in self.requests],
             )
-            object.__setattr__(self, "_digest", cached)
-            return cached
+        return cached
 
     def auth_bytes(self) -> bytes:
         return b"BATCH" + self.digest()
 
 
-@dataclass(frozen=True)
-class Reply:
+@dataclass(slots=True, init=False, unsafe_hash=True)
+class Reply(_Memo):
     """A replica's reply to one request.
 
     Carries the digest of the original request (extension (2) in
@@ -166,27 +166,31 @@ class Reply:
     fresh: bool = True
     wire_size: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        size = (
-            _HEADER
-            + len(self.replica_id)
-            + len(self.client_id)
-            + 8
-            + self.result.size
-            + DIGEST_SIZE
-        )
-        if self.troxy_tag is not None:
+    def __init__(
+        self, replica_id, client_id, request_id, result, request_digest,
+        view=0, troxy_tag=None, fresh=True,
+    ):
+        self.replica_id = replica_id
+        self.client_id = client_id
+        self.request_id = request_id
+        self.result = result
+        self.request_digest = request_digest
+        self.view = view
+        self.troxy_tag = troxy_tag
+        self.fresh = fresh
+        size = _HEADER + len(replica_id) + len(client_id) + 8 + result.size + DIGEST_SIZE
+        if troxy_tag is not None:
             size += MAC_SIZE
-        object.__setattr__(self, "wire_size", size)
+        self.wire_size = size
+        self._auth = None
 
     def result_digest(self) -> bytes:
         return self.result.digest()
 
     def auth_bytes(self) -> bytes:
-        try:
-            return self._auth
-        except AttributeError:
-            cached = b"|".join(
+        cached = self._auth
+        if cached is None:
+            cached = self._auth = b"|".join(
                 [
                     b"REPLY",
                     self.replica_id.encode(),
@@ -197,8 +201,7 @@ class Reply:
                     b"\x01" if self.fresh else b"\x00",
                 ]
             )
-            object.__setattr__(self, "_auth", cached)
-            return cached
+        return cached
 
     def matches(self, other: "Reply") -> bool:
         """Vote equality: same request answered with the same result."""
@@ -210,7 +213,7 @@ class Reply:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Forward:
     """Follower-to-leader request relay (Fig. 5c's extra phase)."""
 
@@ -218,17 +221,17 @@ class Forward:
     sender: str
     wire_size: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "wire_size", _HEADER + self.request.wire_size + len(self.sender)
-        )
+    def __init__(self, request, sender):
+        self.request = request
+        self.sender = sender
+        self.wire_size = _HEADER + request.wire_size + len(sender)
 
     def auth_bytes(self) -> bytes:
         return b"FWD" + self.sender.encode() + self.request.digest()
 
 
-@dataclass(frozen=True)
-class Order:
+@dataclass(slots=True, init=False, unsafe_hash=True)
+class Order(_Memo):
     """Leader proposal binding ``request`` to slot ``seq`` in ``view``.
 
     ``cert.value == seq`` by construction; followers verify both the
@@ -248,12 +251,18 @@ class Order:
     grants: tuple = ()
     wire_size: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "wire_size",
-            _HEADER + 16 + self.request.wire_size + self.cert.wire_size
-            + sum(grant.wire_size for grant in self.grants),
-        )
+    def __init__(self, view, seq, request, cert, sender, grants=()):
+        self.view = view
+        self.seq = seq
+        self.request = request
+        self.cert = cert
+        self.sender = sender
+        self.grants = grants
+        size = _HEADER + 16 + request.wire_size + cert.wire_size
+        if grants:
+            size += sum(grant.wire_size for grant in grants)
+        self.wire_size = size
+        self._digest = None
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -276,18 +285,16 @@ class Order:
         )
 
     def digest(self) -> bytes:
-        try:
-            return self._digest
-        except AttributeError:
-            cached = self.content_digest(
+        cached = self._digest
+        if cached is None:
+            cached = self._digest = self.content_digest(
                 self.view, self.seq, self.request.digest(), self.grants
             )
-            object.__setattr__(self, "_digest", cached)
-            return cached
+        return cached
 
 
-@dataclass(frozen=True)
-class Commit:
+@dataclass(slots=True, init=False, unsafe_hash=True)
+class Commit(_Memo):
     """A replica's counter-certified acknowledgement of an Order."""
 
     view: int
@@ -297,10 +304,14 @@ class Commit:
     sender: str
     wire_size: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "wire_size", _HEADER + 16 + DIGEST_SIZE + self.cert.wire_size
-        )
+    def __init__(self, view, seq, request_digest, cert, sender):
+        self.view = view
+        self.seq = seq
+        self.request_digest = request_digest
+        self.cert = cert
+        self.sender = sender
+        self.wire_size = _HEADER + 16 + DIGEST_SIZE + cert.wire_size
+        self._digest = None
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -319,17 +330,15 @@ class Commit:
         )
 
     def digest(self) -> bytes:
-        try:
-            return self._digest
-        except AttributeError:
-            cached = self.content_digest(
+        cached = self._digest
+        if cached is None:
+            cached = self._digest = self.content_digest(
                 self.view, self.seq, self.request_digest, self.sender
             )
-            object.__setattr__(self, "_digest", cached)
-            return cached
+        return cached
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Checkpoint:
     """Periodic state digest; f+1 matching ones make a checkpoint stable."""
 
@@ -338,8 +347,11 @@ class Checkpoint:
     sender: str
     wire_size: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "wire_size", _HEADER + 8 + DIGEST_SIZE + len(self.sender))
+    def __init__(self, seq, state_digest, sender):
+        self.seq = seq
+        self.state_digest = state_digest
+        self.sender = sender
+        self.wire_size = _HEADER + 8 + DIGEST_SIZE + len(sender)
 
     def auth_bytes(self) -> bytes:
         return b"CHKPT" + self.seq.to_bytes(8, "big") + self.state_digest + self.sender.encode()
@@ -489,7 +501,7 @@ class StateResponse:
         return _HEADER + 16 + len(self.snapshot) + len(self.sender)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Tagged:
     """A message carried with a pairwise HMAC tag (non-counter messages)."""
 
@@ -498,7 +510,8 @@ class Tagged:
     tag: bytes
     wire_size: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "wire_size", self.msg.wire_size + MAC_SIZE  # type: ignore[attr-defined]
-        )
+    def __init__(self, msg, sender, tag):
+        self.msg = msg
+        self.sender = sender
+        self.tag = tag
+        self.wire_size = msg.wire_size + MAC_SIZE  # type: ignore[attr-defined]

@@ -63,7 +63,7 @@ from .secure import SecureEnvelope, open_body, seal_body
 from .viewchange import ViewChanger
 
 
-@dataclass
+@dataclass(slots=True, init=False)
 class LogEntry:
     """Per-slot ordering state."""
 
@@ -71,6 +71,12 @@ class LogEntry:
     commit_senders: dict[str, CounterCertificate] = field(default_factory=dict)
     committed: bool = False
     executed: bool = False
+
+    def __init__(self, order=None, commit_senders=None, committed=False, executed=False):
+        self.order = order
+        self.commit_senders = {} if commit_senders is None else commit_senders
+        self.committed = committed
+        self.executed = executed
 
 
 @dataclass
@@ -445,7 +451,9 @@ class Replica:
         if endpoint is None:
             self.stats.invalid_messages += 1
             return
-        lock = self._channel_locks.setdefault(body.client_id, Resource(self.env, 1))
+        lock = self._channel_locks.get(body.client_id)
+        if lock is None:
+            lock = self._channel_locks[body.client_id] = Resource(self.env, 1)
         yield lock.request()
         try:
             yield from self.node.compute(self.profile.aead_cost(envelope.wire_size))
@@ -585,7 +593,9 @@ class Replica:
 
     def _install_order(self, order: Order) -> LogEntry:
         """Install an order into its log slot, maintaining the backlog count."""
-        entry = self.log.setdefault(order.seq, LogEntry())
+        entry = self.log.get(order.seq)
+        if entry is None:
+            entry = self.log[order.seq] = LogEntry()
         if entry.order is None and not entry.executed:
             self._unexec_ordered += 1
         entry.order = order
@@ -670,7 +680,9 @@ class Replica:
         ):
             self.stats.invalid_messages += 1
             return
-        entry = self.log.setdefault(commit.seq, LogEntry())
+        entry = self.log.get(commit.seq)
+        if entry is None:
+            entry = self.log[commit.seq] = LogEntry()
         if entry.order is not None and entry.order.request.digest() != commit.request_digest:
             self.stats.invalid_messages += 1
             return

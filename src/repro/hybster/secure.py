@@ -17,12 +17,16 @@ from dataclasses import dataclass
 from ..crypto.tls import TlsEndpoint, TlsError, TlsRecord
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class SecureEnvelope:
     """A message body accompanied by its sealed digest."""
 
     record: TlsRecord
     body: object
+
+    def __init__(self, record, body):
+        self.record = record
+        self.body = body
 
     @property
     def wire_size(self) -> int:

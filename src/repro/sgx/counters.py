@@ -15,7 +15,7 @@ reboots (rollback protection).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..crypto.primitives import MacKey
@@ -26,7 +26,7 @@ class CounterError(Exception):
     """Monotonicity or authentication failure in the trusted subsystem."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class CounterCertificate:
     """Attestation that message ``digest`` owns counter slot ``value``."""
 
@@ -35,10 +35,15 @@ class CounterCertificate:
     value: int
     digest: bytes
     tag: bytes
+    wire_size: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def wire_size(self) -> int:
-        return len(self.subsystem_id) + len(self.counter_name) + 8 + len(self.digest) + len(self.tag)
+    def __init__(self, subsystem_id, counter_name, value, digest, tag):
+        self.subsystem_id = subsystem_id
+        self.counter_name = counter_name
+        self.value = value
+        self.digest = digest
+        self.tag = tag
+        self.wire_size = len(subsystem_id) + len(counter_name) + 8 + len(digest) + len(tag)
 
 
 def _auth_input(subsystem_id: str, counter_name: str, value: int, digest: bytes) -> bytes:

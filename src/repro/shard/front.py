@@ -10,7 +10,7 @@ of the two ecalls below (DESIGN.md D13). It lives here so that
 from __future__ import annotations
 
 from ..hybster.messages import Reply, Request
-from ..troxy.core import OWN_GROUP, Action, TroxyCore, Waiter
+from ..troxy.core import OWN_GROUP, WAIT, Action, TroxyCore, Waiter
 from ..troxy.messages import ForwardedRequest, ShardFastReply
 from .migrate import shard_keys_fn
 from .router import ShardRouter
@@ -205,7 +205,7 @@ class ShardFront:
         key = (reply.client_id, reply.request_id)
         pending = core._pending.get(key)
         if pending is None or pending.group == OWN_GROUP:
-            return Action("wait")  # late, replayed, or fallback already voted
+            return WAIT  # late, replayed, or fallback already voted
         del core._pending[key]
         core.stats.shard_fast_replies_accepted += 1
         # Foreign key: never installed into the local cache — its cache

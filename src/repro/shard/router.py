@@ -54,7 +54,7 @@ def pinned_group(key: str) -> Optional[str]:
     return head[2:]  # strip the "__"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class RouteDecision:
     """Outcome of one routing lookup.
 
@@ -68,6 +68,11 @@ class RouteDecision:
     kind: str
     group: str = ""
     target: str = ""
+
+    def __init__(self, kind, group="", target=""):
+        self.kind = kind
+        self.group = group
+        self.target = target
 
 
 @dataclass

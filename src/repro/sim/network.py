@@ -87,13 +87,13 @@ class NormalLatency(LatencyModel):
         return f"NormalLatency({self.mean}, {self.stddev})"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Message:
     """Envelope delivered to a node's inbox.
 
     Treated as immutable by convention; one is allocated per transfer,
-    so construction stays on the cheap slotted-dataclass path rather
-    than frozen's per-field ``object.__setattr__``.
+    so it is a slotted record with a hand-written ``__init__``
+    (DESIGN.md D28).
     """
 
     src: str
@@ -106,6 +106,16 @@ class Message:
     # key and this message's position in that stream.
     stream_pair: Any
     stream_seq: int
+
+    def __init__(self, src, dst, payload, size, sent_at, msg_id, stream_pair, stream_seq):
+        self.src = src
+        self.dst = dst
+        self.payload = payload
+        self.size = size
+        self.sent_at = sent_at
+        self.msg_id = msg_id
+        self.stream_pair = stream_pair
+        self.stream_seq = stream_seq
 
 
 @dataclass

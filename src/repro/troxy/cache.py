@@ -26,7 +26,7 @@ from ..hybster.messages import Reply
 from ..sgx.enclave import Enclave
 
 
-@dataclass
+@dataclass(slots=True, init=False)
 class CacheEntry:
     """One cached read result.
 
@@ -42,6 +42,12 @@ class CacheEntry:
     reply: Reply
     keys: tuple[str, ...]
     voted: bool = False
+
+    def __init__(self, request_digest, reply, keys, voted=False):
+        self.request_digest = request_digest
+        self.reply = reply
+        self.keys = keys
+        self.voted = voted
 
     @property
     def enclave_bytes(self) -> int:

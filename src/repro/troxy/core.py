@@ -25,7 +25,7 @@ property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..crypto.costs import RuntimeProfile, profile as cost_profile
@@ -47,7 +47,7 @@ from .monitor import ConflictMonitor
 OWN_GROUP = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Action:
     """What the untrusted host must do after an ecall returns.
 
@@ -83,15 +83,35 @@ class Action:
     reason: str = ""
     lease: Optional[LeaseRequest] = None
 
+    def __init__(
+        self, kind, dst="", message=None, request=None, queries=(), nonce=0, reason="",
+        lease=None,
+    ):
+        self.kind = kind
+        self.dst = dst
+        self.message = message
+        self.request = request
+        self.queries = queries
+        self.nonce = nonce
+        self.reason = reason
+        self.lease = lease
+
+
+#: The action of an ecall that has nothing for the host to do yet.
+WAIT = Action("wait")
+
 
 def with_lease(action: Action, lease_request: Optional[LeaseRequest]) -> Action:
     """Piggyback a fire-and-forget LeaseRequest on an action."""
     if lease_request is None:
         return action
-    return replace(action, lease=lease_request)
+    return Action(
+        action.kind, action.dst, action.message, action.request, action.queries,
+        action.nonce, action.reason, lease_request,
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Waiter:
     """Who gets the answer to an admitted request.
 
@@ -109,8 +129,13 @@ class Waiter:
     client_machine: str = ""
     front: str = ""
 
+    def __init__(self, client_request, client_machine="", front=""):
+        self.client_request = client_request
+        self.client_machine = client_machine
+        self.front = front
 
-@dataclass
+
+@dataclass(slots=True, init=False)
 class _Pending:
     """Voter state for one in-flight client request."""
 
@@ -129,6 +154,13 @@ class _Pending:
     #: entered the voter; a higher epoch at quorum time means a write
     #: overtook this read and its result must not be installed.
     install_epoch: int = 0
+
+    def __init__(self, request, waiter, group=OWN_GROUP, votes=None, install_epoch=0):
+        self.request = request
+        self.waiter = waiter
+        self.group = group
+        self.votes = {} if votes is None else votes
+        self.install_epoch = install_epoch
 
 
 @dataclass
@@ -473,9 +505,11 @@ class TroxyCore:
             tag = yield from self.sign(
                 authenticated.auth_bytes(), self.mac_cost(reply.wire_size)
             )
-            action = Action(
-                "send", dst=request.origin, message=replace(authenticated, troxy_tag=tag)
+            signed = Reply(
+                reply.replica_id, reply.client_id, reply.request_id, reply.result,
+                reply.request_digest, reply.view, tag, fresh,
             )
+            action = Action("send", dst=request.origin, message=signed)
         if not held:
             return (action,)
         return (action, *(yield from self._count_held(held)))
@@ -634,18 +668,18 @@ class TroxyCore:
             key = (reply.client_id, reply.request_id)
             pending = self._pending.get(key)
             if pending is None:
-                return Action("wait")
+                return WAIT
             outcome = "wait"
             group = self.group_of(reply.replica_id)
             if pending.group == OWN_GROUP and group != OWN_GROUP:
-                return Action("wait")
+                return WAIT
             pending.votes[reply.replica_id] = reply
             matching = [
                 vote for vote in pending.votes.values()
                 if vote.matches(reply) and self.group_of(vote.replica_id) == group
             ]
             if len(matching) < self.config.reply_quorum:
-                return Action("wait")
+                return WAIT
             outcome = "decided"
             del self._pending[key]
             self.stats.replies_voted += 1

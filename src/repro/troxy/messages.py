@@ -5,6 +5,10 @@ bound to the sending instance's identifier, and carry a nonce so a
 malicious relaying replica cannot replay an earlier (stale) answer for
 a new query. Only reply *digests* travel between replicas — the paper's
 hash optimization (Section VI-C2).
+
+Messages are immutable by convention, checked by the write-once test
+(``tests/test_records.py``); the four sent per operation are slotted
+records with a hand-written ``__init__`` (DESIGN.md D28).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from ..crypto.primitives import DIGEST_SIZE, MAC_SIZE, intern_digest
 _HEADER = 16
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class CacheQuery:
     """Ask a remote Troxy for its cache entry for one read request."""
 
@@ -27,17 +31,19 @@ class CacheQuery:
     tag: bytes
     wire_size: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "wire_size", _HEADER + DIGEST_SIZE + len(self.asker) + 8 + MAC_SIZE
-        )
+    def __init__(self, request_digest, asker, nonce, tag):
+        self.request_digest = request_digest
+        self.asker = asker
+        self.nonce = nonce
+        self.tag = tag
+        self.wire_size = _HEADER + DIGEST_SIZE + len(asker) + 8 + MAC_SIZE
 
     @staticmethod
     def auth_input(request_digest: bytes, asker: str, nonce: int) -> bytes:
         return b"CQ|" + request_digest + b"|" + asker.encode() + b"|" + nonce.to_bytes(8, "big")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class BatchedReply:
     """All of one agreement batch's replies bound for one origin Troxy.
 
@@ -55,16 +61,14 @@ class BatchedReply:
     tag: bytes
     wire_size: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if not self.replies:
+    def __init__(self, sender, replies, tag):
+        if not replies:
             raise ValueError("BatchedReply needs at least one reply")
-        object.__setattr__(
-            self,
-            "wire_size",
-            _HEADER
-            + len(self.sender)
-            + MAC_SIZE
-            + sum(reply.wire_size for reply in self.replies),
+        self.sender = sender
+        self.replies = replies
+        self.tag = tag
+        self.wire_size = (
+            _HEADER + len(sender) + MAC_SIZE + sum(reply.wire_size for reply in replies)
         )
 
     def __len__(self) -> int:
@@ -77,7 +81,7 @@ class BatchedReply:
         return b"|".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class ForwardedRequest:
     """A client request handed to its key's owning group (docs/SHARDING.md).
 
@@ -102,12 +106,11 @@ class ForwardedRequest:
     tag: bytes
     wire_size: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "wire_size",
-            _HEADER + self.request.wire_size + len(self.forwarder) + MAC_SIZE,
-        )
+    def __init__(self, request, forwarder, tag):
+        self.request = request
+        self.forwarder = forwarder
+        self.tag = tag
+        self.wire_size = _HEADER + request.wire_size + len(forwarder) + MAC_SIZE
 
     @staticmethod
     def auth_input(request, forwarder: str) -> bytes:
@@ -144,7 +147,7 @@ class ShardFastReply:
         return b"SF|" + reply.auth_bytes() + b"|" + responder.encode()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class CacheEntryReply:
     """A remote Troxy's answer: the digest of its cached reply, if any."""
 
@@ -155,11 +158,16 @@ class CacheEntryReply:
     tag: bytes
     wire_size: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        size = _HEADER + DIGEST_SIZE + len(self.responder) + 8 + MAC_SIZE
-        if self.reply_digest is not None:
+    def __init__(self, request_digest, reply_digest, responder, nonce, tag):
+        self.request_digest = request_digest
+        self.reply_digest = reply_digest
+        self.responder = responder
+        self.nonce = nonce
+        self.tag = tag
+        size = _HEADER + DIGEST_SIZE + len(responder) + 8 + MAC_SIZE
+        if reply_digest is not None:
             size += DIGEST_SIZE
-        object.__setattr__(self, "wire_size", size)
+        self.wire_size = size
 
     @staticmethod
     def auth_input(

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..hybster.messages import Reply, Request
-from .core import Action, TroxyCore, Waiter
+from .core import WAIT, Action, TroxyCore, Waiter
 from .messages import CacheEntryReply, CacheQuery
 
 
-@dataclass
+@dataclass(slots=True, init=False)
 class _FastRead:
     """State of one outstanding fast-read quorum check."""
 
@@ -24,6 +24,12 @@ class _FastRead:
     waiter: Waiter
     local_reply: Reply
     expected: set[str] = field(default_factory=set)
+
+    def __init__(self, request, waiter, local_reply, expected=None):
+        self.request = request
+        self.waiter = waiter
+        self.local_reply = local_reply
+        self.expected = set() if expected is None else expected
 
 
 class FastReadProber:
@@ -158,7 +164,7 @@ class FastReadProber:
         core = self.core
         state = self._outstanding.get(answer.nonce)
         if state is None:
-            return Action("wait")  # late or replayed: nothing outstanding
+            return WAIT  # late or replayed: nothing outstanding
         if not (yield from core.check_tag(
             answer.responder,
             CacheEntryReply.auth_input(
@@ -168,7 +174,7 @@ class FastReadProber:
         )):
             return Action("drop", reason="bad cache reply tag")
         if answer.responder not in state.expected:
-            return Action("wait")
+            return WAIT
         state.expected.discard(answer.responder)
         request_digest = state.request.op.digest()
         matches = (
@@ -188,7 +194,7 @@ class FastReadProber:
             core.cache.remove(request_digest)
             return core.order(state.request, state.waiter)
         if state.expected:
-            return Action("wait")
+            return WAIT
         # All f remote caches match the local one: fast read succeeds.
         del self._outstanding[answer.nonce]
         core.monitor.record_fast_success()
@@ -212,7 +218,7 @@ class FastReadProber:
         core = self.core
         state = self._outstanding.pop(nonce, None)
         if state is None:
-            return Action("wait")
+            return WAIT
         core.monitor.record_conflict()
         core.stats.fast_read_timeouts += 1
         if core.probe.on:
